@@ -1,9 +1,9 @@
-"""Pure-Python reference kernels.
+"""Geometric kernels: the splitmix64 stream, dart throwing, the separation
+audit, cell binning and pairwise scans.
 
-These are the semantics of record: the compiled core in ``_core.pyx`` must
-produce bit-identical results (same splitmix64 stream, same accept/reject
-decisions, same floating-point operation order).  Keep the two files in
-lockstep when changing anything here.
+Callers look kernels up as ``_kernels.<name>(...)`` at call time rather
+than importing the names, so replacing an attribute of this module
+replaces it for every caller.
 """
 
 import math
@@ -42,18 +42,37 @@ def _neighbor_offsets(dim, rings):
     return offs
 
 
+def _any_closer(stored, count, dim, q, limit2):
+    """True iff one of the first count points of stored (row-major) has
+    squared distance below limit2 from q."""
+    for b in range(0, count * dim, dim):
+        d2 = 0.0
+        for a in range(dim):
+            t = stored[b + a] - q[a]
+            d2 += t * t
+        if d2 < limit2:
+            return True
+    return False
+
+
 def dart_throw(dim, length, delta, target, seed, max_attempts):
     """Sequential dart throwing in [0, length)^dim with minimum distance delta.
 
     Returns (flat_coords, attempts) where flat_coords holds the accepted
     points row-major in acceptance order.  Stops when target points were
     accepted or max_attempts candidates were drawn.
+
+    Candidates are checked against the accepted points in the neighbouring
+    grid cells, or against all accepted points when there are fewer of
+    those than neighbour offsets ((2*rings+1)^dim grows past 10^9 at
+    dim=10).  Both give the same decisions.
     """
     cell = delta * (1.0 - 1e-9) / math.sqrt(dim)
     rings = int(delta / cell) + 1
+    direct = (2 * rings + 1) ** dim > target
     ncells = int(length / cell) + 2
     base = ncells + 2 * rings
-    offsets = _neighbor_offsets(dim, rings)
+    offsets = () if direct else _neighbor_offsets(dim, rings)
     grid = {}
     accepted = []
     delta2 = delta * delta
@@ -66,6 +85,11 @@ def dart_throw(dim, length, delta, target, seed, max_attempts):
         for _ in range(dim):
             state, z = splitmix64_next(state)
             cand.append(unit_from_bits(z) * length)
+        if direct:
+            if not _any_closer(accepted, n, dim, cand, delta2):
+                accepted.extend(cand)
+                n += 1
+            continue
         home = [int(cand[a] / cell) for a in range(dim)]
         ok = True
         for off in offsets:
@@ -99,20 +123,25 @@ def has_close_pair(flat, dim, threshold):
     Grid-hash sweep with cell side threshold/sqrt(dim): two points sharing a
     cell are closer than threshold by construction, so each cell holds at
     most one accepted point and the scan is linear for separated inputs.
+    With fewer points than neighbour offsets, each point is compared with
+    all earlier points instead, which gives the same answer.
     """
     n = len(flat) // dim
     if n < 2:
         return False
     if threshold <= 0.0:
         return False
-    lo = [min(flat[a::dim]) for a in range(dim)]
     cell = threshold * (1.0 - 1e-9) / math.sqrt(dim)
     rings = int(threshold / cell) + 1
+    thr2 = threshold * threshold
+    if (2 * rings + 1) ** dim > n:
+        return any(_any_closer(flat, i, dim, flat[i * dim : (i + 1) * dim], thr2)
+                   for i in range(1, n))
+    lo = [min(flat[a::dim]) for a in range(dim)]
     spans = [max(flat[a::dim]) - lo[a] for a in range(dim)]
     base = max(int(s / cell) + 2 for s in spans) + 2 * rings
     offsets = _neighbor_offsets(dim, rings)
     grid = {}
-    thr2 = threshold * threshold
     for i in range(n):
         b = i * dim
         home = [int((flat[b + a] - lo[a]) / cell) for a in range(dim)]

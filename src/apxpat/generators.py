@@ -2,7 +2,7 @@
 
 All randomness comes from a splitmix64 stream seeded by the caller, with
 the 53-bit mantissa-fill mapping to [0, 1); outputs are therefore
-bit-identical across runs, platforms, and kernel backends.
+bit-identical across runs and platforms.
 """
 
 from __future__ import annotations

@@ -1,0 +1,76 @@
+"""Pinned output bytes of the CLI.
+
+Each artifact's sha256 digest was recorded from the code before the kernel
+package became a single module; any change that claims to keep behaviour
+must reproduce these bytes exactly (generated point files, search JSON with
+traces, and SVG figures).
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+
+from apxpat.cli import main
+
+EPS = "0.3333333333333333"
+
+GOLDEN = {
+    "random-1d.txt":
+        "991890ff4c92f7c459e5cec486ef024628d2f9147084767171eabaad89f77fb6",
+    "random-3d.txt":
+        "d0f21e680d26170379613ba8d8bd9463206e6a3b44763832f4b353647e8dfa79",
+    "lattice-2d.txt":
+        "5d95c395c034d5951771db4f9cda7a4d2aee84e51c98bb10239784563bd7cab6",
+    "search-ap.json":
+        "3b8dad9bac559b6bd246e5c35d77ea73397bb584d3bff1a26b06d092503fde9a",
+    "search-ap.svg":
+        "90aa448eb60e7078c1b9c335479522bbb9a865a9702fcca10534c3e5f79624f2",
+    "search-grid.json":
+        "3b8e66e966e11fb6ef9be225377447fbb3428eb9262234840118f6bb9deb7472",
+    "search-grid.svg":
+        "0b2b00be8addc30b32e0ce91a3c0eeb97f56298695d28439c6d48fcff0d1cdeb",
+}
+
+
+def _run_cli(*argv: str) -> tuple[int, bytes]:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue().encode()
+
+
+def artifacts(tmp_path) -> dict[str, bytes]:
+    """Run the pinned CLI pipeline in tmp_path; map artifact name to bytes."""
+    out = {}
+
+    def generate(name, *flags):
+        path = tmp_path / name
+        code, _ = _run_cli("generate", *flags, "--out", str(path), "--json")
+        assert code == 0
+        out[name] = path.read_bytes()
+        return path
+
+    d1 = generate("random-1d.txt", "--kind", "random", "--dim", "1", "--length", "400",
+                  "--delta", "1", "--count", "120", "--seed", "11")
+    # 100 points at d=3 is below the 5^3 neighbour offsets, so the dart
+    # thrower compares against the accepted points directly.
+    generate("random-3d.txt", "--kind", "random", "--dim", "3", "--length", "12",
+             "--delta", "1", "--count", "100", "--seed", "5")
+    d2 = generate("lattice-2d.txt", "--kind", "lattice", "--dim", "2", "--length", "30",
+                  "--jitter", "0.4", "--seed", "4")
+
+    for mode, src, delta, c in (("ap", d1, "1", "0.3"), ("grid", d2, "0.2", "1.0")):
+        fig = tmp_path / f"search-{mode}.svg"
+        code, stdout = _run_cli("search", mode, "--input", str(src), "--k", "3",
+                                "--eps", EPS, "--delta", delta, "--c", c,
+                                "--json", "--trace", "--svg", str(fig))
+        assert code == 0
+        out[f"search-{mode}.json"] = stdout
+        out[fig.name] = fig.read_bytes()
+    return out
+
+
+def test_cli_outputs_match_goldens(tmp_path):
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in artifacts(tmp_path).items()}
+    assert digests == GOLDEN

@@ -1,91 +1,32 @@
-"""Backend equivalence: the compiled core must agree with the pure-Python
-fallback bit for bit (same stream, same decisions, same floats)."""
+"""Kernel semantics: the splitmix64 stream, separation invariants, and the
+separation audit checked against the naive pairwise scan."""
 
+import io
 import math
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
-from apxpat import _kernels
-from apxpat._kernels import _fallback
-
-_core = _kernels._core
-needs_core = pytest.mark.skipif(_core is None, reason="compiled core not built")
+from apxpat import _kernels, cli
 
 
 def test_splitmix64_reference_vector():
     # First outputs for seed 0 from the reference implementation.
-    state, z = _fallback.splitmix64_next(0)
+    state, z = _kernels.splitmix64_next(0)
     assert z == 0xE220A8397B1DCDAF
-    state, z = _fallback.splitmix64_next(state)
+    state, z = _kernels.splitmix64_next(state)
     assert z == 0x6E789E6AA1B965F4
-    state, z = _fallback.splitmix64_next(state)
+    state, z = _kernels.splitmix64_next(state)
     assert z == 0x06C45D188009454F
 
 
 def test_unit_from_bits_range():
     state = 12345
     for _ in range(1000):
-        state, z = _fallback.splitmix64_next(state)
-        u = _fallback.unit_from_bits(z)
+        state, z = _kernels.splitmix64_next(state)
+        u = _kernels.unit_from_bits(z)
         assert 0.0 <= u < 1.0
-
-
-@needs_core
-def test_splitmix64_backends_agree():
-    state_a = state_b = 987654321
-    for _ in range(200):
-        state_a, za = _fallback.splitmix64_next(state_a)
-        state_b, zb = _core.splitmix64_next(state_b)
-        assert za == zb and state_a == state_b
-        assert _fallback.unit_from_bits(za) == _core.unit_from_bits(zb)
-
-
-@needs_core
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_dart_throw_backends_bit_identical(dim):
-    for seed in (0, 7, 123456789):
-        f1, a1 = _fallback.dart_throw(dim, 40.0, 1.0, 120, seed, 10**6)
-        f2, a2 = _core.dart_throw(dim, 40.0, 1.0, 120, seed, 10**6)
-        assert a1 == a2
-        assert f1 == f2  # bit-identical floats
-
-
-@needs_core
-def test_has_close_pair_backends_agree():
-    rng = random.Random(5)
-    for trial in range(30):
-        dim = rng.choice([1, 2, 3])
-        n = rng.randint(2, 80)
-        flat = [rng.uniform(0, 20) for _ in range(n * dim)]
-        thr = rng.uniform(0.1, 3.0)
-        assert _fallback.has_close_pair(flat, dim, thr) == _core.has_close_pair(flat, dim, thr)
-
-
-@needs_core
-def test_bin_cells_backends_agree():
-    rng = random.Random(9)
-    for trial in range(20):
-        dim = rng.choice([1, 2, 3])
-        n = rng.randint(0, 60)
-        flat = [rng.uniform(-5, 25) for _ in range(n * dim)]
-        lo = tuple(-5.0 for _ in range(dim))
-        cells1, counts1 = _fallback.bin_cells(flat, dim, lo, 3.7, 9)
-        cells2, counts2 = _core.bin_cells(flat, dim, lo, 3.7, 9)
-        assert cells1 == cells2
-        assert counts1 == counts2
-        assert sum(counts1) == n
-
-
-@needs_core
-def test_pairwise_backends_agree():
-    rng = random.Random(13)
-    for trial in range(20):
-        dim = rng.choice([1, 2, 3])
-        n = rng.randint(2, 50)
-        flat = [rng.uniform(-10, 10) for _ in range(n * dim)]
-        assert _fallback.min_pairwise_sq(flat, dim) == _core.min_pairwise_sq(flat, dim)
-        assert _fallback.max_pairwise_sq(flat, dim) == _core.max_pairwise_sq(flat, dim)
 
 
 def test_dart_throw_separation_invariant():
@@ -94,6 +35,40 @@ def test_dart_throw_separation_invariant():
     assert n == 100
     assert not _kernels.has_close_pair(flat, 2, 1.0 * (1 - 1e-9))
     assert math.sqrt(_kernels.min_pairwise_sq(flat, 2)) >= 1.0
+
+
+def test_dart_throw_direct_scan_matches_grid():
+    # At d=3 there are 5^3 = 125 neighbour offsets: a target of 100 checks
+    # candidates against all accepted points, a target of 130 uses the
+    # grid.  Same stream and same decisions, so one run is a prefix of
+    # the other.
+    for seed in (0, 7, 123456789):
+        small, _ = _kernels.dart_throw(3, 12.0, 1.0, 100, seed, 10**6)
+        large, _ = _kernels.dart_throw(3, 12.0, 1.0, 130, seed, 10**6)
+        assert len(small) == 300 and len(large) == 390
+        assert large[:300] == small  # bit-identical floats
+
+
+def test_dart_throw_high_dimension():
+    # (2*4+1)^10 ≈ 3.5e9 neighbour offsets at d=10.
+    flat, attempts = _kernels.dart_throw(10, 3.0, 1.0, 12, 99, 10**6)
+    assert len(flat) == 120 and attempts >= 12
+    assert _kernels.min_pairwise_sq(flat, 10) >= 1.0
+    assert not _kernels.has_close_pair(flat, 10, 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 10])
+def test_has_close_pair_matches_min_pairwise(dim):
+    # Sizes straddle the (2*rings+1)^dim neighbour offsets (5, 25, 125 and
+    # 3.5e9), so both the grid sweep and the direct scan are exercised.
+    rng = random.Random(5 + dim)
+    for trial in range(30):
+        n = rng.randint(2, 150 if dim < 10 else 12)
+        flat = [rng.uniform(0, 20) for _ in range(n * dim)]
+        best = _kernels.min_pairwise_sq(flat, dim)
+        for thr in (rng.uniform(0.1, 3.0) * math.sqrt(dim), math.sqrt(best),
+                    math.nextafter(math.sqrt(best), math.inf)):
+            assert _kernels.has_close_pair(flat, dim, thr) == (best < thr * thr)
 
 
 def test_has_close_pair_edges():
@@ -107,3 +82,11 @@ def test_bin_cells_clamps_boundaries():
     cells, counts = _kernels.bin_cells([0.0, 9.9999, 10.0, -0.2], 1, (0.0,), 2.5, 4)
     assert cells == [0, 3, 3, 0]
     assert counts == [2, 0, 0, 2]
+
+
+def test_version_names_the_kernels():
+    assert cli.BACKEND == "pure-python"
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(["--version"]) == 0
+    assert buf.getvalue().strip().endswith("(pure-python kernels)")
