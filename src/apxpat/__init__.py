@@ -23,7 +23,7 @@ from .geometry import (
 )
 from .oracle import enumerate_aps, enumerate_homothetic, exists_collinear
 from .pointio import emit_svg, parse_pointset, write_pointset
-from .search1d import SearchOutcome, SearchTrace, scan_systems_1d, search_ap
+from .search1d import SearchOutcome, SearchTrace, search_ap
 from .searchnd import pattern_grid_resolution, search_grid, search_pattern
 from .verifier import (
     Ball,
@@ -62,7 +62,6 @@ __all__ = [
     "cylinder_radius",
     "SearchOutcome",
     "SearchTrace",
-    "scan_systems_1d",
     "search_ap",
     "search_grid",
     "search_pattern",

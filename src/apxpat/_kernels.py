@@ -8,6 +8,8 @@ replaces it for every caller.
 
 import math
 
+import numpy as np
+
 BACKEND = "pure-python"
 
 _MASK64 = (1 << 64) - 1
@@ -167,28 +169,18 @@ def has_close_pair(flat, dim, threshold):
 
 
 def bin_cells(flat, dim, lo, width, ncells):
-    """Assign each point its flat row-major cell index; also return counts.
+    """Per-point cell multi-indices of an axis-aligned subdivision.
 
-    Per-axis index is floor((x - lo)/width) clamped to [0, ncells), which
-    gives the half-closed subdivision semantics (right face of the parent
-    box folds into the last cell).
+    Returns an (n, dim) int64 array whose row i holds, per axis,
+    floor((x - lo)/width) clamped to [0, ncells).  The clamp gives the
+    half-closed subdivision semantics (right face of the parent box folds
+    into the last cell).  This is the one binning routine: the subdivision
+    search calls it once per step at every dimension, and its residue scan
+    works on these rows, so no array of ncells^dim counts is ever formed.
     """
-    n = len(flat) // dim
-    cells = [0] * n
-    counts = [0] * (ncells**dim)
-    for i in range(n):
-        b = i * dim
-        f = 0
-        for a in range(dim):
-            c = math.floor((flat[b + a] - lo[a]) / width)
-            if c < 0:
-                c = 0
-            elif c >= ncells:
-                c = ncells - 1
-            f = f * ncells + c
-        cells[i] = f
-        counts[f] += 1
-    return cells, counts
+    pts = np.asarray(flat, dtype=float).reshape(-1, dim)
+    cells = np.floor((pts - np.asarray(lo, dtype=float)) / width).astype(np.int64)
+    return np.clip(cells, 0, ncells - 1, out=cells)
 
 
 def min_pairwise_sq(flat, dim):

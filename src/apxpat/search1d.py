@@ -1,22 +1,32 @@
-"""Iterative subdivision search for approximate arithmetic progressions.
+"""Subdivision search for approximate arithmetic progressions.
 
-Each step splits the current interval into k*s half-closed cells of equal
-length, scans the s stride-s systems of k cells for one that is fully
-occupied, and otherwise descends into the cell holding the most points.
-Success yields an exact anchor progression plus one input point per anchor
-cell; the depth is capped by the schedule's j.
+A k-term AP is a k-grid in R^1, so this is the d = 1 case of the grid
+search in ``searchnd``: each step splits the current interval into k*s
+half-closed cells of equal length, takes the smallest t whose cells t,
+t+s, ..., t+(k-1)s are all occupied, and otherwise descends into the cell
+holding the most points.  Success yields an exact anchor progression plus
+one input point per anchor cell; the depth is capped by the schedule's j.
+This module adds the 1-D rules: k >= 3, the 1-D schedule, plain ints for
+the trace's offsets and cells, and the AP certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import replace
 
-from . import _kernels
-from .bounds import Schedule, schedule_1d
-from .errors import DimensionMismatch, InsufficientSeparation, InternalError
-from .geometry import AxisBox, Homothety, Point, PointSet
-from .verifier import TAU, VerifyResult, verify_ap
+from .bounds import schedule_1d
+from .errors import DimensionMismatch, InternalError
+from .geometry import PointSet
+from .searchnd import (
+    PatternReduction,
+    SearchOutcome,
+    SearchStep,
+    SearchTrace,
+    StepDescend,
+    StepSuccess,
+    _subdivide,
+)
+from .verifier import verify_ap
 
 __all__ = [
     "StepSuccess",
@@ -24,78 +34,15 @@ __all__ = [
     "SearchStep",
     "SearchTrace",
     "SearchOutcome",
-    "scan_systems_1d",
+    "PatternReduction",
     "search_ap",
 ]
 
 
-@dataclass(frozen=True)
-class StepSuccess:
-    """A fully occupied system: offset t, anchor points, chosen input indices."""
-
-    t: object  # int in 1-D, tuple of ints in d-D
-    anchors: tuple[Point, ...]
-    chosen: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class StepDescend:
-    """Recursion into the max-count cell (int in 1-D, multi-index in d-D)."""
-
-    cell: object
-
-
-@dataclass(frozen=True)
-class SearchStep:
-    box: AxisBox
-    side: float
-    count: int
-    action: StepSuccess | StepDescend
-
-
-@dataclass(frozen=True)
-class SearchTrace:
-    steps: tuple[SearchStep, ...]
-
-
-@dataclass(frozen=True)
-class PatternReduction:
-    """Fine-grid parameters used by the pattern searcher."""
-
-    grid_k: int
-    grid_eps: float
-    nodes: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class SearchOutcome:
-    found: bool
-    subset: tuple[int, ...]
-    anchors: tuple[Point, ...]
-    homothety: Optional[Homothety]
-    verify: Optional[VerifyResult]
-    trace: SearchTrace
-    schedule: Schedule
-    below_threshold: bool
-    warnings: tuple[str, ...] = ()
-    reduction: Optional[PatternReduction] = None
-
-
-def scan_systems_1d(counts: Sequence[int], k: int, s: int) -> Optional[int]:
-    """Smallest t in [0, s) whose k cells t, t+s, ..., t+(k-1)s are all occupied."""
-    if len(counts) != k * s:
-        raise ValueError(f"expected {k * s} cell counts, got {len(counts)}")
-    for t in range(s):
-        if all(counts[t + p * s] > 0 for p in range(k)):
-            return t
-    return None
-
-
-def _audit_separation(flat: list[float], dim: int, delta: float) -> None:
-    if _kernels.has_close_pair(flat, dim, delta * (1.0 - TAU)):
-        raise InsufficientSeparation(
-            f"input contains a pair closer than delta={delta}"
-        )
+def _scalar_action(action: StepSuccess | StepDescend) -> StepSuccess | StepDescend:
+    if isinstance(action, StepSuccess):
+        return replace(action, t=action.t[0])
+    return StepDescend(action.cell[0])
 
 
 def search_ap(
@@ -121,76 +68,14 @@ def search_ap(
         raise ValueError("k must be an integer >= 3")
     k = int(k)
     schedule = schedule_1d(k, c, delta, eps)
-    coords = [p.coords[0] for p in s.points]
-    flat = list(coords)
-    if len(coords) >= 2:
-        _audit_separation(flat, 1, delta)
-
-    lo0 = min(coords) if lo is None else float(lo)
-    tight = max(coords) - lo0
-    box_len = max(tight, 0.0 if length is None else float(length))
-    warnings: list[str] = []
-    below = box_len < schedule.z0
-    if below:
-        warnings.append(
-            f"interval length {box_len:g} is below the guarantee threshold z0={schedule.z0:g}"
+    out = _subdivide(s, k, schedule, None if lo is None else (lo,), length)
+    steps = tuple(replace(st, action=_scalar_action(st.action)) for st in out.trace.steps)
+    out = replace(out, trace=SearchTrace(steps))
+    if not out.found:
+        return out
+    result = verify_ap([s.points[i].coords[0] for i in out.subset], eps)
+    if not result.accepted:
+        raise InternalError(
+            "subdivision success failed AP verification; this cannot happen"
         )
-    if box_len <= 0.0:
-        warnings.append("degenerate search interval; nothing to subdivide")
-        return SearchOutcome(
-            found=False, subset=(), anchors=(), homothety=None, verify=None,
-            trace=SearchTrace(()), schedule=schedule,
-            below_threshold=below, warnings=tuple(warnings),
-        )
-
-    active = [i for i, x in enumerate(coords) if lo0 <= x <= lo0 + box_len]
-    ks = k * schedule.s
-    cur_lo, cur_len = lo0, box_len
-    steps: list[SearchStep] = []
-
-    for _step in range(schedule.j):
-        if len(active) < k:
-            # Counts only shrink along the recursion, so no later step can
-            # occupy k cells; stop instead of subdividing uselessly.
-            warnings.append("active point count fell below k; stopping early")
-            break
-        x = cur_len / ks
-        if x <= 0.0:
-            warnings.append("cell width underflowed; stopping early")
-            break
-        cells, counts = _kernels.bin_cells(
-            [coords[i] for i in active], 1, (cur_lo,), x, ks
-        )
-        box = AxisBox(Point((cur_lo,)), cur_len)
-        t = scan_systems_1d(counts, k, schedule.s)
-        if t is not None:
-            chosen: list[int] = []
-            for p in range(k):
-                target = t + p * schedule.s
-                pick = min(i for i, cell in zip(active, cells) if cell == target)
-                chosen.append(pick)
-            anchors = tuple(Point((cur_lo + (t + p * schedule.s) * x,)) for p in range(k))
-            steps.append(SearchStep(box, cur_len, len(active), StepSuccess(t, anchors, tuple(chosen))))
-            result = verify_ap([coords[i] for i in chosen], eps)
-            if not result.accepted:
-                raise InternalError(
-                    "subdivision success failed AP verification; this cannot happen"
-                )
-            witness = Homothety(anchors[0], schedule.s * x)
-            return SearchOutcome(
-                found=True, subset=tuple(chosen), anchors=anchors,
-                homothety=witness, verify=result,
-                trace=SearchTrace(tuple(steps)), schedule=schedule,
-                below_threshold=below, warnings=tuple(warnings),
-            )
-        best_cell = max(range(ks), key=lambda idx: (counts[idx], -idx))
-        steps.append(SearchStep(box, cur_len, len(active), StepDescend(best_cell)))
-        active = [i for i, cell in zip(active, cells) if cell == best_cell]
-        cur_lo = cur_lo + best_cell * x
-        cur_len = x
-
-    return SearchOutcome(
-        found=False, subset=(), anchors=(), homothety=None, verify=None,
-        trace=SearchTrace(tuple(steps)), schedule=schedule,
-        below_threshold=below, warnings=tuple(warnings),
-    )
+    return replace(out, verify=result)

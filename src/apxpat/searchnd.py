@@ -1,44 +1,209 @@
-"""d-dimensional subdivision search: approximate k-grids and, via a
-sufficiently fine grid, approximate copies of arbitrary finite patterns.
+"""Subdivision search in R^d: approximate k-grids and, via a sufficiently
+fine grid, approximate copies of arbitrary finite patterns.
 
-The grid searcher generalizes the 1-D loop: each step splits the current
-cube into (k*s)^d congruent cells, scans the s^d offset systems in
-lexicographic order for one whose k^d cells are all occupied, and
-otherwise descends into the max-count cell.  The pattern searcher maps the
-target pattern onto the nodes of a fine K-grid, runs the grid search, and
-post-verifies the selected points against the original pattern.
+One loop serves every dimension; ``search1d.search_ap`` is its d = 1 case.
+Each step bins the active points into the (k*s)^d congruent cells of the
+current cube and takes the occupied cells.  Every axis index lies in
+[0, k*s), so the offset system t (its k^d cells t + s*m, m in {0..k-1}^d)
+is fully occupied iff exactly k^d occupied cells have index = t (mod s) on
+every axis.  One count of the occupied cells' residues therefore decides
+all s^d systems at once; the lexicographically smallest full t wins.
+Otherwise the search descends into the first max-count cell in
+lexicographic order.  Work and memory are O(n log n) and O(n) per step:
+no array of size s^d or (k*s)^d and no flat cell index is formed, so any
+d the schedule accepts runs.
+
+The grid searcher certifies its success with ``verify_homothetic`` against
+the unit k-grid.  The pattern searcher maps the target pattern onto the
+nodes of a fine K-grid, runs the grid search, and post-verifies the
+selected points against the original pattern.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Optional
 
 import numpy as np
 
-from .bounds import schedule_nd
-from .errors import DimensionMismatch, InternalError, ResolutionOverflow
+from . import _kernels
+from .bounds import Schedule, schedule_nd
+from .errors import DimensionMismatch, InsufficientSeparation, InternalError, ResolutionOverflow
 from .geometry import AxisBox, Homothety, Pattern, Point, PointSet
-from .search1d import (
-    PatternReduction,
-    SearchOutcome,
-    SearchStep,
-    SearchTrace,
-    StepDescend,
-    StepSuccess,
-    _audit_separation,
-)
-from .verifier import verify_homothetic
+from .verifier import TAU, VerifyResult, verify_homothetic
 
-__all__ = ["search_grid", "search_pattern", "pattern_grid_resolution"]
+__all__ = [
+    "StepSuccess",
+    "StepDescend",
+    "SearchStep",
+    "SearchTrace",
+    "PatternReduction",
+    "SearchOutcome",
+    "search_grid",
+    "search_pattern",
+    "pattern_grid_resolution",
+]
 
 DEFAULT_RESOLUTION_CAP = 10_000
+
+
+@dataclass(frozen=True)
+class StepSuccess:
+    """A fully occupied system: offset t, anchor points, chosen input indices."""
+
+    t: object  # int in 1-D, tuple of ints in d-D
+    anchors: tuple[Point, ...]
+    chosen: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class StepDescend:
+    """Recursion into the max-count cell (int in 1-D, multi-index in d-D)."""
+
+    cell: object
+
+
+@dataclass(frozen=True)
+class SearchStep:
+    box: AxisBox
+    side: float
+    count: int
+    action: StepSuccess | StepDescend
+
+
+@dataclass(frozen=True)
+class SearchTrace:
+    steps: tuple[SearchStep, ...]
+
+
+@dataclass(frozen=True)
+class PatternReduction:
+    """Fine-grid parameters used by the pattern searcher."""
+
+    grid_k: int
+    grid_eps: float
+    nodes: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class SearchOutcome:
+    found: bool
+    subset: tuple[int, ...]
+    anchors: tuple[Point, ...]
+    homothety: Optional[Homothety]
+    verify: Optional[VerifyResult]
+    trace: SearchTrace
+    schedule: Schedule
+    below_threshold: bool
+    warnings: tuple[str, ...] = ()
+    reduction: Optional[PatternReduction] = None
+
+
+def _audit_separation(flat: list[float], dim: int, delta: float) -> None:
+    if _kernels.has_close_pair(flat, dim, delta * (1.0 - TAU)):
+        raise InsufficientSeparation(
+            f"input contains a pair closer than delta={delta}"
+        )
 
 
 def _unit_grid_pattern(dim: int, k: int) -> Pattern:
     pts = [Point(tuple(float(v) for v in m)) for m in product(range(k), repeat=dim)]
     return Pattern(dim, pts)
+
+
+def _subdivide(s: PointSet, k: int, schedule: Schedule, lo, length) -> SearchOutcome:
+    """The subdivision loop shared by every dimension.
+
+    A success carries the chosen points, anchors and witness but no
+    certificate (verify=None); the caller certifies it.  Warnings use the
+    1-D wording (interval, k) at d = 1 and the cube wording otherwise.
+    """
+    d = s.dim
+    if d == 1:
+        region, span, needed_name = "interval", "interval length", "k"
+    else:
+        region, span, needed_name = "cube", "cube side", "k^d"
+    coords = np.asarray([p.coords for p in s.points], dtype=float)
+    if len(s) >= 2:
+        _audit_separation(s.flat(), d, schedule.delta)
+
+    lo_vec = coords.min(axis=0) if lo is None else np.asarray(
+        [float(v) for v in (lo.coords if isinstance(lo, Point) else lo)], dtype=float
+    )
+    if lo_vec.shape != (d,):
+        raise DimensionMismatch("lo must have one coordinate per axis")
+    tight = float((coords.max(axis=0) - lo_vec).max())
+    box_len = max(tight, 0.0 if length is None else float(length))
+    warnings: list[str] = []
+    below = box_len < schedule.z0
+    if below:
+        warnings.append(
+            f"{span} {box_len:g} is below the guarantee threshold z0={schedule.z0:g}"
+        )
+    if box_len <= 0.0:
+        warnings.append(f"degenerate search {region}; nothing to subdivide")
+        return SearchOutcome(
+            found=False, subset=(), anchors=(), homothety=None, verify=None,
+            trace=SearchTrace(()), schedule=schedule,
+            below_threshold=below, warnings=tuple(warnings),
+        )
+
+    inside = np.all((coords >= lo_vec) & (coords <= lo_vec + box_len), axis=1)
+    active = np.flatnonzero(inside)
+    stride, ks = schedule.s, k * schedule.s
+    needed = k**d
+    cur_lo = lo_vec
+    cur_len = box_len
+    steps: list[SearchStep] = []
+
+    for _step in range(schedule.j):
+        if len(active) < needed:
+            # Counts only shrink along the recursion, so no later step can
+            # occupy k^d cells; stop instead of subdividing uselessly.
+            warnings.append(f"active point count fell below {needed_name}; stopping early")
+            break
+        x = cur_len / ks
+        if x <= 0.0:
+            warnings.append("cell width underflowed; stopping early")
+            break
+        idx = _kernels.bin_cells(coords[active], d, cur_lo, x, ks)
+        # Occupied cells in lexicographic order, the first active point
+        # (smallest input index) in each, each point's cell, and counts.
+        cells, first, which, counts = np.unique(
+            idx, axis=0, return_index=True, return_inverse=True, return_counts=True
+        )
+        box = AxisBox(Point(cur_lo), cur_len)
+        residue = cells % stride
+        systems, per_system = np.unique(residue, axis=0, return_counts=True)
+        full = np.flatnonzero(per_system == needed)
+        if len(full):
+            t = systems[full[0]]
+            # The k^d cells t + s*m, in lexicographic order of m.
+            members = np.flatnonzero((residue == t).all(axis=1))
+            chosen = tuple(int(i) for i in active[first[members]])
+            anchors = tuple(Point(cur_lo + cells[m] * x) for m in members)
+            hit = tuple(int(v) for v in t)
+            steps.append(SearchStep(box, cur_len, len(active), StepSuccess(hit, anchors, chosen)))
+            return SearchOutcome(
+                found=True, subset=chosen, anchors=anchors,
+                homothety=Homothety(anchors[0], stride * x), verify=None,
+                trace=SearchTrace(tuple(steps)), schedule=schedule,
+                below_threshold=below, warnings=tuple(warnings),
+            )
+        best = int(counts.argmax())
+        steps.append(SearchStep(box, cur_len, len(active),
+                                StepDescend(tuple(int(v) for v in cells[best]))))
+        active = active[which.reshape(-1) == best]
+        cur_lo = cur_lo + cells[best] * x
+        cur_len = x
+
+    return SearchOutcome(
+        found=False, subset=(), anchors=(), homothety=None, verify=None,
+        trace=SearchTrace(tuple(steps)), schedule=schedule,
+        below_threshold=below, warnings=tuple(warnings),
+    )
 
 
 def search_grid(
@@ -56,112 +221,26 @@ def search_grid(
         raise ValueError("k must be an integer >= 2")
     k = int(k)
     d = s.dim
-    schedule = schedule_nd(d, k, c, delta, eps)
-    coords = np.asarray([p.coords for p in s.points], dtype=float)
-    if len(s) >= 2:
-        _audit_separation(s.flat(), d, delta)
-
-    lo_vec = coords.min(axis=0) if lo is None else np.asarray(
-        [float(v) for v in (lo.coords if isinstance(lo, Point) else lo)], dtype=float
-    )
-    if lo_vec.shape != (d,):
-        raise DimensionMismatch("lo must have one coordinate per axis")
-    tight = float((coords.max(axis=0) - lo_vec).max())
-    box_len = max(tight, 0.0 if length is None else float(length))
-    warnings: list[str] = []
-    below = box_len < schedule.z0
-    if below:
-        warnings.append(
-            f"cube side {box_len:g} is below the guarantee threshold z0={schedule.z0:g}"
-        )
-    if box_len <= 0.0:
-        warnings.append("degenerate search cube; nothing to subdivide")
-        return SearchOutcome(
-            found=False, subset=(), anchors=(), homothety=None, verify=None,
-            trace=SearchTrace(()), schedule=schedule,
-            below_threshold=below, warnings=tuple(warnings),
-        )
-
-    inside = np.all((coords >= lo_vec) & (coords <= lo_vec + box_len), axis=1)
-    active = [int(i) for i in np.flatnonzero(inside)]
-    ks = k * schedule.s
-    shape = (ks,) * d
-    cur_lo = lo_vec.copy()
-    cur_len = box_len
-    steps: list[SearchStep] = []
+    out = _subdivide(s, k, schedule_nd(d, k, c, delta, eps), lo, length)
+    if not out.found:
+        return out
+    # Success implies at least k^d input points, so the unit grid is no
+    # larger than the input.
     pattern = _unit_grid_pattern(d, k)
+    candidate = PointSet(d, [s.points[i] for i in out.subset])
+    result = verify_homothetic(candidate, pattern, list(range(len(pattern))), eps)
+    if not result.accepted:
+        raise InternalError(
+            "grid success failed homothety verification; this cannot happen"
+        )
+    return replace(out, verify=result)
 
-    needed = k**d
-    for _step in range(schedule.j):
-        if len(active) < needed:
-            # Counts only shrink along the recursion, so no later step can
-            # occupy k^d cells; stop instead of subdividing uselessly.
-            warnings.append("active point count fell below k^d; stopping early")
-            break
-        x = cur_len / ks
-        if x <= 0.0:
-            warnings.append("cell width underflowed; stopping early")
-            break
-        pts = coords[active] if active else np.empty((0, d))
-        idx = np.floor((pts - cur_lo) / x).astype(np.int64)
-        np.clip(idx, 0, ks - 1, out=idx)
-        counts = np.zeros(shape, dtype=np.int64)
-        if len(active):
-            np.add.at(counts, tuple(idx.T), 1)
-        occ = counts > 0
-        box = AxisBox(Point(tuple(float(v) for v in cur_lo)), cur_len)
 
-        hit: Optional[tuple[int, ...]] = None
-        for t in product(range(schedule.s), repeat=d):
-            view = occ[tuple(slice(ta, None, schedule.s) for ta in t)]
-            if view.all():
-                hit = t
-                break
-        if hit is not None:
-            flat_cells = [int(v) for v in (idx * (ks ** np.arange(d - 1, -1, -1))).sum(axis=1)]
-            first_in_cell: dict[int, int] = {}
-            for orig, cell in zip(active, flat_cells):
-                if cell not in first_in_cell:
-                    first_in_cell[cell] = orig
-            chosen: list[int] = []
-            anchors: list[Point] = []
-            for m in product(range(k), repeat=d):
-                cell_axes = tuple(hit[a] + m[a] * schedule.s for a in range(d))
-                flat_cell = 0
-                for a in range(d):
-                    flat_cell = flat_cell * ks + cell_axes[a]
-                chosen.append(first_in_cell[flat_cell])
-                anchors.append(Point(tuple(cur_lo[a] + cell_axes[a] * x for a in range(d))))
-            steps.append(SearchStep(box, cur_len, len(active), StepSuccess(hit, tuple(anchors), tuple(chosen))))
-            candidate = PointSet(d, [s.points[i] for i in chosen])
-            result = verify_homothetic(candidate, pattern, list(range(len(pattern))), eps)
-            if not result.accepted:
-                raise InternalError(
-                    "grid success failed homothety verification; this cannot happen"
-                )
-            witness = Homothety(
-                Point(tuple(cur_lo[a] + hit[a] * x for a in range(d))), schedule.s * x
-            )
-            return SearchOutcome(
-                found=True, subset=tuple(chosen), anchors=tuple(anchors),
-                homothety=witness, verify=result,
-                trace=SearchTrace(tuple(steps)), schedule=schedule,
-                below_threshold=below, warnings=tuple(warnings),
-            )
-        best_flat = int(counts.argmax())
-        best_multi = tuple(int(v) for v in np.unravel_index(best_flat, shape))
-        steps.append(SearchStep(box, cur_len, len(active), StepDescend(best_multi)))
-        if len(active):
-            flat_cells = (idx * (ks ** np.arange(d - 1, -1, -1))).sum(axis=1)
-            active = [orig for orig, cell in zip(active, flat_cells) if int(cell) == best_flat]
-        cur_lo = cur_lo + np.asarray(best_multi, dtype=float) * x
-        cur_len = x
-
-    return SearchOutcome(
-        found=False, subset=(), anchors=(), homothety=None, verify=None,
-        trace=SearchTrace(tuple(steps)), schedule=schedule,
-        below_threshold=below, warnings=tuple(warnings),
-    )
+def _pattern_extent(p: Pattern) -> tuple[list[float], float]:
+    """Per-axis minima of the pattern and its largest per-axis span."""
+    p_lo = [min(pt.coords[a] for pt in p.points) for a in range(p.dim)]
+    d_inf = max(max(pt.coords[a] for pt in p.points) - p_lo[a] for a in range(p.dim))
+    return p_lo, d_inf
 
 
 def pattern_grid_resolution(p: Pattern, eps: float, d: int) -> tuple[int, float]:
@@ -176,11 +255,7 @@ def pattern_grid_resolution(p: Pattern, eps: float, d: int) -> tuple[int, float]
         raise ValueError("eps must lie in (0, 1/3]")
     if p.min_pairwise <= 0.0:
         raise ValueError("degenerate pattern")
-    spans = [
-        max(pt.coords[a] for pt in p.points) - min(pt.coords[a] for pt in p.points)
-        for a in range(p.dim)
-    ]
-    d_inf = max(spans)
+    _, d_inf = _pattern_extent(p)
     eps_g = min(eps / 2.0, 1.0 / 3.0)
     K = 1 + math.ceil((eps_g + math.sqrt(d) / 2.0) * d_inf / (eps_g * p.min_pairwise))
     return K, eps_g
@@ -211,12 +286,7 @@ def search_pattern(
         raise ResolutionOverflow(
             f"pattern reduction needs a {K}-grid per axis (cap {resolution_cap})"
         )
-    p_lo = [min(pt.coords[a] for pt in p.points) for a in range(d)]
-    spans = [
-        max(pt.coords[a] for pt in p.points) - min(pt.coords[a] for pt in p.points)
-        for a in range(d)
-    ]
-    d_inf = max(spans)
+    p_lo, d_inf = _pattern_extent(p)
     nodes = []
     for pt in p.points:
         nodes.append(tuple(

@@ -1,9 +1,10 @@
 """Pinned output bytes of the CLI.
 
-Each artifact's sha256 digest was recorded from the code before the kernel
-package became a single module; any change that claims to keep behaviour
-must reproduce these bytes exactly (generated point files, search JSON with
-traces, and SVG figures).
+Each artifact's sha256 digest was recorded from the code before a change
+that claims to keep behaviour: the first group before the kernel package
+became a single module, the second before the 1-D search became the d = 1
+case of the grid search.  Any such change must reproduce these bytes
+exactly (generated point files, search JSON with traces, and SVG figures).
 """
 
 import hashlib
@@ -29,6 +30,16 @@ GOLDEN = {
         "3b8e66e966e11fb6ef9be225377447fbb3428eb9262234840118f6bb9deb7472",
     "search-grid.svg":
         "0b2b00be8addc30b32e0ce91a3c0eeb97f56298695d28439c6d48fcff0d1cdeb",
+    "adversarial-1d.txt":
+        "54b82f19bafc680f3fda1328e95b3689b58bc1f40031788961d9896c8fa3414c",
+    "lattice-2d-wide.txt":
+        "1f20e59a289d7b9bb2ca9ac4ac743aac453d3ac75052b4ef48bb2035919673db",
+    "search-ap-absent.json":
+        "e8f1b5a449f60632721bc15c6ac267ad8d2bf3e128b9e10926ef20712ccde99a",
+    "search-grid-3d.json":
+        "c8ae6ed8280afcab144ccd27d1d8d10049f2a8181e1ca67b47afbd0dc760f3e5",
+    "search-pattern.json":
+        "3a7719a2fc49008f3ac3832cb869371c176419b7c253ff33a304a0fa2924aabd",
 }
 
 
@@ -54,10 +65,16 @@ def artifacts(tmp_path) -> dict[str, bytes]:
                   "--delta", "1", "--count", "120", "--seed", "11")
     # 100 points at d=3 is below the 5^3 neighbour offsets, so the dart
     # thrower compares against the accepted points directly.
-    generate("random-3d.txt", "--kind", "random", "--dim", "3", "--length", "12",
+    d3 = generate("random-3d.txt", "--kind", "random", "--dim", "3", "--length", "12",
              "--delta", "1", "--count", "100", "--seed", "5")
     d2 = generate("lattice-2d.txt", "--kind", "lattice", "--dim", "2", "--length", "30",
                   "--jitter", "0.4", "--seed", "4")
+    adv = generate("adversarial-1d.txt", "--kind", "adversarial", "--count", "12",
+                   "--variant", "eighth")
+    # Cells of the 63-per-axis pattern grid are wider than 1 + 2*jitter, so
+    # each holds a lattice point and the search succeeds at step 0.
+    wide = generate("lattice-2d-wide.txt", "--kind", "lattice", "--dim", "2",
+                    "--length", "70", "--jitter", "0.1", "--seed", "4")
 
     for mode, src, delta, c in (("ap", d1, "1", "0.3"), ("grid", d2, "0.2", "1.0")):
         fig = tmp_path / f"search-{mode}.svg"
@@ -67,6 +84,22 @@ def artifacts(tmp_path) -> dict[str, bytes]:
         assert code == 0
         out[f"search-{mode}.json"] = stdout
         out[fig.name] = fig.read_bytes()
+
+    def search(name, code_expected, *argv):
+        code, stdout = _run_cli("search", *argv, "--json", "--trace")
+        assert code == code_expected
+        out[name] = stdout
+
+    # No 3-term AP in {8^-i}: the trace only descends until fewer than k
+    # points remain.
+    search("search-ap-absent.json", 1, "ap", "--input", str(adv), "--k", "3",
+           "--eps", "0.25", "--delta", "1e-10", "--c", "0.5")
+    search("search-grid-3d.json", 1, "grid", "--input", str(d3),
+           "--k", "3", "--eps", "0.1", "--delta", "1", "--c", "0.05")
+    tri = tmp_path / "triangle.txt"
+    tri.write_text("2\n0 0\n1 0\n0 1\n")
+    search("search-pattern.json", 0, "pattern", "--input", str(wide), "--pattern", str(tri),
+           "--eps", EPS, "--delta", "0.5", "--c", "1.0")
     return out
 
 

@@ -5,15 +5,7 @@ import pytest
 from apxpat.errors import InsufficientSeparation
 from apxpat.generators import gen_random_separated
 from apxpat.geometry import PointSet
-from apxpat.search1d import StepDescend, StepSuccess, scan_systems_1d, search_ap
-
-
-def test_scan_systems_examples():
-    assert scan_systems_1d((1, 0, 1, 1, 1, 0), 3, 2) == 0
-    assert scan_systems_1d((0,) * 6, 3, 2) is None
-    assert scan_systems_1d((5, 7), 2, 1) == 0
-    with pytest.raises(ValueError):
-        scan_systems_1d((1, 2, 3), 2, 2)
+from apxpat.search1d import StepDescend, StepSuccess, search_ap
 
 
 def test_hand_traced_success():

@@ -1,13 +1,23 @@
+import io
+import json
 import math
 import random
+import time
+import tracemalloc
+from contextlib import redirect_stdout
+from itertools import product
 
+import numpy as np
 import pytest
 
+from apxpat.bounds import schedule_1d, schedule_nd
+from apxpat.cli import main
 from apxpat.errors import ResolutionOverflow
 from apxpat.generators import gen_jittered_lattice, gen_random_separated
 from apxpat.geometry import Pattern, PointSet
-from apxpat.search1d import StepDescend, StepSuccess
-from apxpat.searchnd import pattern_grid_resolution, search_grid, search_pattern
+from apxpat.pointio import write_pointset
+from apxpat.search1d import StepDescend, StepSuccess, search_ap
+from apxpat.searchnd import SearchOutcome, pattern_grid_resolution, search_grid, search_pattern
 
 
 def test_jittered_lattice_step0_success():
@@ -45,8 +55,6 @@ def test_success_points_within_cell_diagonal_of_anchors():
 
 
 def test_grid_dim1_matches_search_ap_semantics():
-    from apxpat.search1d import search_ap
-
     s = gen_random_separated(1, 150.0, 1.0, 50, 17)
     g = search_grid(s, 3, 0.2, 1.0, 1 / 3)
     a = search_ap(s, 3, 0.2, 1.0, 1 / 3)
@@ -187,3 +195,115 @@ def test_determinism_grid():
     a = search_grid(s, 3, 1 / 3, 0.2, 1.0)
     b = search_grid(s, 3, 1 / 3, 0.2, 1.0)
     assert a == b
+
+
+def _dense_reference(s, k, sch):
+    """The scan the residue count replaced: a dense (k*s)^d counts array and
+    the s^d systems tried in lexicographic order.  One tuple per step:
+    (box low, side, count, t or descend cell, chosen or None)."""
+    coords = np.asarray([p.coords for p in s.points], dtype=float)
+    d = s.dim
+    ks = k * sch.s
+    lo = coords.min(axis=0)
+    side = float((coords.max(axis=0) - lo).max())
+    active = np.arange(len(coords))
+    steps = []
+    for _ in range(sch.j):
+        if len(active) < k**d:
+            break
+        x = side / ks
+        idx = np.clip(np.floor((coords[active] - lo) / x).astype(np.int64), 0, ks - 1)
+        counts = np.zeros((ks,) * d, dtype=np.int64)
+        np.add.at(counts, tuple(idx.T), 1)
+        hit = next((t for t in product(range(sch.s), repeat=d)
+                    if (counts[tuple(slice(ta, None, sch.s) for ta in t)] > 0).all()), None)
+        if hit is not None:
+            chosen = tuple(
+                int(min(i for i, cell in zip(active, idx)
+                        if all(cell == np.add(hit, np.multiply(m, sch.s)))))
+                for m in product(range(k), repeat=d)
+            )
+            steps.append((tuple(lo), side, len(active), hit, chosen))
+            break
+        best = tuple(int(v) for v in np.unravel_index(counts.argmax(), counts.shape))
+        steps.append((tuple(lo), side, len(active), best, None))
+        active = active[np.all(idx == best, axis=1)]
+        lo = lo + np.asarray(best) * x
+        side = x
+    return steps
+
+
+def _steps(out):
+    rows = []
+    for st in out.trace.steps:
+        act = st.action
+        if isinstance(act, StepSuccess):
+            rows.append((st.box.low.coords, st.side, st.count, act.t, act.chosen))
+        else:
+            rows.append((st.box.low.coords, st.side, st.count, act.cell, None))
+    return rows
+
+
+def test_residue_scan_matches_dense_reference():
+    rng = random.Random(41)
+    found = 0
+    for trial in range(60):
+        d = trial % 3 + 1
+        length = rng.uniform(8, 40) if d > 1 else rng.uniform(20, 200)
+        delta = rng.uniform(0.4, 1.0)
+        n = max(4, int(min(rng.uniform(0.1, 0.5) * (length / delta) ** d, 150)))
+        if trial % 5 == 4:
+            s = gen_jittered_lattice(d, length if d < 3 else 9.0, 0.3, trial)
+            delta = 0.4
+        else:
+            s = gen_random_separated(d, length, delta, n, 300 + trial)
+        k = rng.choice([3, 4]) if d == 1 else rng.choice([2, 3])
+        eps = rng.uniform(0.15, 1 / 3)
+        c = rng.uniform(0.05, 0.5)
+        if d == 1:
+            out = search_ap(s, k, eps, delta, c)
+            ref = [(lo, side, n_, h[0], ch) for lo, side, n_, h, ch
+                   in _dense_reference(s, k, schedule_1d(k, c, delta, eps))]
+        else:
+            out = search_grid(s, k, eps, delta, c)
+            ref = _dense_reference(s, k, schedule_nd(d, k, c, delta, eps))
+        assert _steps(out) == ref, trial
+        assert out.found == (bool(ref) and ref[-1][4] is not None)
+        found += out.found
+    assert 10 <= found <= 50
+
+
+def test_dimension_8_runs_in_linear_memory():
+    # The dense (k*s)^d counts array that the residue scan replaced needed
+    # 18^8 int64 cells (82 GiB) on this input of 256 points.
+    s = gen_jittered_lattice(8, 2.0, 0.1, 1)
+    tracemalloc.start()
+    try:
+        out = search_grid(s, 2, 1 / 3, 0.2, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(out, SearchOutcome)
+    assert peak < 50 * 2**20
+
+
+def test_dimension_30_does_no_k_to_the_d_work():
+    # 2^30 grid points: neither a counts array nor the unit grid pattern
+    # may be built before a success, which 40 points cannot reach.
+    s = gen_random_separated(30, 4.0, 1.0, 40, 3)
+    start = time.perf_counter()
+    out = search_grid(s, 2, 1 / 3, 1.0, 0.5)
+    assert time.perf_counter() - start < 1.0
+    assert not out.found
+    assert out.warnings[-1] == "active point count fell below k^d; stopping early"
+
+
+def test_cli_grid_search_at_dimension_8(tmp_path):
+    path = tmp_path / "lattice-8d.txt"
+    path.write_bytes(write_pointset(gen_jittered_lattice(8, 2.0, 0.1, 1)))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["search", "grid", "--input", str(path), "--k", "2",
+                     "--eps", repr(1 / 3), "--delta", "0.2", "--c", "1.0", "--json"])
+    assert code in (0, 1)
+    assert json.loads(buf.getvalue())["found"] == (code == 0)
