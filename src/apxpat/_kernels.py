@@ -4,6 +4,9 @@ audit, cell binning and pairwise scans.
 Callers look kernels up as ``_kernels.<name>(...)`` at call time rather
 than importing the names, so replacing an attribute of this module
 replaces it for every caller.
+
+``BACKEND = "pure-python"`` means no compiled extension: the kernels are
+written in Python and numpy.
 """
 
 import math
@@ -122,49 +125,88 @@ def dart_throw(dim, length, delta, target, seed, max_attempts):
 def has_close_pair(flat, dim, threshold):
     """True iff some pair of points lies strictly closer than threshold.
 
-    Grid-hash sweep with cell side threshold/sqrt(dim): two points sharing a
-    cell are closer than threshold by construction, so each cell holds at
-    most one accepted point and the scan is linear for separated inputs.
-    With fewer points than neighbour offsets, each point is compared with
-    all earlier points instead, which gives the same answer.
+    ``flat`` holds the points row-major, as a list or a 1-D float array.
+    Grid hash with cell side threshold/sqrt(dim): each point gets a linear
+    key of its home cell, the keys are sorted once, and for each of the
+    lexicographically positive neighbour offsets (and the offset zero) the
+    points in the offset cell are found by ``searchsorted``.  Keys are
+    formed in wrapping uint64 arithmetic, which is linear, so the key of a
+    neighbour cell is always the point's key plus the offset's key; a wrap
+    or collision only adds candidate pairs, and every candidate is
+    confirmed by its own distance, so no pair is ever missed.  With fewer
+    points than neighbour offsets, each point is compared with all earlier
+    points instead.  Both give the same answer as the naive scan.
     """
     n = len(flat) // dim
     if n < 2:
         return False
     if threshold <= 0.0:
         return False
+    pts = np.asarray(flat, dtype=float)[: n * dim].reshape(n, dim)
     cell = threshold * (1.0 - 1e-9) / math.sqrt(dim)
     rings = int(threshold / cell) + 1
     thr2 = threshold * threshold
     if (2 * rings + 1) ** dim > n:
-        return any(_any_closer(flat, i, dim, flat[i * dim : (i + 1) * dim], thr2)
-                   for i in range(1, n))
-    lo = [min(flat[a::dim]) for a in range(dim)]
-    spans = [max(flat[a::dim]) - lo[a] for a in range(dim)]
-    base = max(int(s / cell) + 2 for s in spans) + 2 * rings
-    offsets = _neighbor_offsets(dim, rings)
-    grid = {}
-    for i in range(n):
-        b = i * dim
-        home = [int((flat[b + a] - lo[a]) / cell) for a in range(dim)]
-        for off in offsets:
-            key = 0
+        by_axis = pts.T.copy()
+        for i in range(1, n):
+            d2 = np.zeros(i)
             for a in range(dim):
-                key = key * base + (home[a] + off[a] + rings)
-            j = grid.get(key)
-            if j is None:
-                continue
-            jb = j * dim
-            d2 = 0.0
-            for a in range(dim):
-                t = flat[jb + a] - flat[b + a]
+                t = by_axis[a, :i] - by_axis[a, i]
                 d2 += t * t
-            if d2 < thr2:
+            if (d2 < thr2).any():
                 return True
-        key = 0
+        return False
+    # Clipping keeps the cast to uint64 defined; it can only merge far
+    # cells, never separate near ones.
+    with np.errstate(over="ignore"):
+        home = np.minimum(np.floor((pts - pts.min(axis=0)) / cell), 2.0**63)
+    # An odd base keeps base**a from vanishing mod 2**64, which would drop
+    # whole axes from the key.
+    base = (int(home.max()) + 2 + 2 * rings) | 1
+    home = home.astype(np.uint64)
+    keys = np.zeros(n, dtype=np.uint64)
+    ubase = np.uint64(base & _MASK64)
+    for a in range(dim):
+        keys = keys * ubase + home[:, a]
+    order = np.argsort(keys)
+    pts = pts[order]
+    keys = keys[order]
+    # Pairs sharing a key: each point against the later points of its run.
+    run_end = np.searchsorted(keys, keys[:-1], "right")
+    if _close_in_ranges(pts, np.arange(1, n), run_end, thr2):
+        return True
+    zero = (0,) * dim
+    for off in _neighbor_offsets(dim, rings):
+        if off <= zero:
+            continue
+        shift = 0
         for a in range(dim):
-            key = key * base + (home[a] + rings)
-        grid[key] = i
+            shift = shift * base + off[a]
+        target = keys + np.uint64(shift & _MASK64)
+        first = np.searchsorted(keys, target, "left")
+        stop = np.searchsorted(keys, target, "right")
+        if _close_in_ranges(pts, first, stop, thr2):
+            return True
+    return False
+
+
+def _close_in_ranges(pts, first, stop, thr2):
+    """True iff some point i lies strictly closer than sqrt(thr2) to another
+    point with index in [first[i], stop[i]).  Walks the ranges one column
+    at a time, so memory stays O(n) however many points share a range."""
+    rows = np.flatnonzero(stop > first)
+    cols = first[rows]
+    while len(rows):
+        d2 = np.zeros(len(rows))
+        for a in range(pts.shape[1]):
+            t = pts[cols, a] - pts[rows, a]
+            d2 += t * t
+        # A wrapped offset key can point a range back at the point itself.
+        if ((d2 < thr2) & (rows != cols)).any():
+            return True
+        cols = cols + 1
+        keep = cols < stop[rows]
+        rows, cols = rows[keep], cols[keep]
     return False
 
 

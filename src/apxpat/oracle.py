@@ -120,7 +120,8 @@ def grid_min_deviation_ap(q: Sequence[float], *, grid: int = 2000) -> float:
     """Min over (a, r > 0) of max_i |q_i - a - i*r| / r by dense grid search.
 
     a runs on a linear grid over the feasible range, r on a log grid,
-    refined once around the best cell.
+    refined once around the best cell (the smallest a index, then the
+    smallest r index, among the cells at the minimum).
     """
     vals = np.asarray([float(v) for v in q], dtype=float)
     k = len(vals)
@@ -143,15 +144,21 @@ def grid_min_deviation_ap(q: Sequence[float], *, grid: int = 2000) -> float:
         shifted = vals[None, :] - r_grid[:, None] * idx[None, :]
         u_max = shifted.max(axis=1)
         u_min = shifted.min(axis=1)
-        for start in range(0, grid, 256):
-            a_blk = a_grid[start : start + 256, None]
-            dev = np.maximum(u_max[None, :] - a_blk, a_blk - u_min[None, :])
-            dev /= r_grid[None, :]
-            pos = np.unravel_index(int(dev.argmin()), dev.shape)
-            if float(dev[pos]) < best:
-                best = float(dev[pos])
-                best_a = float(a_grid[start + pos[0]])
-                best_r = float(r_grid[pos[1]])
+        # For each r, max(u_max - a, a - u_min) falls and then rises along
+        # the increasing a grid, turning at the midpoint of u_min and u_max,
+        # so only the a grid points next to that midpoint can be minimal.
+        mid = np.searchsorted(a_grid, (u_max + u_min) / 2.0)
+        cols = np.clip(mid[:, None] + np.arange(-2, 3), 0, grid - 1)
+        a_win = a_grid[cols]
+        dev = np.maximum(u_max[:, None] - a_win, a_win - u_min[:, None])
+        dev /= r_grid[:, None]
+        low = float(dev.min())
+        if low < best:
+            r_hit, w_hit = np.nonzero(dev == low)
+            pick = np.lexsort((r_hit, cols[r_hit, w_hit]))[0]
+            best = low
+            best_a = float(a_grid[cols[r_hit[pick], w_hit[pick]]])
+            best_r = float(r_grid[r_hit[pick]])
         a_step = (a_hi - a_lo) / (grid - 1)
         log_step = (math.log(r_hi) - math.log(r_lo)) / (grid - 1)
         a_lo, a_hi = best_a - 2 * a_step, best_a + 2 * a_step

@@ -101,7 +101,7 @@ class SearchOutcome:
     reduction: Optional[PatternReduction] = None
 
 
-def _audit_separation(flat: list[float], dim: int, delta: float) -> None:
+def _audit_separation(flat: np.ndarray, dim: int, delta: float) -> None:
     if _kernels.has_close_pair(flat, dim, delta * (1.0 - TAU)):
         raise InsufficientSeparation(
             f"input contains a pair closer than delta={delta}"
@@ -111,6 +111,16 @@ def _audit_separation(flat: list[float], dim: int, delta: float) -> None:
 def _unit_grid_pattern(dim: int, k: int) -> Pattern:
     pts = [Point(tuple(float(v) for v in m)) for m in product(range(k), repeat=dim)]
     return Pattern(dim, pts)
+
+
+def _lex_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the rows of an (n, d) array and the
+    positions in that order where each run of equal rows starts."""
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    return order, np.flatnonzero(new)
 
 
 def _subdivide(s: PointSet, k: int, schedule: Schedule, lo, length) -> SearchOutcome:
@@ -127,7 +137,7 @@ def _subdivide(s: PointSet, k: int, schedule: Schedule, lo, length) -> SearchOut
         region, span, needed_name = "cube", "cube side", "k^d"
     coords = np.asarray([p.coords for p in s.points], dtype=float)
     if len(s) >= 2:
-        _audit_separation(s.flat(), d, schedule.delta)
+        _audit_separation(coords.reshape(-1), d, schedule.delta)
 
     lo_vec = coords.min(axis=0) if lo is None else np.asarray(
         [float(v) for v in (lo.coords if isinstance(lo, Point) else lo)], dtype=float
@@ -169,17 +179,19 @@ def _subdivide(s: PointSet, k: int, schedule: Schedule, lo, length) -> SearchOut
             warnings.append("cell width underflowed; stopping early")
             break
         idx = _kernels.bin_cells(coords[active], d, cur_lo, x, ks)
-        # Occupied cells in lexicographic order, the first active point
-        # (smallest input index) in each, each point's cell, and counts.
-        cells, first, which, counts = np.unique(
-            idx, axis=0, return_index=True, return_inverse=True, return_counts=True
-        )
+        # Occupied cells in lexicographic order, each cell's active points
+        # in input order, so the first is the smallest input index.
+        order, starts = _lex_runs(idx)
+        first = order[starts]
+        cells = idx[first]
+        counts = np.diff(starts, append=len(order))
         box = AxisBox(Point(cur_lo), cur_len)
         residue = cells % stride
-        systems, per_system = np.unique(residue, axis=0, return_counts=True)
+        r_order, r_starts = _lex_runs(residue)
+        per_system = np.diff(r_starts, append=len(r_order))
         full = np.flatnonzero(per_system == needed)
         if len(full):
-            t = systems[full[0]]
+            t = residue[r_order[r_starts[full[0]]]]
             # The k^d cells t + s*m, in lexicographic order of m.
             members = np.flatnonzero((residue == t).all(axis=1))
             chosen = tuple(int(i) for i in active[first[members]])
@@ -195,7 +207,7 @@ def _subdivide(s: PointSet, k: int, schedule: Schedule, lo, length) -> SearchOut
         best = int(counts.argmax())
         steps.append(SearchStep(box, cur_len, len(active),
                                 StepDescend(tuple(int(v) for v in cells[best]))))
-        active = active[which.reshape(-1) == best]
+        active = active[order[starts[best] : starts[best] + counts[best]]]
         cur_lo = cur_lo + cells[best] * x
         cur_len = x
 

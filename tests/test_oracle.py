@@ -1,5 +1,8 @@
+import math
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from apxpat.errors import BudgetExceeded
@@ -127,7 +130,63 @@ class TestExistsCollinear:
             exists_collinear(s, 10, 0.1, budget=10)
 
 
+def _dense_grid_min_deviation_ap(q, grid=2000):
+    """The AP grid oracle before the V-shape window: every (a, r) cell of
+    both passes evaluated, the first minimum in (a, r) order kept."""
+    vals = np.asarray([float(v) for v in q], dtype=float)
+    k = len(vals)
+    span = float(vals[-1] - vals[0])
+    idx = np.arange(k, dtype=float)
+    a_lo, a_hi = vals[0] - span, vals[0] + span
+    r_lo, r_hi = span / (k - 1) / 4.0, span / (k - 1) * 4.0
+    best = math.inf
+    best_a = best_r = None
+    for _pass in range(2):
+        a_grid = np.linspace(a_lo, a_hi, grid)
+        r_grid = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), grid))
+        shifted = vals[None, :] - r_grid[:, None] * idx[None, :]
+        u_max = shifted.max(axis=1)
+        u_min = shifted.min(axis=1)
+        for start in range(0, grid, 256):
+            a_blk = a_grid[start : start + 256, None]
+            dev = np.maximum(u_max[None, :] - a_blk, a_blk - u_min[None, :])
+            dev /= r_grid[None, :]
+            pos = np.unravel_index(int(dev.argmin()), dev.shape)
+            if float(dev[pos]) < best:
+                best = float(dev[pos])
+                best_a = float(a_grid[start + pos[0]])
+                best_r = float(r_grid[pos[1]])
+        a_step = (a_hi - a_lo) / (grid - 1)
+        log_step = (math.log(r_hi) - math.log(r_lo)) / (grid - 1)
+        a_lo, a_hi = best_a - 2 * a_step, best_a + 2 * a_step
+        r_lo, r_hi = best_r * math.exp(-2 * log_step), best_r * math.exp(2 * log_step)
+    return best
+
+
 class TestGridOracles:
+    def test_ap_grid_matches_dense_reference(self):
+        # Bit-identical floats: the windowed oracle evaluates the same cells
+        # near each r's turning point with the same arithmetic.
+        rng = random.Random(12)
+        checked = 0
+        while checked < 200:
+            k = rng.randint(3, 6)
+            if rng.random() < 0.5:
+                a, r0 = rng.uniform(-5, 5), rng.uniform(0.5, 3)
+                q = sorted(a + i * r0 + rng.uniform(-0.4, 0.4) * r0 for i in range(k))
+            else:
+                q = sorted(rng.uniform(0, 10) for _ in range(k))
+            if any(b - a < 1e-5 for a, b in zip(q, q[1:])):
+                continue
+            grid = 2000 if checked % 25 == 0 else rng.choice([64, 256, 512])
+            assert grid_min_deviation_ap(q, grid=grid) == _dense_grid_min_deviation_ap(q, grid), q
+            checked += 1
+        for variant, eps in (("xi", 0.25), ("eighth", None)):
+            vals = sorted(p.coords[0] for p in gen_adversarial_ap3(8, variant, eps).points)
+            for triple in combinations(vals, 3):
+                assert (grid_min_deviation_ap(triple, grid=512)
+                        == _dense_grid_min_deviation_ap(triple, 512)), triple
+
     def test_ap_grid_matches_exact(self):
         rng = random.Random(3)
         for _ in range(30):
