@@ -126,16 +126,19 @@ def has_close_pair(flat, dim, threshold):
     """True iff some pair of points lies strictly closer than threshold.
 
     ``flat`` holds the points row-major, as a list or a 1-D float array.
-    Grid hash with cell side threshold/sqrt(dim): each point gets a linear
-    key of its home cell, the keys are sorted once, and for each of the
-    lexicographically positive neighbour offsets (and the offset zero) the
-    points in the offset cell are found by ``searchsorted``.  Keys are
-    formed in wrapping uint64 arithmetic, which is linear, so the key of a
-    neighbour cell is always the point's key plus the offset's key; a wrap
-    or collision only adds candidate pairs, and every candidate is
-    confirmed by its own distance, so no pair is ever missed.  With fewer
-    points than neighbour offsets, each point is compared with all earlier
-    points instead.  Both give the same answer as the naive scan.
+    Grid hash with cell side 2*threshold: two points closer than threshold
+    differ by less than half a cell on every axis, so their home cells are
+    neighbours in the one ring of 3^dim offsets, with half a cell to spare
+    for rounding.  Each point gets a linear key of its home cell, the keys
+    are sorted once, and for the offset zero and each of the (3^dim - 1)/2
+    lexicographically positive offsets the points in the offset cell are
+    found by ``searchsorted``.  Keys are formed in wrapping uint64
+    arithmetic, which is linear, so the key of a neighbour cell is always
+    the point's key plus the offset's key; a wrap or collision only adds
+    candidate pairs, and every candidate is confirmed by its own distance,
+    so no pair is ever missed.  With fewer points than the 3^dim offsets,
+    each point is compared with all earlier points instead.  Both give the
+    same answer as the naive scan.
     """
     n = len(flat) // dim
     if n < 2:
@@ -143,10 +146,9 @@ def has_close_pair(flat, dim, threshold):
     if threshold <= 0.0:
         return False
     pts = np.asarray(flat, dtype=float)[: n * dim].reshape(n, dim)
-    cell = threshold * (1.0 - 1e-9) / math.sqrt(dim)
-    rings = int(threshold / cell) + 1
+    cell = 2.0 * threshold
     thr2 = threshold * threshold
-    if (2 * rings + 1) ** dim > n:
+    if 3**dim > n:
         by_axis = pts.T.copy()
         for i in range(1, n):
             d2 = np.zeros(i)
@@ -162,7 +164,7 @@ def has_close_pair(flat, dim, threshold):
         home = np.minimum(np.floor((pts - pts.min(axis=0)) / cell), 2.0**63)
     # An odd base keeps base**a from vanishing mod 2**64, which would drop
     # whole axes from the key.
-    base = (int(home.max()) + 2 + 2 * rings) | 1
+    base = (int(home.max()) + 4) | 1
     home = home.astype(np.uint64)
     keys = np.zeros(n, dtype=np.uint64)
     ubase = np.uint64(base & _MASK64)
@@ -176,7 +178,7 @@ def has_close_pair(flat, dim, threshold):
     if _close_in_ranges(pts, np.arange(1, n), run_end, thr2):
         return True
     zero = (0,) * dim
-    for off in _neighbor_offsets(dim, rings):
+    for off in _neighbor_offsets(dim, 1):
         if off <= zero:
             continue
         shift = 0

@@ -93,22 +93,15 @@ def kappa(d: int) -> int:
 
 def schedule_1d(k: int, c: float, delta: float, eps: float) -> Schedule:
     """Search schedule for k-term approximate arithmetic progressions."""
-    _check_common(k, c, delta, eps)
-    k = int(k)
-    s = math.ceil(1.0 / eps)
-    r = k / (k - 1)
-    j = _depth(2.0 / (c * delta), r)
-    return Schedule(
-        d=1, k=k, c=float(c), delta=float(delta), eps=float(eps),
-        s=s, r=r, j=j, z0=_z0(delta, k * s, j), kappa=kappa(1),
-    )
+    return schedule_nd(1, k, c, delta, eps)
 
 
 def schedule_nd(d: int, k: int, c: float, delta: float, eps: float) -> Schedule:
     """Search schedule for approximate k-grids in dimension d.
 
-    The depth bound uses c * delta^d (the packing argument's inequality);
-    kappa(1) = 2 makes the d = 1 case coincide with schedule_1d.
+    The depth bound uses c * delta^d (the packing argument's inequality).
+    At d = 1 it is the AP schedule: s = ceil(1/eps), r = k/(k-1) and,
+    with kappa(1) = 2, depth from 2/(c * delta).
     """
     _check_dim(d)
     _check_common(k, c, delta, eps)

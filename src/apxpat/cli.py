@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from ._kernels import BACKEND
-from .bounds import Schedule, schedule_1d, schedule_nd
+from .bounds import Schedule, schedule_nd
 from .collinear import CollinearOutcome, find_collinear
 from .errors import ApxpatError
 from .generators import gen_adversarial_ap3, gen_jittered_lattice, gen_random_separated
@@ -25,7 +25,7 @@ from .oracle import enumerate_aps, enumerate_homothetic, exists_collinear
 from .pointio import emit_svg, parse_pointset, write_pointset
 from .search1d import SearchOutcome, StepDescend, StepSuccess, search_ap
 from .searchnd import search_grid, search_pattern
-from .verifier import VerifyResult, verify_ap, verify_collinear, verify_homothetic
+from .verifier import VerifyResult, triangle_angles, verify_ap, verify_collinear, verify_homothetic
 
 SCHEMA = 1
 
@@ -147,10 +147,7 @@ def _write_svg(args, s: PointSet, outcome: SearchOutcome | None = None) -> None:
 
 
 def _cmd_bounds(args) -> int:
-    if args.dim == 1:
-        sch = schedule_1d(args.k, args.c, args.delta, args.eps)
-    else:
-        sch = schedule_nd(args.dim, args.k, args.c, args.delta, args.eps)
+    sch = schedule_nd(args.dim, args.k, args.c, args.delta, args.eps)
     _emit({"schema": SCHEMA, "schedule": _schedule_dict(sch)}, args)
     return 0
 
@@ -220,9 +217,7 @@ def _cmd_verify(args) -> int:
         _emit(payload, args)
         return 0 if result.accepted else 1
     accepted, worst = verify_collinear(s, args.eps)
-    from .verifier import triangle_angles
-
-    angles = triangle_angles(*(s.points[i] for i in worst))
+    angles = triangle_angles(*s.coords[list(worst)].tolist())
     payload = {
         "schema": SCHEMA, "accepted": accepted,
         "worst_triangle": list(worst), "worst_angles": list(angles),
@@ -260,7 +255,7 @@ def _cmd_plot(args) -> int:
     highlight = [int(t) for t in args.highlight.split(",")] if args.highlight else None
     anchors = None
     if args.anchors:
-        anchors = list(_read_pointset(args.anchors).points)
+        anchors = _read_pointset(args.anchors).coords.tolist()
     Path(args.out).write_bytes(emit_svg(s, highlight, anchors))
     _emit({"schema": SCHEMA, "out": args.out}, args)
     return 0

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DegenerateFrame, DimensionMismatch, InternalError
-from .geometry import Point, PointSet
+from .geometry import PointSet
 from .verifier import triangle_angles, verify_collinear
 
 __all__ = [
@@ -60,14 +60,14 @@ def bucket_count(eps: float) -> int:
     return math.ceil(math.pi / eps) + 1
 
 
-def angle_bucket(p: Point, q: Point, r: int) -> int:
+def angle_bucket(p: Sequence[float], q: Sequence[float], r: int) -> int:
     """Bucket index of the angle segment pq makes with the x-axis.
 
     Buckets are the half-closed intervals [-pi/2 + i*pi/r, -pi/2 + (i+1)*pi/r).
     """
-    if p.dim != 2 or q.dim != 2:
+    if len(p) != 2 or len(q) != 2:
         raise DimensionMismatch("angle buckets are defined in the plane")
-    if p.coords == q.coords:
+    if p[0] == q[0] and p[1] == q[1]:
         raise ValueError("coincident points have no direction")
     dx = q[0] - p[0]
     dy = q[1] - p[1]
@@ -84,12 +84,12 @@ def angle_bucket(p: Point, q: Point, r: int) -> int:
     return bucket
 
 
-def _rotate(coords: list[tuple[float, float]], angle: float) -> list[tuple[float, float]]:
+def _rotate(coords: list[list[float]], angle: float) -> list[tuple[float, float]]:
     ca, sa = math.cos(angle), math.sin(angle)
     return [(ca * x - sa * y, sa * x + ca * y) for x, y in coords]
 
 
-def _fix_frame(coords: list[tuple[float, float]]) -> tuple[list[tuple[float, float]], int]:
+def _fix_frame(coords: list[list[float]]) -> tuple[list, int]:
     for attempt in range(_MAX_FRAME_FIXES + 1):
         xs = sorted(c[0] for c in coords)
         if all(b - a > _FRAME_TOL for a, b in zip(xs, xs[1:])):
@@ -102,10 +102,8 @@ def build_coloring(s: PointSet, eps: float) -> tuple[AngleColoring, int]:
     """Angle coloring of all segments; returns it plus the rotation count."""
     if s.dim != 2:
         raise DimensionMismatch("coloring is defined in the plane")
-    coords = [(p[0], p[1]) for p in s.points]
-    coords, rotations = _fix_frame(coords)
+    pts, rotations = _fix_frame(s.coords.tolist())
     r = bucket_count(eps)
-    pts = [Point(c) for c in coords]
     assignments = {}
     n = len(pts)
     for i in range(n):
@@ -207,11 +205,8 @@ def find_collinear(
     eps = float(eps)
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    seen = set()
-    for p in s.points:
-        if p.coords in seen:
-            raise ValueError("points must be pairwise distinct")
-        seen.add(p.coords)
+    if len(set(map(tuple, s.coords.tolist()))) < len(s):
+        raise ValueError("points must be pairwise distinct")
     if node_budget is None:
         env = os.environ.get("APXPAT_BUDGET")
         node_budget = int(env) if env else DEFAULT_NODE_BUDGET
@@ -246,14 +241,13 @@ def find_collinear(
         if clique is None:
             continue
         subset = tuple(sorted(clique))
-        cert_set = PointSet(2, [s.points[i] for i in subset])
-        accepted, worst_local = verify_collinear(cert_set, eps)
+        accepted, worst_local = verify_collinear(s.subset(subset), eps)
         if not accepted:
             raise InternalError(
                 "monochromatic subset failed collinearity verification; this cannot happen"
             )
         worst = tuple(subset[i] for i in worst_local)
-        angles = triangle_angles(*(s.points[i] for i in worst))
+        angles = triangle_angles(*s.coords[list(worst)].tolist())
         return CollinearOutcome(
             found=True, subset=subset, bucket=b, accepted=True,
             worst_triangle=worst, worst_angles=angles,

@@ -7,6 +7,8 @@ bit-identical across runs and platforms.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import _kernels
 from .bounds import ball_volume
 from .errors import InfeasibleGeneration
@@ -45,7 +47,7 @@ def gen_random_separated(
         raise InfeasibleGeneration(
             f"accepted only {n}/{target_count} points after {attempts} attempts"
         )
-    return PointSet(d, [tuple(flat[i * d : (i + 1) * d]) for i in range(n)])
+    return PointSet(d, np.reshape(flat, (n, d)))
 
 
 def gen_jittered_lattice(d: int, length: float, jitter: float, seed: int) -> PointSet:
@@ -65,23 +67,21 @@ def gen_jittered_lattice(d: int, length: float, jitter: float, seed: int) -> Poi
         raise ValueError("jitter must lie in [0, 0.5)")
     n_side = int(length)
     state = int(seed) & ((1 << 64) - 1)
-    pts: list[tuple[float, ...]] = []
+    flat: list[float] = []
     # Lexicographic cell order, axis order within a cell: fixed stream layout.
     cell = [0] * d
     total = n_side**d
     for _ in range(total):
-        coords = []
         for a in range(d):
             state, z = _kernels.splitmix64_next(state)
             u = _kernels.unit_from_bits(z)
-            coords.append(cell[a] + 0.5 + (2.0 * u - 1.0) * jitter)
-        pts.append(tuple(coords))
+            flat.append(cell[a] + 0.5 + (2.0 * u - 1.0) * jitter)
         for a in range(d - 1, -1, -1):
             cell[a] += 1
             if cell[a] < n_side:
                 break
             cell[a] = 0
-    return PointSet(d, pts)
+    return PointSet(d, np.reshape(flat, (total, d)))
 
 
 def gen_adversarial_ap3(n: int, variant: str, eps: float | None = None) -> PointSet:
@@ -102,4 +102,4 @@ def gen_adversarial_ap3(n: int, variant: str, eps: float | None = None) -> Point
         vals = [8.0**-i for i in range(n)]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return PointSet(1, [(v,) for v in vals])
+    return PointSet(1, np.reshape(vals, (n, 1)))

@@ -3,13 +3,21 @@
 Coordinates are plain 64-bit floats; all downstream tolerances sit far
 above double rounding at the scales this package targets, so there is no
 arbitrary-precision path anywhere.
+
+A ``PointSet`` (and its subclass ``Pattern``) stores its points once, as
+a read-only (n, d) float64 array ``coords``; every module reads that
+array, or a ``subset`` of it, directly.  ``Point`` is the single-point
+type of anchors, witnesses and boxes, and is built from a set's rows only
+on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from . import _kernels
 from .errors import DimensionMismatch
@@ -67,106 +75,110 @@ def distance(p: Point, q: Point) -> float:
     return math.dist(p.coords, q.coords)
 
 
-def _coerce_points(points, dim: int) -> tuple[Point, ...]:
-    pts = tuple(p if isinstance(p, Point) else Point(p) for p in points)
-    for p in pts:
-        if p.dim != dim:
-            raise DimensionMismatch(f"point of dim {p.dim} in a dim-{dim} set")
-    return pts
+def _as_rows(points, dim: int) -> np.ndarray:
+    """A fresh read-only (n, dim) float64 copy of points: an array, or an
+    iterable of Points or coordinate sequences."""
+    rows = points if isinstance(points, np.ndarray) else [
+        p.coords if isinstance(p, Point) else p for p in points
+    ]
+    try:
+        arr = np.array(rows, dtype=np.float64)
+    except ValueError:
+        for row in rows:
+            if len(row) != dim:
+                raise DimensionMismatch(f"point of dim {len(row)} in a dim-{dim} set") from None
+        raise
+    if len(arr) == 0:
+        raise ValueError("point set must be nonempty")
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise DimensionMismatch(f"rows of shape {arr.shape[1:]} in a dim-{dim} set")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ValueError(f"non-finite coordinate {float(arr[~finite][0])!r}")
+    arr.flags.writeable = False
+    return arr
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class PointSet:
-    """Immutable, dimension-tagged collection of points."""
+    """Immutable, dimension-tagged set of points.
+
+    ``coords`` is the one store: a read-only (n, dim) float64 array.
+    ``Point`` objects are built only on demand, by ``points``, iteration
+    and indexing.
+    """
 
     dim: int
-    points: tuple[Point, ...]
+    coords: np.ndarray
 
     def __init__(self, dim: int, points: Iterable):
         dim = int(dim)
         if dim < 1:
             raise ValueError("dimension must be a positive integer")
-        pts = _coerce_points(points, dim)
-        if not pts:
-            raise ValueError("point set must be nonempty")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "coords", _as_rows(points, dim))
 
-    @classmethod
-    def from_coords(cls, dim: int, rows: Iterable[Sequence[float]]) -> "PointSet":
-        return cls(dim, rows)
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dim == other.dim and np.array_equal(self.coords, other.coords)
+
+    def __hash__(self) -> int:
+        # Adding 0.0 maps -0.0 to 0.0, which compares equal to it.
+        return hash((type(self), self.dim, (self.coords + 0.0).tobytes()))
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     def __iter__(self):
-        return iter(self.points)
+        return (Point(row) for row in self.coords.tolist())
 
     def __getitem__(self, i: int) -> Point:
-        return self.points[i]
+        return Point(self.coords[i].tolist())
 
     def flat(self) -> list[float]:
-        """Row-major coordinate list, the layout the kernels consume."""
-        out: list[float] = []
-        for p in self.points:
-            out.extend(p.coords)
-        return out
+        """Row-major coordinate list."""
+        return self.coords.reshape(-1).tolist()
 
     def values(self) -> tuple[float, ...]:
         """1-D convenience: the raw coordinates."""
         if self.dim != 1:
             raise DimensionMismatch("values() is only defined for dim 1")
-        return tuple(p.coords[0] for p in self.points)
+        return tuple(self.coords[:, 0].tolist())
 
     def subset(self, indices: Iterable[int]) -> "PointSet":
-        return PointSet(self.dim, [self.points[i] for i in indices])
+        return PointSet(self.dim, self.coords[list(indices)])
 
 
-@dataclass(frozen=True, init=False)
-class Pattern:
+@dataclass(frozen=True, init=False, eq=False)
+class Pattern(PointSet):
     """A target pattern: k >= 2 pairwise-distinct points with cached metrics."""
 
-    dim: int
-    points: tuple[Point, ...]
     min_pairwise: float
     diameter: float
 
     def __init__(self, dim: int, points: Iterable):
-        dim = int(dim)
-        if dim < 1:
-            raise ValueError("dimension must be a positive integer")
-        pts = _coerce_points(points, dim)
-        if len(pts) < 2:
+        super().__init__(dim, points)
+        if len(self) < 2:
             raise ValueError("a pattern needs at least two points")
         seen = set()
-        for p in pts:
-            if p.coords in seen:
-                raise ValueError(f"pattern points must be distinct (repeated {p.coords})")
-            seen.add(p.coords)
-        flat: list[float] = []
-        for p in pts:
-            flat.extend(p.coords)
-        mp = math.sqrt(_kernels.min_pairwise_sq(flat, dim))
-        dia = math.sqrt(_kernels.max_pairwise_sq(flat, dim))
+        for row in map(tuple, self.coords.tolist()):
+            if row in seen:
+                raise ValueError(f"pattern points must be distinct (repeated {row})")
+            seen.add(row)
+        mp = min_pairwise_distance(self)
         if mp <= 0.0:
             raise ValueError("pattern points are numerically coincident")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "min_pairwise", mp)
-        object.__setattr__(self, "diameter", dia)
+        object.__setattr__(self, "diameter", diameter(self))
 
     @classmethod
     def from_pointset(cls, s: PointSet) -> "Pattern":
-        return cls(s.dim, s.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, i: int) -> Point:
-        return self.points[i]
+        return cls(s.dim, s.coords)
 
 
 @dataclass(frozen=True, init=False)
@@ -206,28 +218,22 @@ class AxisBox:
         object.__setattr__(self, "side", side)
 
 
-def min_pairwise_distance(s: PointSet | Pattern) -> float:
+def min_pairwise_distance(s: PointSet) -> float:
     """Minimum pairwise Euclidean distance; naive scan, callers keep n small."""
-    if len(s.points) < 2:
+    if len(s) < 2:
         raise ValueError("need at least two points")
-    flat: list[float] = []
-    for p in s.points:
-        flat.extend(p.coords)
-    return math.sqrt(_kernels.min_pairwise_sq(flat, s.dim))
+    return math.sqrt(_kernels.min_pairwise_sq(s.flat(), s.dim))
 
 
-def diameter(s: PointSet | Pattern) -> float:
+def diameter(s: PointSet) -> float:
     """Maximum pairwise Euclidean distance."""
-    if len(s.points) < 2:
+    if len(s) < 2:
         raise ValueError("need at least two points")
-    flat: list[float] = []
-    for p in s.points:
-        flat.extend(p.coords)
-    return math.sqrt(_kernels.max_pairwise_sq(flat, s.dim))
+    return math.sqrt(_kernels.max_pairwise_sq(s.flat(), s.dim))
 
 
 def apply_homothety(h: Homothety, p: Pattern) -> PointSet:
     """The exact image {anchor + scale * p_i} as a point set."""
     if h.anchor.dim != p.dim:
         raise DimensionMismatch("homothety and pattern dimensions differ")
-    return PointSet(p.dim, [h.apply(pt) for pt in p.points])
+    return PointSet(p.dim, np.asarray(h.anchor.coords) + h.scale * p.coords)

@@ -52,10 +52,11 @@ def enumerate_aps(
     cap = _budget(budget, DEFAULT_SUBSET_BUDGET)
     if math.comb(n, k) > cap:
         raise BudgetExceeded(f"C({n},{k}) exceeds the budget {cap}")
-    order = sorted(range(n), key=lambda i: (s[i].coords[0], i))
+    xs = s.coords[:, 0].tolist()
+    order = sorted(range(n), key=lambda i: (xs[i], i))
     hits: list[tuple[int, ...]] = []
     for combo in combinations(order, k):
-        vals = [s[i].coords[0] for i in combo]
+        vals = [xs[i] for i in combo]
         if any(a == b for a, b in zip(vals, vals[1:])):
             continue  # duplicates can never satisfy eps <= 1/3
         if verify_ap(vals, eps).accepted:
@@ -79,11 +80,11 @@ def enumerate_homothetic(
     if math.comb(n, k) * math.factorial(k) > cap:
         raise BudgetExceeded(f"C({n},{k})*{k}! exceeds the budget {cap}")
     hits = []
+    rows = [tuple(row) for row in s.coords.tolist()]
     for combo in combinations(range(n), k):
-        pts = [s.points[i] for i in combo]
-        if len({pt.coords for pt in pts}) != k:
+        if len({rows[i] for i in combo}) != k:
             continue
-        candidate = PointSet(s.dim, pts)
+        candidate = s.subset(combo)
         for sigma in permutations(range(k)):
             if verify_homothetic(candidate, p, sigma, eps).accepted:
                 hits.append((combo, sigma))
@@ -105,8 +106,7 @@ def exists_collinear(
     if math.comb(n, k) > cap:
         raise BudgetExceeded(f"C({n},{k}) exceeds the budget {cap}")
     for combo in combinations(range(n), k):
-        subset = PointSet(s.dim, [s.points[i] for i in combo])
-        accepted, _ = verify_collinear(subset, eps)
+        accepted, _ = verify_collinear(s.subset(combo), eps)
         if accepted:
             return True
     return False
@@ -187,8 +187,8 @@ def grid_min_deviation_homothety(
     if len(p) != k or k < 2:
         raise ValueError("candidate and pattern must share size k >= 2")
     sigma = [int(i) for i in assignment]
-    qa = np.asarray([pt.coords for pt in q.points], dtype=float)
-    pa = np.asarray([p.points[i].coords for i in sigma], dtype=float)
+    qa = q.coords
+    pa = p.coords[sigma]
     d = q.dim
     m_p = p.min_pairwise
     dists = [

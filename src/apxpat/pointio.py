@@ -1,9 +1,12 @@
 """Point-set file codec and SVG figure emission.
 
 File format: '#' lines are comments; the first data line is the dimension
-d; every following data line holds d space-separated decimals.  Writing
-uses shortest round-trip decimal representations, so parse(write(S))
-reproduces the coordinates exactly.
+d; every following data line holds d space-separated decimals.  Parsing
+collects every coordinate token and converts them all at once into the
+set's (n, d) float64 array; numpy converts each token as Python's
+``float`` does, and a malformed or non-finite token is reported with its
+line.  Writing prints each coordinate's shortest round-trip ``repr``, so
+parse(write(S)) reproduces the coordinates exactly.
 """
 
 from __future__ import annotations
@@ -11,8 +14,10 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import ParseError
-from .geometry import Point, PointSet
+from .geometry import PointSet
 
 __all__ = ["parse_pointset", "write_pointset", "emit_svg"]
 
@@ -26,7 +31,8 @@ def parse_pointset(data: bytes | str) -> PointSet:
     else:
         text = data
     dim: int | None = None
-    rows: list[tuple[float, ...]] = []
+    tokens: list[str] = []
+    lines: list[int] = []  # line number of each data row
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -41,20 +47,36 @@ def parse_pointset(data: bytes | str) -> PointSet:
             continue
         parts = line.split()
         if len(parts) != dim:
+            _reject_bad_row(tokens, lines, dim)
             raise ParseError(f"expected {dim} coordinates, got {len(parts)}", lineno)
-        try:
-            coords = tuple(float(tok) for tok in parts)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        for c in coords:
-            if not math.isfinite(c):
-                raise ParseError(f"non-finite coordinate {c!r}", lineno)
-        rows.append(coords)
+        tokens.extend(parts)
+        lines.append(lineno)
     if dim is None:
         raise ParseError("empty file: missing dimension line")
-    if not rows:
+    if not lines:
         raise ParseError("no points in file")
-    return PointSet(dim, rows)
+    try:
+        coords = np.array(tokens, dtype=np.float64).reshape(len(lines), dim)
+    except ValueError:
+        _reject_bad_row(tokens, lines, dim)
+        raise
+    if not np.isfinite(coords).all():
+        _reject_bad_row(tokens, lines, dim)
+    return PointSet(dim, coords)
+
+
+def _reject_bad_row(tokens: list[str], lines: list[int], dim: int) -> None:
+    """Raise the ParseError of the first row holding a token that is not a
+    decimal or not finite.  Each row's tokens are converted before its
+    values are checked, so a malformed token wins over a non-finite one."""
+    for r, lineno in enumerate(lines):
+        try:
+            row = [float(tok) for tok in tokens[r * dim : (r + 1) * dim]]
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+        for c in row:
+            if not math.isfinite(c):
+                raise ParseError(f"non-finite coordinate {c!r}", lineno)
 
 
 def write_pointset(s: PointSet, comment: str | None = None) -> bytes:
@@ -63,8 +85,8 @@ def write_pointset(s: PointSet, comment: str | None = None) -> bytes:
         for part in comment.splitlines():
             lines.append(f"# {part}")
     lines.append(str(s.dim))
-    for p in s.points:
-        lines.append(" ".join(repr(c) for c in p.coords))
+    for row in s.coords.tolist():
+        lines.append(" ".join(map(repr, row)))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -79,7 +101,7 @@ def _fmt(v: float) -> str:
 def emit_svg(
     s: PointSet,
     highlight: Optional[Iterable[int]] = None,
-    anchors: Optional[Sequence[Point]] = None,
+    anchors: Optional[Sequence[Sequence[float]]] = None,
 ) -> bytes:
     """Deterministic SVG figure: the set as dots, a found subset as filled
     markers, exact anchors as open markers (1-D: tick bars on an axis)."""
@@ -87,12 +109,13 @@ def emit_svg(
         raise ValueError("SVG emission supports dim 1 and 2 only")
     hi = sorted(set(int(i) for i in highlight)) if highlight else []
     anchor_pts = list(anchors) if anchors else []
+    rows = s.coords.tolist()
 
-    xs = [p[0] for p in s.points] + [a[0] for a in anchor_pts]
+    xs = [p[0] for p in rows] + [a[0] for a in anchor_pts]
     x_lo, x_hi = min(xs), max(xs)
     x_span = (x_hi - x_lo) or 1.0
     if s.dim == 2:
-        ys = [p[1] for p in s.points] + [a[1] for a in anchor_pts]
+        ys = [p[1] for p in rows] + [a[1] for a in anchor_pts]
         y_lo, y_hi = min(ys), max(ys)
         y_span = (y_hi - y_lo) or 1.0
         span = max(x_span, y_span)
@@ -138,7 +161,7 @@ def emit_svg(
                 'fill="none" stroke="black" stroke-width="1.5"/>'
             )
     hi_set = set(hi)
-    for i, p in enumerate(s.points):
+    for i, p in enumerate(rows):
         cx, cy = _fmt(sx(p[0])), _fmt(sy(p[1] if s.dim == 2 else 0.0))
         if i in hi_set:
             out.append(f'<circle cx="{cx}" cy="{cy}" r="5" fill="black"/>')

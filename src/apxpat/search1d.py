@@ -73,7 +73,7 @@ def search_ap(
     out = replace(out, trace=SearchTrace(steps))
     if not out.found:
         return out
-    result = verify_ap([s.points[i].coords[0] for i in out.subset], eps)
+    result = verify_ap(s.coords[list(out.subset), 0].tolist(), eps)
     if not result.accepted:
         raise InternalError(
             "subdivision success failed AP verification; this cannot happen"

@@ -109,8 +109,7 @@ def _audit_separation(flat: np.ndarray, dim: int, delta: float) -> None:
 
 
 def _unit_grid_pattern(dim: int, k: int) -> Pattern:
-    pts = [Point(tuple(float(v) for v in m)) for m in product(range(k), repeat=dim)]
-    return Pattern(dim, pts)
+    return Pattern(dim, list(product(range(k), repeat=dim)))
 
 
 def _lex_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,12 +134,12 @@ def _subdivide(s: PointSet, k: int, schedule: Schedule, lo, length) -> SearchOut
         region, span, needed_name = "interval", "interval length", "k"
     else:
         region, span, needed_name = "cube", "cube side", "k^d"
-    coords = np.asarray([p.coords for p in s.points], dtype=float)
+    coords = s.coords
     if len(s) >= 2:
         _audit_separation(coords.reshape(-1), d, schedule.delta)
 
     lo_vec = coords.min(axis=0) if lo is None else np.asarray(
-        [float(v) for v in (lo.coords if isinstance(lo, Point) else lo)], dtype=float
+        lo.coords if isinstance(lo, Point) else lo, dtype=float
     )
     if lo_vec.shape != (d,):
         raise DimensionMismatch("lo must have one coordinate per axis")
@@ -239,8 +238,7 @@ def search_grid(
     # Success implies at least k^d input points, so the unit grid is no
     # larger than the input.
     pattern = _unit_grid_pattern(d, k)
-    candidate = PointSet(d, [s.points[i] for i in out.subset])
-    result = verify_homothetic(candidate, pattern, list(range(len(pattern))), eps)
+    result = verify_homothetic(s.subset(out.subset), pattern, list(range(len(pattern))), eps)
     if not result.accepted:
         raise InternalError(
             "grid success failed homothety verification; this cannot happen"
@@ -248,11 +246,10 @@ def search_grid(
     return replace(out, verify=result)
 
 
-def _pattern_extent(p: Pattern) -> tuple[list[float], float]:
+def _pattern_extent(p: Pattern) -> tuple[np.ndarray, float]:
     """Per-axis minima of the pattern and its largest per-axis span."""
-    p_lo = [min(pt.coords[a] for pt in p.points) for a in range(p.dim)]
-    d_inf = max(max(pt.coords[a] for pt in p.points) - p_lo[a] for a in range(p.dim))
-    return p_lo, d_inf
+    p_lo = p.coords.min(axis=0)
+    return p_lo, float((p.coords.max(axis=0) - p_lo).max())
 
 
 def pattern_grid_resolution(p: Pattern, eps: float, d: int) -> tuple[int, float]:
@@ -299,11 +296,9 @@ def search_pattern(
             f"pattern reduction needs a {K}-grid per axis (cap {resolution_cap})"
         )
     p_lo, d_inf = _pattern_extent(p)
-    nodes = []
-    for pt in p.points:
-        nodes.append(tuple(
-            int(round((pt.coords[a] - p_lo[a]) * (K - 1) / d_inf)) for a in range(d)
-        ))
+    # np.rint rounds half to even, as round() does.
+    nodes = [tuple(row) for row in
+             np.rint((p.coords - p_lo) * (K - 1) / d_inf).astype(np.int64).tolist()]
     if len(set(nodes)) != len(nodes):
         raise InternalError("pattern nodes collided; resolution formula violated")
 
@@ -327,11 +322,9 @@ def search_pattern(
     g = inner.homothety.scale
     a0 = inner.homothety.anchor
     scale = g * (K - 1) / d_inf
-    anchor = Point(tuple(a0.coords[a] - scale * p_lo[a] for a in range(d)))
-    witness = Homothety(anchor, scale)
-    anchors = tuple(witness.apply(pt) for pt in p.points)
-    candidate = PointSet(d, [s.points[i] for i in subset])
-    result = verify_homothetic(candidate, p, list(range(len(p))), eps)
+    witness = Homothety(np.asarray(a0.coords) - scale * p_lo, scale)
+    anchors = tuple(witness.apply(pt) for pt in p)
+    result = verify_homothetic(s.subset(subset), p, list(range(len(p))), eps)
     warnings = inner.warnings
     if not result.accepted:
         warnings = warnings + ("pattern post-verification failed; reporting not found",)

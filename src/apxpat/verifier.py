@@ -113,7 +113,7 @@ def verify_ap(q: Sequence[float], eps: float) -> VerifyResult:
 # Minimum enclosing ball: Welzl's algorithm, support-depth recursion only.
 # ---------------------------------------------------------------------------
 
-def _circumball(support: list[tuple[float, ...]]):
+def _circumball(support: list[list[float]]):
     """Smallest ball with the (affinely independent) support on its boundary."""
     if not support:
         return None
@@ -132,7 +132,7 @@ def _circumball(support: list[tuple[float, ...]]):
     return center, float(np.dot(offset, offset))
 
 
-def _mb(pts: list[tuple[float, ...]], end: int, support: list[tuple[float, ...]], dim: int):
+def _mb(pts: list[list[float]], end: int, support: list[list[float]], dim: int):
     ball = _circumball(support)
     if len(support) == dim + 1:
         return ball
@@ -153,23 +153,14 @@ def _mb(pts: list[tuple[float, ...]], end: int, support: list[tuple[float, ...]]
 
 def min_enclosing_ball(pts) -> Ball:
     """Smallest closed ball containing all points (exact up to ~1e-13 rel)."""
-    if isinstance(pts, (PointSet, Pattern)):
-        points = [p.coords for p in pts.points]
-        dim = pts.dim
-    else:
-        coerced = [p if isinstance(p, Point) else Point(p) for p in pts]
-        if not coerced:
+    if not isinstance(pts, PointSet):
+        rows = list(pts)
+        if not rows:
             raise ValueError("need at least one point")
-        dim = coerced[0].dim
-        for p in coerced:
-            if p.dim != dim:
-                raise DimensionMismatch("mixed dimensions")
-        points = [p.coords for p in coerced]
-    if not points:
-        raise ValueError("need at least one point")
-    shuffled = list(points)
+        pts = PointSet(len(rows[0]), rows)
+    shuffled = pts.coords.tolist()
     random.Random(_MEB_SHUFFLE_SEED).shuffle(shuffled)
-    center, r2 = _mb(shuffled, len(shuffled), [], dim)
+    center, r2 = _mb(shuffled, len(shuffled), [], pts.dim)
     return Ball(Point(tuple(float(c) for c in center)), math.sqrt(max(r2, 0.0)))
 
 
@@ -178,8 +169,7 @@ def _meb_radius_center(cloud: np.ndarray) -> tuple[np.ndarray, float]:
         lo = float(cloud.min())
         hi = float(cloud.max())
         return np.asarray([(lo + hi) / 2.0]), (hi - lo) / 2.0
-    pts = [tuple(row) for row in cloud]
-    shuffled = list(pts)
+    shuffled = cloud.tolist()
     random.Random(_MEB_SHUFFLE_SEED).shuffle(shuffled)
     center, r2 = _mb(shuffled, len(shuffled), [], cloud.shape[1])
     return center, math.sqrt(max(r2, 0.0))
@@ -232,19 +222,14 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
     if not (0.0 < eps <= 1.0 / 3.0):
         raise ValueError("eps must lie in (0, 1/3]")
 
-    qa = np.asarray([pt.coords for pt in q.points], dtype=float)
-    pa = np.asarray([p.points[s].coords for s in sigma], dtype=float)
+    qa = q.coords
+    pa = p.coords[sigma]
     m_p = p.min_pairwise
-    m_q = math.sqrt(min(
-        float(np.dot(qa[i] - qa[j], qa[i] - qa[j]))
-        for i in range(k) for j in range(i + 1, k)
-    ))
+    d2 = [float(np.dot(qa[i] - qa[j], qa[i] - qa[j])) for i in range(k) for j in range(i + 1, k)]
+    m_q = math.sqrt(min(d2))
     if m_q == 0.0:
         raise ValueError("duplicate points in candidate")
-    diam_q = math.sqrt(max(
-        float(np.dot(qa[i] - qa[j], qa[i] - qa[j]))
-        for i in range(k) for j in range(i + 1, k)
-    ))
+    diam_q = math.sqrt(max(d2))
     lam_lo = m_q / (2.0 * m_p)
     lam_hi = 2.0 * diam_q / p.diameter
     if lam_hi <= lam_lo:
@@ -293,10 +278,12 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
 # Almost collinear sets.
 # ---------------------------------------------------------------------------
 
-def triangle_angles(a: Point, b: Point, c: Point) -> tuple[float, float, float]:
+def triangle_angles(
+    a: Sequence[float], b: Sequence[float], c: Sequence[float]
+) -> tuple[float, float, float]:
     """Interior angles at a, b, c in radians; collinear triples give (0, 0, pi)."""
 
-    def angle_at(x: Point, y: Point, z: Point) -> float:
+    def angle_at(x: Sequence[float], y: Sequence[float], z: Sequence[float]) -> float:
         u = [y[i] - x[i] for i in range(len(x))]
         v = [z[i] - x[i] for i in range(len(x))]
         uu = sum(t * t for t in u)
@@ -323,15 +310,13 @@ def verify_collinear(q: PointSet, eps: float) -> tuple[bool, tuple[int, int, int
     k = len(q)
     if k < 3:
         raise ValueError("need at least three points")
-    seen = set()
-    for p in q.points:
-        if p.coords in seen:
-            raise ValueError("duplicate points: angles undefined")
-        seen.add(p.coords)
+    rows = q.coords.tolist()
+    if len(set(map(tuple, rows))) < k:
+        raise ValueError("duplicate points: angles undefined")
     worst = -1.0
     worst_triple = (0, 1, 2)
     for i, j, l in combinations(range(k), 3):
-        angs = sorted(triangle_angles(q[i], q[j], q[l]))
+        angs = sorted(triangle_angles(rows[i], rows[j], rows[l]))
         second = angs[1]
         if second > worst:
             worst = second
@@ -346,7 +331,7 @@ def cylinder_radius(q: PointSet) -> float:
         raise ValueError("need at least two points")
     best_d2 = -1.0
     pair = (0, 1)
-    pts = [p.coords for p in q.points]
+    pts = q.coords.tolist()
     dim = q.dim
     for i in range(k):
         for j in range(i + 1, k):

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 
@@ -40,6 +41,29 @@ def test_schedule_nd_dim1_matches_1d():
         a = schedule_1d(k, c, delta, eps)
         b = schedule_nd(1, k, c, delta, eps)
         assert (a.j, a.z0, a.s) == (b.j, b.z0, b.s)
+
+
+def _ap_schedule(k, c, delta, eps):
+    """The AP schedule written out: s = ceil(1/eps), r = k/(k-1), depth
+    from 2/(c*delta), z0 = 2*delta*(k*s)^j."""
+    s = math.ceil(1.0 / eps)
+    r = k / (k - 1)
+    arg = 2.0 / (c * delta)
+    j = 1 if arg <= 1.0 else max(1, math.ceil(math.log(arg) / math.log(r)))
+    try:
+        z0 = 2.0 * delta * float(k * s) ** j
+    except OverflowError:
+        z0 = math.inf
+    return s, r, j, z0
+
+
+def test_schedule_1d_is_the_ap_schedule_over_a_grid():
+    grid = product((2, 3, 4, 6), (0.1, 0.5, 1.0, 3.0), (0.5, 1.0, 2.0), (1 / 3, 0.25, 0.1, 0.01))
+    for k, c, delta, eps in grid:
+        a = schedule_1d(k, c, delta, eps)
+        assert a == schedule_nd(1, k, c, delta, eps)
+        assert (a.d, a.k, a.c, a.delta, a.eps, a.kappa) == (1, k, c, delta, eps, 2)
+        assert (a.s, a.r, a.j, a.z0) == _ap_schedule(k, c, delta, eps), (k, c, delta, eps)
 
 
 def test_kappa_values():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,63 @@ def test_pointset_dimension_uniform():
         PointSet(2, [(0, 0), (1, 2, 3)])
     with pytest.raises(ValueError):
         PointSet(1, [])
+
+
+def test_pointset_coords_are_read_only():
+    rows = np.asarray([[0.0, 1.0], [2.0, 3.0]])
+    s = PointSet(2, rows)
+    assert s.coords.dtype == np.float64 and s.coords.shape == (2, 2)
+    assert not s.coords.flags.writeable
+    with pytest.raises(ValueError):
+        s.coords[0, 0] = 5.0
+    rows[0, 0] = 5.0  # the set holds its own copy
+    assert s.coords[0, 0] == 0.0
+    with pytest.raises(AttributeError):
+        s.coords = rows
+    assert not Pattern(2, rows).coords.flags.writeable
+    assert not s.subset([1]).coords.flags.writeable
+
+
+def test_pointset_equality():
+    a = PointSet(2, [(0, 1), (2, 3)])
+    assert a == PointSet(2, np.asarray([[0.0, 1.0], [2.0, 3.0]]))
+    assert hash(a) == hash(PointSet(2, [(-0.0, 1), (2, 3)]))
+    assert a == PointSet(2, [(-0.0, 1), (2, 3)])
+    assert a != PointSet(2, [(0, 1), (2, 4)])
+    assert a != PointSet(2, [(0, 1)])
+    assert PointSet(1, [(0,), (1,)]) != PointSet(2, [(0, 1)])
+    assert PointSet(1, [(0,), (1,)]) != PointSet(1, [(1,), (0,)])
+    p = Pattern(2, [(0, 1), (2, 3)])
+    assert p == Pattern(2, a.coords)
+    assert p != a and a != p
+    assert Pattern.from_pointset(a) == p
+
+
+def test_pointset_array_and_list_errors_agree():
+    cases = [
+        (2, [(0, 0, 0), (1, 1, 1)]),
+        (3, [(0, 0), (1, 1)]),
+        (2, [(0, float("nan")), (1, 1)]),
+        (2, [(0, 1), (float("-inf"), 1)]),
+        (2, []),
+    ]
+    for dim, rows in cases:
+        arr = np.asarray(rows, dtype=float) if rows else np.empty((0, dim))
+        with pytest.raises(ValueError) as from_list:
+            PointSet(dim, rows)
+        with pytest.raises(ValueError) as from_array:
+            PointSet(dim, arr)
+        assert type(from_list.value) is type(from_array.value), (dim, rows)
+    with pytest.raises(DimensionMismatch):
+        PointSet(2, np.zeros((4, 3)))
+
+
+def test_pointset_points_are_built_on_demand():
+    s = PointSet(2, [(0, 1), (2, 3)])
+    assert s.points == (Point((0, 1)), Point((2, 3)))
+    assert list(s) == list(s.points) and s[1] == s[-1] == Point((2, 3))
+    assert s.flat() == [0.0, 1.0, 2.0, 3.0]
+    assert s.subset([1, 0]) == PointSet(2, [(2, 3), (0, 1)])
 
 
 def test_min_pairwise_examples():

@@ -3,7 +3,9 @@
 Each artifact's sha256 digest was recorded from the code before a change
 that claims to keep behaviour: the first group before the kernel package
 became a single module, the second before the 1-D search became the d = 1
-case of the grid search.  Any such change must reproduce these bytes
+case of the grid search, the third (collinear search and verification,
+pattern verification, plotting and the 1-D schedule) before point sets
+became array-backed.  Any such change must reproduce these bytes
 exactly (generated point files, search JSON with traces, and SVG figures).
 """
 
@@ -40,6 +42,22 @@ GOLDEN = {
         "c8ae6ed8280afcab144ccd27d1d8d10049f2a8181e1ca67b47afbd0dc760f3e5",
     "search-pattern.json":
         "3a7719a2fc49008f3ac3832cb869371c176419b7c253ff33a304a0fa2924aabd",
+    "random-2d.txt":
+        "b4c57cbfdfbf39de80e0f5f0e82bdd2b854a61eaae8ef31a6ad957e2588159fd",
+    "search-collinear.json":
+        "b92bebf626f00778dc62dfeaffaf673b1cef2af787e781800a64bbc0600e0d94",
+    "search-collinear.svg":
+        "05e00580c185c3b294f6e2fb0baeca80cb2cc2d10e665fd94fcb7000a2a61287",
+    "verify-collinear.json":
+        "e41852eefd92fd709c5cdc4374fad38814f2db8d06a6eae3382d4aa9e213cab8",
+    "verify-pattern-accept.json":
+        "a4b2567718bf0fd16bcd9617d2a37e0b3faea78bb9e37cc5b2dae73f46b1c290",
+    "verify-pattern-reject.json":
+        "06feb13a946c593de721d88d9ef09d374d684d61cb25d5b877c4595e38b4c747",
+    "plot.svg":
+        "be8be14877b21a0fe1a21a049fb308469ab16f95a17cb537d6a54248909e6f68",
+    "bounds-1d.json":
+        "71d8b4e2a46d3864ec3552db347684fc6b777fb703cd00c74df1d2f5f170ab44",
 }
 
 
@@ -100,6 +118,46 @@ def artifacts(tmp_path) -> dict[str, bytes]:
     tri.write_text("2\n0 0\n1 0\n0 1\n")
     search("search-pattern.json", 0, "pattern", "--input", str(wide), "--pattern", str(tri),
            "--eps", EPS, "--delta", "0.5", "--c", "1.0")
+
+    # A planted tube: eight points near the line y = x/4 + 1, with
+    # alternating perpendicular offsets, among 40 separated points.
+    cloud = generate("random-2d.txt", "--kind", "random", "--dim", "2", "--length", "10",
+                     "--delta", "0.5", "--count", "40", "--seed", "7")
+    tube_rows = [f"{0.5 + 1.2 * i!r} {0.3 + 1.2 * i / 4 + 1 + (-1) ** i * 1e-3!r}"
+                 for i in range(8)]
+    tube = tmp_path / "tube.txt"
+    tube.write_text(cloud.read_text() + "\n".join(tube_rows) + "\n")
+    fig = tmp_path / "search-collinear.svg"
+    code, stdout = _run_cli("search", "collinear", "--input", str(tube), "--k", "8",
+                            "--eps", "0.1", "--json", "--svg", str(fig))
+    assert code == 0
+    out["search-collinear.json"] = stdout
+    out[fig.name] = fig.read_bytes()
+    line = tmp_path / "line.txt"
+    line.write_text("2\n" + "\n".join(tube_rows) + "\n")
+    code, out["verify-collinear.json"] = _run_cli("verify", "collinear", "--input", str(line),
+                                                   "--eps", "0.1", "--json")
+    assert code == 0
+
+    for name, rows, code_expected in (("verify-pattern-accept.json", "10 10\n12 10.01\n10 12", 0),
+                                      ("verify-pattern-reject.json", "0 0\n5 0\n0 1", 1)):
+        cand = tmp_path / f"{name}.txt"
+        cand.write_text(f"2\n{rows}\n")
+        code, out[name] = _run_cli("verify", "pattern", "--input", str(cand),
+                                   "--pattern", str(tri), "--eps", EPS, "--json")
+        assert code == code_expected
+
+    anchors = tmp_path / "anchors.txt"
+    anchors.write_text("2\n0.5 0.5\n1.5 1.5\n29.25 3.0\n")
+    fig = tmp_path / "plot.svg"
+    code, _ = _run_cli("plot", "--input", str(d2), "--out", str(fig),
+                       "--highlight", "0,31,62", "--anchors", str(anchors))
+    assert code == 0
+    out[fig.name] = fig.read_bytes()
+
+    code, out["bounds-1d.json"] = _run_cli("bounds", "--dim", "1", "--k", "3", "--c", "0.3",
+                                           "--delta", "1", "--eps", EPS, "--json")
+    assert code == 0
     return out
 
 

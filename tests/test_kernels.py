@@ -76,21 +76,29 @@ def _assert_audit_agrees(flat, dim, thresholds):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 10])
 def test_has_close_pair_matches_min_pairwise(dim):
-    # Sizes straddle the (2*rings+1)^dim neighbour offsets (5, 25, 125)
-    # at d <= 3, so both the grid hash and the direct scan are exercised;
-    # at d = 4 (2401 offsets) and d = 10 (3.5e9) these sizes scan directly.
+    # Sizes straddle the 3^dim neighbour offsets (3, 9, 27, 81) at d <= 4,
+    # so both the grid hash and the direct scan are exercised; at d = 10
+    # (59049 offsets) these sizes scan directly.
     rng = random.Random(5 + dim)
     for trial in range(30):
-        n = rng.randint(2, 150 if dim < 10 else 12)
+        n = rng.randint(2, {1: 8, 2: 20, 3: 60, 4: 150, 10: 12}[dim])
         flat = [rng.uniform(0, 20) for _ in range(n * dim)]
         _assert_audit_agrees(flat, dim, (rng.uniform(0.1, 3.0) * math.sqrt(dim),))
 
 
 def test_has_close_pair_grid_hash_at_dimension_4():
-    # Above the 7^4 = 2401 neighbour offsets, so the grid hash runs.
+    # Above the 3^4 = 81 neighbour offsets, so the grid hash runs.
     rng = random.Random(44)
-    flat = [rng.uniform(0, 60) for _ in range(2402 * 4)]
-    _assert_audit_agrees(flat, 4, (0.5, 2.0))
+    flat = [rng.uniform(0, 60) for _ in range(400 * 4)]
+    _assert_audit_agrees(flat, 4, (2.0, 8.0))
+
+
+@pytest.mark.parametrize("n", [243, 244, 300])
+def test_has_close_pair_grid_hash_at_dimension_5(n):
+    # 3^5 = 243 offsets: 243 points scan directly, more use the grid hash.
+    rng = random.Random(n)
+    flat = [rng.uniform(0, 10) for _ in range(n * 5)]
+    _assert_audit_agrees(flat, 5, (0.5, 1.5, 3.0))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -113,7 +121,7 @@ def test_has_close_pair_wrapping_keys(dim):
 def test_has_close_pair_shared_cells(dim):
     # A lattice of spacing 2 above the offset count, plus either a
     # duplicate point or a second point in an occupied cell (cell side
-    # threshold/sqrt(dim) with threshold 1).
+    # 2*threshold with threshold 1).
     side = {1: 40, 2: 8, 3: 6}[dim]
     lattice = [[2.0 * v for v in m] for m in product(range(side), repeat=dim)]
     for extra in (list(lattice[7]), [v + 0.3 / math.sqrt(dim) for v in lattice[7]]):

@@ -42,6 +42,36 @@ class TestCodec:
         with pytest.raises(ParseError):
             parse_pointset(b"1\ninf\n")
 
+    def test_bad_token_line_numbers(self):
+        text = b"# header\n\n2\n0 1\n# mid\n\n  \n2 {tok}\n3 4\n"
+        with pytest.raises(ParseError) as err:
+            parse_pointset(text.replace(b"{tok}", b"x1"))
+        assert err.value.line == 8
+        assert "could not convert string to float: 'x1'" in str(err.value)
+        for tok, shown in ((b"nan", "nan"), (b"inf", "inf"), (b"-Infinity", "-inf")):
+            with pytest.raises(ParseError) as err:
+                parse_pointset(text.replace(b"{tok}", tok))
+            assert err.value.line == 8
+            assert f"non-finite coordinate {shown}" in str(err.value)
+
+    def test_first_bad_row_wins(self):
+        # A malformed token is reported before a non-finite one in the
+        # same row, and an earlier bad row before a later arity error.
+        with pytest.raises(ParseError) as err:
+            parse_pointset(b"2\n0 0\nnan x\n")
+        assert err.value.line == 3 and "could not convert" in str(err.value)
+        with pytest.raises(ParseError) as err:
+            parse_pointset(b"2\n0 inf\n1 2 3\n")
+        assert err.value.line == 2 and "non-finite" in str(err.value)
+        with pytest.raises(ParseError) as err:
+            parse_pointset(b"2\n0 0\n1 2 3\n1 x\n")
+        assert err.value.line == 3 and "expected 2 coordinates" in str(err.value)
+
+    def test_tokens_parse_as_float_does(self):
+        toks = ["1_0", "+.5", "5.", "-0.0", "1e-400", "4.9e-324", "1E5", "0001", "-.25e+2"]
+        s = parse_pointset(("1\n" + "\n".join(toks) + "\n").encode())
+        assert [repr(v) for v in s.values()] == [repr(float(t)) for t in toks]
+
     def test_round_trip_exact(self):
         rng = random.Random(77)
         for _ in range(100):
