@@ -107,15 +107,15 @@ def emit_svg(
     markers, exact anchors as open markers (1-D: tick bars on an axis)."""
     if s.dim > 2:
         raise ValueError("SVG emission supports dim 1 and 2 only")
-    hi = sorted(set(int(i) for i in highlight)) if highlight else []
+    hi_set = set(int(i) for i in highlight) if highlight else set()
     anchor_pts = list(anchors) if anchors else []
-    rows = s.coords.tolist()
+    xy = s.coords
 
-    xs = [p[0] for p in rows] + [a[0] for a in anchor_pts]
+    xs = [float(xy[:, 0].min()), float(xy[:, 0].max())] + [a[0] for a in anchor_pts]
     x_lo, x_hi = min(xs), max(xs)
     x_span = (x_hi - x_lo) or 1.0
     if s.dim == 2:
-        ys = [p[1] for p in rows] + [a[1] for a in anchor_pts]
+        ys = [float(xy[:, 1].min()), float(xy[:, 1].max())] + [a[1] for a in anchor_pts]
         y_lo, y_hi = min(ys), max(ys)
         y_span = (y_hi - y_lo) or 1.0
         span = max(x_span, y_span)
@@ -160,12 +160,18 @@ def emit_svg(
                 f'<circle cx="{_fmt(sx(a[0]))}" cy="{_fmt(sy(a[1]))}" r="7" '
                 'fill="none" stroke="black" stroke-width="1.5"/>'
             )
-    hi_set = set(hi)
-    for i, p in enumerate(rows):
-        cx, cy = _fmt(sx(p[0])), _fmt(sy(p[1] if s.dim == 2 else 0.0))
-        if i in hi_set:
-            out.append(f'<circle cx="{cx}" cy="{cy}" r="5" fill="black"/>')
-        else:
-            out.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="#888888"/>')
+    # The dots in one array pass, with sx's and sy's operations in their
+    # order, so every coordinate has the same bits as theirs.
+    cxs = _SVG_MARGIN + (xy[:, 0] - x_lo) * scale
+    if s.dim == 2:
+        cys = height - _SVG_MARGIN - (xy[:, 1] - y_lo) * scale
+    else:
+        cys = np.full(len(s), height / 2.0)
+    out.extend(
+        f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" fill="black"/>'
+        if i in hi_set
+        else f'<circle cx="{x:.3f}" cy="{y:.3f}" r="2.5" fill="#888888"/>'
+        for i, (x, y) in enumerate(zip(cxs.tolist(), cys.tolist()))
+    )
     out.append("</svg>")
     return ("\n".join(out) + "\n").encode("ascii")

@@ -6,6 +6,15 @@ from an explicitly constructed witness: the anchor translation and scale
 deviation, which is then compared against eps plus a fixed feasibility
 tolerance TAU.  Constraint balls are closed, so boundary contact counts
 as containment.
+
+A homothetic copy is certified by one convex search.  With mu = 1/scale,
+the relative deviation of a scale and its best anchor is R(mu)/m_P, where
+R(mu) is the radius of the minimum enclosing ball of {mu*q_i - p_sigma(i)}.
+R is convex in mu and its minimum lies in [0, 2*rad(P)/rad(Q)], so a
+golden-section search over that bracket finds the best scale.  Each of its
+balls is solved by Welzl's move-to-front recursion in Python floats,
+starting from the order the previous solve left, so the previous support
+is tested first.
 """
 
 from __future__ import annotations
@@ -14,9 +23,8 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DimensionMismatch
 from .geometry import Pattern, Point, PointSet
@@ -37,7 +45,10 @@ __all__ = [
 # satisfied, so float rounding never flips a certificate on exact inputs.
 TAU = 1e-9
 
-_GOLDEN_REL_WIDTH = 1e-10
+_GOLDEN_REL_WIDTH = 1e-12
+_PIVOT_REL = 1e-14
+_CONTAIN_REL = 5e-14
+_CENTER_REL = 4e-15
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _MEB_SHUFFLE_SEED = 0x5EEDBA11
@@ -110,88 +121,147 @@ def verify_ap(q: Sequence[float], eps: float) -> VerifyResult:
 
 
 # ---------------------------------------------------------------------------
-# Minimum enclosing ball: Welzl's algorithm, support-depth recursion only.
+# Minimum enclosing ball: Welzl's recursion with the move-to-front heuristic,
+# in Python floats.  Each point that leaves the current ball is moved to the
+# front of the visiting order, so a later solve over a slightly moved cloud
+# meets its support first and usually finishes in one containment pass.
 # ---------------------------------------------------------------------------
 
-def _circumball(support: list[list[float]]):
-    """Smallest ball with the (affinely independent) support on its boundary."""
-    if not support:
-        return None
-    p0 = np.asarray(support[0], dtype=float)
-    if len(support) == 1:
-        return p0, 0.0
-    u = np.asarray(support[1:], dtype=float) - p0
-    g = u @ u.T
-    rhs = 0.5 * np.einsum("ij,ij->i", u, u)
-    try:
-        beta = np.linalg.solve(g, rhs)
-    except np.linalg.LinAlgError:
-        beta = np.linalg.lstsq(g, rhs, rcond=None)[0]
-    offset = beta @ u
-    center = p0 + offset
-    return center, float(np.dot(offset, offset))
+def _circumball(support: list[list[float]]) -> tuple[list[float], float]:
+    """Center and squared radius of the smallest ball with the support on its
+    boundary.
 
-
-def _mb(pts: list[list[float]], end: int, support: list[list[float]], dim: int):
-    ball = _circumball(support)
-    if len(support) == dim + 1:
-        return ball
-    for i in range(end):
-        p = pts[i]
-        if ball is None:
-            ball = _mb(pts, i, support + [p], dim)
+    The center is s_0 + sum_j beta_j u_j with u_j = s_j - s_0, where beta
+    solves the Gram system (u_i . u_j) beta = |u_i|^2 / 2 by Gaussian
+    elimination with partial pivoting.  A column whose best pivot is
+    negligible (an affinely dependent support) gets beta_j = 0, so a
+    degenerate support never raises.
+    """
+    s0 = support[0]
+    u = [[x - y for x, y in zip(s, s0)] for s in support[1:]]
+    m = len(u)
+    if m == 0:
+        return list(s0), 0.0
+    if m == 1:
+        # beta = (|u|^2 / 2) / |u|^2 = 1/2 exactly (u = 0 for a repeated point).
+        offset = [0.5 * t for t in u[0]]
+        return [x + y for x, y in zip(s0, offset)], sum(map(mul, offset, offset))
+    rows = [[sum(map(mul, ui, uj)) for uj in u] + [0.5 * sum(map(mul, ui, ui))] for ui in u]
+    tiny = _PIVOT_REL * max([rows[j][j] for j in range(m)])
+    pivots = []  # (row, column) of each pivot taken
+    r = 0
+    for c in range(m):
+        p = r
+        for i in range(r + 1, m):
+            if abs(rows[i][c]) > abs(rows[p][c]):
+                p = i
+        if abs(rows[p][c]) <= tiny:
             continue
-        center, r2 = ball
-        d2 = 0.0
-        for a in range(dim):
-            t = p[a] - center[a]
-            d2 += t * t
-        if d2 > r2 * (1.0 + 1e-13) + 1e-300:
-            ball = _mb(pts, i, support + [p], dim)
-    return ball
+        rows[r], rows[p] = rows[p], rows[r]
+        piv = rows[r]
+        for row in rows[r + 1 :]:
+            f = row[c] / piv[c]
+            for j in range(c, m + 1):
+                row[j] -= f * piv[j]
+        pivots.append((r, c))
+        r += 1
+    beta = [0.0] * m
+    for r, c in reversed(pivots):
+        row = rows[r]
+        beta[c] = (row[m] - sum(map(mul, row[c + 1 : m], beta[c + 1 :]))) / row[c]
+    offset = [sum(map(mul, beta, col)) for col in zip(*u)]
+    return [x + y for x, y in zip(s0, offset)], sum(map(mul, offset, offset))
+
+
+def _reach(center: list[float], r2: float) -> float:
+    """Distance beyond which a point is outside the ball.  Besides a slack
+    relative to the radius, it forgives about 18 ulps of the center's
+    largest coordinate: the center is rounded to its ulps, and without that
+    term a repeat of a support point far from the origin can test outside
+    and be pushed as a second, degenerate support."""
+    r = math.sqrt(r2)
+    return r * (1.0 + _CONTAIN_REL) + _CENTER_REL * max(map(abs, center))
+
+
+def _mtf(cloud, order, end, support, dim):
+    """Smallest ball around cloud[order[:end]] with the support on its
+    boundary; moves each point it pushes to the front of order."""
+    if support:
+        center, r2 = _circumball(support)
+        if len(support) == dim + 1:
+            return center, r2
+        lim = _reach(center, r2)
+    else:
+        # No ball yet: the first point visited always starts one.
+        center, r2, lim = cloud[order[0]], 0.0, -1.0
+    for i in range(end):
+        j = order[i]
+        p = cloud[j]
+        if math.dist(p, center) > lim:
+            center, r2 = _mtf(cloud, order, i, support + [p], dim)
+            lim = _reach(center, r2)
+            if i:
+                del order[i]
+                order.insert(0, j)
+    return center, r2
+
+
+def _meb(cloud: list[list[float]], order: list[int]) -> tuple[list[float], float]:
+    """Center and squared radius of the smallest ball around the cloud's rows,
+    visited in ``order``, which is reordered in place (move-to-front)."""
+    return _mtf(cloud, order, len(order), [], len(cloud[0]))
 
 
 def min_enclosing_ball(pts) -> Ball:
-    """Smallest closed ball containing all points (exact up to ~1e-13 rel)."""
+    """Smallest closed ball containing all points (exact up to ~1e-13 of its
+    radius plus the magnitude of its center)."""
     if not isinstance(pts, PointSet):
         rows = list(pts)
         if not rows:
             raise ValueError("need at least one point")
         pts = PointSet(len(rows[0]), rows)
-    shuffled = pts.coords.tolist()
-    random.Random(_MEB_SHUFFLE_SEED).shuffle(shuffled)
-    center, r2 = _mb(shuffled, len(shuffled), [], pts.dim)
-    return Ball(Point(tuple(float(c) for c in center)), math.sqrt(max(r2, 0.0)))
-
-
-def _meb_radius_center(cloud: np.ndarray) -> tuple[np.ndarray, float]:
-    if cloud.shape[1] == 1:
-        lo = float(cloud.min())
-        hi = float(cloud.max())
-        return np.asarray([(lo + hi) / 2.0]), (hi - lo) / 2.0
-    shuffled = cloud.tolist()
-    random.Random(_MEB_SHUFFLE_SEED).shuffle(shuffled)
-    center, r2 = _mb(shuffled, len(shuffled), [], cloud.shape[1])
-    return center, math.sqrt(max(r2, 0.0))
+    rows = pts.coords.tolist()
+    order = list(range(len(rows)))
+    random.Random(_MEB_SHUFFLE_SEED).shuffle(order)
+    center, r2 = _meb(rows, order)
+    # The containment test forgives a little rounding slack, so take the
+    # radius that reaches every point.
+    radius = max(math.sqrt(r2), max([math.dist(x, center) for x in rows]))
+    return Ball(Point(tuple(center)), radius)
 
 
 # ---------------------------------------------------------------------------
-# Homothetic copies: for fixed scale the optimal anchor is the minimum
-# enclosing ball center of {q_i - scale * p_sigma(i)}, and
-# radius(scale) - eps*scale*m_P is convex in the scale, so a golden-section
-# search over a bracketed interval decides feasibility.
+# Homothetic copies.  Substituting mu = 1/scale and b = anchor/scale turns
+# the relative deviation max_i |q_i - anchor - scale*p_i| / (scale*m_P)
+# into R(mu)/m_P, where R(mu) = min_b max_i |mu*q_i - p_i - b| is the
+# radius of the minimum enclosing ball of {mu*q_i - p_i}.
+#
+# - R is convex: for each b it is a max of norms of affine maps of
+#   (mu, b), and minimising a jointly convex function over b keeps it
+#   convex in mu.  So one golden-section search finds its minimum.
+# - The minimum lies in [0, 2*rad(P)/rad(Q)]: mu*q_i = (mu*q_i - p_i - b)
+#   + p_i + b gives mu*rad(Q) <= R(mu) + rad(P), so beyond that bound
+#   R(mu) > rad(P) = R(0).
+# - Every solve starts from the previous solve's visiting order, so the
+#   last support is tested first (warm start).
+#
+# The witness is the best mu's ball: scale 1/mu and anchor center/mu.  The
+# reported deviation is measured from that witness, in the input's units.
 # ---------------------------------------------------------------------------
 
-def _golden_min(f, lo: float, hi: float):
-    a, b = lo, hi
+def _golden_min(f, hi: float) -> float:
+    """Argmin of a convex f on [0, hi], to a width of _GOLDEN_REL_WIDTH
+    relative to the lower end.  Below 1e-3*hi the width is taken relative to
+    that, so a minimum at 0 (no scale fits better than a single point, a
+    certain reject) ends the search after about 72 steps."""
+    a, b = 0.0, hi
     h = b - a
-    if h <= 0.0:
-        return a, f(a)
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     fc = f(c)
     fd = f(d)
-    while h > _GOLDEN_REL_WIDTH * max(abs(a), abs(b)):
+    floor = 1e-3 * hi
+    while h > _GOLDEN_REL_WIDTH * max(a, floor):
         if fc < fd:
             b, d, fd = d, c, fc
             h = b - a
@@ -202,7 +272,7 @@ def _golden_min(f, lo: float, hi: float):
             h = b - a
             d = a + _INVPHI * h
             fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
+    return c if fc <= fd else d
 
 
 def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: float) -> VerifyResult:
@@ -221,56 +291,39 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
     eps = float(eps)
     if not (0.0 < eps <= 1.0 / 3.0):
         raise ValueError("eps must lie in (0, 1/3]")
-
-    qa = q.coords
-    pa = p.coords[sigma]
-    m_p = p.min_pairwise
-    d2 = [float(np.dot(qa[i] - qa[j], qa[i] - qa[j])) for i in range(k) for j in range(i + 1, k)]
-    m_q = math.sqrt(min(d2))
-    if m_q == 0.0:
+    ps = p.coords[sigma]
+    qa = q.coords.tolist()
+    if len(set(map(tuple, qa))) < k:
         raise ValueError("duplicate points in candidate")
-    diam_q = math.sqrt(max(d2))
-    lam_lo = m_q / (2.0 * m_p)
-    lam_hi = 2.0 * diam_q / p.diameter
-    if lam_hi <= lam_lo:
-        # Wildly mismatched shapes; keep a valid bracket anyway.
-        lam_lo, lam_hi = min(lam_lo, lam_hi) * 0.5, max(lam_lo, lam_hi) * 2.0
+    pa = ps.tolist()
+    order = list(range(k))
+    random.Random(_MEB_SHUFFLE_SEED).shuffle(order)
+    # Both sets are moved to their ball centers, so the cloud's coordinates
+    # are of the order of its radius and rounding stays relative to it.
+    cq, rad_q2 = _meb(qa, order)
+    cp, rad_p2 = _meb(pa, order)
+    qc = q.coords - cq
+    pc = ps - cp
 
-    def radius_at(lam: float) -> float:
-        _, r = _meb_radius_center(qa - lam * pa)
-        return r
+    def cloud_at(mu: float) -> list[list[float]]:
+        return (mu * qc - pc).tolist()
 
-    def gap(lam: float) -> float:
-        return radius_at(lam) - eps * lam * m_p
+    def r2_at(mu: float) -> float:
+        return _meb(cloud_at(mu), order)[1]
 
-    # Decision objective first; extend the bracket if its minimum pins an
-    # endpoint without reaching feasibility (possible for patterns whose
-    # diameter is close to their minimum pairwise distance).
-    lo, hi = lam_lo, lam_hi
-    for _ in range(7):
-        lam_f, gap_f = _golden_min(gap, lo, hi)
-        if gap_f <= 0.0:
-            break
-        width = hi - lo
-        if hi - lam_f <= 1e-3 * width:
-            hi *= 4.0
-        elif lam_f - lo <= 1e-3 * width:
-            lo *= 0.25
-        else:
-            break
-
-    # Report the best achievable relative deviation (scale-free objective).
-    lam_g, _ = _golden_min(lambda lam: radius_at(lam) / (lam * m_p), lo, hi)
-    cand = []
-    for lam in (lam_f, lam_g):
-        center, r = _meb_radius_center(qa - lam * pa)
-        cand.append((r / (lam * m_p), lam, center))
-    dev, lam_best, center = min(cand, key=lambda t: t[0])
+    # Squared radii: R^2 is minimised where R is.
+    mu = _golden_min(r2_at, 2.0 * math.sqrt(rad_p2 / rad_q2))
+    center, _ = _meb(cloud_at(mu), order)
+    scale = 1.0 / mu
+    anchor = [a + (c - b) * scale for a, b, c in zip(cq, cp, center)]
+    dev = max(
+        [math.dist(qi, [a + scale * y for a, y in zip(anchor, pi)]) for qi, pi in zip(qa, pa)]
+    ) / (scale * p.min_pairwise)
     return VerifyResult(
         accepted=dev <= eps + TAU,
-        witness_anchor=Point(tuple(float(c) for c in center)),
-        witness_scale=float(lam_best),
-        max_relative_deviation=float(dev),
+        witness_anchor=Point(tuple(anchor)),
+        witness_scale=scale,
+        max_relative_deviation=dev,
     )
 
 

@@ -7,6 +7,12 @@ case of the grid search, the third (collinear search and verification,
 pattern verification, plotting and the 1-D schedule) before point sets
 became array-backed.  Any such change must reproduce these bytes
 exactly (generated point files, search JSON with traces, and SVG figures).
+
+The four outputs that carry a homothety certificate (search-grid.json,
+search-pattern.json, verify-pattern-accept.json and
+verify-pattern-reject.json) were re-recorded when the certificate became
+one convex search over 1/scale: that change is meant to move the low bits
+of the deviation and the witness, and nothing else in them.
 """
 
 import hashlib
@@ -29,7 +35,7 @@ GOLDEN = {
     "search-ap.svg":
         "90aa448eb60e7078c1b9c335479522bbb9a865a9702fcca10534c3e5f79624f2",
     "search-grid.json":
-        "3b8e66e966e11fb6ef9be225377447fbb3428eb9262234840118f6bb9deb7472",
+        "b5d4d0a7a4065288065428393e614262f14731195ba403fc347eb4bb984096cd",
     "search-grid.svg":
         "0b2b00be8addc30b32e0ce91a3c0eeb97f56298695d28439c6d48fcff0d1cdeb",
     "adversarial-1d.txt":
@@ -41,7 +47,7 @@ GOLDEN = {
     "search-grid-3d.json":
         "c8ae6ed8280afcab144ccd27d1d8d10049f2a8181e1ca67b47afbd0dc760f3e5",
     "search-pattern.json":
-        "3a7719a2fc49008f3ac3832cb869371c176419b7c253ff33a304a0fa2924aabd",
+        "dbcb4e527f4ec9ecd179e4989fcc65280ba836e82eeae611ed20b24b37b5b36c",
     "random-2d.txt":
         "b4c57cbfdfbf39de80e0f5f0e82bdd2b854a61eaae8ef31a6ad957e2588159fd",
     "search-collinear.json":
@@ -51,9 +57,9 @@ GOLDEN = {
     "verify-collinear.json":
         "e41852eefd92fd709c5cdc4374fad38814f2db8d06a6eae3382d4aa9e213cab8",
     "verify-pattern-accept.json":
-        "a4b2567718bf0fd16bcd9617d2a37e0b3faea78bb9e37cc5b2dae73f46b1c290",
+        "6f83f80abbb62b7b090afe183670c6e6c8beb8daca1d33f3c164b88f482e4121",
     "verify-pattern-reject.json":
-        "06feb13a946c593de721d88d9ef09d374d684d61cb25d5b877c4595e38b4c747",
+        "c79ba976c9540b1d900e3636f7d91a8cb94cab356e33f8d45b75c3e8330da562",
     "plot.svg":
         "be8be14877b21a0fe1a21a049fb308469ab16f95a17cb537d6a54248909e6f68",
     "bounds-1d.json":

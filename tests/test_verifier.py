@@ -1,12 +1,16 @@
 import math
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apxpat import verifier
 from apxpat.geometry import Pattern, Point, PointSet
 from apxpat.verifier import (
+    TAU,
     cylinder_radius,
     min_enclosing_ball,
     triangle_angles,
@@ -112,6 +116,61 @@ class TestMinEnclosingBall:
         with pytest.raises(ValueError):
             min_enclosing_ball([])
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_brute_force(self, d):
+        rng = np.random.default_rng(17 + d)
+        for _ in range(40):
+            pts = rng.uniform(-5, 5, size=(int(rng.integers(2, 9)), d))
+            b = min_enclosing_ball(pts.tolist())
+            assert b.radius == pytest.approx(_brute_radius(pts), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_repeated_points_far_from_origin(self, d):
+        # A small cluster far from the origin, with repeated rows: the
+        # center's rounding is far above the radius's, and a repeat of a
+        # support point must still test inside.
+        rng = np.random.default_rng(29 + d)
+        for _ in range(60):
+            base = rng.uniform(-1e3, 1e3, size=d)
+            pts = base + rng.uniform(-1e-3, 1e-3, size=(int(rng.integers(3, 8)), d))
+            pts = rng.permutation(np.vstack([pts, pts[rng.integers(0, len(pts), size=3)]]))
+            b = min_enclosing_ball(pts.tolist())
+            assert b.radius == pytest.approx(_brute_radius(pts - base), rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(0, 0), (1, 1), (3, 3)],  # collinear triple
+            [(0, 0, 0), (1, 2, 3), (2, 4, 6), (-1, -2, -3)],  # collinear in 3-D
+            [(1, 0), (0, 1), (-1, 0), (0, -1)],  # cocircular quadruple
+            [(math.cos(t), math.sin(t)) for t in (0.1, 1.7, 2.9, 4.4, 5.6)],
+            [(1, 0, 2), (0, 1, 2), (-1, 0, 2), (0, -1, 2), (0.3, 0.2, 2)],  # coplanar
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0.5, 0.5, 0)],
+            [(2.5, -1.0)] * 5,  # repeated rows
+            [(0, 0), (0, 0), (2, 0), (2, 0), (1, 1)],
+            [(0, 0, 0), (0, 0, 0), (0, 0, 4), (0, 0, 4)],
+        ],
+    )
+    def test_degenerate_sets_are_enclosed(self, rows):
+        b = min_enclosing_ball(rows)
+        assert all(math.dist(r, b.center.coords) <= b.radius for r in rows)
+        half_diameter = max(math.dist(a, c) for a in rows for c in rows) / 2
+        assert half_diameter <= b.radius <= half_diameter * math.sqrt(2) + 1e-12
+
+    @pytest.mark.parametrize(
+        "support",
+        [
+            [[1.0, 2.0], [1.0, 2.0]],
+            [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
+            [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0 + 1e-13]],
+            [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+            [[3.0, 3.0, 3.0]] * 4,
+        ],
+    )
+    def test_singular_support_does_not_raise(self, support):
+        center, r2 = verifier._circumball(support)
+        assert all(math.isfinite(c) for c in center) and math.isfinite(r2)
+
 
 class TestVerifyHomothetic:
     def test_exact_grid_identity(self):
@@ -192,6 +251,11 @@ class TestVerifyHomothetic:
             pat = Pattern(1, [(float(i),) for i in range(k)])
             hom = verify_homothetic(PointSet(1, [(v,) for v in q]), pat, range(k), eps)
             assert ap.accepted == hom.accepted, (q, eps)
+            # On the line the homothety search solves verify_ap's exact
+            # Chebyshev fit (the search stops at a relative width of 1e-12).
+            assert hom.max_relative_deviation == pytest.approx(
+                ap.max_relative_deviation, rel=1e-9
+            ), (q, eps)
             checked += 1
         assert checked >= 150
 
@@ -200,6 +264,40 @@ class TestVerifyHomothetic:
         accepted = [verify_homothetic(q, SQUARE, range(4), e).accepted for e in (0.05, 0.15, 0.25, 1 / 3)]
         for a, b in zip(accepted, accepted[1:]):
             assert (not a) or b  # once accepted, stays accepted
+
+    def test_witness_does_not_depend_on_eps(self):
+        # eps only decides acceptance; the search minimises the deviation
+        # itself.
+        rng = random.Random(23)
+        for _ in range(10):
+            q = PointSet(2, [(x + rng.uniform(-0.3, 0.3), y + rng.uniform(-0.3, 0.3))
+                             for x, y in SQUARE.coords.tolist()])
+            results = [verify_homothetic(q, SQUARE, range(4), e) for e in (0.05, 0.15, 0.25, 1 / 3)]
+            for r in results[1:]:
+                assert r.max_relative_deviation == results[0].max_relative_deviation
+                assert r.witness_scale == results[0].witness_scale
+                assert r.witness_anchor == results[0].witness_anchor
+
+    def test_meb_solves_per_grid_certificate(self, monkeypatch):
+        # One golden-section search with warm-started balls: the two
+        # searches it replaced took about 105 solves for this grid.
+        rng = random.Random(6)
+        grid = Pattern(2, [(i, j) for i in range(6) for j in range(6)])
+        q = PointSet(2, [(3.7 + 2 * i + rng.uniform(-0.3, 0.3), -1.2 + 2 * j + rng.uniform(-0.3, 0.3))
+                         for i, j in grid.coords.tolist()])
+        solves = []
+        meb = verifier._meb
+
+        def counting(*args):
+            solves.append(1)
+            return meb(*args)
+
+        monkeypatch.setattr(verifier, "_meb", counting)
+        assert verify_homothetic(q, grid, range(36), 1 / 3).accepted
+        assert len(solves) <= 70
+
+    def test_matches_two_search_reference(self):
+        _compare_with_reference(random.Random(31), 200)
 
 
 class TestCollinear:
@@ -277,5 +375,182 @@ def test_homothetic_witness_deviation_consistent(offs):
         )
         for i in range(4)
     ) / (r.witness_scale * SQUARE.min_pairwise)
-    assert dev == pytest.approx(r.max_relative_deviation, abs=1e-7)
+    assert dev == pytest.approx(r.max_relative_deviation, abs=1e-12)
     assert r.accepted == (r.max_relative_deviation <= 1 / 3 + 1e-9)
+
+
+def _brute_radius(pts):
+    """The minimum enclosing ball's radius, as the smallest ball that has at
+    most d+1 of the points on its boundary, its center in their affine
+    hull, and every point inside."""
+    best = math.inf
+    for size in range(1, pts.shape[1] + 2):
+        for sub in combinations(pts, size):
+            center, r = _brute_circumball(np.array(sub))
+            if center is not None and np.all(np.linalg.norm(pts - center, axis=1) <= r * (1 + 1e-12)):
+                best = min(best, r)
+    return best
+
+
+def _brute_circumball(sub):
+    """Center and radius of the ball with every row of sub on its boundary
+    and its center in their affine hull; (None, inf) if they are affinely
+    dependent."""
+    u = sub[1:] - sub[0]
+    if len(u) == 0:
+        return sub[0], 0.0
+    g = u @ u.T
+    if np.linalg.matrix_rank(g, tol=1e-9 * np.abs(g).max()) < len(u):
+        return None, math.inf
+    offset = np.linalg.solve(g, 0.5 * np.einsum("ij,ij->i", u, u)) @ u
+    return sub[0] + offset, float(np.linalg.norm(offset))
+
+
+# ---------------------------------------------------------------------------
+# The homothety certificate before it became one convex search over 1/scale:
+# a golden-section search for the scale that first meets eps, a bracket
+# widened up to 7 times, then a second search for the smallest relative
+# deviation, each solving a numpy Welzl ball per evaluation.  Kept as the
+# reference the new search must never do worse than.
+# ---------------------------------------------------------------------------
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def _ref_circumball(support):
+    if not support:
+        return None
+    p0 = np.asarray(support[0], dtype=float)
+    if len(support) == 1:
+        return p0, 0.0
+    u = np.asarray(support[1:], dtype=float) - p0
+    g = u @ u.T
+    rhs = 0.5 * np.einsum("ij,ij->i", u, u)
+    try:
+        beta = np.linalg.solve(g, rhs)
+    except np.linalg.LinAlgError:
+        beta = np.linalg.lstsq(g, rhs, rcond=None)[0]
+    offset = beta @ u
+    return p0 + offset, float(np.dot(offset, offset))
+
+
+def _ref_mb(pts, end, support, dim):
+    ball = _ref_circumball(support)
+    if len(support) == dim + 1:
+        return ball
+    for i in range(end):
+        p = pts[i]
+        if ball is None:
+            ball = _ref_mb(pts, i, support + [p], dim)
+            continue
+        center, r2 = ball
+        d2 = 0.0
+        for a in range(dim):
+            t = p[a] - center[a]
+            d2 += t * t
+        if d2 > r2 * (1.0 + 1e-13) + 1e-300:
+            ball = _ref_mb(pts, i, support + [p], dim)
+    return ball
+
+
+def _ref_meb(cloud):
+    if cloud.shape[1] == 1:
+        lo, hi = float(cloud.min()), float(cloud.max())
+        return np.asarray([(lo + hi) / 2.0]), (hi - lo) / 2.0
+    shuffled = cloud.tolist()
+    random.Random(0x5EEDBA11).shuffle(shuffled)
+    center, r2 = _ref_mb(shuffled, len(shuffled), [], cloud.shape[1])
+    return center, math.sqrt(max(r2, 0.0))
+
+
+def _ref_golden_min(f, lo, hi):
+    a, b = lo, hi
+    h = b - a
+    c, d = a + _INVPHI2 * h, a + _INVPHI * h
+    fc, fd = f(c), f(d)
+    while h > 1e-10 * max(abs(a), abs(b)):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = a + _INVPHI2 * h
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + _INVPHI * h
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def _reference_homothetic(q, p, sigma, eps):
+    """(accepted, deviation) of the two-search certificate."""
+    k = len(q)
+    qa, pa, m_p = q.coords, p.coords[list(sigma)], p.min_pairwise
+    d2 = [float(np.dot(qa[i] - qa[j], qa[i] - qa[j])) for i in range(k) for j in range(i + 1, k)]
+    lam_lo = math.sqrt(min(d2)) / (2.0 * m_p)
+    lam_hi = 2.0 * math.sqrt(max(d2)) / p.diameter
+    if lam_hi <= lam_lo:
+        lam_lo, lam_hi = min(lam_lo, lam_hi) * 0.5, max(lam_lo, lam_hi) * 2.0
+
+    def radius_at(lam):
+        return _ref_meb(qa - lam * pa)[1]
+
+    lo, hi = lam_lo, lam_hi
+    for _ in range(7):
+        lam_f, gap_f = _ref_golden_min(lambda lam: radius_at(lam) - eps * lam * m_p, lo, hi)
+        if gap_f <= 0.0:
+            break
+        width = hi - lo
+        if hi - lam_f <= 1e-3 * width:
+            hi *= 4.0
+        elif lam_f - lo <= 1e-3 * width:
+            lo *= 0.25
+        else:
+            break
+    lam_g, _ = _ref_golden_min(lambda lam: radius_at(lam) / (lam * m_p), lo, hi)
+    dev = min(radius_at(lam) / (lam * m_p) for lam in (lam_f, lam_g))
+    return dev <= eps + TAU, dev
+
+
+def _random_instance(rng):
+    """A noisy homothetic copy of a random pattern: d = 1..3, k = 2..12,
+    noise from exact to 1.0 * m_P, and a permuted assignment in 3 of 10."""
+    d, k = rng.randint(1, 3), rng.randint(2, 12)
+    while True:
+        pts = [tuple(rng.uniform(-3, 3) for _ in range(d)) for _ in range(k)]
+        if len(set(pts)) == k:
+            p = Pattern(d, pts)
+            if p.min_pairwise > 1e-3:
+                break
+    lam = math.exp(rng.uniform(-3, 3))
+    anchor = [rng.uniform(-50, 50) for _ in range(d)]
+    noise = rng.choice([0.0, 1e-9, 1e-3, 0.05, 0.2, 1 / 3, 0.5, 1.0]) * rng.random()
+    sigma = list(range(k))
+    if rng.random() < 0.3:
+        rng.shuffle(sigma)
+    rows = []
+    for i in range(k):
+        v = [rng.gauss(0, 1) for _ in range(d)]
+        norm = math.hypot(*v) or 1.0
+        r = noise * p.min_pairwise * lam * rng.random() ** (1 / d)
+        rows.append(tuple(anchor[a] + lam * p.coords[sigma[i]][a] + r * v[a] / norm for a in range(d)))
+    return PointSet(d, rows), p, sigma, rng.choice([0.05, 0.15, 0.25, 1 / 3])
+
+
+def _compare_with_reference(rng, n):
+    """Same verdicts as the two-search certificate, and never a larger
+    deviation, beyond 1e-9 relative and the float rounding of evaluating a
+    deviation at the candidate's coordinates (which both searches share)."""
+    compared = 0
+    for _ in range(n):
+        q, p, sigma, eps = _random_instance(rng)
+        if len(set(map(tuple, q.coords.tolist()))) < len(q):
+            continue
+        r = verify_homothetic(q, p, sigma, eps)
+        accepted, dev = _reference_homothetic(q, p, sigma, eps)
+        assert r.accepted == accepted
+        rounding = 16 * np.finfo(float).eps * np.abs(q.coords).max() / (r.witness_scale * p.min_pairwise)
+        assert r.max_relative_deviation <= dev * (1 + 1e-9) + rounding
+        compared += 1
+    assert compared >= 0.95 * n
