@@ -10,6 +10,7 @@ input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -270,7 +271,9 @@ def _add_common_search_flags(p: argparse.ArgumentParser, *, need_k: bool) -> Non
     p.add_argument("--svg", help="write a figure of the input/result")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="apxpat",
                                  description="approximate pattern search in separated point sets")
     ap.add_argument("--version", action="version",

@@ -6,16 +6,24 @@ whose segments share one bucket form an eps-collinear set (the two base
 angles of every triangle are bounded by the bucket width), so the finder
 looks for a k-clique inside each bucket's segment graph, richest bucket
 first.  A found subset is re-certified with the collinearity verifier.
+
+The coloring is held as arrays: every pair in ``np.triu_indices`` order and
+one bucket per pair.  A bucket's graph is peeled to its (k-1)-core in numpy
+and searched with Python-int bitsets over the core's vertices, pruned by a
+greedy coloring bound, in the style of bit-parallel maximum-clique solvers
+(San Segundo et al., "An improved bit-parallel exact maximum clique
+algorithm", 2011).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DegenerateFrame, DimensionMismatch, InternalError
+import numpy as np
+
+from .errors import BudgetExceeded, DegenerateFrame, DimensionMismatch, InternalError
 from .geometry import PointSet
 from .verifier import triangle_angles, verify_collinear
 
@@ -34,14 +42,22 @@ _FRAME_TOL = 1e-12
 # irrational multiple of pi never realigns a finite set twice.
 _FRAME_ANGLE = 2.0 / (1.0 + math.sqrt(5.0))
 _MAX_FRAME_FIXES = 8
+# numpy's arctan2 can differ from math.atan2 in the last bit, which moves a
+# bucket position (angle over bucket width) by about r * 1e-16.  Positions
+# within _EDGE_MARGIN * r of a bucket edge are recomputed with math.atan2,
+# so every bucket is the one the scalar rule gives.
+_EDGE_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngleColoring:
-    """Bucket assignment for every unordered pair of point indices."""
+    """Bucket ``assignments[p]`` of the pair ``(i[p], j[p])``, for every
+    unordered pair of point indices in ``np.triu_indices`` order."""
 
     r: int
-    assignments: dict[tuple[int, int], int]
+    i: np.ndarray
+    j: np.ndarray
+    assignments: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,7 +73,21 @@ class CollinearOutcome:
 
 
 def bucket_count(eps: float) -> int:
+    if not (0.0 < eps < 1.0):
+        raise ValueError("eps must lie in (0, 1)")
     return math.ceil(math.pi / eps) + 1
+
+
+def _buckets(dx: np.ndarray, dy: np.ndarray, r: int) -> np.ndarray:
+    """Bucket of each segment direction (dx != 0), taken modulo pi: with dx
+    made positive, floor((atan2(dy, dx) + pi/2) / (pi/r)) clamped to [0, r)."""
+    dx, dy = np.abs(dx), np.where(dx < 0, -dy, dy)
+    width = math.pi / r
+    pos = (np.arctan2(dy, dx) + math.pi / 2.0) / width
+    b = np.floor(pos)
+    for p in np.flatnonzero(np.abs(pos - np.rint(pos)) < _EDGE_MARGIN * r):
+        b[p] = math.floor((math.atan2(dy[p], dx[p]) + math.pi / 2.0) / width)
+    return np.clip(b, 0, r - 1).astype(np.intp)
 
 
 def angle_bucket(p: Sequence[float], q: Sequence[float], r: int) -> int:
@@ -65,36 +95,25 @@ def angle_bucket(p: Sequence[float], q: Sequence[float], r: int) -> int:
 
     Buckets are the half-closed intervals [-pi/2 + i*pi/r, -pi/2 + (i+1)*pi/r).
     """
+    if not isinstance(r, (int, np.integer)) or r < 1:
+        raise ValueError("r must be an integer >= 1")
     if len(p) != 2 or len(q) != 2:
         raise DimensionMismatch("angle buckets are defined in the plane")
     if p[0] == q[0] and p[1] == q[1]:
         raise ValueError("coincident points have no direction")
-    dx = q[0] - p[0]
-    dy = q[1] - p[1]
-    if dx < 0:
-        dx, dy = -dx, -dy
-    if dx == 0:
+    if p[0] == q[0]:
         raise ValueError("vertical segment; fix the frame first")
-    theta = math.atan2(dy, dx)
-    bucket = math.floor((theta + math.pi / 2.0) / (math.pi / r))
-    if bucket < 0:
-        bucket = 0
-    elif bucket >= r:
-        bucket = r - 1
-    return bucket
+    return int(_buckets(np.array([q[0] - p[0]], float), np.array([q[1] - p[1]], float), r)[0])
 
 
-def _rotate(coords: list[list[float]], angle: float) -> list[tuple[float, float]]:
-    ca, sa = math.cos(angle), math.sin(angle)
-    return [(ca * x - sa * y, sa * x + ca * y) for x, y in coords]
-
-
-def _fix_frame(coords: list[list[float]]) -> tuple[list, int]:
+def _fix_frame(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """x and y after the fewest rotations that make x pairwise distinct."""
+    x, y = coords[:, 0], coords[:, 1]
+    ca, sa = math.cos(_FRAME_ANGLE), math.sin(_FRAME_ANGLE)
     for attempt in range(_MAX_FRAME_FIXES + 1):
-        xs = sorted(c[0] for c in coords)
-        if all(b - a > _FRAME_TOL for a, b in zip(xs, xs[1:])):
-            return coords, attempt
-        coords = _rotate(coords, _FRAME_ANGLE)
+        if np.all(np.diff(np.sort(x)) > _FRAME_TOL):
+            return x, y, attempt
+        x, y = ca * x - sa * y, sa * x + ca * y
     raise DegenerateFrame("could not make x-coordinates pairwise distinct")
 
 
@@ -102,86 +121,96 @@ def build_coloring(s: PointSet, eps: float) -> tuple[AngleColoring, int]:
     """Angle coloring of all segments; returns it plus the rotation count."""
     if s.dim != 2:
         raise DimensionMismatch("coloring is defined in the plane")
-    pts, rotations = _fix_frame(s.coords.tolist())
     r = bucket_count(eps)
-    assignments = {}
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            assignments[(i, j)] = angle_bucket(pts[i], pts[j], r)
-    return AngleColoring(r, assignments), rotations
+    x, y, rotations = _fix_frame(s.coords)
+    i, j = np.triu_indices(len(x), 1)
+    return AngleColoring(r, i, j, _buckets(x[j] - x[i], y[j] - y[i], r)), rotations
 
 
-def _greedy_color_bound(cands: list[int], adj: dict[int, set[int]]) -> int:
-    """Greedy coloring of the candidate subgraph; color count bounds the clique."""
-    colors: dict[int, int] = {}
-    for v in cands:
-        used = {colors[u] for u in adj[v] if u in colors}
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
-    return len(set(colors.values())) if colors else 0
+def _core(i: np.ndarray, j: np.ndarray, n: int, m: int) -> tuple[list[int], list[int]]:
+    """The m-core (m >= 1) of the graph on n vertices with edges (i, j).
+
+    Returns the core's vertices ordered by (-core degree, index), and each
+    one's neighbours as a bitset whose bit p stands for the p-th of them.
+    """
+    while True:
+        deg = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+        keep = (deg[i] >= m) & (deg[j] >= m)
+        if keep.all():
+            break
+        i, j = i[keep], j[keep]
+    by_degree = np.argsort(-deg, kind="stable")
+    size = np.count_nonzero(deg)
+    pos = np.argsort(by_degree)
+    adj = np.zeros((size, size), dtype=bool)
+    adj[pos[i], pos[j]] = adj[pos[j], pos[i]] = True
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    return by_degree[:size].tolist(), [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-class _Exhausted(Exception):
-    pass
+def _colors_reach(cands: int, nbr: list[int], need: int) -> bool:
+    """Whether a greedy coloring of cands, in bit order, uses >= need colors.
+
+    Built one color class at a time, which gives the classes of sequential
+    first-fit coloring; the color count bounds the clique size.
+    """
+    colors = 0
+    while cands and colors < need:
+        colors += 1
+        avail = cands
+        while avail:
+            low = avail & -avail
+            cands ^= low
+            avail &= ~low & ~nbr[low.bit_length() - 1]
+    return colors >= need
 
 
-def _k_clique(adj: dict[int, set[int]], k: int, budget: int) -> tuple[Optional[list[int]], bool]:
+def _k_clique(
+    i: np.ndarray, j: np.ndarray, n: int, k: int, budget: int
+) -> tuple[Optional[list[int]], bool]:
     """Exact k-clique search; returns (clique or None, budget_exhausted)."""
-    # k-core peel: vertices of degree < k-1 can never join a k-clique.
-    adj = {v: set(nb) for v, nb in adj.items()}
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            if len(adj[v]) < k - 1:
-                for u in adj[v]:
-                    adj[u].discard(v)
-                del adj[v]
-                changed = True
-    if len(adj) < k:
+    # Vertices outside the (k-1)-core can never join a k-clique.
+    order, nbr = _core(i, j, n, k - 1)
+    if len(order) < k:
         return None, False
-    order = sorted(adj, key=lambda v: (-len(adj[v]), v))
     nodes = 0
 
-    def extend(clique: list[int], cands: list[int]) -> Optional[list[int]]:
+    def extend(clique: list[int], cands: int) -> Optional[list[int]]:
         nonlocal nodes
         if len(clique) == k:
             return clique
         nodes += 1
         if nodes > budget:
-            raise _Exhausted
-        if len(clique) + len(cands) < k:
+            raise BudgetExceeded(f"clique search passed {budget} nodes")
+        if not _colors_reach(cands, nbr, k - len(clique)):
             return None
-        if len(clique) + _greedy_color_bound(cands, adj) < k:
-            return None
-        for pos, v in enumerate(cands):
-            if len(clique) + (len(cands) - pos) < k:
+        while cands:
+            if len(clique) + cands.bit_count() < k:
                 return None
-            nxt = [u for u in cands[pos + 1:] if u in adj[v]]
-            out = extend(clique + [v], nxt)
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            out = extend(clique + [order[v]], cands & nbr[v])
             if out is not None:
                 return out
         return None
 
     try:
-        return extend([], order), False
-    except _Exhausted:
+        return extend([], (1 << len(order)) - 1), False
+    except BudgetExceeded:
         return None, True
 
 
-def _greedy_clique(adj: dict[int, set[int]], k: int) -> Optional[list[int]]:
+def _greedy_clique(order: list[int], nbr: list[int], k: int) -> Optional[list[int]]:
     """Best-effort fallback after budget exhaustion."""
-    order = sorted(adj, key=lambda v: (-len(adj[v]), v))
-    for start in order:
+    for start, common in enumerate(nbr):
         clique = [start]
-        for u in order:
-            if u != start and all(u in adj[v] for v in clique):
-                clique.append(u)
-                if len(clique) == k:
-                    return clique
+        while common:
+            v = (common & -common).bit_length() - 1
+            clique.append(v)
+            if len(clique) == k:
+                return [order[v] for v in clique]
+            common &= nbr[v]
     return None
 
 
@@ -194,8 +223,12 @@ def find_collinear(
 ) -> CollinearOutcome:
     """Search for a k-point eps-collinear subset of a planar point set.
 
-    proven_absent is True only when every bucket was searched exactly; a
-    budget-exhausted run reports found=False without that proof.
+    Each bucket with at least C(k, 2) pairs, richest first, gets an exact
+    k-clique search of at most ``node_budget`` nodes (default
+    ``DEFAULT_NODE_BUDGET``).  If that runs out, a greedy pass over the
+    bucket's whole graph may still find a clique.  proven_absent is True
+    only when every bucket was searched exactly; a budget-exhausted run
+    reports found=False without that proof.
     """
     if s.dim != 2:
         raise DimensionMismatch("the finder is restricted to the plane")
@@ -208,8 +241,7 @@ def find_collinear(
     if len(set(map(tuple, s.coords.tolist()))) < len(s):
         raise ValueError("points must be pairwise distinct")
     if node_budget is None:
-        env = os.environ.get("APXPAT_BUDGET")
-        node_budget = int(env) if env else DEFAULT_NODE_BUDGET
+        node_budget = DEFAULT_NODE_BUDGET
 
     if len(s) < k:
         return CollinearOutcome(
@@ -219,25 +251,21 @@ def find_collinear(
         )
 
     coloring, rotations = build_coloring(s, eps)
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for pair, b in coloring.assignments.items():
-        buckets.setdefault(b, []).append(pair)
-    order = sorted(buckets, key=lambda b: (-len(buckets[b]), b))
+    counts = np.bincount(coloring.assignments, minlength=coloring.r)
+    by_bucket = np.argsort(coloring.assignments, kind="stable")
+    starts = np.cumsum(counts) - counts
 
     exhausted_any = False
-    for b in order:
-        edges = buckets[b]
-        if len(edges) < k * (k - 1) // 2:
-            continue
-        adj: dict[int, set[int]] = {}
-        for i, j in edges:
-            adj.setdefault(i, set()).add(j)
-            adj.setdefault(j, set()).add(i)
-        clique, exhausted = _k_clique(adj, k, node_budget)
+    for b in np.argsort(-counts, kind="stable").tolist():
+        if counts[b] < k * (k - 1) // 2:
+            break
+        pairs = by_bucket[starts[b]:starts[b] + counts[b]]
+        i, j = coloring.i[pairs], coloring.j[pairs]
+        clique, exhausted = _k_clique(i, j, len(s), k, node_budget)
         if exhausted:
             exhausted_any = True
             if clique is None:
-                clique = _greedy_clique(adj, k)
+                clique = _greedy_clique(*_core(i, j, len(s), 1), k)
         if clique is None:
             continue
         subset = tuple(sorted(clique))
@@ -246,7 +274,7 @@ def find_collinear(
             raise InternalError(
                 "monochromatic subset failed collinearity verification; this cannot happen"
             )
-        worst = tuple(subset[i] for i in worst_local)
+        worst = tuple(subset[t] for t in worst_local)
         angles = triangle_angles(*s.coords[list(worst)].tolist())
         return CollinearOutcome(
             found=True, subset=subset, bucket=b, accepted=True,

@@ -10,7 +10,6 @@ minimum enclosing ball, no golden section).
 from __future__ import annotations
 
 import math
-import os
 from itertools import combinations, permutations
 from typing import Sequence
 
@@ -32,13 +31,6 @@ DEFAULT_SUBSET_BUDGET = 10**7
 DEFAULT_COLLINEAR_BUDGET = 10**6
 
 
-def _budget(explicit: int | None, default: int) -> int:
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get("APXPAT_BUDGET")
-    return int(env) if env else default
-
-
 def enumerate_aps(
     s: PointSet, k: int, eps: float, *, budget: int | None = None
 ) -> list[tuple[int, ...]]:
@@ -49,7 +41,7 @@ def enumerate_aps(
         raise ValueError("k must be an integer >= 3")
     k = int(k)
     n = len(s)
-    cap = _budget(budget, DEFAULT_SUBSET_BUDGET)
+    cap = DEFAULT_SUBSET_BUDGET if budget is None else int(budget)
     if math.comb(n, k) > cap:
         raise BudgetExceeded(f"C({n},{k}) exceeds the budget {cap}")
     xs = s.coords[:, 0].tolist()
@@ -76,7 +68,7 @@ def enumerate_homothetic(
     if k > 8:
         raise BudgetExceeded("pattern size capped at 8 for enumeration")
     n = len(s)
-    cap = _budget(budget, DEFAULT_SUBSET_BUDGET)
+    cap = DEFAULT_SUBSET_BUDGET if budget is None else int(budget)
     if math.comb(n, k) * math.factorial(k) > cap:
         raise BudgetExceeded(f"C({n},{k})*{k}! exceeds the budget {cap}")
     hits = []
@@ -102,7 +94,7 @@ def exists_collinear(
     n = len(s)
     if n < k:
         return False
-    cap = _budget(budget, DEFAULT_COLLINEAR_BUDGET)
+    cap = DEFAULT_COLLINEAR_BUDGET if budget is None else int(budget)
     if math.comb(n, k) > cap:
         raise BudgetExceeded(f"C({n},{k}) exceeds the budget {cap}")
     for combo in combinations(range(n), k):

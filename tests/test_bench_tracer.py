@@ -61,6 +61,9 @@ def test_traced_searches_record_their_layers(tmp_path, monkeypatch):
             "generators.gen_random_separated", "generators.gen_jittered_lattice",
             "kernels.dart_throw", "kernels.has_close_pair", "collinear.build_coloring",
             "collinear.find_collinear", "verifier.verify_collinear"} <= names
+    # The tracer counts pairs as the coloring's len(assignments): 8 points.
+    tube_phase = next(p for p, argv in enumerate(commands) if argv[:2] == ("search", "collinear"))
+    assert t.counts[tube_phase]["collinear.pairs_colored"] == 28
     selfs = t.self_times()
     for phase in range(len(commands)):
         root = t.root_time(phase)

@@ -1,9 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from apxpat import collinear
 from apxpat.collinear import (
+    CollinearOutcome,
     angle_bucket,
     bucket_count,
     build_coloring,
@@ -11,7 +14,7 @@ from apxpat.collinear import (
 )
 from apxpat.errors import DimensionMismatch
 from apxpat.geometry import Point, PointSet, diameter
-from apxpat.verifier import cylinder_radius, verify_collinear
+from apxpat.verifier import cylinder_radius, triangle_angles, verify_collinear
 
 
 def planted_tube_instance(seed: int, n_noise: int = 200, n_tube: int = 10):
@@ -52,12 +55,27 @@ def test_angle_bucket_examples():
         angle_bucket(Point((0, 0, 0)), Point((1, 0, 0)), 8)
 
 
+def test_bad_bucket_parameters_rejected():
+    p, q = Point((0, 0)), Point((1, 1))
+    for r in (0, -3, 2.5):
+        with pytest.raises(ValueError):
+            angle_bucket(p, q, r)
+    s = PointSet(2, [(0, 0), (1, 0.5), (2, 1.1)])
+    for eps in (0.0, -1.0, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            bucket_count(eps)
+        with pytest.raises(ValueError):
+            build_coloring(s, eps)
+
+
 def test_coloring_is_partition():
     s = PointSet(2, [(0.1, 0.2), (1.3, 0.4), (2.1, 1.9), (0.7, 1.1)])
     coloring, _ = build_coloring(s, 0.3)
     n = len(s)
-    assert set(coloring.assignments) == {(i, j) for i in range(n) for j in range(i + 1, n)}
-    assert all(0 <= b < coloring.r for b in coloring.assignments.values())
+    pairs = list(zip(coloring.i.tolist(), coloring.j.tolist()))
+    assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert len(coloring.assignments) == len(pairs)
+    assert all(0 <= b < coloring.r for b in coloring.assignments.tolist())
     assert math.pi / coloring.r <= 0.3
 
 
@@ -107,22 +125,17 @@ def test_monochromatic_implies_collinear():
     s = PointSet(2, pts)
     eps = 0.25
     coloring, _ = build_coloring(s, eps)
-    by_bucket = {}
-    for (i, j), b in coloring.assignments.items():
-        by_bucket.setdefault(b, []).append((i, j))
     checked = 0
-    for b, edges in by_bucket.items():
-        adj = {}
-        for i, j in edges:
-            adj.setdefault(i, set()).add(j)
-            adj.setdefault(j, set()).add(i)
-        # greedily find any triangle in this bucket
-        for i, j in edges:
-            common = adj[i] & adj[j]
-            if common:
-                m = min(common)
-                sub = PointSet(2, [s.points[v] for v in (i, j, m)])
-                acc, _ = verify_collinear(sub, eps)
+    for b in np.unique(coloring.assignments):
+        mono = coloring.assignments == b
+        adj = np.zeros((len(s), len(s)), dtype=bool)
+        adj[coloring.i[mono], coloring.j[mono]] = True
+        adj |= adj.T
+        # any triangle in this bucket
+        for i, j in zip(coloring.i[mono], coloring.j[mono]):
+            common = np.flatnonzero(adj[i] & adj[j])
+            if len(common):
+                acc, _ = verify_collinear(s.subset((i, j, common[0])), eps)
                 assert acc
                 checked += 1
                 break
@@ -150,3 +163,206 @@ def test_determinism():
     a = find_collinear(s, 8, 0.1)
     b = find_collinear(s, 8, 0.1)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# The finder before the coloring became arrays and the bucket graphs
+# bitsets: a dict of pair tuples, per-bucket edge lists and dict-of-set
+# adjacency.  Kept as the reference the array-and-bitset finder must match
+# outcome for outcome, budget exhaustion included.
+# ---------------------------------------------------------------------------
+
+def _ref_bucket(dx, dy, r):
+    theta = math.atan2(dy, dx)
+    bucket = math.floor((theta + math.pi / 2.0) / (math.pi / r))
+    return min(max(bucket, 0), r - 1)
+
+
+def _ref_coloring(coords, eps):
+    ca, sa = math.cos(collinear._FRAME_ANGLE), math.sin(collinear._FRAME_ANGLE)
+    pts = coords
+    for rotations in range(collinear._MAX_FRAME_FIXES + 1):
+        xs = sorted(c[0] for c in pts)
+        if all(b - a > collinear._FRAME_TOL for a, b in zip(xs, xs[1:])):
+            break
+        pts = [(ca * x - sa * y, sa * x + ca * y) for x, y in pts]
+    r = math.ceil(math.pi / eps) + 1
+    assignments = {}
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            dx, dy = pts[j][0] - pts[i][0], pts[j][1] - pts[i][1]
+            if dx < 0:
+                dx, dy = -dx, -dy
+            assignments[(i, j)] = _ref_bucket(dx, dy, r)
+    return assignments, rotations
+
+
+def _ref_color_bound(cands, adj):
+    colors = {}
+    for v in cands:
+        used = {colors[u] for u in adj[v] if u in colors}
+        c = 0
+        while c in used:
+            c += 1
+        colors[v] = c
+    return len(set(colors.values())) if colors else 0
+
+
+class _RefExhausted(Exception):
+    pass
+
+
+def _ref_k_clique(adj, k, budget):
+    adj = {v: set(nb) for v, nb in adj.items()}
+    changed = True
+    while changed:
+        changed = False
+        for v in list(adj):
+            if len(adj[v]) < k - 1:
+                for u in adj[v]:
+                    adj[u].discard(v)
+                del adj[v]
+                changed = True
+    if len(adj) < k:
+        return None, False
+    order = sorted(adj, key=lambda v: (-len(adj[v]), v))
+    nodes = 0
+
+    def extend(clique, cands):
+        nonlocal nodes
+        if len(clique) == k:
+            return clique
+        nodes += 1
+        if nodes > budget:
+            raise _RefExhausted
+        if len(clique) + len(cands) < k:
+            return None
+        if len(clique) + _ref_color_bound(cands, adj) < k:
+            return None
+        for pos, v in enumerate(cands):
+            if len(clique) + (len(cands) - pos) < k:
+                return None
+            out = extend(clique + [v], [u for u in cands[pos + 1:] if u in adj[v]])
+            if out is not None:
+                return out
+        return None
+
+    try:
+        return extend([], order), False
+    except _RefExhausted:
+        return None, True
+
+
+def _ref_greedy_clique(adj, k):
+    order = sorted(adj, key=lambda v: (-len(adj[v]), v))
+    for start in order:
+        clique = [start]
+        for u in order:
+            if u != start and all(u in adj[v] for v in clique):
+                clique.append(u)
+                if len(clique) == k:
+                    return clique
+    return None
+
+
+def _ref_find_collinear(s, k, eps, budget):
+    """(outcome, whether some bucket's exact search ran out of budget)."""
+    if len(s) < k:
+        return CollinearOutcome(False, (), None, False, None, None, True, 0), False
+    assignments, rotations = _ref_coloring(s.coords.tolist(), eps)
+    buckets = {}
+    for pair, b in assignments.items():
+        buckets.setdefault(b, []).append(pair)
+    exhausted_any = False
+    for b in sorted(buckets, key=lambda b: (-len(buckets[b]), b)):
+        edges = buckets[b]
+        if len(edges) < k * (k - 1) // 2:
+            continue
+        adj = {}
+        for i, j in edges:
+            adj.setdefault(i, set()).add(j)
+            adj.setdefault(j, set()).add(i)
+        clique, exhausted = _ref_k_clique(adj, k, budget)
+        if exhausted:
+            exhausted_any = True
+            if clique is None:
+                clique = _ref_greedy_clique(adj, k)
+        if clique is None:
+            continue
+        subset = tuple(sorted(clique))
+        accepted, worst_local = verify_collinear(s.subset(subset), eps)
+        assert accepted
+        worst = tuple(subset[t] for t in worst_local)
+        angles = triangle_angles(*s.coords[list(worst)].tolist())
+        return CollinearOutcome(True, subset, b, True, worst, angles, False,
+                                rotations), exhausted_any
+    return CollinearOutcome(False, (), None, False, None, None, not exhausted_any,
+                            rotations), exhausted_any
+
+
+def _reference_instances(rng):
+    """(point set, k, eps, budget): uniform clouds, lines on bucket edges,
+    vertical lines that need frame rotations, planted tubes, and exact
+    searches cut off after 1 to 100 nodes."""
+    for t in range(250):
+        kind = t % 5
+        if kind == 4:
+            # wide buckets over a denser cloud: long searches, often cut off
+            n, eps, k = rng.randint(40, 80), rng.choice((0.5, 0.7, 0.9)), rng.randint(6, 9)
+        else:
+            n, eps, k = rng.randint(5, 36), rng.choice((0.05, 0.1, 0.2, 0.3, 0.5)), rng.randint(3, 7)
+        pts = {(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(n)}
+        if kind == 1:
+            # a line along a bucket edge, jittered across it
+            r = bucket_count(eps)
+            theta = -math.pi / 2 + rng.randint(1, r - 1) * math.pi / r
+            for u in range(rng.randint(k - 1, k + 4)):
+                off = rng.uniform(-1e-4, 1e-4)
+                pts.add((0.5 + 0.1 * u * math.cos(theta) - off * math.sin(theta),
+                         0.5 + 0.1 * u * math.sin(theta) + off * math.cos(theta)))
+        elif kind == 2:
+            x = rng.choice((0.25, 0.5))
+            pts |= {(x, 0.07 * u) for u in range(rng.randint(k - 1, k + 4))}
+        budget = round(10 ** rng.uniform(0, 2)) if kind == 4 or t % 3 == 0 else None
+        yield PointSet(2, sorted(pts, key=lambda p: rng.random())), k, eps, budget
+    for seed in range(3):
+        s, _ = planted_tube_instance(seed, n_noise=120)
+        yield s, 8, 0.1, None
+        yield s, 8, 0.1, 5 + 20 * seed
+
+
+def test_matches_dict_reference():
+    rng = random.Random(2011)
+    seen = exhausted = found = absent = rotated = 0
+    for s, k, eps, budget in _reference_instances(rng):
+        new = find_collinear(s, k, eps, node_budget=budget)
+        ref, ran_out = _ref_find_collinear(
+            s, k, eps, collinear.DEFAULT_NODE_BUDGET if budget is None else budget)
+        assert vars(new) == vars(ref), (s.coords.tolist(), k, eps, budget)
+        seen += 1
+        exhausted += ran_out
+        found += new.found
+        absent += new.proven_absent
+        rotated += new.rotations > 0
+    assert seen >= 200
+    assert exhausted >= 20 and found >= 50 and absent >= 50 and rotated >= 30
+
+
+def test_buckets_at_edges_match_scalar_rule():
+    # Directions within 1e-15 rad of every inner bucket edge: numpy's
+    # arctan2 alone puts some of them in the neighbouring bucket.
+    rng = np.random.default_rng(5)
+    offsets = np.linspace(-1e-15, 1e-15, 200)
+    total = 0
+    for r in (4, 8, 33, 64, 101):
+        edges = -math.pi / 2 + np.arange(1, r) * (math.pi / r)
+        theta = (edges[:, None] + offsets[None, :]).ravel()
+        length = rng.uniform(0.1, 10.0, theta.size)
+        dx, dy = length * np.cos(theta), length * np.sin(theta)
+        want = [_ref_bucket(a, b, r) for a, b in zip(dx.tolist(), dy.tolist())]
+        assert collinear._buckets(dx, dy, r).tolist() == want, r
+        step = 97
+        assert [angle_bucket((0.0, 0.0), (a, b), r) for a, b in
+                zip(dx[::step].tolist(), dy[::step].tolist())] == want[::step]
+        total += theta.size
+    assert total == 41_000

@@ -13,6 +13,11 @@ search-pattern.json, verify-pattern-accept.json and
 verify-pattern-reject.json) were re-recorded when the certificate became
 one convex search over 1/scale: that change is meant to move the low bits
 of the deviation and the witness, and nothing else in them.
+
+The two collinear searches over generated clouds (search-collinear-greedy.json,
+the budget-exhausted fallback, and search-collinear-absent.json, a proven
+absence) were recorded before the coloring became arrays and the bucket
+graphs bitsets.
 """
 
 import hashlib
@@ -64,6 +69,10 @@ GOLDEN = {
         "be8be14877b21a0fe1a21a049fb308469ab16f95a17cb537d6a54248909e6f68",
     "bounds-1d.json":
         "71d8b4e2a46d3864ec3552db347684fc6b777fb703cd00c74df1d2f5f170ab44",
+    "search-collinear-greedy.json":
+        "96827816ada6df125dc0499338dc04d7628e13170675dc5536342915fed06caf",
+    "search-collinear-absent.json":
+        "0db0386182a7b660eb26ec7dacf21165c7cd785a25fe7dfd426b688251b3e337",
 }
 
 
@@ -164,6 +173,29 @@ def artifacts(tmp_path) -> dict[str, bytes]:
     code, out["bounds-1d.json"] = _run_cli("bounds", "--dim", "1", "--k", "3", "--c", "0.3",
                                            "--delta", "1", "--eps", EPS, "--json")
     assert code == 0
+
+    def cloud(count, seed):
+        path = tmp_path / f"cloud-{count}-{seed}.txt"
+        code, _ = _run_cli("generate", "--kind", "random", "--dim", "2", "--length", "1",
+                           "--delta", "0.01", "--count", str(count), "--seed", str(seed),
+                           "--out", str(path), "--json")
+        assert code == 0
+        return str(path)
+
+    # A 3-node budget cuts the exact clique search short; the greedy pass
+    # over the whole bucket graph then finds the subset.
+    code, out["search-collinear-greedy.json"] = _run_cli(
+        "search", "collinear", "--input", cloud(60, 4), "--k", "6", "--eps", "0.3",
+        "--budget", "3", "--json")
+    assert code == 0
+    # An exhaustive search that finds no monochromatic 5-clique; the oracle
+    # agrees that no 5-point 0.1-collinear subset exists.
+    small = cloud(18, 0)
+    code, out["search-collinear-absent.json"] = _run_cli(
+        "search", "collinear", "--input", small, "--k", "5", "--eps", "0.1", "--json")
+    assert code == 1
+    assert _run_cli("oracle", "collinear", "--input", small, "--k", "5", "--eps", "0.1",
+                    "--json") == (1, b'{"schema": 1, "exists": false}\n')
     return out
 
 

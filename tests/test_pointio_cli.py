@@ -241,6 +241,19 @@ class TestCli:
         code, _ = run_cli("bogus-verb")
         assert code == 2
 
+    def test_consecutive_calls_are_independent(self, tmp_path):
+        # The parser is built once per process; no call may see another's flags.
+        pts = tmp_path / "grid.txt"
+        run_cli("generate", "--kind", "lattice", "--dim", "2", "--length", "30",
+                "--jitter", "0.4", "--seed", "1", "--out", str(pts))
+        argv = ("search", "grid", "--input", str(pts), "--k", "3",
+                "--eps", "0.3333333333333333", "--delta", "0.2", "--c", "1.0", "--json")
+        code, out = run_cli(*argv, "--trace")
+        assert code == 0 and "trace" in json.loads(out)
+        assert run_cli("search", "grid", "--input", str(pts))[0] == 2
+        code, out = run_cli(*argv)
+        assert code == 0 and "trace" not in json.loads(out)
+
     def test_json_single_object(self, tmp_path):
         pts = tmp_path / "pts.txt"
         pts.write_bytes(b"1\n0\n1\n2\n")
