@@ -1,5 +1,5 @@
 """Geometric kernels: the splitmix64 stream, dart throwing, the separation
-audit, cell binning and pairwise scans.
+audit, cell binning and the pair scan.
 
 Callers look kernels up as ``_kernels.<name>(...)`` at call time rather
 than importing the names, so replacing an attribute of this module
@@ -7,6 +7,12 @@ replaces it for every caller.
 
 ``BACKEND = "pure-python"`` means no compiled extension: the kernels are
 written in Python and numpy.
+
+splitmix64 (Steele, Lea and Flood, 2014) is counter-based: its m-th state
+is seed + m*gamma mod 2^64, and each output is a fixed mix of one state.
+``splitmix64_block`` therefore draws any run of the stream as one numpy
+uint64 array, with the same bits as stepping it one word at a time; it is
+the only code that knows the stream.
 """
 
 import math
@@ -16,24 +22,30 @@ import numpy as np
 BACKEND = "pure-python"
 
 _MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 _TO53 = 2.0**-53
+# Candidate rows per stream block in dart_throw: enough to amortise the
+# numpy draw, few enough that the words past the stopping attempt are cheap.
+_BLOCK_ROWS = 1024
 
 
-def splitmix64_next(state):
-    """Advance a splitmix64 state; returns (new_state, 64-bit output)."""
-    state = (state + _GAMMA) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    z ^= z >> 31
-    return state, z
+def splitmix64_block(state, count):
+    """The next count outputs of the splitmix64 stream at state, as a uint64
+    array, and the state after them.  Any int is a state: it is taken
+    mod 2^64.  Chained blocks give the same words as one longer block."""
+    state = int(state) & _MASK64
+    z = np.arange(1, count + 1, dtype=np.uint64) * _GAMMA + np.uint64(state)
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z ^= z >> np.uint64(31)
+    return z, (state + count * int(_GAMMA)) & _MASK64
 
 
 def unit_from_bits(z):
-    """Map a 64-bit word to [0, 1) by filling the 53-bit mantissa."""
+    """Map 64-bit words (an int or a uint64 array) to [0, 1) by filling the
+    53-bit mantissa."""
     return (z >> 11) * _TO53
 
 
@@ -64,62 +76,70 @@ def dart_throw(dim, length, delta, target, seed, max_attempts):
     """Sequential dart throwing in [0, length)^dim with minimum distance delta.
 
     Returns (flat_coords, attempts) where flat_coords holds the accepted
-    points row-major in acceptance order.  Stops when target points were
-    accepted or max_attempts candidates were drawn.
+    points row-major in acceptance order.  Stops at the attempt that
+    accepts the target-th point, or after max_attempts candidates.
 
-    Candidates are checked against the accepted points in the neighbouring
-    grid cells, or against all accepted points when there are fewer of
-    those than neighbour offsets ((2*rings+1)^dim grows past 10^9 at
-    dim=10).  Both give the same decisions.
+    Candidates are rows of dim consecutive stream words, drawn in blocks of
+    rows; the words a run stops short of are never used.  Each is checked
+    against the accepted points in the neighbouring grid cells, or against
+    all accepted points when there are fewer of those than neighbour
+    offsets ((2*rings+1)^dim grows past 10^9 at dim=10).  Both give the
+    same decisions.  Cell keys are linear in the cell index, so a
+    neighbour's key is the candidate's key plus the offset's.
     """
     cell = delta * (1.0 - 1e-9) / math.sqrt(dim)
+    span = length / cell
+    if not math.isfinite(span):
+        raise ValueError(f"length {length:g} spans too many cells of delta {delta:g}")
     rings = int(delta / cell) + 1
     direct = (2 * rings + 1) ** dim > target
-    ncells = int(length / cell) + 2
-    base = ncells + 2 * rings
-    offsets = () if direct else _neighbor_offsets(dim, rings)
+    base = int(span) + 2 + 2 * rings
+    off_keys = [] if direct else [_linear_key([o + rings for o in off], base)
+                                  for off in _neighbor_offsets(dim, rings)]
     grid = {}
     accepted = []
     delta2 = delta * delta
-    state = seed & _MASK64
+    state = seed
     n = 0
     attempts = 0
     while n < target and attempts < max_attempts:
-        attempts += 1
-        cand = []
-        for _ in range(dim):
-            state, z = splitmix64_next(state)
-            cand.append(unit_from_bits(z) * length)
-        if direct:
-            if not _any_closer(accepted, n, dim, cand, delta2):
+        rows = min(_BLOCK_ROWS, max_attempts - attempts)
+        words, state = splitmix64_block(state, rows * dim)
+        for cand in (unit_from_bits(words) * length).reshape(rows, dim).tolist():
+            attempts += 1
+            if direct:
+                ok = not _any_closer(accepted, n, dim, cand, delta2)
+            else:
+                key = _linear_key([int(c / cell) for c in cand], base)
+                ok = True
+                for off in off_keys:
+                    idx = grid.get(key + off)
+                    if idx is None:
+                        continue
+                    b = idx * dim
+                    d2 = 0.0
+                    for a in range(dim):
+                        t = accepted[b + a] - cand[a]
+                        d2 += t * t
+                    if d2 < delta2:
+                        ok = False
+                        break
+                if ok:
+                    grid[key + off_keys[0]] = n
+            if ok:
                 accepted.extend(cand)
                 n += 1
-            continue
-        home = [int(cand[a] / cell) for a in range(dim)]
-        ok = True
-        for off in offsets:
-            key = 0
-            for a in range(dim):
-                key = key * base + (home[a] + off[a] + rings)
-            idx = grid.get(key)
-            if idx is None:
-                continue
-            b = idx * dim
-            d2 = 0.0
-            for a in range(dim):
-                t = accepted[b + a] - cand[a]
-                d2 += t * t
-            if d2 < delta2:
-                ok = False
-                break
-        if ok:
-            key = 0
-            for a in range(dim):
-                key = key * base + (home[a] + rings)
-            grid[key] = n
-            accepted.extend(cand)
-            n += 1
+                if n == target:
+                    break
     return accepted, attempts
+
+
+def _linear_key(index, base):
+    """The base-`base` number whose digits are index, most significant first."""
+    key = 0
+    for v in index:
+        key = key * base + v
+    return key
 
 
 def has_close_pair(flat, dim, threshold):
@@ -137,8 +157,8 @@ def has_close_pair(flat, dim, threshold):
     the point's key plus the offset's key; a wrap or collision only adds
     candidate pairs, and every candidate is confirmed by its own distance,
     so no pair is ever missed.  With fewer points than the 3^dim offsets,
-    each point is compared with all earlier points instead.  Both give the
-    same answer as the naive scan.
+    the pair scan compares each point with all earlier points instead.
+    Both give the same answer as the naive scan.
     """
     n = len(flat) // dim
     if n < 2:
@@ -149,15 +169,7 @@ def has_close_pair(flat, dim, threshold):
     cell = 2.0 * threshold
     thr2 = threshold * threshold
     if 3**dim > n:
-        by_axis = pts.T.copy()
-        for i in range(1, n):
-            d2 = np.zeros(i)
-            for a in range(dim):
-                t = by_axis[a, :i] - by_axis[a, i]
-                d2 += t * t
-            if (d2 < thr2).any():
-                return True
-        return False
+        return pair_sq_extremes(pts)[0] < thr2
     # Clipping keeps the cast to uint64 defined; it can only merge far
     # cells, never separate near ones.
     with np.errstate(over="ignore"):
@@ -181,10 +193,7 @@ def has_close_pair(flat, dim, threshold):
     for off in _neighbor_offsets(dim, 1):
         if off <= zero:
             continue
-        shift = 0
-        for a in range(dim):
-            shift = shift * base + off[a]
-        target = keys + np.uint64(shift & _MASK64)
+        target = keys + np.uint64(_linear_key(off, base) & _MASK64)
         first = np.searchsorted(keys, target, "left")
         stop = np.searchsorted(keys, target, "right")
         if _close_in_ranges(pts, first, stop, thr2):
@@ -227,39 +236,26 @@ def bin_cells(flat, dim, lo, width, ncells):
     return np.clip(cells, 0, ncells - 1, out=cells)
 
 
-def min_pairwise_sq(flat, dim):
-    """Minimum squared pairwise distance (naive scan; callers keep n small)."""
-    n = len(flat) // dim
+def pair_sq_extremes(rows):
+    """(min, max) squared distance over the pairs of rows of an (n, d) array.
+
+    One scan compares each row with all earlier rows.  Every distance is
+    summed axis by axis in a fixed order, as a scalar loop sums it, so both
+    extremes are bit for bit the naive double loop's.
+    """
+    n, dim = rows.shape
     if n < 2:
         raise ValueError("need at least two points")
-    best = math.inf
-    for i in range(n):
-        bi = i * dim
-        for j in range(i + 1, n):
-            bj = j * dim
-            d2 = 0.0
+    by_axis = rows.T.copy()
+    lo, hi = math.inf, 0.0
+    # A difference of two finite floats may square past the float range;
+    # like the scalar loop, the scan then reads it as inf.
+    with np.errstate(over="ignore"):
+        for i in range(1, n):
+            d2 = np.zeros(i)
             for a in range(dim):
-                t = flat[bi + a] - flat[bj + a]
+                t = by_axis[a, :i] - by_axis[a, i]
                 d2 += t * t
-            if d2 < best:
-                best = d2
-    return best
-
-
-def max_pairwise_sq(flat, dim):
-    """Maximum squared pairwise distance (naive scan)."""
-    n = len(flat) // dim
-    if n < 2:
-        raise ValueError("need at least two points")
-    best = 0.0
-    for i in range(n):
-        bi = i * dim
-        for j in range(i + 1, n):
-            bj = j * dim
-            d2 = 0.0
-            for a in range(dim):
-                t = flat[bi + a] - flat[bj + a]
-                d2 += t * t
-            if d2 > best:
-                best = d2
-    return best
+            lo = min(lo, float(d2.min()))
+            hi = max(hi, float(d2.max()))
+    return lo, hi

@@ -2,10 +2,16 @@
 
 All randomness comes from a splitmix64 stream seeded by the caller, with
 the 53-bit mantissa-fill mapping to [0, 1); outputs are therefore
-bit-identical across runs and platforms.
+bit-identical across runs and platforms.  The stream's m-th state is
+seed + m*gamma mod 2^64, so ``_kernels.splitmix64_block`` draws a whole
+run of it as one uint64 array: the jittered lattice takes all of its
+n*d words in one block, and dart throwing takes its candidates in blocks
+of rows.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,12 +35,12 @@ def gen_random_separated(
     d = int(d)
     length = float(length)
     delta = float(delta)
-    if not (length > 0.0 and delta > 0.0):
-        raise ValueError("length and delta must be positive")
+    if not (0.0 < length < math.inf and 0.0 < delta < math.inf):
+        raise ValueError("length and delta must be positive and finite")
     target_count = int(target_count)
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
-    if target_count * ball_volume(d, delta / 2.0) > (length + delta) ** d:
+    if not _packs(target_count, d, length, delta):
         raise InfeasibleGeneration(
             f"{target_count} balls of radius {delta / 2:g} cannot pack into "
             f"side {length:g} plus slack"
@@ -50,6 +56,20 @@ def gen_random_separated(
     return PointSet(d, np.reshape(flat, (n, d)))
 
 
+def _packs(count: int, d: int, length: float, delta: float) -> bool:
+    """Whether count balls of radius delta/2 fit, by volume, into the cube
+    of side length + delta.  A volume past the float range counts as inf."""
+    try:
+        need = count * ball_volume(d, delta / 2.0)
+    except OverflowError:
+        need = math.inf
+    try:
+        room = (length + delta) ** d
+    except OverflowError:
+        room = math.inf
+    return need <= room
+
+
 def gen_jittered_lattice(d: int, length: float, jitter: float, seed: int) -> PointSet:
     """One point per unit cell of the integer lattice in [0, length)^d,
     placed at the cell center plus uniform jitter in [-jitter, jitter]^d.
@@ -60,28 +80,17 @@ def gen_jittered_lattice(d: int, length: float, jitter: float, seed: int) -> Poi
         raise ValueError("dimension must be a positive integer")
     d = int(d)
     length = float(length)
-    if length < 1.0:
-        raise ValueError("length must be >= 1")
+    if not (1.0 <= length < math.inf):
+        raise ValueError("length must be finite and >= 1")
     jitter = float(jitter)
     if not (0.0 <= jitter < 0.5):
         raise ValueError("jitter must lie in [0, 0.5)")
-    n_side = int(length)
-    state = int(seed) & ((1 << 64) - 1)
-    flat: list[float] = []
-    # Lexicographic cell order, axis order within a cell: fixed stream layout.
-    cell = [0] * d
-    total = n_side**d
-    for _ in range(total):
-        for a in range(d):
-            state, z = _kernels.splitmix64_next(state)
-            u = _kernels.unit_from_bits(z)
-            flat.append(cell[a] + 0.5 + (2.0 * u - 1.0) * jitter)
-        for a in range(d - 1, -1, -1):
-            cell[a] += 1
-            if cell[a] < n_side:
-                break
-            cell[a] = 0
-    return PointSet(d, np.reshape(flat, (total, d)))
+    # Cells in lexicographic order, axis order within a cell: the stream's
+    # fixed layout.
+    cells = np.indices((int(length),) * d).reshape(d, -1).T
+    words, _ = _kernels.splitmix64_block(seed, cells.size)
+    u = _kernels.unit_from_bits(words).reshape(cells.shape)
+    return PointSet(d, cells + 0.5 + (2.0 * u - 1.0) * jitter)
 
 
 def gen_adversarial_ap3(n: int, variant: str, eps: float | None = None) -> PointSet:

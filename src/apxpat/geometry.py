@@ -140,10 +140,6 @@ class PointSet:
     def __getitem__(self, i: int) -> Point:
         return Point(self.coords[i].tolist())
 
-    def flat(self) -> list[float]:
-        """Row-major coordinate list."""
-        return self.coords.reshape(-1).tolist()
-
     def values(self) -> tuple[float, ...]:
         """1-D convenience: the raw coordinates."""
         if self.dim != 1:
@@ -170,11 +166,11 @@ class Pattern(PointSet):
             if row in seen:
                 raise ValueError(f"pattern points must be distinct (repeated {row})")
             seen.add(row)
-        mp = min_pairwise_distance(self)
-        if mp <= 0.0:
+        lo, hi = _kernels.pair_sq_extremes(self.coords)
+        if lo <= 0.0:
             raise ValueError("pattern points are numerically coincident")
-        object.__setattr__(self, "min_pairwise", mp)
-        object.__setattr__(self, "diameter", diameter(self))
+        object.__setattr__(self, "min_pairwise", math.sqrt(lo))
+        object.__setattr__(self, "diameter", math.sqrt(hi))
 
     @classmethod
     def from_pointset(cls, s: PointSet) -> "Pattern":
@@ -219,17 +215,13 @@ class AxisBox:
 
 
 def min_pairwise_distance(s: PointSet) -> float:
-    """Minimum pairwise Euclidean distance; naive scan, callers keep n small."""
-    if len(s) < 2:
-        raise ValueError("need at least two points")
-    return math.sqrt(_kernels.min_pairwise_sq(s.flat(), s.dim))
+    """Minimum pairwise Euclidean distance, by the O(n^2) pair scan."""
+    return math.sqrt(_kernels.pair_sq_extremes(s.coords)[0])
 
 
 def diameter(s: PointSet) -> float:
-    """Maximum pairwise Euclidean distance."""
-    if len(s) < 2:
-        raise ValueError("need at least two points")
-    return math.sqrt(_kernels.max_pairwise_sq(s.flat(), s.dim))
+    """Maximum pairwise Euclidean distance, by the O(n^2) pair scan."""
+    return math.sqrt(_kernels.pair_sq_extremes(s.coords)[1])
 
 
 def apply_homothety(h: Homothety, p: Pattern) -> PointSet:

@@ -29,6 +29,11 @@ class TestRandomSeparated:
         with pytest.raises(InfeasibleGeneration):
             gen_random_separated(1, 10.0, 1.0, 100, 0)
 
+    def test_volume_past_float_range(self):
+        # (length + delta)^2 overflows a float: the cube has room for any
+        # count, and the cell grid still fits in Python ints.
+        assert len(gen_random_separated(2, 1e200, 1.0, 3, 0)) == 3
+
     def test_deterministic(self):
         a = gen_random_separated(2, 25.0, 0.8, 80, 42)
         b = gen_random_separated(2, 25.0, 0.8, 80, 42)

@@ -85,7 +85,6 @@ def test_pointset_points_are_built_on_demand():
     s = PointSet(2, [(0, 1), (2, 3)])
     assert s.points == (Point((0, 1)), Point((2, 3)))
     assert list(s) == list(s.points) and s[1] == s[-1] == Point((2, 3))
-    assert s.flat() == [0.0, 1.0, 2.0, 3.0]
     assert s.subset([1, 0]) == PointSet(2, [(2, 3), (0, 1)])
 
 

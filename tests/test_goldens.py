@@ -18,6 +18,10 @@ The two collinear searches over generated clouds (search-collinear-greedy.json,
 the budget-exhausted fallback, and search-collinear-absent.json, a proven
 absence) were recorded before the coloring became arrays and the bucket
 graphs bitsets.
+
+Two generated sets (lattice-3d.txt, from a negative seed, and
+random-2d-dense.txt, whose dart throwing refills its block of candidates)
+were recorded before the splitmix64 stream was drawn in blocks.
 """
 
 import hashlib
@@ -73,6 +77,10 @@ GOLDEN = {
         "96827816ada6df125dc0499338dc04d7628e13170675dc5536342915fed06caf",
     "search-collinear-absent.json":
         "0db0386182a7b660eb26ec7dacf21165c7cd785a25fe7dfd426b688251b3e337",
+    "lattice-3d.txt":
+        "d29b2670f8cb2cb886f644d5bf1ea06c4730dd81543f6d74c2efe05c85d0d48b",
+    "random-2d-dense.txt":
+        "8e944c6aa25837a6aca507f3ea157146d2adfea5f07a5ab952e99bb9fb8c4f02",
 }
 
 
@@ -108,6 +116,12 @@ def artifacts(tmp_path) -> dict[str, bytes]:
     # each holds a lattice point and the search succeeds at step 0.
     wide = generate("lattice-2d-wide.txt", "--kind", "lattice", "--dim", "2",
                     "--length", "70", "--jitter", "0.1", "--seed", "4")
+    # A 3-D lattice from a negative seed, and a dense 2-D dart throw whose
+    # 2,294 attempts run past the first block of candidates.
+    generate("lattice-3d.txt", "--kind", "lattice", "--dim", "3", "--length", "6",
+             "--jitter", "0.3", "--seed", "-7")
+    generate("random-2d-dense.txt", "--kind", "random", "--dim", "2", "--length", "40",
+             "--delta", "1", "--count", "700", "--seed", "3")
 
     for mode, src, delta, c in (("ap", d1, "1", "0.3"), ("grid", d2, "0.2", "1.0")):
         fig = tmp_path / f"search-{mode}.svg"

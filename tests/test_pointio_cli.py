@@ -241,6 +241,16 @@ class TestCli:
         code, _ = run_cli("bogus-verb")
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ("--kind", "lattice", "--length", "inf"),
+        ("--kind", "random", "--length", "inf"),
+        ("--kind", "random", "--dim", "2", "--length", "1e200", "--delta", "1e-200"),
+    ])
+    def test_generate_out_of_range_length_exit_2(self, flags, capsys):
+        code, out = run_cli("generate", *flags)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_consecutive_calls_are_independent(self, tmp_path):
         # The parser is built once per process; no call may see another's flags.
         pts = tmp_path / "grid.txt"
