@@ -48,12 +48,30 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension capped at {_MAX_DIM} (float factorials)")
 
 
-def _depth(arg: float, r: float) -> int:
-    # j = ceil(log(arg)/log(r)) clamped to >= 1; arg <= 1 means even the
-    # starting box already satisfies the packing contradiction.
-    if arg <= 1.0:
+def _log_ratio(kap: int, c: float, delta: float, d: int) -> float:
+    """log(kap / (c * delta^d)), the packing ratio the depth bound needs.
+
+    Taken from the quotient itself while that is a positive finite float;
+    otherwise (c * delta^d, delta^d or the quotient past the float range)
+    from log kap - log c - d * log delta, which holds in both directions.
+    """
+    try:
+        arg = kap / (c * delta**d)
+    except (OverflowError, ZeroDivisionError):
+        arg = math.inf
+    if 0.0 < arg < math.inf:
+        return math.log(arg)
+    return math.log(kap) - math.log(c) - d * math.log(delta)
+
+
+def _depth(log_arg: float, r: float) -> int:
+    # j = ceil(log(arg)/log(r)) clamped to >= 1; log(arg) <= 0 means even
+    # the starting box already satisfies the packing contradiction.
+    if log_arg <= 0.0:
         return 1
-    return max(1, math.ceil(math.log(arg) / math.log(r)))
+    if r == 1.0:
+        raise ValueError("k^d is too large: the growth ratio k^d/(k^d - 1) rounds to 1")
+    return max(1, math.ceil(log_arg / math.log(r)))
 
 
 def _z0(delta: float, ks: int, j: int) -> float:
@@ -101,7 +119,9 @@ def schedule_nd(d: int, k: int, c: float, delta: float, eps: float) -> Schedule:
 
     The depth bound uses c * delta^d (the packing argument's inequality).
     At d = 1 it is the AP schedule: s = ceil(1/eps), r = k/(k-1) and,
-    with kappa(1) = 2, depth from 2/(c * delta).
+    with kappa(1) = 2, depth from 2/(c * delta).  A c * delta^d past the
+    float range still gives a depth (z0 may then be inf); a k^d so large
+    that r rounds to 1 raises ValueError unless the depth is 1.
     """
     _check_dim(d)
     _check_common(k, c, delta, eps)
@@ -111,7 +131,7 @@ def schedule_nd(d: int, k: int, c: float, delta: float, eps: float) -> Schedule:
     kd = k**d
     r = kd / (kd - 1)
     kap = kappa(d)
-    j = _depth(kap / (c * float(delta) ** d), r)
+    j = _depth(_log_ratio(kap, float(c), float(delta), d), r)
     return Schedule(
         d=d, k=k, c=float(c), delta=float(delta), eps=float(eps),
         s=s, r=r, j=j, z0=_z0(delta, k * s, j), kappa=kap,

@@ -109,7 +109,6 @@ def _collinear_dict(outcome: CollinearOutcome) -> dict:
         "proven_absent": outcome.proven_absent,
         "subset": list(outcome.subset),
         "bucket": outcome.bucket,
-        "rotations": outcome.rotations,
     }
     if outcome.found:
         out["certificate"] = {
@@ -185,8 +184,7 @@ def _cmd_search(args) -> int:
     elif args.mode == "pattern":
         pat = _read_pattern(args.pattern)
         outcome = search_pattern(s, pat, args.eps, args.delta, args.c,
-                                 length=args.length,
-                                 resolution_cap=args.resolution_cap)
+                                 length=args.length)
     else:
         col = find_collinear(s, args.k, args.eps, node_budget=args.budget)
         _emit(_collinear_dict(col), args)
@@ -319,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the interval's left endpoint")
         if mode == "pattern":
             m.add_argument("--pattern", required=True, help="pattern point-set file")
-            m.add_argument("--resolution-cap", type=int, default=10_000)
         if mode == "collinear":
             m.add_argument("--budget", type=int, default=None)
         m.set_defaults(func=_cmd_search)

@@ -1,11 +1,19 @@
 """Almost-collinear subset search in the plane.
 
 Segments are colored by the angle they make with the x-axis, bucketed into
-r = ceil(pi/eps) + 1 half-closed intervals of width < eps.  Any k points
-whose segments share one bucket form an eps-collinear set (the two base
-angles of every triangle are bounded by the bucket width), so the finder
-looks for a k-clique inside each bucket's segment graph, richest bucket
-first.  A found subset is re-certified with the collinearity verifier.
+r = ceil(pi/eps) + 1 half-closed intervals of width < eps.  A direction is
+taken modulo pi: each segment is pointed so that dx > 0, or, when it is
+vertical (dx = 0), so that dy < 0.  Every angle then lies in [-pi/2, pi/2)
+and a vertical segment falls in bucket 0.  The input is colored in its own
+coordinates, with no change of frame and no tolerance on its coordinates:
+scaling the input by a power of two leaves the coloring unchanged, as long
+as its coordinates and their differences stay normal floats.  Any k
+points whose segments share one bucket form an eps-collinear set (the two
+base angles of every triangle are bounded by the bucket width), so the
+finder looks for a k-clique inside each bucket's segment graph, richest
+bucket first.  A found subset is re-certified with the collinearity
+verifier, on its coordinates scaled by a power of two into the unit range,
+so the certificate does not depend on the scale either.
 
 The coloring is held as arrays: every pair in ``np.triu_indices`` order and
 one bucket per pair.  A bucket's graph is peeled to its (k-1)-core in numpy
@@ -23,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegenerateFrame, DimensionMismatch, InternalError
+from .errors import BudgetExceeded, DimensionMismatch, InternalError
 from .geometry import PointSet
 from .verifier import triangle_angles, verify_collinear
 
@@ -37,11 +45,6 @@ __all__ = [
 ]
 
 DEFAULT_NODE_BUDGET = 10**6
-_FRAME_TOL = 1e-12
-# Rotation used to break ties in x-coordinates: 1/phi radians, an
-# irrational multiple of pi never realigns a finite set twice.
-_FRAME_ANGLE = 2.0 / (1.0 + math.sqrt(5.0))
-_MAX_FRAME_FIXES = 8
 # numpy's arctan2 can differ from math.atan2 in the last bit, which moves a
 # bucket position (angle over bucket width) by about r * 1e-16.  Positions
 # within _EDGE_MARGIN * r of a bucket edge are recomputed with math.atan2,
@@ -69,7 +72,6 @@ class CollinearOutcome:
     worst_triangle: tuple[int, int, int] | None
     worst_angles: tuple[float, float, float] | None
     proven_absent: bool
-    rotations: int
 
 
 def bucket_count(eps: float) -> int:
@@ -79,9 +81,10 @@ def bucket_count(eps: float) -> int:
 
 
 def _buckets(dx: np.ndarray, dy: np.ndarray, r: int) -> np.ndarray:
-    """Bucket of each segment direction (dx != 0), taken modulo pi: with dx
-    made positive, floor((atan2(dy, dx) + pi/2) / (pi/r)) clamped to [0, r)."""
-    dx, dy = np.abs(dx), np.where(dx < 0, -dy, dy)
+    """Bucket of each segment direction, taken modulo pi: with the segment
+    pointed so that dx > 0, or dx = 0 and dy < 0,
+    floor((atan2(dy, dx) + pi/2) / (pi/r)) clamped to [0, r)."""
+    dx, dy = np.abs(dx), np.where((dx < 0) | ((dx == 0) & (dy > 0)), -dy, dy)
     width = math.pi / r
     pos = (np.arctan2(dy, dx) + math.pi / 2.0) / width
     b = np.floor(pos)
@@ -94,6 +97,9 @@ def angle_bucket(p: Sequence[float], q: Sequence[float], r: int) -> int:
     """Bucket index of the angle segment pq makes with the x-axis.
 
     Buckets are the half-closed intervals [-pi/2 + i*pi/r, -pi/2 + (i+1)*pi/r).
+    The angle is taken modulo pi, with the segment pointed so that dx > 0,
+    or dx = 0 and dy < 0: orientation does not matter, and a vertical
+    segment is in bucket 0.  The points are used as given, in no other frame.
     """
     if not isinstance(r, (int, np.integer)) or r < 1:
         raise ValueError("r must be an integer >= 1")
@@ -101,30 +107,23 @@ def angle_bucket(p: Sequence[float], q: Sequence[float], r: int) -> int:
         raise DimensionMismatch("angle buckets are defined in the plane")
     if p[0] == q[0] and p[1] == q[1]:
         raise ValueError("coincident points have no direction")
-    if p[0] == q[0]:
-        raise ValueError("vertical segment; fix the frame first")
     return int(_buckets(np.array([q[0] - p[0]], float), np.array([q[1] - p[1]], float), r)[0])
 
 
-def _fix_frame(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """x and y after the fewest rotations that make x pairwise distinct."""
-    x, y = coords[:, 0], coords[:, 1]
-    ca, sa = math.cos(_FRAME_ANGLE), math.sin(_FRAME_ANGLE)
-    for attempt in range(_MAX_FRAME_FIXES + 1):
-        if np.all(np.diff(np.sort(x)) > _FRAME_TOL):
-            return x, y, attempt
-        x, y = ca * x - sa * y, sa * x + ca * y
-    raise DegenerateFrame("could not make x-coordinates pairwise distinct")
+def build_coloring(s: PointSet, eps: float) -> tuple[AngleColoring, np.ndarray]:
+    """Angle coloring of all segments, in the input's own coordinates, and
+    the number of pairs in each of its r buckets.
 
-
-def build_coloring(s: PointSet, eps: float) -> tuple[AngleColoring, int]:
-    """Angle coloring of all segments; returns it plus the rotation count."""
+    Directions are taken modulo pi as in ``angle_bucket``, so a vertical
+    segment is in bucket 0 and no frame is needed.
+    """
     if s.dim != 2:
         raise DimensionMismatch("coloring is defined in the plane")
     r = bucket_count(eps)
-    x, y, rotations = _fix_frame(s.coords)
+    x, y = s.coords[:, 0], s.coords[:, 1]
     i, j = np.triu_indices(len(x), 1)
-    return AngleColoring(r, i, j, _buckets(x[j] - x[i], y[j] - y[i], r)), rotations
+    assignments = _buckets(x[j] - x[i], y[j] - y[i], r)
+    return AngleColoring(r, i, j, assignments), np.bincount(assignments, minlength=r)
 
 
 def _core(i: np.ndarray, j: np.ndarray, n: int, m: int) -> tuple[list[int], list[int]]:
@@ -223,6 +222,12 @@ def find_collinear(
 ) -> CollinearOutcome:
     """Search for a k-point eps-collinear subset of a planar point set.
 
+    Segments are colored in the input's own coordinates, directions taken
+    modulo pi (a vertical segment is in bucket 0), so there is no frame
+    to fix.  A found subset is certified, and its worst angles computed,
+    after an exact power-of-two scaling into the unit range.  Scaling the
+    input by a power of two leaves the outcome unchanged as long as its
+    coordinates and their differences stay normal floats.
     Each bucket with at least C(k, 2) pairs, richest first, gets an exact
     k-clique search of at most ``node_budget`` nodes (default
     ``DEFAULT_NODE_BUDGET``).  If that runs out, a greedy pass over the
@@ -247,11 +252,10 @@ def find_collinear(
         return CollinearOutcome(
             found=False, subset=(), bucket=None, accepted=False,
             worst_triangle=None, worst_angles=None,
-            proven_absent=True, rotations=0,
+            proven_absent=True,
         )
 
-    coloring, rotations = build_coloring(s, eps)
-    counts = np.bincount(coloring.assignments, minlength=coloring.r)
+    coloring, counts = build_coloring(s, eps)
     by_bucket = np.argsort(coloring.assignments, kind="stable")
     starts = np.cumsum(counts) - counts
 
@@ -269,21 +273,26 @@ def find_collinear(
         if clique is None:
             continue
         subset = tuple(sorted(clique))
-        accepted, worst_local = verify_collinear(s.subset(subset), eps)
+        # Certified with its coordinates scaled by a power of two (exact)
+        # into the unit range, where the verifier's squared lengths and
+        # their products neither underflow nor overflow.
+        q = s.coords[list(subset)]
+        unit = PointSet(2, np.ldexp(q, -math.frexp(np.abs(q).max())[1]))
+        accepted, worst_local = verify_collinear(unit, eps)
         if not accepted:
             raise InternalError(
                 "monochromatic subset failed collinearity verification; this cannot happen"
             )
         worst = tuple(subset[t] for t in worst_local)
-        angles = triangle_angles(*s.coords[list(worst)].tolist())
+        angles = triangle_angles(*unit.coords[list(worst_local)].tolist())
         return CollinearOutcome(
             found=True, subset=subset, bucket=b, accepted=True,
             worst_triangle=worst, worst_angles=angles,
-            proven_absent=False, rotations=rotations,
+            proven_absent=False,
         )
 
     return CollinearOutcome(
         found=False, subset=(), bucket=None, accepted=False,
         worst_triangle=None, worst_angles=None,
-        proven_absent=not exhausted_any, rotations=rotations,
+        proven_absent=not exhausted_any,
     )

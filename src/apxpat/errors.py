@@ -14,15 +14,12 @@ class InsufficientSeparation(ApxpatError):
 
 
 class InfeasibleGeneration(ApxpatError):
-    """Requested point count cannot be packed (or the attempt budget ran out)."""
+    """Requested point count cannot be packed, does not fit in memory, or the
+    attempt budget ran out."""
 
 
 class ResolutionOverflow(ApxpatError):
-    """Pattern reduction would need a finer grid than the configured cap."""
-
-
-class DegenerateFrame(ApxpatError):
-    """No rotation attempt produced pairwise-distinct x-coordinates."""
+    """Pattern reduction would need a finer grid than the resolution cap."""
 
 
 class BudgetExceeded(ApxpatError):

@@ -86,11 +86,16 @@ def gen_jittered_lattice(d: int, length: float, jitter: float, seed: int) -> Poi
     if not (0.0 <= jitter < 0.5):
         raise ValueError("jitter must lie in [0, 0.5)")
     # Cells in lexicographic order, axis order within a cell: the stream's
-    # fixed layout.
-    cells = np.indices((int(length),) * d).reshape(d, -1).T
-    words, _ = _kernels.splitmix64_block(seed, cells.size)
-    u = _kernels.unit_from_bits(words).reshape(cells.shape)
-    return PointSet(d, cells + 0.5 + (2.0 * u - 1.0) * jitter)
+    # fixed layout.  Each statement below allocates n*d values.
+    try:
+        cells = np.indices((int(length),) * d).reshape(d, -1).T
+        words, _ = _kernels.splitmix64_block(seed, cells.size)
+        u = _kernels.unit_from_bits(words).reshape(cells.shape)
+        return PointSet(d, cells + 0.5 + (2.0 * u - 1.0) * jitter)
+    except MemoryError:
+        raise InfeasibleGeneration(
+            f"a lattice of {int(length)}^{d} points does not fit in memory"
+        ) from None
 
 
 def gen_adversarial_ap3(n: int, variant: str, eps: float | None = None) -> PointSet:
@@ -98,6 +103,8 @@ def gen_adversarial_ap3(n: int, variant: str, eps: float | None = None) -> Point
 
     variant "xi": {xi^i} with xi = 1/3 - eps, valid for 0 <= eps < 1/3.
     variant "eighth": {8^-i}, valid for every eps <= 1/4 (eps is ignored).
+    n may not exceed the number of terms that are distinct positive floats
+    (359 for "eighth"); a larger n raises ValueError.
     """
     if int(n) != n or n < 3:
         raise ValueError("n must be an integer >= 3")
@@ -111,4 +118,9 @@ def gen_adversarial_ap3(n: int, variant: str, eps: float | None = None) -> Point
         vals = [8.0**-i for i in range(n)]
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    # The terms fall to subnormals and then to 0: past that they repeat.
+    distinct = len(set(vals) - {0.0})
+    if distinct < n:
+        raise ValueError(f"only {distinct} terms of variant {variant!r} "
+                         f"are distinct positive floats; n={n} is too many")
     return PointSet(1, np.reshape(vals, (n, 1)))

@@ -28,7 +28,6 @@ __all__ = [
     "Pattern",
     "Homothety",
     "AxisBox",
-    "distance",
     "min_pairwise_distance",
     "diameter",
     "apply_homothety",
@@ -66,13 +65,6 @@ class Point:
 
     def __iter__(self):
         return iter(self.coords)
-
-
-def distance(p: Point, q: Point) -> float:
-    """Euclidean distance."""
-    if len(p.coords) != len(q.coords):
-        raise DimensionMismatch(f"dim {len(p.coords)} vs {len(q.coords)}")
-    return math.dist(p.coords, q.coords)
 
 
 def _as_rows(points, dim: int) -> np.ndarray:

@@ -79,14 +79,8 @@ def _reject_bad_row(tokens: list[str], lines: list[int], dim: int) -> None:
                 raise ParseError(f"non-finite coordinate {c!r}", lineno)
 
 
-def write_pointset(s: PointSet, comment: str | None = None) -> bytes:
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"# {part}")
-    lines.append(str(s.dim))
-    for row in s.coords.tolist():
-        lines.append(" ".join(map(repr, row)))
+def write_pointset(s: PointSet) -> bytes:
+    lines = [str(s.dim)] + [" ".join(map(repr, row)) for row in s.coords.tolist()]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

@@ -279,21 +279,21 @@ def search_pattern(
     *,
     lo=None,
     length: float | None = None,
-    resolution_cap: int = DEFAULT_RESOLUTION_CAP,
 ) -> SearchOutcome:
     """Find an eps-approximate homothetic copy of an arbitrary finite pattern.
 
     Runs the k-grid search on a sufficiently fine K-grid, then reads the
     pattern's copy off the found grid points and post-verifies it against
     the original pattern; found=True only if that certificate passes.
+    A K above ``DEFAULT_RESOLUTION_CAP`` raises ResolutionOverflow.
     """
     if s.dim != p.dim:
         raise DimensionMismatch("point set and pattern dimensions differ")
     d = s.dim
     K, eps_g = pattern_grid_resolution(p, eps, d)
-    if K > resolution_cap:
+    if K > DEFAULT_RESOLUTION_CAP:
         raise ResolutionOverflow(
-            f"pattern reduction needs a {K}-grid per axis (cap {resolution_cap})"
+            f"pattern reduction needs a {K}-grid per axis (cap {DEFAULT_RESOLUTION_CAP})"
         )
     p_lo, d_inf = _pattern_extent(p)
     # np.rint rounds half to even, as round() does.

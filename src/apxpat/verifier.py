@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
@@ -278,7 +279,9 @@ def _golden_min(f, hi: float) -> float:
 def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: float) -> VerifyResult:
     """Certify q as an eps-approximate homothetic copy of p under a fixed bijection.
 
-    assignment[i] is the pattern index matched to q[i].
+    assignment[i] is the pattern index matched to q[i].  Raises ValueError
+    for repeated candidate points, and for points that coincide only
+    numerically, whose squared radius is not a normal float.
     """
     k = len(q)
     if len(p) != k or k < 2:
@@ -302,6 +305,14 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
     # are of the order of its radius and rounding stays relative to it.
     cq, rad_q2 = _meb(qa, order)
     cp, rad_p2 = _meb(pa, order)
+    # The bracket [0, 2*sqrt(rad_p2/rad_q2)] needs both squared radii and
+    # their ratio to be normal floats: a subnormal or zero one means points
+    # that coincide numerically, an infinite one points too far apart.
+    tiny = sys.float_info.min
+    if not (tiny <= rad_q2 < math.inf and tiny <= rad_p2 < math.inf
+            and tiny <= rad_p2 / rad_q2 < math.inf):
+        raise ValueError("candidate or pattern points coincide numerically or lie "
+                         "too far apart: a squared radius leaves the normal float range")
     qc = q.coords - cq
     pc = ps - cp
 

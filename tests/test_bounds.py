@@ -134,3 +134,31 @@ def test_astronomical_z0_overflows_to_inf():
     s = schedule_nd(3, 2, 1e-6, 0.01, 0.05)
     assert s.j >= 1
     assert s.z0 == math.inf or s.z0 > 0
+
+
+def test_schedule_past_the_float_range():
+    # c * delta^d underflows: the depth comes from a sum of logs, and it
+    # keeps growing as delta falls through the underflow.
+    s = schedule_nd(30, 3, 1, 1e-20, 0.3)
+    assert s.j == math.ceil((math.log(s.kappa) - 30 * math.log(1e-20)) / math.log(s.r))
+    assert s.z0 == math.inf
+    depths = [schedule_nd(2, 3, 1.0, 10.0**-e, 0.3).j for e in range(150, 170)]
+    assert depths == sorted(depths) and len(set(depths)) == len(depths)
+    assert schedule_nd(2, 3, 1e-300, 1e-300, 0.3).j == math.ceil(
+        (math.log(3) + 3 * 300 * math.log(10)) / math.log(9 / 8))
+    # delta^d overflows: the depth still comes from the sum of logs, which
+    # gives one step when c * delta^d is large too, and the full depth when
+    # c is small enough to bring c * delta^d back into range.
+    assert schedule_nd(2, 3, 1e300, 1e300, 0.3).j == 1
+    assert schedule_nd(2, 3, 1e-310, 1.5e154, 0.3).j == 42
+    s = schedule_nd(30, 3, 1e-307, 2e10, 0.3)
+    assert s.j == math.ceil((math.log(s.kappa) + 307 * math.log(10)
+                             - 30 * math.log(2e10)) / math.log(s.r))
+    assert s.j > 1
+    # k^d / (k^d - 1) rounds to 1: no depth can be derived.
+    with pytest.raises(ValueError, match="rounds to 1"):
+        schedule_nd(1, 10**20, 1, 1, 0.3)
+    with pytest.raises(ValueError, match="rounds to 1"):
+        schedule_nd(3, 10**8, 0.5, 1, 0.3)
+    # ... unless the starting box already suffices.
+    assert schedule_nd(1, 10**20, 1e6, 1, 0.3).j == 1

@@ -47,10 +47,11 @@ def test_angle_bucket_examples():
     assert angle_bucket(Point((0, 0)), Point((1, 1)), 8) == 6
     # orientation does not matter
     assert angle_bucket(Point((1, 1)), Point((0, 0)), 8) == 6
+    # a vertical segment points down, to angle -pi/2: bucket 0 either way
+    assert angle_bucket((0, 0), (0, 1), 8) == 0
+    assert angle_bucket((0, 1), (0, 0), 8) == 0
     with pytest.raises(ValueError):
         angle_bucket(Point((0, 0)), Point((0, 0)), 8)
-    with pytest.raises(ValueError):
-        angle_bucket(Point((0, 0)), Point((0, 1)), 8)
     with pytest.raises(DimensionMismatch):
         angle_bucket(Point((0, 0, 0)), Point((1, 0, 0)), 8)
 
@@ -89,12 +90,25 @@ def test_points_on_a_line_found():
         assert res.accepted
 
 
-def test_vertical_line_needs_frame_fix():
+def test_vertical_line_found_in_bucket_0():
     pts = [(1.0, float(i)) for i in range(10)]
     s = PointSet(2, pts)
     res = find_collinear(s, 5, 0.2)
     assert res.found
-    assert res.rotations >= 1
+    assert res.bucket == 0
+    coloring, counts = build_coloring(s, 0.2)
+    assert coloring.assignments.tolist() == [0] * 45
+    assert counts.tolist() == [45] + [0] * (coloring.r - 1)
+
+
+def test_tiny_coordinates_found():
+    # x-coordinates 1e-13 apart: the same set at any power-of-two scale
+    # gives the same outcome.
+    pts = [(0.0, 0.0), (1e-13, 3e-14), (2e-13, 7e-14), (3.1e-13, 1e-13)]
+    res = find_collinear(PointSet(2, pts), 3, 0.1)
+    assert res.found
+    for scale in (2.0**-40, 2.0**40, 2.0**43):
+        assert find_collinear(PointSet(2, [(x * scale, y * scale) for x, y in pts]), 3, 0.1) == res
 
 
 def test_pentagon_proven_absent():
@@ -178,23 +192,16 @@ def _ref_bucket(dx, dy, r):
     return min(max(bucket, 0), r - 1)
 
 
-def _ref_coloring(coords, eps):
-    ca, sa = math.cos(collinear._FRAME_ANGLE), math.sin(collinear._FRAME_ANGLE)
-    pts = coords
-    for rotations in range(collinear._MAX_FRAME_FIXES + 1):
-        xs = sorted(c[0] for c in pts)
-        if all(b - a > collinear._FRAME_TOL for a, b in zip(xs, xs[1:])):
-            break
-        pts = [(ca * x - sa * y, sa * x + ca * y) for x, y in pts]
+def _ref_coloring(pts, eps):
     r = math.ceil(math.pi / eps) + 1
     assignments = {}
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             dx, dy = pts[j][0] - pts[i][0], pts[j][1] - pts[i][1]
-            if dx < 0:
+            if dx < 0 or (dx == 0 and dy > 0):
                 dx, dy = -dx, -dy
             assignments[(i, j)] = _ref_bucket(dx, dy, r)
-    return assignments, rotations
+    return assignments
 
 
 def _ref_color_bound(cands, adj):
@@ -268,8 +275,8 @@ def _ref_greedy_clique(adj, k):
 def _ref_find_collinear(s, k, eps, budget):
     """(outcome, whether some bucket's exact search ran out of budget)."""
     if len(s) < k:
-        return CollinearOutcome(False, (), None, False, None, None, True, 0), False
-    assignments, rotations = _ref_coloring(s.coords.tolist(), eps)
+        return CollinearOutcome(False, (), None, False, None, None, True), False
+    assignments = _ref_coloring(s.coords.tolist(), eps)
     buckets = {}
     for pair, b in assignments.items():
         buckets.setdefault(b, []).append(pair)
@@ -294,16 +301,15 @@ def _ref_find_collinear(s, k, eps, budget):
         assert accepted
         worst = tuple(subset[t] for t in worst_local)
         angles = triangle_angles(*s.coords[list(worst)].tolist())
-        return CollinearOutcome(True, subset, b, True, worst, angles, False,
-                                rotations), exhausted_any
-    return CollinearOutcome(False, (), None, False, None, None, not exhausted_any,
-                            rotations), exhausted_any
+        return CollinearOutcome(True, subset, b, True, worst, angles, False), exhausted_any
+    return CollinearOutcome(False, (), None, False, None, None,
+                            not exhausted_any), exhausted_any
 
 
 def _reference_instances(rng):
     """(point set, k, eps, budget): uniform clouds, lines on bucket edges,
-    vertical lines that need frame rotations, planted tubes, and exact
-    searches cut off after 1 to 100 nodes."""
+    vertical lines, planted tubes, and exact searches cut off after 1 to
+    100 nodes."""
     for t in range(250):
         kind = t % 5
         if kind == 4:
@@ -333,7 +339,7 @@ def _reference_instances(rng):
 
 def test_matches_dict_reference():
     rng = random.Random(2011)
-    seen = exhausted = found = absent = rotated = 0
+    seen = exhausted = found = absent = repeated_x = 0
     for s, k, eps, budget in _reference_instances(rng):
         new = find_collinear(s, k, eps, node_budget=budget)
         ref, ran_out = _ref_find_collinear(
@@ -343,9 +349,22 @@ def test_matches_dict_reference():
         exhausted += ran_out
         found += new.found
         absent += new.proven_absent
-        rotated += new.rotations > 0
+        repeated_x += len(np.unique(s.coords[:, 0])) < len(s)
     assert seen >= 200
-    assert exhausted >= 20 and found >= 50 and absent >= 50 and rotated >= 30
+    assert exhausted >= 20 and found >= 50 and absent >= 50 and repeated_x >= 30
+
+
+def test_reference_instances_keep_their_outcome_under_power_of_two_scaling():
+    # Scaling by a power of two is exact in floats, the coloring has no
+    # absolute tolerance, and a found subset is certified in the unit range,
+    # so every outcome is the same at each scale.  At 2^-270 the squared
+    # lengths' products underflow unless the subset is rescaled first.
+    rng = random.Random(2011)
+    for s, k, eps, budget in _reference_instances(rng):
+        want = find_collinear(s, k, eps, node_budget=budget)
+        for scale in (2.0**-270, 2.0**-40, 2.0**40):
+            scaled = PointSet(2, s.coords * scale)
+            assert find_collinear(scaled, k, eps, node_budget=budget) == want, scale
 
 
 def test_buckets_at_edges_match_scalar_rule():

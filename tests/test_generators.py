@@ -80,6 +80,12 @@ class TestJitteredLattice:
     def test_deterministic(self):
         assert gen_jittered_lattice(2, 7.0, 0.3, 5) == gen_jittered_lattice(2, 7.0, 0.3, 5)
 
+    def test_lattice_past_memory_is_infeasible(self):
+        # 10^15 and 3^30 cells: each allocation fails at once.
+        for d, length in ((3, 1e5), (30, 3.0)):
+            with pytest.raises(InfeasibleGeneration, match="does not fit in memory"):
+                gen_jittered_lattice(d, length, 0.0, 0)
+
 
 class TestAdversarial:
     def test_xi_variant_values(self):
@@ -108,6 +114,15 @@ class TestAdversarial:
             gen_adversarial_ap3(2, "eighth")
         with pytest.raises(ValueError):
             gen_adversarial_ap3(5, "nope")
+
+    def test_terms_stay_distinct_positive_floats(self):
+        # 8^-358 = 2^-1074 is the smallest subnormal; 8^-359 is 0.
+        vals = gen_adversarial_ap3(359, "eighth").values()
+        assert vals[-1] == 2.0**-1074 and len(set(vals)) == 359
+        for n, variant, eps in ((360, "eighth", None), (2000, "eighth", None),
+                                (700, "xi", 0.1)):
+            with pytest.raises(ValueError, match="distinct positive floats"):
+                gen_adversarial_ap3(n, variant, eps)
 
     def test_no_approximate_ap_oracle(self):
         from apxpat.oracle import enumerate_aps

@@ -22,6 +22,11 @@ graphs bitsets.
 Two generated sets (lattice-3d.txt, from a negative seed, and
 random-2d-dense.txt, whose dart throwing refills its block of candidates)
 were recorded before the splitmix64 stream was drawn in blocks.
+
+The three collinear searches (search-collinear.json, search-collinear-greedy.json
+and search-collinear-absent.json) were re-recorded when the finder lost its
+frame rotation: each is the previous bytes with only the ``"rotations": 0``
+key removed.
 """
 
 import hashlib
@@ -60,7 +65,7 @@ GOLDEN = {
     "random-2d.txt":
         "b4c57cbfdfbf39de80e0f5f0e82bdd2b854a61eaae8ef31a6ad957e2588159fd",
     "search-collinear.json":
-        "b92bebf626f00778dc62dfeaffaf673b1cef2af787e781800a64bbc0600e0d94",
+        "5509a192a4ff58c93a799e5d5de094605971acd306f19357ed6d75d22ab15229",
     "search-collinear.svg":
         "05e00580c185c3b294f6e2fb0baeca80cb2cc2d10e665fd94fcb7000a2a61287",
     "verify-collinear.json":
@@ -74,9 +79,9 @@ GOLDEN = {
     "bounds-1d.json":
         "71d8b4e2a46d3864ec3552db347684fc6b777fb703cd00c74df1d2f5f170ab44",
     "search-collinear-greedy.json":
-        "96827816ada6df125dc0499338dc04d7628e13170675dc5536342915fed06caf",
+        "49985a237a5c0ff31e775fd43eed7081f83bc9805cff6dddccfffe1911699d96",
     "search-collinear-absent.json":
-        "0db0386182a7b660eb26ec7dacf21165c7cd785a25fe7dfd426b688251b3e337",
+        "4ad8d99d97786d9dbceab172921b8b059dbbc919f5a9cebe4bbe2b74c29beee6",
     "lattice-3d.txt":
         "d29b2670f8cb2cb886f644d5bf1ea06c4730dd81543f6d74c2efe05c85d0d48b",
     "random-2d-dense.txt":

@@ -8,7 +8,8 @@ import pytest
 from apxpat.cli import main
 from apxpat.errors import ParseError
 from apxpat.generators import gen_random_separated
-from apxpat.geometry import Point, PointSet
+from apxpat.geometry import Pattern, Point, PointSet
+from apxpat.oracle import enumerate_homothetic
 from apxpat.pointio import emit_svg, parse_pointset, write_pointset
 
 
@@ -215,6 +216,37 @@ class TestCli:
         doc = json.loads(out)
         assert doc["count"] == 0 and doc["hits"] == []
 
+    def test_oracle_pattern(self, tmp_path):
+        pts = tmp_path / "pts.txt"
+        rows = [(0, 0), (1, 0), (0, 1), (5, 5), (7, 5.1), (5, 7), (3, 9), (9, 2)]
+        pts.write_text("2\n" + "".join(f"{x} {y}\n" for x, y in rows))
+        pat = tmp_path / "tri.txt"
+        pat.write_text("2\n0 0\n1 0\n0 1\n")
+        want = enumerate_homothetic(PointSet(2, rows), Pattern(2, [(0, 0), (1, 0), (0, 1)]), 0.1)
+        assert len(want) >= 2
+        argv = ("oracle", "pattern", "--input", str(pts), "--pattern", str(pat),
+                "--eps", "0.1", "--json")
+        code, out = run_cli(*argv)
+        assert code == 0 and json.loads(out) == {"schema": 1, "count": len(want)}
+        code, out = run_cli(*argv, "--list")
+        assert code == 0
+        assert json.loads(out)["hits"] == [{"subset": list(sub), "assignment": list(sig)}
+                                           for sub, sig in want]
+
+    def test_verify_pattern_assignment(self, tmp_path):
+        # The candidate lists the triangle's corners in the order 1, 2, 0.
+        cand = tmp_path / "cand.txt"
+        cand.write_text("2\n3 1\n1 3\n1 1\n")
+        pat = tmp_path / "tri.txt"
+        pat.write_text("2\n0 0\n1 0\n0 1\n")
+        argv = ("verify", "pattern", "--input", str(cand), "--pattern", str(pat),
+                "--eps", "0.3", "--json")
+        code, out = run_cli(*argv, "--assignment", "1,2,0")
+        doc = json.loads(out)
+        assert code == 0 and doc["accepted"] and doc["witness_scale"] == pytest.approx(2.0)
+        code, out = run_cli(*argv)
+        assert code == 1 and not json.loads(out)["accepted"]
+
     def test_search_collinear_cli(self, tmp_path):
         pts = tmp_path / "line.txt"
         rows = ["2"] + [f"{0.05 * i} {0.015 * i + 1.0}" for i in range(15)]
@@ -248,6 +280,52 @@ class TestCli:
     ])
     def test_generate_out_of_range_length_exit_2(self, flags, capsys):
         code, out = run_cli("generate", *flags)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flags", [
+        ("--kind", "lattice", "--dim", "3", "--length", "1e5"),
+        ("--kind", "lattice", "--dim", "30", "--length", "3"),
+        ("--kind", "adversarial", "--count", "2000", "--variant", "eighth"),
+        ("--kind", "adversarial", "--count", "700", "--variant", "xi", "--eps", "0.1"),
+    ])
+    def test_generate_infeasible_exit_2(self, flags, capsys):
+        code, out = run_cli("generate", *flags)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flags, depth", [
+        (("--dim", "30", "--k", "3", "--c", "1", "--delta", "1e-20"), 291759099490551680),
+        (("--dim", "2", "--k", "3", "--c", "1e-300", "--delta", "1e-300"), 17604),
+        (("--dim", "2", "--k", "3", "--c", "1e300", "--delta", "1e300"), 1),
+        (("--dim", "2", "--k", "3", "--c", "1e-310", "--delta", "1.5e154"), 42),
+        (("--k", "100000000000000000000", "--c", "1", "--delta", "1"), None),
+    ])
+    def test_bounds_past_the_float_range(self, flags, depth, capsys):
+        code, out = run_cli("bounds", *flags, "--eps", "0.3", "--json")
+        if depth is None:
+            assert code == 2 and out == ""
+            assert capsys.readouterr().err.startswith("error: ")
+        else:
+            assert code == 0 and json.loads(out)["schedule"]["j"] == depth
+
+    def test_search_grid_with_underflowing_density(self, tmp_path):
+        pts = tmp_path / "grid.txt"
+        run_cli("generate", "--kind", "lattice", "--dim", "2", "--length", "12",
+                "--jitter", "0.2", "--out", str(pts))
+        code, out = run_cli("search", "grid", "--input", str(pts), "--k", "3", "--eps", "0.3",
+                            "--delta", "1e-200", "--c", "1e-200", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["found"] and doc["below_threshold"]
+        assert doc["schedule"]["j"] == 11739
+
+    def test_verify_pattern_coincident_candidate_exit_2(self, tmp_path, capsys):
+        cand = tmp_path / "cand.txt"
+        cand.write_text("2\n0 0\n1e-300 0\n0 1e-300\n")
+        pat = tmp_path / "tri.txt"
+        pat.write_text("2\n0 0\n1 0\n0 1\n")
+        code, out = run_cli("verify", "pattern", "--input", str(cand), "--pattern", str(pat),
+                            "--eps", "0.3")
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error: ")
 

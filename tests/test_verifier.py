@@ -193,6 +193,18 @@ class TestVerifyHomothetic:
         assert not r.accepted
         assert r.max_relative_deviation > 1 / 3
 
+    def test_numerically_coincident_candidate_rejected(self):
+        # Distinct points whose squared radius underflows (1e-300, 1e-160)
+        # or overflows (1e160) are rejected like exact duplicates.
+        tri = Pattern(2, [(0, 0), (1, 0), (0, 1)])
+        for size in (1e-300, 1e-160, 1e160):
+            q = PointSet(2, [(0, 0), (size, 0), (0, size)])
+            with pytest.raises(ValueError, match="normal float range"):
+                verify_homothetic(q, tri, range(3), 0.3)
+        for size in (1e-150, 1e150):
+            q = PointSet(2, [(0, 0), (size, 0), (0, size)])
+            assert verify_homothetic(q, tri, range(3), 0.3).accepted
+
     def test_bad_assignment(self):
         q = PointSet(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
         with pytest.raises(ValueError):
