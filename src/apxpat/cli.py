@@ -2,9 +2,12 @@
 
 Verbs: bounds, generate, search {ap,grid,pattern,collinear},
 verify {ap,pattern,collinear}, oracle {ap,pattern,collinear}, plot.
-With --json a single JSON object (schema 1) goes to stdout; diagnostics go
-to stderr.  Exit codes: 0 found/accepted, 1 not found/rejected, 2 usage or
-input error.
+Each command returns its reply and whether it found or accepted what it
+looked for; ``main`` alone writes the reply and picks the exit code.  With
+--json the reply is one strict JSON object (schema 1) on stdout, or nothing
+when the command fails; otherwise it is one ``key: value`` line per key.
+Diagnostics go to stderr.  Exit codes: 0 found/accepted, 1 not
+found/rejected, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,7 +38,8 @@ SCHEMA = 1
 def _schedule_dict(sch: Schedule) -> dict:
     return {
         "d": sch.d, "k": sch.k, "c": sch.c, "delta": sch.delta, "eps": sch.eps,
-        "s": sch.s, "r": sch.r, "j": sch.j, "z0": sch.z0, "kappa": sch.kappa,
+        "s": sch.s, "r": sch.r, "j": sch.j,
+        "z0": sch.z0 if math.isfinite(sch.z0) else None, "kappa": sch.kappa,
     }
 
 
@@ -74,7 +79,6 @@ def _trace_dict(outcome: SearchOutcome) -> list[dict]:
 
 def _outcome_dict(outcome: SearchOutcome, with_trace: bool) -> dict:
     out = {
-        "schema": SCHEMA,
         "found": outcome.found,
         "below_threshold": outcome.below_threshold,
         "warnings": list(outcome.warnings),
@@ -104,7 +108,6 @@ def _outcome_dict(outcome: SearchOutcome, with_trace: bool) -> dict:
 
 def _collinear_dict(outcome: CollinearOutcome) -> dict:
     out = {
-        "schema": SCHEMA,
         "found": outcome.found,
         "proven_absent": outcome.proven_absent,
         "subset": list(outcome.subset),
@@ -119,14 +122,13 @@ def _collinear_dict(outcome: CollinearOutcome) -> dict:
     return out
 
 
-def _emit(payload: dict, args) -> None:
-    if getattr(args, "json", False):
-        sys.stdout.write(json.dumps(payload) + "\n")
+def _emit(reply: dict, as_json: bool) -> None:
+    """Write a reply: one strict JSON object carrying the schema, or one
+    ``key: value`` line per key."""
+    if as_json:
+        sys.stdout.write(json.dumps({"schema": SCHEMA, **reply}, allow_nan=False) + "\n")
     else:
-        for key, val in payload.items():
-            if key == "schema":
-                continue
-            sys.stdout.write(f"{key}: {val}\n")
+        sys.stdout.write("".join(f"{key}: {val}\n" for key, val in reply.items()))
 
 
 def _read_pointset(path: str) -> PointSet:
@@ -137,22 +139,16 @@ def _read_pattern(path: str) -> Pattern:
     return Pattern.from_pointset(_read_pointset(path))
 
 
-def _write_svg(args, s: PointSet, outcome: SearchOutcome | None = None) -> None:
-    target = getattr(args, "svg", None)
-    if not target:
-        return
-    highlight = outcome.subset if outcome is not None else None
-    anchors = outcome.anchors if outcome is not None else None
-    Path(target).write_bytes(emit_svg(s, highlight, anchors))
+# Each command returns (reply, ok): the reply dict, or None when it wrote
+# its own output, and whether it found or accepted what it looked for.
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[dict, bool]:
     sch = schedule_nd(args.dim, args.k, args.c, args.delta, args.eps)
-    _emit({"schema": SCHEMA, "schedule": _schedule_dict(sch)}, args)
-    return 0
+    return {"schedule": _schedule_dict(sch)}, True
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> tuple[dict | None, bool]:
     if args.kind == "random":
         s = gen_random_separated(args.dim, args.length, args.delta, args.count, args.seed)
     elif args.kind == "lattice":
@@ -160,113 +156,88 @@ def _cmd_generate(args) -> int:
     else:
         s = gen_adversarial_ap3(args.count, args.variant, args.eps)
     data = write_pointset(s)
-    payload = {"schema": SCHEMA, "kind": args.kind, "dim": s.dim, "count": len(s),
-               "out": args.out}
     if args.out:
         Path(args.out).write_bytes(data)
-        _emit(payload, args)
-    elif args.json:
-        # keep stdout a single JSON object; point data needs --out
-        _emit(payload, args)
-    else:
+    elif not args.json:
+        # stream the point file; with --json, stdout stays one JSON object
         sys.stdout.write(data.decode("ascii"))
-    return 0
+        return None, True
+    return {"kind": args.kind, "dim": s.dim, "count": len(s), "out": args.out}, True
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[dict, bool]:
     s = _read_pointset(args.input)
-    if args.mode == "ap":
-        outcome = search_ap(s, args.k, args.eps, args.delta, args.c,
-                            lo=args.lo, length=args.length)
-    elif args.mode == "grid":
-        outcome = search_grid(s, args.k, args.eps, args.delta, args.c,
-                              length=args.length)
-    elif args.mode == "pattern":
-        pat = _read_pattern(args.pattern)
-        outcome = search_pattern(s, pat, args.eps, args.delta, args.c,
-                                 length=args.length)
+    if args.mode == "collinear":
+        outcome = find_collinear(s, args.k, args.eps, node_budget=args.budget)
+        reply, anchors = _collinear_dict(outcome), None
     else:
-        col = find_collinear(s, args.k, args.eps, node_budget=args.budget)
-        _emit(_collinear_dict(col), args)
-        if args.svg:
-            Path(args.svg).write_bytes(emit_svg(s, col.subset or None))
-        return 0 if col.found else 1
-    for w in outcome.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    _emit(_outcome_dict(outcome, args.trace), args)
-    _write_svg(args, s, outcome)
-    return 0 if outcome.found else 1
+        if args.mode == "ap":
+            outcome = search_ap(s, args.k, args.eps, args.delta, args.c,
+                                lo=args.lo, length=args.length)
+        elif args.mode == "grid":
+            outcome = search_grid(s, args.k, args.eps, args.delta, args.c,
+                                  length=args.length)
+        else:
+            pat = _read_pattern(args.pattern)
+            outcome = search_pattern(s, pat, args.eps, args.delta, args.c,
+                                     length=args.length)
+        for w in outcome.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        reply, anchors = _outcome_dict(outcome, args.trace), outcome.anchors
+    if args.svg:
+        Path(args.svg).write_bytes(emit_svg(s, outcome.subset, anchors))
+    return reply, outcome.found
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, bool]:
     s = _read_pointset(args.input)
+    if args.mode == "collinear":
+        accepted, worst = verify_collinear(s, args.eps)
+        angles = triangle_angles(*s.coords[list(worst)].tolist())
+        return {"accepted": accepted, "worst_triangle": list(worst),
+                "worst_angles": list(angles)}, accepted
     if args.mode == "ap":
         result = verify_ap(sorted(s.values()), args.eps)
-        payload = {"schema": SCHEMA, **_verify_dict(result)}
-        _emit(payload, args)
-        return 0 if result.accepted else 1
-    if args.mode == "pattern":
+    else:
         pat = _read_pattern(args.pattern)
+        sigma = range(len(pat))
         if args.assignment:
             sigma = [int(t) for t in args.assignment.split(",")]
-        else:
-            sigma = list(range(len(pat)))
         result = verify_homothetic(s, pat, sigma, args.eps)
-        payload = {"schema": SCHEMA, **_verify_dict(result)}
-        _emit(payload, args)
-        return 0 if result.accepted else 1
-    accepted, worst = verify_collinear(s, args.eps)
-    angles = triangle_angles(*s.coords[list(worst)].tolist())
-    payload = {
-        "schema": SCHEMA, "accepted": accepted,
-        "worst_triangle": list(worst), "worst_angles": list(angles),
-    }
-    _emit(payload, args)
-    return 0 if accepted else 1
+    return _verify_dict(result), result.accepted
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[dict, bool]:
     s = _read_pointset(args.input)
+    if args.mode == "collinear":
+        found = exists_collinear(s, args.k, args.eps, budget=args.budget)
+        return {"exists": found}, found
     if args.mode == "ap":
-        hits = enumerate_aps(s, args.k, args.eps, budget=args.budget)
-        payload = {"schema": SCHEMA, "count": len(hits)}
-        if args.list:
-            payload["hits"] = [list(h) for h in hits]
-        _emit(payload, args)
-        return 0 if hits else 1
-    if args.mode == "pattern":
-        pat = _read_pattern(args.pattern)
-        pairs = enumerate_homothetic(s, pat, args.eps, budget=args.budget)
-        payload = {"schema": SCHEMA, "count": len(pairs)}
-        if args.list:
-            payload["hits"] = [
-                {"subset": list(sub), "assignment": list(sig)} for sub, sig in pairs
-            ]
-        _emit(payload, args)
-        return 0 if pairs else 1
-    found = exists_collinear(s, args.k, args.eps, budget=args.budget)
-    _emit({"schema": SCHEMA, "exists": found}, args)
-    return 0 if found else 1
+        hits = [list(h) for h in enumerate_aps(s, args.k, args.eps, budget=args.budget)]
+    else:
+        pairs = enumerate_homothetic(s, _read_pattern(args.pattern), args.eps,
+                                     budget=args.budget)
+        hits = [{"subset": list(sub), "assignment": list(sig)} for sub, sig in pairs]
+    reply = {"count": len(hits)}
+    if args.list:
+        reply["hits"] = hits
+    return reply, bool(hits)
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args) -> tuple[dict, bool]:
     s = _read_pointset(args.input)
     highlight = [int(t) for t in args.highlight.split(",")] if args.highlight else None
-    anchors = None
-    if args.anchors:
-        anchors = _read_pointset(args.anchors).coords.tolist()
+    anchors = _read_pointset(args.anchors).coords.tolist() if args.anchors else None
     Path(args.out).write_bytes(emit_svg(s, highlight, anchors))
-    _emit({"schema": SCHEMA, "out": args.out}, args)
-    return 0
+    return {"out": args.out}, True
 
 
-def _add_common_search_flags(p: argparse.ArgumentParser, *, need_k: bool) -> None:
-    p.add_argument("--input", required=True, help="point-set file")
-    if need_k:
-        p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
+def _leaf(sub, name: str, func, **kwargs) -> argparse.ArgumentParser:
+    """A command's own parser, with --json and its handler."""
+    p = sub.add_parser(name, **kwargs)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--svg", help="write a figure of the input/result")
+    p.set_defaults(func=func)
+    return p
 
 
 @functools.cache
@@ -278,16 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
                     version=f"apxpat {__version__} ({BACKEND} kernels)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("bounds", help="compute a search schedule")
+    b = _leaf(sub, "bounds", _cmd_bounds, help="compute a search schedule")
     b.add_argument("--dim", type=int, default=1)
     b.add_argument("--k", type=int, required=True)
     b.add_argument("--c", type=float, required=True)
     b.add_argument("--delta", type=float, required=True)
     b.add_argument("--eps", type=float, required=True)
-    b.add_argument("--json", action="store_true")
-    b.set_defaults(func=_cmd_bounds)
 
-    g = sub.add_parser("generate", help="generate a point-set file")
+    g = _leaf(sub, "generate", _cmd_generate, help="generate a point-set file")
     g.add_argument("--kind", choices=["random", "lattice", "adversarial"], required=True)
     g.add_argument("--dim", type=int, default=1)
     g.add_argument("--length", type=float, default=1.0)
@@ -298,46 +267,45 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--variant", choices=["xi", "eighth"], default="eighth")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", help="output file (default: stdout)")
-    g.add_argument("--json", action="store_true")
-    g.set_defaults(func=_cmd_generate)
 
     sc = sub.add_parser("search", help="run a subdivision / clique search")
     ssub = sc.add_subparsers(dest="mode", required=True)
     for mode in ("ap", "grid", "pattern", "collinear"):
-        m = ssub.add_parser(mode)
-        _add_common_search_flags(m, need_k=mode != "pattern")
-        if mode in ("ap", "grid", "pattern"):
-            m.add_argument("--delta", type=float, required=True)
-            m.add_argument("--c", type=float, required=True)
-            m.add_argument("--length", type=float, default=None,
-                           help="override the search interval/cube side")
-            m.add_argument("--trace", action="store_true")
+        m = _leaf(ssub, mode, _cmd_search)
+        m.add_argument("--input", required=True, help="point-set file")
+        if mode != "pattern":
+            m.add_argument("--k", type=int, required=True)
+        m.add_argument("--eps", type=float, required=True)
+        m.add_argument("--svg", help="write a figure of the input/result")
+        if mode == "collinear":
+            m.add_argument("--budget", type=int, default=None)
+            continue
+        m.add_argument("--delta", type=float, required=True)
+        m.add_argument("--c", type=float, required=True)
+        m.add_argument("--length", type=float, default=None,
+                       help="override the search interval/cube side")
+        m.add_argument("--trace", action="store_true")
         if mode == "ap":
             m.add_argument("--lo", type=float, default=None,
                            help="override the interval's left endpoint")
         if mode == "pattern":
             m.add_argument("--pattern", required=True, help="pattern point-set file")
-        if mode == "collinear":
-            m.add_argument("--budget", type=int, default=None)
-        m.set_defaults(func=_cmd_search)
 
     v = sub.add_parser("verify", help="certify a candidate subset")
     vsub = v.add_subparsers(dest="mode", required=True)
     for mode in ("ap", "pattern", "collinear"):
-        m = vsub.add_parser(mode)
+        m = _leaf(vsub, mode, _cmd_verify)
         m.add_argument("--input", required=True)
         m.add_argument("--eps", type=float, required=True)
-        m.add_argument("--json", action="store_true")
         if mode == "pattern":
             m.add_argument("--pattern", required=True)
             m.add_argument("--assignment", default=None,
                            help="comma-separated pattern indices, default identity")
-        m.set_defaults(func=_cmd_verify)
 
     o = sub.add_parser("oracle", help="brute-force enumeration on small inputs")
     osub = o.add_subparsers(dest="mode", required=True)
     for mode in ("ap", "pattern", "collinear"):
-        m = osub.add_parser(mode)
+        m = _leaf(osub, mode, _cmd_oracle)
         m.add_argument("--input", required=True)
         m.add_argument("--eps", type=float, required=True)
         if mode != "pattern":
@@ -345,17 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             m.add_argument("--pattern", required=True)
         m.add_argument("--budget", type=int, default=None)
-        m.add_argument("--list", action="store_true")
-        m.add_argument("--json", action="store_true")
-        m.set_defaults(func=_cmd_oracle)
+        if mode != "collinear":
+            m.add_argument("--list", action="store_true")
 
-    pl = sub.add_parser("plot", help="render a point set to SVG")
+    pl = _leaf(sub, "plot", _cmd_plot, help="render a point set to SVG")
     pl.add_argument("--input", required=True)
     pl.add_argument("--out", required=True)
     pl.add_argument("--highlight", default=None, help="comma-separated indices")
     pl.add_argument("--anchors", default=None, help="point-set file of anchors")
-    pl.add_argument("--json", action="store_true")
-    pl.set_defaults(func=_cmd_plot)
 
     return ap
 
@@ -367,13 +332,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except ApxpatError as exc:
+        reply, ok = args.func(args)
+        if reply is not None:
+            _emit(reply, args.json)
+    except (ApxpatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ points whose segments share one bucket form an eps-collinear set (the two
 base angles of every triangle are bounded by the bucket width), so the
 finder looks for a k-clique inside each bucket's segment graph, richest
 bucket first.  A found subset is re-certified with the collinearity
-verifier, on its coordinates scaled by a power of two into the unit range,
+verifier, which scales its points by a power of two into the unit range,
 so the certificate does not depend on the scale either.
 
 The coloring is held as arrays: every pair in ``np.triu_indices`` order and
@@ -224,8 +224,8 @@ def find_collinear(
 
     Segments are colored in the input's own coordinates, directions taken
     modulo pi (a vertical segment is in bucket 0), so there is no frame
-    to fix.  A found subset is certified, and its worst angles computed,
-    after an exact power-of-two scaling into the unit range.  Scaling the
+    to fix.  A found subset is certified by ``verify_collinear``, which,
+    like ``triangle_angles``, works in the unit range.  Scaling the
     input by a power of two leaves the outcome unchanged as long as its
     coordinates and their differences stay normal floats.
     Each bucket with at least C(k, 2) pairs, richest first, gets an exact
@@ -273,18 +273,13 @@ def find_collinear(
         if clique is None:
             continue
         subset = tuple(sorted(clique))
-        # Certified with its coordinates scaled by a power of two (exact)
-        # into the unit range, where the verifier's squared lengths and
-        # their products neither underflow nor overflow.
-        q = s.coords[list(subset)]
-        unit = PointSet(2, np.ldexp(q, -math.frexp(np.abs(q).max())[1]))
-        accepted, worst_local = verify_collinear(unit, eps)
+        accepted, worst_local = verify_collinear(PointSet(2, s.coords[list(subset)]), eps)
         if not accepted:
             raise InternalError(
                 "monochromatic subset failed collinearity verification; this cannot happen"
             )
         worst = tuple(subset[t] for t in worst_local)
-        angles = triangle_angles(*unit.coords[list(worst_local)].tolist())
+        angles = triangle_angles(*s.coords[list(worst)].tolist())
         return CollinearOutcome(
             found=True, subset=subset, bucket=b, accepted=True,
             worst_triangle=worst, worst_angles=angles,

@@ -29,6 +29,11 @@ __all__ = [
 
 DEFAULT_SUBSET_BUDGET = 10**7
 DEFAULT_COLLINEAR_BUDGET = 10**6
+# The homothety grid search: scales and anchors per axis in each pass, and
+# the number of passes.
+_N_LAMBDA = 96
+_N_ANCHOR = 25
+_PASSES = 5
 
 
 def enumerate_aps(
@@ -158,15 +163,7 @@ def grid_min_deviation_ap(q: Sequence[float], *, grid: int = 2000) -> float:
     return best
 
 
-def grid_min_deviation_homothety(
-    q: PointSet,
-    p: Pattern,
-    assignment: Sequence[int],
-    *,
-    n_lambda: int = 96,
-    n_anchor: int = 25,
-    passes: int = 4,
-) -> float:
+def grid_min_deviation_homothety(q: PointSet, p: Pattern, assignment: Sequence[int]) -> float:
     """Min over (anchor, scale > 0) of the relative deviation by grid search.
 
     First pass: scales on a log grid over the bracketing range, anchors on
@@ -194,13 +191,13 @@ def grid_min_deviation_homothety(
     best_lam = None
     best_anchor = None
     a_step = 0.0
-    lam_grid = np.exp(np.linspace(math.log(lam_lo), math.log(lam_hi), n_lambda))
+    lam_grid = np.exp(np.linspace(math.log(lam_lo), math.log(lam_hi), _N_LAMBDA))
     for lam in lam_grid:
         cloud = qa - lam * pa
         low = cloud.min(axis=0)
         high = cloud.max(axis=0)
         axes = [
-            np.linspace(low[a], high[a], n_anchor)
+            np.linspace(low[a], high[a], _N_ANCHOR)
             if high[a] > low[a]
             else np.asarray([low[a]])
             for a in range(d)
@@ -214,18 +211,18 @@ def grid_min_deviation_homothety(
             best = float(dev[i])
             best_lam = float(lam)
             best_anchor = anchors[i].copy()
-            a_step = float(max((high - low).max() / (n_anchor - 1), 1e-12 * lam))
+            a_step = float(max((high - low).max() / (_N_ANCHOR - 1), 1e-12 * lam))
 
-    log_step = (math.log(lam_hi) - math.log(lam_lo)) / (n_lambda - 1)
+    log_step = (math.log(lam_hi) - math.log(lam_lo)) / (_N_LAMBDA - 1)
     p_reach = float(np.sqrt((pa**2).sum(axis=1)).max())
-    for _pass in range(passes - 1):
+    for _pass in range(_PASSES - 1):
         lam_half = 2.0 * log_step
         # The optimal anchor drifts by about |dlam| * max|p_i| across the
         # scale window, so the anchor window must cover that drift too.
         a_half = 2.0 * a_step + best_lam * math.expm1(lam_half) * p_reach
-        lam_grid = best_lam * np.exp(np.linspace(-lam_half, lam_half, n_lambda))
+        lam_grid = best_lam * np.exp(np.linspace(-lam_half, lam_half, _N_LAMBDA))
         axes = [
-            np.linspace(best_anchor[a] - a_half, best_anchor[a] + a_half, n_anchor)
+            np.linspace(best_anchor[a] - a_half, best_anchor[a] + a_half, _N_ANCHOR)
             for a in range(d)
         ]
         anchors = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
@@ -239,6 +236,6 @@ def grid_min_deviation_homothety(
             best = float(dev[pos])
             best_lam = float(lam_grid[pos[0]])
             best_anchor = anchors[pos[1]].copy()
-        log_step = 2.0 * lam_half / (n_lambda - 1)
-        a_step = 2.0 * a_half / (n_anchor - 1)
+        log_step = 2.0 * lam_half / (_N_LAMBDA - 1)
+        a_step = 2.0 * a_half / (_N_ANCHOR - 1)
     return best

@@ -27,6 +27,8 @@ from itertools import combinations
 from operator import mul
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DimensionMismatch
 from .geometry import Pattern, Point, PointSet
 
@@ -53,6 +55,17 @@ _CENTER_REL = 4e-15
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _MEB_SHUFFLE_SEED = 0x5EEDBA11
+
+
+def _to_unit(a) -> tuple[np.ndarray, int]:
+    """a * 2**-e and e, for the e that brings max |a| into [0.5, 1).
+
+    The scaling is exact in floats, so a certificate computed in the unit
+    range is the input's, without squared lengths that underflow or
+    overflow.
+    """
+    e = math.frexp(float(np.abs(a).max()))[1]
+    return np.ldexp(a, -e), e
 
 
 @dataclass(frozen=True)
@@ -246,8 +259,11 @@ def min_enclosing_ball(pts) -> Ball:
 # - Every solve starts from the previous solve's visiting order, so the
 #   last support is tested first (warm start).
 #
-# The witness is the best mu's ball: scale 1/mu and anchor center/mu.  The
-# reported deviation is measured from that witness, in the input's units.
+# Both sets are first scaled by powers of two into the unit range.  The
+# witness is the best mu's ball: scale 1/mu and anchor center/mu, scaled
+# back to the input's units.  The reported deviation is measured from the
+# witness in the unit range, where it is the same number (the scaling is
+# exact).
 # ---------------------------------------------------------------------------
 
 def _golden_min(f, hi: float) -> float:
@@ -280,8 +296,9 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
     """Certify q as an eps-approximate homothetic copy of p under a fixed bijection.
 
     assignment[i] is the pattern index matched to q[i].  Raises ValueError
-    for repeated candidate points, and for points that coincide only
-    numerically, whose squared radius is not a normal float.
+    for repeated candidate points, for points that coincide only
+    numerically (a squared radius in the unit range is not a normal float),
+    and when the witness leaves the float range in the input's units.
     """
     k = len(q)
     if len(p) != k or k < 2:
@@ -294,11 +311,12 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
     eps = float(eps)
     if not (0.0 < eps <= 1.0 / 3.0):
         raise ValueError("eps must lie in (0, 1/3]")
-    ps = p.coords[sigma]
-    qa = q.coords.tolist()
-    if len(set(map(tuple, qa))) < k:
+    if len(set(map(tuple, q.coords.tolist()))) < k:
         raise ValueError("duplicate points in candidate")
-    pa = ps.tolist()
+    qu, eq = _to_unit(q.coords)
+    pu, ep = _to_unit(p.coords[sigma])
+    qa = qu.tolist()
+    pa = pu.tolist()
     order = list(range(k))
     random.Random(_MEB_SHUFFLE_SEED).shuffle(order)
     # Both sets are moved to their ball centers, so the cloud's coordinates
@@ -306,15 +324,14 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
     cq, rad_q2 = _meb(qa, order)
     cp, rad_p2 = _meb(pa, order)
     # The bracket [0, 2*sqrt(rad_p2/rad_q2)] needs both squared radii and
-    # their ratio to be normal floats: a subnormal or zero one means points
-    # that coincide numerically, an infinite one points too far apart.
+    # their ratio to be normal floats: in the unit range, a subnormal or
+    # zero one means points that coincide numerically.
     tiny = sys.float_info.min
-    if not (tiny <= rad_q2 < math.inf and tiny <= rad_p2 < math.inf
-            and tiny <= rad_p2 / rad_q2 < math.inf):
-        raise ValueError("candidate or pattern points coincide numerically or lie "
-                         "too far apart: a squared radius leaves the normal float range")
-    qc = q.coords - cq
-    pc = ps - cp
+    if not (tiny <= rad_q2 and tiny <= rad_p2 and tiny <= rad_p2 / rad_q2 < math.inf):
+        raise ValueError("candidate or pattern points coincide numerically: a squared "
+                         "radius leaves the normal float range")
+    qc = qu - cq
+    pc = pu - cp
 
     def cloud_at(mu: float) -> list[list[float]]:
         return (mu * qc - pc).tolist()
@@ -329,7 +346,15 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
     anchor = [a + (c - b) * scale for a, b, c in zip(cq, cp, center)]
     dev = max(
         [math.dist(qi, [a + scale * y for a, y in zip(anchor, pi)]) for qi, pi in zip(qa, pa)]
-    ) / (scale * p.min_pairwise)
+    ) / (scale * math.ldexp(p.min_pairwise, -ep))
+    # In the input's units the witness must stay finite, with a normal scale.
+    try:
+        scale = math.ldexp(scale, eq - ep)
+        anchor = [math.ldexp(a, eq) for a in anchor]
+    except OverflowError:
+        scale = 0.0
+    if scale < tiny:
+        raise ValueError("the witness leaves the float range in the input's units")
     return VerifyResult(
         accepted=dev <= eps + TAU,
         witness_anchor=Point(tuple(anchor)),
@@ -342,31 +367,40 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
 # Almost collinear sets.
 # ---------------------------------------------------------------------------
 
+def _angle_at(x: Sequence[float], y: Sequence[float], z: Sequence[float]) -> float:
+    u = [y[i] - x[i] for i in range(len(x))]
+    v = [z[i] - x[i] for i in range(len(x))]
+    uu = sum(t * t for t in u)
+    vv = sum(t * t for t in v)
+    if uu == 0.0 or vv == 0.0:
+        raise ValueError("duplicate points: angle undefined")
+    dot = sum(s * t for s, t in zip(u, v))
+    cross_sq = uu * vv - dot * dot
+    cross = math.sqrt(cross_sq) if cross_sq > 0.0 else 0.0
+    return math.atan2(cross, dot)
+
+
+def _angles(a, b, c) -> tuple[float, float, float]:
+    return _angle_at(a, b, c), _angle_at(b, a, c), _angle_at(c, a, b)
+
+
 def triangle_angles(
     a: Sequence[float], b: Sequence[float], c: Sequence[float]
 ) -> tuple[float, float, float]:
-    """Interior angles at a, b, c in radians; collinear triples give (0, 0, pi)."""
+    """Interior angles at a, b, c in radians; collinear triples give (0, 0, pi).
 
-    def angle_at(x: Sequence[float], y: Sequence[float], z: Sequence[float]) -> float:
-        u = [y[i] - x[i] for i in range(len(x))]
-        v = [z[i] - x[i] for i in range(len(x))]
-        uu = sum(t * t for t in u)
-        vv = sum(t * t for t in v)
-        if uu == 0.0 or vv == 0.0:
-            raise ValueError("duplicate points: angle undefined")
-        dot = sum(s * t for s, t in zip(u, v))
-        cross_sq = uu * vv - dot * dot
-        cross = math.sqrt(cross_sq) if cross_sq > 0.0 else 0.0
-        return math.atan2(cross, dot)
-
-    return angle_at(a, b, c), angle_at(b, a, c), angle_at(c, a, b)
+    Computed after scaling the three points by a power of two into the unit
+    range, so the angles do not depend on the scale.
+    """
+    return _angles(*_to_unit(np.array([a, b, c], dtype=float))[0].tolist())
 
 
 def verify_collinear(q: PointSet, eps: float) -> tuple[bool, tuple[int, int, int]]:
     """Accept iff every triangle has its two smallest interior angles <= eps.
 
     Returns (accepted, worst_triangle) where the worst triangle maximizes
-    the second-smallest angle.  Works in every dimension.
+    the second-smallest angle.  Works in every dimension, on the points
+    scaled by a power of two into the unit range.
     """
     eps = float(eps)
     if not (0.0 < eps <= 1.0):
@@ -374,13 +408,13 @@ def verify_collinear(q: PointSet, eps: float) -> tuple[bool, tuple[int, int, int
     k = len(q)
     if k < 3:
         raise ValueError("need at least three points")
-    rows = q.coords.tolist()
-    if len(set(map(tuple, rows))) < k:
+    if len(set(map(tuple, q.coords.tolist()))) < k:
         raise ValueError("duplicate points: angles undefined")
+    rows = _to_unit(q.coords)[0].tolist()
     worst = -1.0
     worst_triple = (0, 1, 2)
     for i, j, l in combinations(range(k), 3):
-        angs = sorted(triangle_angles(rows[i], rows[j], rows[l]))
+        angs = sorted(_angles(rows[i], rows[j], rows[l]))
         second = angs[1]
         if second > worst:
             worst = second

@@ -200,7 +200,7 @@ def test_acceptance_6_verifier_cross_validation():
             continue
         q2 = PointSet(2, pts)
         eps = rng.uniform(0.05, 1 / 3)
-        dev = grid_min_deviation_homothety(q2, p, range(kk), passes=5)
+        dev = grid_min_deviation_homothety(q2, p, range(kk))
         if abs(dev - eps) <= band:
             continue
         got = verify_homothetic(q2, p, range(kk), eps).accepted

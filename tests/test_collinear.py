@@ -14,6 +14,7 @@ from apxpat.collinear import (
 )
 from apxpat.errors import DimensionMismatch
 from apxpat.geometry import Point, PointSet, diameter
+from apxpat.oracle import exists_collinear
 from apxpat.verifier import cylinder_radius, triangle_angles, verify_collinear
 
 
@@ -109,6 +110,17 @@ def test_tiny_coordinates_found():
     assert res.found
     for scale in (2.0**-40, 2.0**40, 2.0**43):
         assert find_collinear(PointSet(2, [(x * scale, y * scale) for x, y in pts]), 3, 0.1) == res
+
+
+def test_verifier_and_oracle_agree_with_finder_at_1e_170():
+    # Squared lengths underflow at this scale; the verifier works in the
+    # unit range, so it and the oracle accept what the finder certifies.
+    s = PointSet(2, [(0.0, 0.0), (1e-170, 2e-171), (2e-170, 4.1e-171)])
+    res = find_collinear(s, 3, 0.1)
+    assert res.found
+    assert verify_collinear(s, 0.1) == (True, res.worst_triangle)
+    assert triangle_angles(*s.coords[list(res.worst_triangle)].tolist()) == res.worst_angles
+    assert exists_collinear(s, 3, 0.1)
 
 
 def test_pentagon_proven_absent():

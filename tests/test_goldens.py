@@ -27,11 +27,16 @@ The three collinear searches (search-collinear.json, search-collinear-greedy.jso
 and search-collinear-absent.json) were re-recorded when the finder lost its
 frame rotation: each is the previous bytes with only the ``"rotations": 0``
 key removed.
+
+``TEXT_GOLDEN`` pins the replies without --json (exit code, stdout and
+stderr) of every leaf command.  They were recorded before the commands
+returned their replies to ``main``, which alone writes them and picks the
+exit code.
 """
 
 import hashlib
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 from apxpat.cli import main
 
@@ -222,3 +227,117 @@ def test_cli_outputs_match_goldens(tmp_path):
     digests = {name: hashlib.sha256(data).hexdigest()
                for name, data in artifacts(tmp_path).items()}
     assert digests == GOLDEN
+
+
+# Text-mode replies: exit code, stdout and stderr of every leaf command run
+# without --json, recorded before the commands returned their replies to
+# ``main`` for writing.  Paths are relative to the working directory, so
+# the ``out:`` lines do not depend on where the test runs.
+TEXT_GOLDEN = {
+    "bounds":
+        "19c2b00725057644832425c7c2a6e91a98bde7ad65ffcb86b64cd542758c8681",
+    "generate-out":
+        "f86ff0f16a1d1e8f46cd1da1a54857808bbfa68afe4dec2f4cfdb0fdfc8490c8",
+    "generate-stream":
+        "19b97f97db40c6acff4a6aadfa87a0919831cd40f86d4a2d8cfd027e17dd5a75",
+    "search-ap":
+        "cdca3ee2cf9c659a0dc1cc07355bd76cf426facebcb4cbd00bdc22573aad3340",
+    "search-ap-warn":
+        "08661cada3bd9470b6ba83fbe7bd7e27a1e2505895cc64eb813097770e6990c2",
+    "search-grid":
+        "487e256c9894a6cb45cd37d5d557eb9c421ca2836b3b3143c271d13effb7fe7f",
+    "search-pattern":
+        "07496153268e081cb3a47b914bb0ca1594829dbe8e2de03c69457a0268de58ae",
+    "search-collinear":
+        "5efaefbb9b4f343d72a3565b02e5516c20235e511244fb9efc9f38e240ce9b02",
+    "verify-ap":
+        "7dc9869b136e84e496674ad954b4938cf797400c446b8b20dba2fd485c48c168",
+    "verify-pattern":
+        "d14693f1b1390f77fa1efd5fa1512751f370fc32382cb6fcb731971b668f4b97",
+    "verify-collinear":
+        "fc5ef85e7e44c5581903ceebc339f50c3c22d0b44ca9be3cac69951687eb0a7f",
+    "oracle-ap":
+        "79d37eb3be6447eb2d17e6038ce8d04b317e52ea3d3d255668a90a5b8b5bdb74",
+    "oracle-pattern":
+        "760128eba06823f1cea2ce6ea24ff1c97232ae466b01a4e81ed4dce148e6751e",
+    "oracle-collinear":
+        "34dcd9ea1e26640e717f9af4031e360305b9a366eea11a8ace7bf971f65561bf",
+    "plot":
+        "b55cfe41699876c4ed952c35323a00088b024d8ab7dc12ab2f5d730e639d208f",
+}
+
+
+def _run_cli_text(*argv: str) -> bytes:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}".encode()
+
+
+def text_artifacts() -> dict[str, bytes]:
+    """Run every leaf command without --json in the working directory."""
+    out = {}
+
+    def write(name, rows):
+        with open(name, "w") as fh:
+            fh.write(rows)
+        return name
+
+    out["bounds"] = _run_cli_text("bounds", "--dim", "2", "--k", "3", "--c", "0.5",
+                                  "--delta", "0.5", "--eps", "0.25")
+    out["generate-out"] = _run_cli_text("generate", "--kind", "random", "--dim", "1",
+                                        "--length", "400", "--delta", "1", "--count", "120",
+                                        "--seed", "11", "--out", "d1.txt")
+    out["generate-stream"] = _run_cli_text("generate", "--kind", "random", "--dim", "2",
+                                           "--length", "10", "--delta", "1", "--count", "20",
+                                           "--seed", "2")
+    _run_cli_text("generate", "--kind", "lattice", "--dim", "2", "--length", "30",
+                  "--jitter", "0.4", "--seed", "4", "--out", "d2.txt")
+    _run_cli_text("generate", "--kind", "lattice", "--dim", "2", "--length", "70",
+                  "--jitter", "0.1", "--seed", "4", "--out", "wide.txt")
+    _run_cli_text("generate", "--kind", "adversarial", "--count", "12", "--out", "adv.txt")
+    tri = write("tri.txt", "2\n0 0\n1 0\n0 1\n")
+
+    out["search-ap"] = _run_cli_text("search", "ap", "--input", "d1.txt", "--k", "3",
+                                     "--eps", EPS, "--delta", "1", "--c", "0.3")
+    # No 3-term AP in {8^-i}: the search stops early with a warning on stderr.
+    out["search-ap-warn"] = _run_cli_text("search", "ap", "--input", "adv.txt", "--k", "3",
+                                          "--eps", "0.25", "--delta", "1e-10", "--c", "0.5")
+    out["search-grid"] = _run_cli_text("search", "grid", "--input", "d2.txt", "--k", "3",
+                                       "--eps", EPS, "--delta", "0.2", "--c", "1.0", "--trace")
+    out["search-pattern"] = _run_cli_text("search", "pattern", "--input", "wide.txt",
+                                          "--pattern", tri, "--eps", EPS, "--delta", "0.5",
+                                          "--c", "1.0")
+    tube = write("tube.txt", "2\n" + "".join(
+        f"{0.5 + 1.2 * i!r} {1.3 + 0.3 * i + (-1) ** i * 1e-3!r}\n" for i in range(8))
+        + "0 5\n3 -2\n7 9\n")
+    out["search-collinear"] = _run_cli_text("search", "collinear", "--input", tube,
+                                            "--k", "6", "--eps", "0.1")
+
+    ap = write("ap.txt", "1\n0\n1\n2.1\n3\n")
+    out["verify-ap"] = _run_cli_text("verify", "ap", "--input", ap, "--eps", "0.25")
+    cand = write("cand.txt", "2\n10 10\n12 10.01\n10 12\n")
+    out["verify-pattern"] = _run_cli_text("verify", "pattern", "--input", cand,
+                                          "--pattern", tri, "--eps", EPS,
+                                          "--assignment", "0,1,2")
+    out["verify-collinear"] = _run_cli_text("verify", "collinear", "--input", tube,
+                                            "--eps", "0.1")
+
+    small = write("small.txt", "1\n0\n1\n2\n3\n5\n8\n13\n")
+    out["oracle-ap"] = _run_cli_text("oracle", "ap", "--input", small, "--k", "3",
+                                     "--eps", "0.25", "--list")
+    six = write("six.txt", "2\n0 0\n1 0\n0 1\n2 2\n4 2.1\n2 4\n")
+    out["oracle-pattern"] = _run_cli_text("oracle", "pattern", "--input", six,
+                                          "--pattern", tri, "--eps", "0.2")
+    out["oracle-collinear"] = _run_cli_text("oracle", "collinear", "--input", tube,
+                                            "--k", "5", "--eps", "0.1")
+    out["plot"] = _run_cli_text("plot", "--input", "d2.txt", "--out", "fig.svg",
+                                "--highlight", "0,31,62")
+    return out
+
+
+def test_text_replies_match_goldens(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in text_artifacts().items()}
+    assert digests == TEXT_GOLDEN

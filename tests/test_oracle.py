@@ -202,7 +202,7 @@ class TestGridOracles:
     def test_hom_grid_frozen_values(self):
         sq = Pattern(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
         q = PointSet(2, [(0.2, -0.2), (1.2, 0.2), (-0.2, 1.2), (0.8, 0.8)])
-        d = grid_min_deviation_homothety(q, sq, range(4), passes=5)
+        d = grid_min_deviation_homothety(q, sq, range(4))
         assert d == pytest.approx(0.2 * 2**0.5, abs=1e-3)
         col = PointSet(2, [(0, 0), (1, 0), (2, 0), (3, 0)])
         assert grid_min_deviation_homothety(col, sq, range(4)) > 1 / 3

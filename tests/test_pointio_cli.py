@@ -1,11 +1,17 @@
+import dataclasses
 import io
 import json
+import math
+import pathlib
 import random
+import re
+import shlex
 from contextlib import redirect_stdout
 
 import pytest
 
-from apxpat.cli import main
+from apxpat import cli
+from apxpat.cli import build_parser, main
 from apxpat.errors import ParseError
 from apxpat.generators import gen_random_separated
 from apxpat.geometry import Pattern, Point, PointSet
@@ -320,14 +326,23 @@ class TestCli:
         assert doc["schedule"]["j"] == 11739
 
     def test_verify_pattern_coincident_candidate_exit_2(self, tmp_path, capsys):
-        cand = tmp_path / "cand.txt"
-        cand.write_text("2\n0 0\n1e-300 0\n0 1e-300\n")
+        # An exact copy scaled by 1e-300 is accepted; points that coincide
+        # numerically, and a witness scale of 1e450, exit 2.
         pat = tmp_path / "tri.txt"
         pat.write_text("2\n0 0\n1 0\n0 1\n")
-        code, out = run_cli("verify", "pattern", "--input", str(cand), "--pattern", str(pat),
-                            "--eps", "0.3")
-        assert code == 2 and out == ""
-        assert capsys.readouterr().err.startswith("error: ")
+        tiny = tmp_path / "tiny.txt"
+        tiny.write_text("2\n0 0\n1e-150 0\n0 1e-150\n")
+        for rows, pattern, expected in (("0 0\n1e-300 0\n0 1e-300", pat, 0),
+                                        ("0.5 0\n0.5 1e-170\n0.5 2e-170", pat, 2),
+                                        ("0 0\n1e300 0\n0 1e300", tiny, 2)):
+            cand = tmp_path / "cand.txt"
+            cand.write_text(f"2\n{rows}\n")
+            code, out = run_cli("verify", "pattern", "--input", str(cand),
+                                "--pattern", str(pattern), "--eps", "0.3")
+            err = capsys.readouterr().err
+            assert code == expected
+            if expected == 2:
+                assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
     def test_consecutive_calls_are_independent(self, tmp_path):
         # The parser is built once per process; no call may see another's flags.
@@ -363,3 +378,45 @@ class TestCli:
         assert code == 0
         s = parse_pointset(out)
         assert s.values() == (1.0, 0.125, 0.015625)
+
+    @pytest.mark.parametrize("flags", [
+        ("--dim", "3", "--k", "2", "--c", "1e-6", "--delta", "0.01", "--eps", "0.05"),
+        ("--dim", "30", "--k", "3", "--c", "1", "--delta", "1e-20", "--eps", "0.3"),
+    ])
+    def test_infinite_z0_is_strict_json_null(self, flags):
+        def reject(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        code, out = run_cli("bounds", *flags, "--json")
+        assert code == 0
+        assert json.loads(out, parse_constant=reject)["schedule"]["z0"] is None
+
+    def test_non_finite_reply_exits_2(self, monkeypatch, capsys):
+        # Any other non-finite float makes the reply invalid JSON: an error,
+        # with nothing on stdout.
+        real = cli.schedule_nd
+        monkeypatch.setattr(cli, "schedule_nd",
+                            lambda *a: dataclasses.replace(real(*a), r=math.nan))
+        code, out = run_cli("bounds", "--k", "3", "--c", "0.4", "--delta", "1",
+                            "--eps", "0.3", "--json")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_oracle_collinear_has_no_list_flag(self, tmp_path):
+        pts = tmp_path / "pts.txt"
+        pts.write_text("2\n0 0\n1 0\n2 0\n")
+        argv = ("oracle", "collinear", "--input", str(pts), "--k", "3", "--eps", "0.1")
+        assert run_cli(*argv) == (0, "exists: True\n")
+        assert run_cli(*argv, "--list") == (2, "")
+
+
+def test_readme_commands_parse():
+    # Every apxpat command in README's sh blocks, with continuation lines
+    # joined, is accepted by the parser.
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in text.splitlines()
+                if line.startswith("apxpat ")]
+    assert len(commands) >= 10
+    for argv in commands:
+        build_parser().parse_args(argv)

@@ -194,16 +194,24 @@ class TestVerifyHomothetic:
         assert r.max_relative_deviation > 1 / 3
 
     def test_numerically_coincident_candidate_rejected(self):
-        # Distinct points whose squared radius underflows (1e-300, 1e-160)
-        # or overflows (1e160) are rejected like exact duplicates.
+        # Both sets are scaled by powers of two into the unit range, so an
+        # exact copy is accepted at any scale.  Distinct points whose squared
+        # radius underflows there are rejected like exact duplicates, and a
+        # witness that leaves the float range in the input's units raises.
         tri = Pattern(2, [(0, 0), (1, 0), (0, 1)])
-        for size in (1e-300, 1e-160, 1e160):
+        for size in (1e-300, 1e-160, 1e-150, 1e150, 1e160):
             q = PointSet(2, [(0, 0), (size, 0), (0, size)])
-            with pytest.raises(ValueError, match="normal float range"):
-                verify_homothetic(q, tri, range(3), 0.3)
-        for size in (1e-150, 1e150):
+            r = verify_homothetic(q, tri, range(3), 0.3)
+            assert r.accepted and r.max_relative_deviation <= 1e-12
+            assert r.witness_scale == pytest.approx(size, rel=1e-12)
+        q = PointSet(2, [(0.5, 0), (0.5, 1e-170), (0.5, 2e-170)])
+        with pytest.raises(ValueError, match="normal float range"):
+            verify_homothetic(q, tri, range(3), 0.3)
+        for size, pat in ((1e300, 1e-150), (1e-300, 1e150)):
             q = PointSet(2, [(0, 0), (size, 0), (0, size)])
-            assert verify_homothetic(q, tri, range(3), 0.3).accepted
+            tiny = Pattern(2, [(0, 0), (pat, 0), (0, pat)])
+            with pytest.raises(ValueError, match="float range"):
+                verify_homothetic(q, tiny, range(3), 0.3)
 
     def test_bad_assignment(self):
         q = PointSet(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
