@@ -13,8 +13,19 @@ is seed + m*gamma mod 2^64, and each output is a fixed mix of one state.
 ``splitmix64_block`` therefore draws any run of the stream as one numpy
 uint64 array, with the same bits as stepping it one word at a time; it is
 the only code that knows the stream.
+
+The separation audit and dart throwing share one grid hash: linear uint64
+keys of cell indices (``_cell_keys``), sorted once, with the points of a
+neighbouring cell found by ``searchsorted`` and every candidate pair
+confirmed by its own squared distance, summed axis by axis
+(``_close_in_ranges``).  Below 3^dim points, where a ring of cells would
+cost more than the points it holds, both compare every pair instead.
+Dart throwing decides a whole block of candidates this way and walks in
+Python only the candidates that conflict with an earlier one of the same
+block; it stops early once the accepted points provably fill the box.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -26,9 +37,14 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TO53 = 2.0**-53
-# Candidate rows per stream block in dart_throw: enough to amortise the
-# numpy draw, few enough that the words past the stopping attempt are cheap.
+# The most candidate rows dart_throw decides at once: enough to amortise
+# numpy's per-call cost, few enough that a block's own close pairs stay few.
 _BLOCK_ROWS = 1024
+# Candidate pairs whose distances one numpy pass computes.
+_PAIRS_PER_PASS = 64 * _BLOCK_ROWS
+# Ring cells looked up in one searchsorted: enough to amortise numpy's
+# per-call cost on a block, few enough that the lookup stays in cache.
+_CELLS_PER_LOOKUP = 8 * _BLOCK_ROWS
 
 
 def splitmix64_block(state, count):
@@ -49,97 +65,245 @@ def unit_from_bits(z):
     return (z >> 11) * _TO53
 
 
-def _neighbor_offsets(dim, rings):
-    """All integer offset vectors in [-rings, rings]^dim, zero vector first."""
-    span = range(-rings, rings + 1)
-    offs = [()]
-    for _ in range(dim):
-        offs = [o + (v,) for o in offs for v in span]
-    offs.sort(key=lambda o: (o != (0,) * dim, o))
-    return offs
-
-
-def _any_closer(stored, count, dim, q, limit2):
-    """True iff one of the first count points of stored (row-major) has
-    squared distance below limit2 from q."""
-    for b in range(0, count * dim, dim):
-        d2 = 0.0
-        for a in range(dim):
-            t = stored[b + a] - q[a]
-            d2 += t * t
-        if d2 < limit2:
-            return True
-    return False
-
-
 def dart_throw(dim, length, delta, target, seed, max_attempts):
     """Sequential dart throwing in [0, length)^dim with minimum distance delta.
 
     Returns (flat_coords, attempts) where flat_coords holds the accepted
     points row-major in acceptance order.  Stops at the attempt that
-    accepts the target-th point, or after max_attempts candidates.
+    accepts the target-th point, or after max_attempts candidates, or once
+    the accepted points provably fill the box.
 
     Candidates are rows of dim consecutive stream words, drawn in blocks of
-    rows; the words a run stops short of are never used.  Each is checked
-    against the accepted points in the neighbouring grid cells, or against
-    all accepted points when there are fewer of those than neighbour
-    offsets ((2*rings+1)^dim grows past 10^9 at dim=10).  Both give the
-    same decisions.  Cell keys are linear in the cell index, so a
-    neighbour's key is the candidate's key plus the offset's.
+    rows; the words a run stops short of are never used.  A candidate is
+    rejected when some earlier accepted point has squared distance, summed
+    axis by axis, below delta^2, so its fate depends only on it and the
+    points accepted before it.  Each block is therefore decided in numpy:
+    the candidates near a point accepted in earlier blocks are rejected
+    through the grid hash of the separation audit (``_close_pairs``); the
+    close pairs among the survivors are found, each once, the way the
+    audit finds them (``_close_pairs_within``); only those pairs are walked
+    in Python, in stream order of their later candidate, which is rejected
+    when the earlier one still stands; and the block is cut at the
+    target-th acceptance, so ``attempts`` is the count a one-at-a-time
+    thrower reports.  Blocks hold at most _BLOCK_ROWS candidates, and
+    about twice as many as the run's acceptance rate needs to reach the
+    target, so a small target draws a small block.
+
+    After a block that accepts nothing, the accepted set is tested for
+    maximality (``_box_is_full``): a full box accepts no later candidate,
+    so stopping there changes no output that reaches the target.
     """
-    cell = delta * (1.0 - 1e-9) / math.sqrt(dim)
-    span = length / cell
-    if not math.isfinite(span):
+    if not math.isfinite(length / delta):
         raise ValueError(f"length {length:g} spans too many cells of delta {delta:g}")
-    rings = int(delta / cell) + 1
-    direct = (2 * rings + 1) ** dim > target
-    base = int(span) + 2 + 2 * rings
-    off_keys = [] if direct else [_linear_key([o + rings for o in off], base)
-                                  for off in _neighbor_offsets(dim, rings)]
-    grid = {}
-    accepted = []
+    # Wider than delta by more than x/cell can round across the box, so two
+    # points the test rejects lie at most one cell index apart on each axis.
+    cell = (delta + length * 2.0**-48) * (1.0 + 2.0**-40)
+    base = (int(length / cell) + 4) | 1
     delta2 = delta * delta
+    pts = np.empty((0, dim))  # accepted points, sorted by cell key
+    keys = np.empty(0, dtype=np.uint64)
+    won_rows = []
     state = seed
     n = 0
     attempts = 0
+    tested = (0, 0)  # accepted count and attempts at the last test for a full box
     while n < target and attempts < max_attempts:
-        rows = min(_BLOCK_ROWS, max_attempts - attempts)
+        rows = min(_BLOCK_ROWS, max_attempts - attempts,
+                   2 * (target - n) * (attempts + 1) // (n + 1) + 8)
         words, state = splitmix64_block(state, rows * dim)
-        for cand in (unit_from_bits(words) * length).reshape(rows, dim).tolist():
-            attempts += 1
-            if direct:
-                ok = not _any_closer(accepted, n, dim, cand, delta2)
-            else:
-                key = _linear_key([int(c / cell) for c in cand], base)
-                ok = True
-                for off in off_keys:
-                    idx = grid.get(key + off)
-                    if idx is None:
-                        continue
-                    b = idx * dim
-                    d2 = 0.0
-                    for a in range(dim):
-                        t = accepted[b + a] - cand[a]
-                        d2 += t * t
-                    if d2 < delta2:
-                        ok = False
-                        break
-                if ok:
-                    grid[key + off_keys[0]] = n
-            if ok:
-                accepted.extend(cand)
-                n += 1
-                if n == target:
-                    break
-    return accepted, attempts
+        block = (unit_from_bits(words) * length).reshape(rows, dim)
+        bkeys = _home_keys(block, cell, base)
+        # Candidates in key order: sorted queries search faster.
+        by_key = np.argsort(bkeys)
+        cand, ckeys = block[by_key], bkeys[by_key]
+        near, _ = _close_pairs(cand, ckeys, pts, keys, base, delta2)
+        free = np.ones(rows, dtype=bool)  # in stream order
+        free[by_key[near]] = False
+        surv = np.flatnonzero(free[by_key])
+        # Close pairs among the survivors, as stream positions (earlier,
+        # later), walked in the order of the later.
+        i, j = _joined(_close_pairs_within(cand[surv], ckeys[surv], base, delta2))
+        i, j = by_key[surv[i]], by_key[surv[j]]
+        earlier, later = np.minimum(i, j), np.maximum(i, j)
+        walk = np.argsort(later)
+        ok = free.tolist()
+        for e, l in zip(earlier[walk].tolist(), later[walk].tolist()):
+            if ok[e]:
+                ok[l] = False
+        won = np.flatnonzero(ok)[: target - n]
+        if n + len(won) == target:
+            attempts += int(won[-1]) + 1
+        else:
+            attempts += rows
+        if len(won):
+            won_rows.append(block[won])
+            n += len(won)
+            keys = np.concatenate([keys, bkeys[won]])
+            order = np.argsort(keys)
+            keys = keys[order]
+            pts = np.concatenate([pts, block[won]])[order]
+        elif n > tested[0] or attempts >= 2 * tested[1]:
+            # The test looks at no more cells than darts were thrown, and
+            # runs again once the set grows or the attempts double.
+            if _box_is_full(pts, keys, base, cell, length, delta, attempts):
+                break
+            tested = (n, attempts)
+    if not won_rows:
+        return [], attempts
+    return np.concatenate(won_rows).ravel().tolist(), attempts
 
 
-def _linear_key(index, base):
-    """The base-`base` number whose digits are index, most significant first."""
-    key = 0
-    for v in index:
-        key = key * base + v
-    return key
+def _box_is_full(pts, keys, base, cell, length, delta, budget):
+    """True when every candidate dart_throw can draw is rejected by the
+    accepted points pts (sorted by their keys), by cell coverage.
+
+    This is the test of maximal Poisson-disk sampling (Ebeida et al., "A
+    simple algorithm for maximal Poisson-disk sampling in high
+    dimensions", Eurographics 2012): cells of side delta/sqrt(dim) tile the
+    box, a cell lying wholly inside one point's rejection ball is done, and
+    every other cell is split into 2^dim halves and tested again.  The
+    farthest point of a cell is padded by more than the rounding of its
+    corners, and the test asks for its squared distance times (1 + 2^-40)
+    to stay below delta^2, which bounds the rounding of dart_throw's own
+    sum.  A cell whose centre no accepted point rejects ends the test: the
+    box is not full.  So does a total volume of the balls below the box's,
+    and a budget of cells to examine that runs out.
+    """
+    n, dim = pts.shape
+    if n == 0:
+        return False
+    log_balls = (math.log(n) + dim / 2 * math.log(math.pi) - math.lgamma(dim / 2 + 1)
+                 + dim * math.log(delta))
+    if log_balls < dim * math.log(length):
+        return False
+    delta2 = delta * delta
+    side = delta / math.sqrt(dim)
+    pad = (length + delta) * 2.0**-50
+    per_axis = int(length / side) + 1
+    if per_axis**dim > budget:
+        return False
+    idx = np.indices((per_axis,) * dim).reshape(dim, -1).T
+    halves = np.indices((2,) * dim).reshape(dim, -1).T
+    with np.errstate(over="ignore"):
+        while len(idx):
+            budget -= len(idx)
+            lo = idx * side
+            hi = np.minimum((idx + 1) * side, length)
+            mid = (lo + hi) * 0.5
+            cells, near = _close_pairs(mid, _home_keys(mid, cell, base), pts, keys, base,
+                                       delta2)
+            if len(np.unique(cells)) < len(idx):
+                return False
+            far = np.maximum(pts[near] - lo[cells], hi[cells] - pts[near]) + pad
+            inside = (far * far).sum(axis=1) * (1.0 + 2.0**-40) < delta2
+            done = np.zeros(len(idx), dtype=bool)
+            done[cells[inside]] = True
+            idx = idx[~done]
+            if len(idx) * 2**dim > budget:
+                return False
+            side *= 0.5
+            idx = (2 * idx[:, None, :] + halves).reshape(-1, dim)
+            # A cell whose corner rounds to length or past it holds no
+            # candidate: the largest candidate is below length by an ulp.
+            idx = idx[(idx * side < length).all(axis=1)]
+    return True
+
+
+def _home_keys(x, cell, base):
+    """Keys of the cells of side cell holding the rows of x >= 0."""
+    return _cell_keys(np.floor(x / cell), base)
+
+
+def _cell_keys(home, base):
+    """Linear uint64 keys of cell indices (an (n, dim) float array of
+    non-negative integers below 2^64): the base-`base` number with the
+    indices as digits, in wrapping arithmetic."""
+    home = home.astype(np.uint64)
+    keys = np.zeros(len(home), dtype=np.uint64)
+    ubase = np.uint64(base & _MASK64)
+    for a in range(home.shape[1]):
+        keys = keys * ubase + home[:, a]
+    return keys
+
+
+def _ring_keys(dim, base):
+    """Wrapping uint64 key offsets of the 3^dim cells of one ring, as an
+    array in lexicographic order of the offset vectors: the zero offset
+    sits in the middle, and the lexicographically positive half follows
+    it.  Keys are linear, so the key of a neighbour cell is always a cell's
+    key plus the offset's; a wrap or collision only adds candidate pairs,
+    which their distances then reject."""
+    keys = []
+    for off in itertools.product((-1, 0, 1), repeat=dim):
+        key = 0
+        for v in off:
+            key = key * base + v
+        keys.append(key & _MASK64)
+    return np.asarray(keys, dtype=np.uint64)
+
+
+def _close_pairs(q, qkeys, pts, keys, base, thr2):
+    """Index pairs (i, j), as two arrays, with q[i] strictly closer than
+    sqrt(thr2) to pts[j].  pts are sorted by their cell keys (``_home_keys``);
+    a pair is looked for only in the one ring of cells around q[i], which
+    holds every point closer than the cell side.  With fewer points than
+    the 3^dim ring cells, every point is compared instead."""
+    m, dim = q.shape
+    if 3**dim > len(pts):
+        return _joined(_close_in_ranges(q, pts, np.zeros(m, dtype=np.intp),
+                                        np.full(m, len(pts)), thr2))
+    return _joined(_close_in_cells(q, qkeys, _ring_keys(dim, base), pts, keys,
+                                   _run_ends(keys), thr2))
+
+
+def _close_pairs_within(pts, keys, base, thr2):
+    """Yield each pair of pts strictly closer than sqrt(thr2), once, as
+    index arrays (i, j), one numpy pass at a time, so a caller may stop at
+    the first.  pts are sorted by their cell keys; each point is compared
+    with the later points of its own cell and with the points of the
+    positive half of its ring.  With fewer points than the 3^dim ring
+    cells, each point is compared with every later point instead."""
+    n, dim = pts.shape
+    if 3**dim > n:
+        yield from _close_in_ranges(pts, pts, np.arange(1, n + 1), np.full(n, n), thr2)
+        return
+    run_end = _run_ends(keys)
+    yield from _close_in_ranges(pts, pts, np.arange(1, n + 1), run_end, thr2)
+    ring = _ring_keys(dim, base)
+    for i, j in _close_in_cells(pts, keys, ring[len(ring) // 2 + 1:], pts, keys, run_end, thr2):
+        # A wrapped offset key can point back at the point itself.
+        keep = i != j
+        yield i[keep], j[keep]
+
+
+def _run_ends(keys):
+    """For each index of the sorted keys, the end of its run of equal keys."""
+    ends = np.append(np.flatnonzero(keys[1:] != keys[:-1]) + 1, len(keys))
+    return np.repeat(ends, np.diff(ends, prepend=0))
+
+
+def _close_in_cells(q, qkeys, offsets, pts, keys, run_end, thr2):
+    """Yield, a numpy pass at a time, the index pairs (i, j) with q[i]
+    strictly closer than sqrt(thr2) to a point pts[j] whose key is
+    qkeys[i] plus one of offsets; pts are sorted by their keys, and
+    run_end is ``_run_ends(keys)``.  The cells of several offsets are
+    looked up at once, at most _CELLS_PER_LOOKUP cells (or one offset's)
+    per lookup."""
+    step = max(1, _CELLS_PER_LOOKUP // max(len(q), 1))
+    for c in range(0, len(offsets), step):
+        cells = (qkeys + offsets[c:c + step, None]).ravel()
+        first = np.searchsorted(keys, cells)
+        at = np.minimum(first, len(keys) - 1)
+        stop = np.where(keys[at] == cells, run_end[at], first)
+        yield from _close_in_ranges(q, pts, first, stop, thr2)
+
+
+def _joined(hits):
+    """Concatenate (rows, cols) index array pairs."""
+    hits = list(hits)
+    if not hits:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    return tuple(np.concatenate(part) for part in zip(*hits))
 
 
 def has_close_pair(flat, dim, threshold):
@@ -150,15 +314,18 @@ def has_close_pair(flat, dim, threshold):
     differ by less than half a cell on every axis, so their home cells are
     neighbours in the one ring of 3^dim offsets, with half a cell to spare
     for rounding.  Each point gets a linear key of its home cell, the keys
-    are sorted once, and for the offset zero and each of the (3^dim - 1)/2
-    lexicographically positive offsets the points in the offset cell are
-    found by ``searchsorted``.  Keys are formed in wrapping uint64
+    are sorted once, and each point is compared with the later points of
+    its own cell and with the points of the lexicographically positive half
+    of its ring, found by ``searchsorted`` (``_close_pairs_within``, which
+    ``dart_throw`` shares).  The scan stops at the first numpy pass that
+    finds a pair, so a set that fails the audit fails fast however many of
+    its points crowd one cell.  Keys are formed in wrapping uint64
     arithmetic, which is linear, so the key of a neighbour cell is always
     the point's key plus the offset's key; a wrap or collision only adds
     candidate pairs, and every candidate is confirmed by its own distance,
-    so no pair is ever missed.  With fewer points than the 3^dim offsets,
-    the pair scan compares each point with all earlier points instead.
-    Both give the same answer as the naive scan.
+    so no pair is ever missed.  With fewer points than the 3^dim offsets, the
+    pair scan compares each point with all earlier points instead.  Both
+    give the same answer as the naive scan.
     """
     n = len(flat) // dim
     if n < 2:
@@ -177,48 +344,43 @@ def has_close_pair(flat, dim, threshold):
     # An odd base keeps base**a from vanishing mod 2**64, which would drop
     # whole axes from the key.
     base = (int(home.max()) + 4) | 1
-    home = home.astype(np.uint64)
-    keys = np.zeros(n, dtype=np.uint64)
-    ubase = np.uint64(base & _MASK64)
-    for a in range(dim):
-        keys = keys * ubase + home[:, a]
+    keys = _cell_keys(home, base)
     order = np.argsort(keys)
-    pts = pts[order]
-    keys = keys[order]
-    # Pairs sharing a key: each point against the later points of its run.
-    run_end = np.searchsorted(keys, keys[:-1], "right")
-    if _close_in_ranges(pts, np.arange(1, n), run_end, thr2):
-        return True
-    zero = (0,) * dim
-    for off in _neighbor_offsets(dim, 1):
-        if off <= zero:
-            continue
-        target = keys + np.uint64(_linear_key(off, base) & _MASK64)
-        first = np.searchsorted(keys, target, "left")
-        stop = np.searchsorted(keys, target, "right")
-        if _close_in_ranges(pts, first, stop, thr2):
-            return True
-    return False
+    return any(len(i) for i, _ in _close_pairs_within(pts[order], keys[order], base, thr2))
 
 
-def _close_in_ranges(pts, first, stop, thr2):
-    """True iff some point i lies strictly closer than sqrt(thr2) to another
-    point with index in [first[i], stop[i]).  Walks the ranges one column
-    at a time, so memory stays O(n) however many points share a range."""
-    rows = np.flatnonzero(stop > first)
-    cols = first[rows]
-    while len(rows):
+def _close_in_ranges(q, pts, first, stop, thr2):
+    """Yield the index pairs (i, j) with q[i] strictly closer than
+    sqrt(thr2) to pts[j] for j in [first[r], stop[r]) and i = r mod
+    len(q), as two arrays per numpy pass.  Each squared distance is summed
+    axis by axis, as a scalar loop sums it.  The ranges are expanded into
+    index pairs a run of ranges at a time, at most _PAIRS_PER_PASS pairs
+    (or one range) per pass, so memory stays O(len(first) +
+    _PAIRS_PER_PASS + the longest range) however many points share a
+    range."""
+    live = np.flatnonzero(stop > first)
+    first = first[live]
+    counts = stop[live] - first
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(live):
+        done = int(ends[start - 1]) if start else 0
+        end = max(start + 1, int(np.searchsorted(ends, done + _PAIRS_PER_PASS, "right")))
+        runs = counts[start:end]
+        rows = np.repeat(live[start:end], runs)
+        # Pair p of a live row r sits at p - (ends[r] - runs[r] - done)
+        # in the pass, and compares with point first[r] plus that.
+        cols = np.arange(len(rows)) + np.repeat(
+            first[start:end] - (ends[start:end] - runs - done), runs)
+        rows %= len(q)
         d2 = np.zeros(len(rows))
-        for a in range(pts.shape[1]):
-            t = pts[cols, a] - pts[rows, a]
-            d2 += t * t
-        # A wrapped offset key can point a range back at the point itself.
-        if ((d2 < thr2) & (rows != cols)).any():
-            return True
-        cols = cols + 1
-        keep = cols < stop[rows]
-        rows, cols = rows[keep], cols[keep]
-    return False
+        with np.errstate(over="ignore"):
+            for a in range(q.shape[1]):
+                t = pts[cols, a] - q[rows, a]
+                d2 += t * t
+        close = np.flatnonzero(d2 < thr2)
+        yield rows[close], cols[close]
+        start = end
 
 
 def bin_cells(flat, dim, lo, width, ncells):

@@ -6,7 +6,10 @@ bit-identical across runs and platforms.  The stream's m-th state is
 seed + m*gamma mod 2^64, so ``_kernels.splitmix64_block`` draws a whole
 run of it as one uint64 array: the jittered lattice takes all of its
 n*d words in one block, and dart throwing takes its candidates in blocks
-of rows.
+of rows, each decided in numpy against the accepted points through the
+separation audit's grid hash.  Dart throwing is sequential in effect: a
+candidate is accepted iff no earlier accepted point is within delta, so
+the output is that of throwing one candidate at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +32,13 @@ def gen_random_separated(
     d: int, length: float, delta: float, target_count: int, seed: int
 ) -> PointSet:
     """Dart throwing: uniform candidates in [0, length)^d, accepted while
-    keeping the set delta-separated, until target_count points stand."""
+    keeping the set delta-separated, until target_count points stand.
+
+    Raises InfeasibleGeneration when the count cannot pack by volume, and
+    when the run ends short of it: after 10^6 attempts per point, or as
+    soon as the accepted points provably fill the box (every candidate
+    would be within delta of one of them), which a small box reaches
+    quickly."""
     if int(d) != d or d < 1:
         raise ValueError("dimension must be a positive integer")
     d = int(d)

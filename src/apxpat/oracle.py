@@ -9,6 +9,7 @@ minimum enclosing ball, no golden section).
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations, permutations
 from typing import Sequence
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .geometry import Pattern, PointSet
-from .verifier import verify_ap, verify_collinear, verify_homothetic
+from .verifier import triangle_angles, verify_ap, verify_homothetic
 
 __all__ = [
     "enumerate_aps",
@@ -92,7 +93,17 @@ def enumerate_homothetic(
 def exists_collinear(
     s: PointSet, k: int, eps: float, *, budget: int | None = None
 ) -> bool:
-    """True iff some k-subset passes verify_collinear."""
+    """True iff some k-subset has every triangle's two smallest angles at
+    most eps, with verify_collinear's 1e-12 tolerance.
+
+    Each triangle is scaled by a power of two into the unit range on its
+    own (``triangle_angles``), while verify_collinear scales a whole
+    subset once.  The verdicts agree unless a subset's coordinates span
+    more than about 2^1022, where the subset's scaling underflows its
+    small points.  Every subset of a passing set passes, so subsets are
+    grown in index order only from subsets whose triangles all pass, and
+    each triangle's verdict is computed once.
+    """
     if int(k) != k or k < 3:
         raise ValueError("k must be an integer >= 3")
     k = int(k)
@@ -102,11 +113,27 @@ def exists_collinear(
     cap = DEFAULT_COLLINEAR_BUDGET if budget is None else int(budget)
     if math.comb(n, k) > cap:
         raise BudgetExceeded(f"C({n},{k}) exceeds the budget {cap}")
-    for combo in combinations(range(n), k):
-        accepted, _ = verify_collinear(s.subset(combo), eps)
-        if accepted:
+    eps = float(eps)
+    if not (0.0 < eps <= 1.0):
+        raise ValueError("eps must lie in (0, 1]")
+    pts = s.coords.tolist()
+    if len(set(map(tuple, pts))) < n:
+        raise ValueError("duplicate points: angles undefined")
+
+    @functools.cache
+    def passes(i: int, j: int, m: int) -> bool:
+        return sorted(triangle_angles(pts[i], pts[j], pts[m]))[1] <= eps + 1e-12
+
+    def grow(chosen: list[int]) -> bool:
+        if len(chosen) == k:
             return True
-    return False
+        start = chosen[-1] + 1 if chosen else 0
+        for m in range(start, n - (k - len(chosen)) + 1):
+            if all(passes(i, j, m) for i, j in combinations(chosen, 2)) and grow(chosen + [m]):
+                return True
+        return False
+
+    return grow([])
 
 
 # ---------------------------------------------------------------------------

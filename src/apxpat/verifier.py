@@ -94,7 +94,11 @@ class Ball:
 # ---------------------------------------------------------------------------
 
 def verify_ap(q: Sequence[float], eps: float) -> VerifyResult:
-    """Certify a strictly increasing k >= 3 sequence as an eps-approximate AP."""
+    """Certify a strictly increasing k >= 3 sequence as an eps-approximate AP.
+
+    Computed on the terms scaled by a power of two into the unit range.
+    Raises ValueError when terms coincide once scaled, and when the witness
+    leaves the float range in the input's units."""
     vals = [float(v) for v in q]
     k = len(vals)
     if k < 3:
@@ -107,6 +111,14 @@ def verify_ap(q: Sequence[float], eps: float) -> VerifyResult:
     eps = float(eps)
     if not (0.0 <= eps <= 1.0 / 3.0):
         raise ValueError("eps must lie in [0, 1/3]")
+
+    # In the unit range, by an exact power of two, so no span overflows and
+    # no slope does; on normal-range input every step below gives the bits
+    # of the same formula in the input's units.
+    unit, ex = _to_unit(np.asarray(vals))
+    vals = unit.tolist()
+    if any(a == b for a, b in zip(vals, vals[1:])):
+        raise ValueError("values coincide once scaled into the unit range")
 
     best_t = -1.0
     best = (0, 1, 2)
@@ -126,6 +138,12 @@ def verify_ap(q: Sequence[float], eps: float) -> VerifyResult:
     dev = max(abs(rho * vals[m] - alpha - m) for m in range(k))
     r = 1.0 / rho
     a = alpha * r
+    try:
+        r, a = math.ldexp(r, ex), math.ldexp(a, ex)
+    except OverflowError:
+        r = 0.0
+    if r == 0.0:
+        raise ValueError("the witness leaves the float range in the input's units")
     return VerifyResult(
         accepted=dev <= eps + TAU,
         witness_anchor=Point((a,)),

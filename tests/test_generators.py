@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -28,6 +29,15 @@ class TestRandomSeparated:
     def test_packing_infeasible(self):
         with pytest.raises(InfeasibleGeneration):
             gen_random_separated(1, 10.0, 1.0, 100, 0)
+
+    def test_full_box_fails_fast(self):
+        # Nine or ten points fill the 3 x 3 box; the run stops once the
+        # accepted set is provably maximal instead of after 14 * 10^6
+        # attempts.
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleGeneration, match=r"accepted only (9|10)/14 points"):
+            gen_random_separated(2, 3.0, 1.0, 14, 0)
+        assert time.perf_counter() - start < 1.0
 
     def test_volume_past_float_range(self):
         # (length + delta)^2 overflows a float: the cube has room for any

@@ -5,11 +5,14 @@ separation audit checked against the naive pairwise scan."""
 import io
 import math
 import random
+import time
 from contextlib import redirect_stdout
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apxpat import _kernels, cli
 from apxpat.generators import gen_jittered_lattice
@@ -41,13 +44,15 @@ def _any_closer(stored, count, dim, q, limit2):
 
 def reference_dart_throw(dim, length, delta, target, seed, max_attempts):
     """Reference thrower: one candidate at a time from the scalar stream,
-    with the kernel's two neighbourhood paths and cell keys."""
+    checked against the accepted points in a dict grid of cells with
+    diagonal below delta (one point per cell), or against all accepted
+    points when there are fewer of those than neighbour offsets."""
     cell = delta * (1.0 - 1e-9) / math.sqrt(dim)
     rings = int(delta / cell) + 1
     direct = (2 * rings + 1) ** dim > target
     ncells = int(length / cell) + 2
     base = ncells + 2 * rings
-    offsets = () if direct else _kernels._neighbor_offsets(dim, rings)
+    offsets = () if direct else list(product(range(-rings, rings + 1), repeat=dim))
     grid = {}
     accepted = []
     delta2 = delta * delta
@@ -164,19 +169,118 @@ def test_jittered_lattice_matches_scalar_odometer(d, length, jitter, seed):
     assert s.coords.reshape(-1).tolist() == ref
 
 
+def _assert_matches_reference(case):
+    """The kernel's flat list is the reference's after max_attempts, and so
+    are its attempts, unless it stops short of both its target and
+    max_attempts, having found the box full: then the reference cut at
+    that attempt holds the same points, and takes no more after it."""
+    dim, length, delta, target, seed, max_attempts = case
+    flat, attempts = _kernels.dart_throw(*case)
+    ref_flat, ref_attempts = reference_dart_throw(*case)
+    assert flat == ref_flat
+    if len(flat) < target * dim and attempts < max_attempts:
+        assert reference_dart_throw(*case[:5], attempts)[0] == flat
+    else:
+        assert attempts == ref_attempts
+
+
 @pytest.mark.parametrize("case", [
     (1, 400.0, 1.0, 120, 11, 10**6),       # 1-D grid path
     (1, 13122.0, 1.0, 5249, 3, 10**6),     # the 1-D threshold instance
     (1, 3.0, 0.5, 4, -3, 10**6),           # 1-D direct scan
     (2, 40.0, 1.0, 700, 3, 10**6),         # 2,294 attempts: two refilled blocks
     (2, 40.0, 1.0, 700, 3, 1500),          # cut inside the second block
-    (2, 3.0, 1.0, 20, 8, 1300),            # direct scan, cut in the second block
-    (3, 12.0, 1.0, 100, 5, 10**6),         # direct scan below 5^3 offsets
-    (3, 12.0, 1.0, 130, 5, 10**6),         # grid path above them
-    (10, 1.5, 1.0, 40, 99, 10**6),         # (2*4+1)^10 offsets: direct scan
+    (2, 3.0, 1.0, 20, 8, 1300),            # the box fills before the cut
+    (3, 12.0, 1.0, 100, 5, 10**6),         # the reference scans below 5^3 offsets
+    (3, 12.0, 1.0, 130, 5, 10**6),         # and uses its grid above them
+    (10, 1.5, 1.0, 40, 99, 10**6),         # 3^10 ring cells: all-points comparison
+    (2, 1e10, 1.0, 40, 5, 10**6),          # keys past 2^63: one window per ring cell
+    (3, 1e7, 3.0, 60, -1, 10**6),
 ])
 def test_dart_throw_matches_scalar_reference(case):
-    assert _kernels.dart_throw(*case) == reference_dart_throw(*case)
+    _assert_matches_reference(case)
+
+
+@st.composite
+def _throws(draw):
+    dim = draw(st.sampled_from([1, 2, 3, 4]))
+    delta = draw(st.sampled_from([1.0, 0.3, 2.5]))
+    # From boxes that hold a few points, so a block's candidates conflict
+    # with each other, to sparse ones; targets on both sides of the 3^dim
+    # ring cells, where the kernel turns from comparing every accepted
+    # point to its grid.
+    span = draw(st.floats(0.5, {1: 300.0, 2: 25.0, 3: 9.0, 4: 6.0}[dim]))
+    target = draw(st.integers(1, {1: 200, 2: 150, 3: 100, 4: 90}[dim]))
+    seed = draw(st.one_of(st.sampled_from([-7, 2**64 - 1]), st.integers(-2**63, 2**64)))
+    max_attempts = draw(st.one_of(st.integers(1, 1100), st.integers(1100, 2500)))
+    return dim, span * delta, delta, target, seed, max_attempts
+
+
+@settings(max_examples=120, deadline=None)
+@given(_throws())
+def test_dart_throw_fuzz_matches_reference(case):
+    _assert_matches_reference(case)
+
+
+def test_dart_throw_rejects_only_strictly_closer_points():
+    # delta^2 underflows to 0, and so does every squared distance in a box
+    # of side 1e-165: no candidate is strictly closer than delta, so each
+    # is accepted, on both sides of the 3^1 ring cells.
+    flat, attempts = _kernels.dart_throw(1, 1e-165, 1e-170, 40, 1, 10**6)
+    assert attempts == 40 and len(set(flat)) == 40
+    assert (flat, attempts) == reference_dart_throw(1, 1e-165, 1e-170, 40, 1, 10**6)
+    # A pair at exactly the threshold is not close; a nearer one is.
+    q = np.asarray([[0.0], [3.0]])
+    pts = np.asarray([[1.0], [2.5]])
+    i, j = _pairs_in_ranges(q, pts, np.asarray([0, 0]), np.asarray([2, 2]), 1.0)
+    assert (i.tolist(), j.tolist()) == ([1], [1])
+
+
+@pytest.mark.parametrize("case", [
+    (2, 3.0, 1.0, 14, 0), (2, 3.0, 1.0, 14, 4), (1, 10.0, 1.0, 11, 2),
+    (3, 2.0, 1.0, 20, -7), (4, 1.0, 1.0, 40, 0), (2, 3.0, 1.0, 14, 2**64 - 1),
+])
+def test_dart_throw_stops_when_the_box_is_full(case):
+    # Each stops after 69 to 3,160 attempts, well short of 20,000.
+    dim, length, delta, target, seed = case
+    flat, attempts = _kernels.dart_throw(*case, 20_000)
+    assert len(flat) < target * dim and attempts < 20_000
+    _assert_matches_reference((*case, 20_000))
+
+
+def test_box_is_full_needs_every_cell_covered():
+    # Points 1 apart on [0, 10) leave no candidate 1 or more from all of
+    # them.  Drop one, and the midpoint of its neighbours is exactly 1 from
+    # both: not strictly closer, so the box is not full.
+    length, delta = 10.0, 1.0
+    cell = (delta + length * 2.0**-48) * (1.0 + 2.0**-40)
+    base = (int(length / cell) + 4) | 1
+    pts = np.arange(0.5, 10.0, 1.0)[:, None]
+    gap = np.delete(pts, 4, axis=0)
+    full, holed = (_kernels._home_keys(p, cell, base) for p in (pts, gap))
+    assert _kernels._box_is_full(pts, full, base, cell, length, delta, 10**6)
+    assert not _kernels._box_is_full(gap, holed, base, cell, length, delta, 10**6)
+    # A budget below the cell count proves nothing.
+    assert not _kernels._box_is_full(pts, full, base, cell, length, delta, 10)
+
+
+@pytest.mark.parametrize("dim,length,seed", [(2, 3.0, 0), (2, 5.0, 3), (3, 2.0, -7), (4, 1.0, 0)])
+def test_box_is_full_finds_the_hole_of_a_dropped_point(dim, length, seed):
+    # A full box, then the same points less any one of them: the dropped
+    # point is at least delta from the others, so a candidate there would
+    # be accepted and the box is not full.
+    delta = 1.0
+    flat, attempts = _kernels.dart_throw(dim, length, delta, 10**3, seed, 20_000)
+    assert attempts < 20_000
+    cell = (delta + length * 2.0**-48) * (1.0 + 2.0**-40)
+    base = (int(length / cell) + 4) | 1
+    pts = np.reshape(flat, (-1, dim))
+    for drop in [None, *range(len(pts))]:
+        kept = pts if drop is None else np.delete(pts, drop, axis=0)
+        keys = _kernels._home_keys(kept, cell, base)
+        order = np.argsort(keys)
+        assert _kernels._box_is_full(kept[order], keys[order], base, cell, length, delta,
+                                     10**6) == (drop is None)
 
 
 def test_dart_throw_separation_invariant():
@@ -188,10 +292,9 @@ def test_dart_throw_separation_invariant():
 
 
 def test_dart_throw_direct_scan_matches_grid():
-    # At d=3 there are 5^3 = 125 neighbour offsets: a target of 100 checks
-    # candidates against all accepted points, a target of 130 uses the
-    # grid.  Same stream and same decisions, so one run is a prefix of
-    # the other.
+    # A larger target draws larger blocks and turns from comparing every
+    # accepted point to the grid at another attempt; the decisions are the
+    # same, so one run is a prefix of the other.
     for seed in (0, 7, 123456789):
         small, _ = _kernels.dart_throw(3, 12.0, 1.0, 100, seed, 10**6)
         large, _ = _kernels.dart_throw(3, 12.0, 1.0, 130, seed, 10**6)
@@ -200,7 +303,7 @@ def test_dart_throw_direct_scan_matches_grid():
 
 
 def test_dart_throw_high_dimension():
-    # (2*4+1)^10 ≈ 3.5e9 neighbour offsets at d=10.
+    # 3^10 = 59,049 ring cells at d=10: every comparison is all-points.
     flat, attempts = _kernels.dart_throw(10, 3.0, 1.0, 12, 99, 10**6)
     assert len(flat) == 120 and attempts >= 12
     assert min_pairwise_sq(flat, 10) >= 1.0
@@ -306,14 +409,48 @@ def test_has_close_pair_shared_cells(dim):
     assert _kernels.has_close_pair(flat, dim, math.nextafter(2.0, math.inf))
 
 
+def _pairs_in_ranges(q, pts, first, stop, thr2):
+    """Every pass of the range walk, joined."""
+    return _kernels._joined(_kernels._close_in_ranges(q, pts, first, stop, thr2))
+
+
 def test_close_in_ranges_walks_whole_ranges():
     # Key wraps can put far points into a range, or point a range back at
-    # the point itself; every other point of the range is still compared.
+    # the point itself; every other point of the range is still compared,
+    # and the pair of a point with itself is reported for callers to drop.
     pts = np.asarray([[0.0], [10.0], [0.5]])
     first, stop = np.asarray([1]), np.asarray([3])
-    assert _kernels._close_in_ranges(pts, first, stop, 1.0)
-    assert not _kernels._close_in_ranges(pts, first, stop - 1, 1.0)
-    assert not _kernels._close_in_ranges(pts, np.asarray([0]), np.asarray([2]), 1.0)
+    i, j = _pairs_in_ranges(pts, pts, first, stop, 1.0)
+    assert (i.tolist(), j.tolist()) == ([0], [2])
+    assert not len(_pairs_in_ranges(pts, pts, first, stop - 1, 1.0)[0])
+    i, j = _pairs_in_ranges(pts, pts, np.asarray([0]), np.asarray([2]), 1.0)
+    assert (i.tolist(), j.tolist()) == ([0], [0])
+
+
+@pytest.mark.parametrize("per_pass", [1, 5, 64 * 1024])
+def test_close_in_ranges_matches_brute_force(monkeypatch, per_pass):
+    # Passes of at most per_pass pairs, or one row's whole range, give the
+    # pairs a scan of every range finds, in the same order.
+    monkeypatch.setattr(_kernels, "_PAIRS_PER_PASS", per_pass)
+    rng = np.random.default_rng(per_pass)
+    for dim in (1, 2, 3):
+        q, pts = rng.random((30, dim)), rng.random((40, dim))
+        first = rng.integers(0, 40, 30)
+        stop = np.minimum(first + rng.integers(-3, 25, 30), 40)
+        want = [(i, j) for i in range(30) for j in range(first[i], stop[i])
+                if sum((pts[j, a] - q[i, a]) ** 2 for a in range(dim)) < 0.1]
+        i, j = _pairs_in_ranges(q, pts, first, stop, 0.1)
+        assert list(zip(i.tolist(), j.tolist())) == want
+
+
+def test_has_close_pair_fails_fast_on_a_crowded_cell():
+    # 20,000 points in one cell hold about 2*10^8 pairs; the audit stops at
+    # the first numpy pass that finds a close one.
+    rng = np.random.default_rng(20)
+    flat = rng.random(2 * 20_000)
+    start = time.perf_counter()
+    assert _kernels.has_close_pair(flat, 2, 1.0)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_has_close_pair_edges():

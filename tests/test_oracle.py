@@ -16,7 +16,7 @@ from apxpat.oracle import (
     grid_min_deviation_homothety,
 )
 from apxpat.search1d import search_ap
-from apxpat.verifier import verify_ap
+from apxpat.verifier import verify_ap, verify_collinear
 
 
 class TestEnumerateAps:
@@ -128,6 +128,43 @@ class TestExistsCollinear:
         s = PointSet(2, [(float(i), float(i % 3)) for i in range(40)])
         with pytest.raises(BudgetExceeded):
             exists_collinear(s, 10, 0.1, budget=10)
+
+    def test_matches_every_subset_through_verify_collinear(self):
+        # The definition: some k-subset passes verify_collinear.  A third
+        # of the sets hold a jittered line through their first m points.
+        rng = random.Random(11)
+        found = 0
+        for trial in range(150):
+            n, d = rng.randint(3, 9), rng.choice([2, 3])
+            k, eps = rng.randint(3, min(n, 6)), rng.choice([0.05, 0.1, 0.3])
+            pts = [[rng.uniform(0, 1) for _ in range(d)] for _ in range(n)]
+            if trial % 3 == 0:
+                m, u = rng.randint(3, n), [rng.uniform(-1, 1) for _ in range(d)]
+                for i in range(m):
+                    pts[i] = [i / m * v + rng.uniform(-1e-3, 1e-3) for v in u]
+            s = PointSet(d, pts)
+            want = any(verify_collinear(s.subset(c), eps)[0]
+                       for c in combinations(range(n), k))
+            assert exists_collinear(s, k, eps) == want
+            found += want
+        assert 30 <= found <= 120
+
+    def test_evaluates_each_triangle_once(self, monkeypatch):
+        from apxpat import oracle
+
+        calls = []
+        real = oracle.triangle_angles
+        monkeypatch.setattr(oracle, "triangle_angles", lambda *p: calls.append(str(p)) or real(*p))
+        s = PointSet(2, [(math.cos(t), math.sin(t)) for t in np.linspace(0, 6, 18)])
+        assert not exists_collinear(s, 5, 0.1)
+        assert 0 < len(calls) == len(set(calls)) <= math.comb(18, 3)
+
+    def test_rejects_duplicate_points_and_bad_eps(self):
+        s = PointSet(2, [(0, 0), (1, 1), (0, 0), (3, 3)])
+        with pytest.raises(ValueError, match="duplicate"):
+            exists_collinear(s, 3, 0.1)
+        with pytest.raises(ValueError, match="eps"):
+            exists_collinear(PointSet(2, [(0, 0), (1, 1), (2, 2)]), 3, 1.5)
 
 
 def _dense_grid_min_deviation_ap(q, grid=2000):

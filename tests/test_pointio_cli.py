@@ -6,6 +6,7 @@ import pathlib
 import random
 import re
 import shlex
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -300,6 +301,15 @@ class TestCli:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_generate_full_box_exit_2_fast(self, capsys):
+        start = time.perf_counter()
+        code, out = run_cli("generate", "--kind", "random", "--dim", "2", "--length", "3",
+                            "--delta", "1", "--count", "14")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert re.match(r"error: accepted only \d+/14 points after \d+ attempts\n$",
+                        capsys.readouterr().err)
+
     @pytest.mark.parametrize("flags, depth", [
         (("--dim", "30", "--k", "3", "--c", "1", "--delta", "1e-20"), 291759099490551680),
         (("--dim", "2", "--k", "3", "--c", "1e-300", "--delta", "1e-300"), 17604),
@@ -343,6 +353,20 @@ class TestCli:
             assert code == expected
             if expected == 2:
                 assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("values, expected", [
+        ("-1e308 0 1e308", 0), ("0 1e-310 2e-310", 0), ("-1.7e308 -1.6e308 1.7e308", 2),
+    ])
+    def test_verify_ap_past_the_float_range(self, tmp_path, capsys, values, expected):
+        pts = tmp_path / "ap.txt"
+        pts.write_text("1\n" + "\n".join(values.split()) + "\n")
+        code, out = run_cli("verify", "ap", "--input", str(pts), "--eps", "0.3", "--json")
+        err = capsys.readouterr().err
+        assert code == expected
+        if expected == 0:
+            assert json.loads(out)["max_relative_deviation"] == 0.0
+        else:
+            assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
     def test_consecutive_calls_are_independent(self, tmp_path):
         # The parser is built once per process; no call may see another's flags.

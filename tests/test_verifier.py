@@ -72,6 +72,61 @@ class TestVerifyAp:
             assert verify_ap(q, eps).accepted == (dev <= eps + 1e-9)
 
 
+def _verify_ap_in_input_units(vals, eps):
+    """Reference: verify_ap's formula evaluated in the input's units, as
+    (accepted, anchor, scale, deviation)."""
+    best_t, best = -1.0, (0, 1, 2)
+    for i, j, l in combinations(range(len(vals)), 3):
+        rho = (l - i) / (vals[l] - vals[i])
+        t = abs((j - i) - rho * (vals[j] - vals[i])) / 2.0
+        if t > best_t:
+            best_t, best = t, (i, j, l)
+    i, j, l = best
+    rho = (l - i) / (vals[l] - vals[i])
+    e = (j - i) - rho * (vals[j] - vals[i])
+    alpha = rho * vals[i] - i - e / 2.0
+    dev = max(abs(rho * vals[m] - alpha - m) for m in range(len(vals)))
+    return dev <= eps + TAU, alpha * (1.0 / rho), 1.0 / rho, dev
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=3, max_size=7,
+                unique=True),
+       st.integers(-250, 250), st.floats(-3.0, 3.0), st.sampled_from([0.0, 0.1, 0.25, 1 / 3]))
+def test_verify_ap_unit_range_keeps_the_bits(unit, power, shift, eps):
+    # On normal-range input, scaling by a power of two changes no bit of the
+    # verdict, the deviation or the witness.
+    vals = sorted(10.0**power * (v + shift) for v in unit)
+    if len(set(vals)) < len(vals) or any(0.0 < abs(v) < 1e-290 for v in vals):
+        return
+    r = verify_ap(vals, eps)
+    got = (r.accepted, r.witness_anchor.coords[0], r.witness_scale, r.max_relative_deviation)
+    assert got == _verify_ap_in_input_units(vals, eps)
+
+
+class TestVerifyApRange:
+    def test_span_past_the_float_range(self):
+        # -1e308 to 1e308 spans past the largest float; the parent's slope
+        # was 0 and its witness a ZeroDivisionError.
+        r = verify_ap((-1e308, 0.0, 1e308), 0.0)
+        assert r.accepted and r.max_relative_deviation == 0.0
+        assert (r.witness_anchor.coords[0], r.witness_scale) == (-1e308, 1e308)
+
+    def test_subnormal_terms(self):
+        # The slope 2 / 2e-310 overflows in the input's units.
+        r = verify_ap((0.0, 1e-310, 2e-310), 0.0)
+        assert r.accepted and r.max_relative_deviation == 0.0
+        assert (r.witness_anchor.coords[0], r.witness_scale) == (0.0, 1e-310)
+
+    def test_witness_past_the_float_range(self):
+        with pytest.raises(ValueError, match="float range"):
+            verify_ap((-1.7e308, -1.6e308, 1.7e308), 0.3)
+
+    def test_terms_that_coincide_in_the_unit_range(self):
+        with pytest.raises(ValueError, match="coincide"):
+            verify_ap((1e-300, 2e-300, 3e-300, 1e300), 0.3)
+
+
 class TestMinEnclosingBall:
     def test_single_point(self):
         b = min_enclosing_ball([Point((3, 4))])
