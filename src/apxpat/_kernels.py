@@ -17,9 +17,18 @@ the only code that knows the stream.
 The separation audit and dart throwing share one grid hash: linear uint64
 keys of cell indices (``_cell_keys``), sorted once, with the points of a
 neighbouring cell found by ``searchsorted`` and every candidate pair
-confirmed by its own squared distance, summed axis by axis
-(``_close_in_ranges``).  Below 3^dim points, where a ring of cells would
-cost more than the points it holds, both compare every pair instead.
+confirmed by its own squared distance, summed axis by axis with each
+difference first scaled by the power of two that brings the threshold
+into [0.5, 1) (``_close_in_ranges``), so neither depends on the scale of
+the input.  Below 3^dim points, where a ring of cells would cost more
+than the points it holds, both compare every pair instead.
+
+Every pairwise squared distance is computed by one loop,
+``_sq_dists_in_ranges``.  ``pair_sq_extremes`` scans all pairs with it
+for the extremes and the farthest pair; ``pair_extremes``, which pattern
+metrics, ``min_pairwise_distance``, ``diameter`` and the homothety
+oracle read, runs that scan on the rows scaled by a power of two into
+the unit range (``_to_unit``, the frame every certificate works in).
 Dart throwing decides a whole block of candidates this way and walks in
 Python only the candidates that conflict with an earlier one of the same
 block; it stops early once the accepted points provably fill the box.
@@ -76,16 +85,19 @@ def dart_throw(dim, length, delta, target, seed, max_attempts):
     Candidates are rows of dim consecutive stream words, drawn in blocks of
     rows; the words a run stops short of are never used.  A candidate is
     rejected when some earlier accepted point has squared distance, summed
-    axis by axis, below delta^2, so its fate depends only on it and the
-    points accepted before it.  Each block is therefore decided in numpy:
-    the candidates near a point accepted in earlier blocks are rejected
-    through the grid hash of the separation audit (``_close_pairs``); the
-    close pairs among the survivors are found, each once, the way the
-    audit finds them (``_close_pairs_within``); only those pairs are walked
-    in Python, in stream order of their later candidate, which is rejected
-    when the earlier one still stands; and the block is cut at the
-    target-th acceptance, so ``attempts`` is the count a one-at-a-time
-    thrower reports.  Blocks hold at most _BLOCK_ROWS candidates, and
+    axis by axis in delta's binary units (``_binary_units``), below
+    delta^2, so its fate depends only on it and the points accepted before
+    it, and scaling length and delta by a power of two scales the output
+    by it.  The coordinates returned are the candidates' own.  Each block
+    is therefore decided in numpy: the candidates near a point accepted in
+    earlier blocks are rejected through the grid hash of the separation
+    audit (``_close_pairs``); the close pairs among the survivors are
+    found, each once, the way the audit finds them
+    (``_close_pairs_within``); only those pairs are walked in Python, in
+    stream order of their later candidate, which is rejected when the
+    earlier one still stands; and the block is cut at the target-th
+    acceptance, so ``attempts`` is the count a one-at-a-time thrower
+    reports.  Blocks hold at most _BLOCK_ROWS candidates, and
     about twice as many as the run's acceptance rate needs to reach the
     target, so a small target draws a small block.
 
@@ -99,7 +111,6 @@ def dart_throw(dim, length, delta, target, seed, max_attempts):
     # points the test rejects lie at most one cell index apart on each axis.
     cell = (delta + length * 2.0**-48) * (1.0 + 2.0**-40)
     base = (int(length / cell) + 4) | 1
-    delta2 = delta * delta
     pts = np.empty((0, dim))  # accepted points, sorted by cell key
     keys = np.empty(0, dtype=np.uint64)
     won_rows = []
@@ -116,13 +127,13 @@ def dart_throw(dim, length, delta, target, seed, max_attempts):
         # Candidates in key order: sorted queries search faster.
         by_key = np.argsort(bkeys)
         cand, ckeys = block[by_key], bkeys[by_key]
-        near, _ = _close_pairs(cand, ckeys, pts, keys, base, delta2)
+        near, _ = _close_pairs(cand, ckeys, pts, keys, base, delta)
         free = np.ones(rows, dtype=bool)  # in stream order
         free[by_key[near]] = False
         surv = np.flatnonzero(free[by_key])
         # Close pairs among the survivors, as stream positions (earlier,
         # later), walked in the order of the later.
-        i, j = _joined(_close_pairs_within(cand[surv], ckeys[surv], base, delta2))
+        i, j = _joined(_close_pairs_within(cand[surv], ckeys[surv], base, delta))
         i, j = by_key[surv[i]], by_key[surv[j]]
         earlier, later = np.minimum(i, j), np.maximum(i, j)
         walk = np.argsort(later)
@@ -163,11 +174,12 @@ def _box_is_full(pts, keys, base, cell, length, delta, budget):
     box, a cell lying wholly inside one point's rejection ball is done, and
     every other cell is split into 2^dim halves and tested again.  The
     farthest point of a cell is padded by more than the rounding of its
-    corners, and the test asks for its squared distance times (1 + 2^-40)
-    to stay below delta^2, which bounds the rounding of dart_throw's own
-    sum.  A cell whose centre no accepted point rejects ends the test: the
-    box is not full.  So does a total volume of the balls below the box's,
-    and a budget of cells to examine that runs out.
+    corners, and the test asks for its squared distance times (1 + 2^-40),
+    in delta's binary units, to stay below delta^2, which bounds the
+    rounding of dart_throw's own sum.  A cell whose centre no accepted
+    point rejects ends the test: the box is not full.  So does a total
+    volume of the balls below the box's, and a budget of cells to examine
+    that runs out.
     """
     n, dim = pts.shape
     if n == 0:
@@ -176,7 +188,7 @@ def _box_is_full(pts, keys, base, cell, length, delta, budget):
                  + dim * math.log(delta))
     if log_balls < dim * math.log(length):
         return False
-    delta2 = delta * delta
+    scale, thr = _binary_units(delta)
     side = delta / math.sqrt(dim)
     pad = (length + delta) * 2.0**-50
     per_axis = int(length / side) + 1
@@ -191,11 +203,11 @@ def _box_is_full(pts, keys, base, cell, length, delta, budget):
             hi = np.minimum((idx + 1) * side, length)
             mid = (lo + hi) * 0.5
             cells, near = _close_pairs(mid, _home_keys(mid, cell, base), pts, keys, base,
-                                       delta2)
+                                       delta)
             if len(np.unique(cells)) < len(idx):
                 return False
-            far = np.maximum(pts[near] - lo[cells], hi[cells] - pts[near]) + pad
-            inside = (far * far).sum(axis=1) * (1.0 + 2.0**-40) < delta2
+            far = (np.maximum(pts[near] - lo[cells], hi[cells] - pts[near]) + pad) * scale
+            inside = (far * far).sum(axis=1) * (1.0 + 2.0**-40) < thr * thr
             done = np.zeros(len(idx), dtype=bool)
             done[cells[inside]] = True
             idx = idx[~done]
@@ -242,22 +254,22 @@ def _ring_keys(dim, base):
     return np.asarray(keys, dtype=np.uint64)
 
 
-def _close_pairs(q, qkeys, pts, keys, base, thr2):
+def _close_pairs(q, qkeys, pts, keys, base, thr):
     """Index pairs (i, j), as two arrays, with q[i] strictly closer than
-    sqrt(thr2) to pts[j].  pts are sorted by their cell keys (``_home_keys``);
+    thr to pts[j].  pts are sorted by their cell keys (``_home_keys``);
     a pair is looked for only in the one ring of cells around q[i], which
     holds every point closer than the cell side.  With fewer points than
     the 3^dim ring cells, every point is compared instead."""
     m, dim = q.shape
     if 3**dim > len(pts):
         return _joined(_close_in_ranges(q, pts, np.zeros(m, dtype=np.intp),
-                                        np.full(m, len(pts)), thr2))
+                                        np.full(m, len(pts)), thr))
     return _joined(_close_in_cells(q, qkeys, _ring_keys(dim, base), pts, keys,
-                                   _run_ends(keys), thr2))
+                                   _run_ends(keys), thr))
 
 
-def _close_pairs_within(pts, keys, base, thr2):
-    """Yield each pair of pts strictly closer than sqrt(thr2), once, as
+def _close_pairs_within(pts, keys, base, thr):
+    """Yield each pair of pts strictly closer than thr, once, as
     index arrays (i, j), one numpy pass at a time, so a caller may stop at
     the first.  pts are sorted by their cell keys; each point is compared
     with the later points of its own cell and with the points of the
@@ -265,12 +277,12 @@ def _close_pairs_within(pts, keys, base, thr2):
     cells, each point is compared with every later point instead."""
     n, dim = pts.shape
     if 3**dim > n:
-        yield from _close_in_ranges(pts, pts, np.arange(1, n + 1), np.full(n, n), thr2)
+        yield from _close_in_ranges(pts, pts, np.arange(1, n + 1), np.full(n, n), thr)
         return
     run_end = _run_ends(keys)
-    yield from _close_in_ranges(pts, pts, np.arange(1, n + 1), run_end, thr2)
+    yield from _close_in_ranges(pts, pts, np.arange(1, n + 1), run_end, thr)
     ring = _ring_keys(dim, base)
-    for i, j in _close_in_cells(pts, keys, ring[len(ring) // 2 + 1:], pts, keys, run_end, thr2):
+    for i, j in _close_in_cells(pts, keys, ring[len(ring) // 2 + 1:], pts, keys, run_end, thr):
         # A wrapped offset key can point back at the point itself.
         keep = i != j
         yield i[keep], j[keep]
@@ -282,9 +294,9 @@ def _run_ends(keys):
     return np.repeat(ends, np.diff(ends, prepend=0))
 
 
-def _close_in_cells(q, qkeys, offsets, pts, keys, run_end, thr2):
+def _close_in_cells(q, qkeys, offsets, pts, keys, run_end, thr):
     """Yield, a numpy pass at a time, the index pairs (i, j) with q[i]
-    strictly closer than sqrt(thr2) to a point pts[j] whose key is
+    strictly closer than thr to a point pts[j] whose key is
     qkeys[i] plus one of offsets; pts are sorted by their keys, and
     run_end is ``_run_ends(keys)``.  The cells of several offsets are
     looked up at once, at most _CELLS_PER_LOOKUP cells (or one offset's)
@@ -295,7 +307,7 @@ def _close_in_cells(q, qkeys, offsets, pts, keys, run_end, thr2):
         first = np.searchsorted(keys, cells)
         at = np.minimum(first, len(keys) - 1)
         stop = np.where(keys[at] == cells, run_end[at], first)
-        yield from _close_in_ranges(q, pts, first, stop, thr2)
+        yield from _close_in_ranges(q, pts, first, stop, thr)
 
 
 def _joined(hits):
@@ -323,9 +335,10 @@ def has_close_pair(flat, dim, threshold):
     arithmetic, which is linear, so the key of a neighbour cell is always
     the point's key plus the offset's key; a wrap or collision only adds
     candidate pairs, and every candidate is confirmed by its own distance,
-    so no pair is ever missed.  With fewer points than the 3^dim offsets, the
-    pair scan compares each point with all earlier points instead.  Both
-    give the same answer as the naive scan.
+    so no pair is ever missed.  With fewer points than the 3^dim offsets,
+    each point is compared with all later points instead.  Both give the
+    same answer as the naive scan, in threshold's binary units
+    (``_close_in_ranges``), so at any scale of the points and threshold.
     """
     n = len(flat) // dim
     if n < 2:
@@ -333,31 +346,53 @@ def has_close_pair(flat, dim, threshold):
     if threshold <= 0.0:
         return False
     pts = np.asarray(flat, dtype=float)[: n * dim].reshape(n, dim)
-    cell = 2.0 * threshold
-    thr2 = threshold * threshold
-    if 3**dim > n:
-        return pair_sq_extremes(pts)[0] < thr2
+    scale, thr = _binary_units(threshold)
     # Clipping keeps the cast to uint64 defined; it can only merge far
-    # cells, never separate near ones.
+    # cells, never separate near ones.  Cells are measured in threshold's
+    # binary units, where their side 2*thr is a normal float.
     with np.errstate(over="ignore"):
-        home = np.minimum(np.floor((pts - pts.min(axis=0)) / cell), 2.0**63)
+        home = np.minimum(np.floor((pts - pts.min(axis=0)) * scale / (2.0 * thr)), 2.0**63)
     # An odd base keeps base**a from vanishing mod 2**64, which would drop
     # whole axes from the key.
     base = (int(home.max()) + 4) | 1
     keys = _cell_keys(home, base)
     order = np.argsort(keys)
-    return any(len(i) for i, _ in _close_pairs_within(pts[order], keys[order], base, thr2))
+    return any(len(i) for i, _ in _close_pairs_within(pts[order], keys[order], base, threshold))
 
 
-def _close_in_ranges(q, pts, first, stop, thr2):
-    """Yield the index pairs (i, j) with q[i] strictly closer than
-    sqrt(thr2) to pts[j] for j in [first[r], stop[r]) and i = r mod
-    len(q), as two arrays per numpy pass.  Each squared distance is summed
-    axis by axis, as a scalar loop sums it.  The ranges are expanded into
-    index pairs a run of ranges at a time, at most _PAIRS_PER_PASS pairs
-    (or one range) per pass, so memory stays O(len(first) +
-    _PAIRS_PER_PASS + the longest range) however many points share a
-    range."""
+def _binary_units(thr):
+    """The power of two s that brings the distance thr > 0 into [0.5, 1),
+    and thr*s.  For a subnormal thr, s stops at 2^1023 and thr*s at 2^-51
+    or above.  Differences are multiplied by s before they are squared, so
+    squares near thr^2 stay normal floats at any scale of thr; wherever
+    thr^2 is a normal float, every comparison with it is decided as in the
+    input's units, since the scaling is exact."""
+    scale = math.ldexp(1.0, -max(math.frexp(thr)[1], -1023))
+    return scale, thr * scale
+
+
+def _close_in_ranges(q, pts, first, stop, thr):
+    """Yield the index pairs (i, j) with q[i] strictly closer than thr to
+    pts[j] for j in [first[r], stop[r]) and i = r mod len(q), as two arrays
+    per numpy pass of ``_sq_dists_in_ranges``, which squares differences
+    in thr's binary units."""
+    scale, thr = _binary_units(thr)
+    thr2 = thr * thr
+    for rows, cols, d2 in _sq_dists_in_ranges(q, pts, first, stop, scale):
+        close = np.flatnonzero(d2 < thr2)
+        yield rows[close], cols[close]
+
+
+def _sq_dists_in_ranges(q, pts, first, stop, scale):
+    """Yield (i, j, d2), three arrays per numpy pass, over the index pairs
+    with j in [first[r], stop[r]) and i = r mod len(q), in order of r and
+    then j; d2 is the squared distance of q[i] and pts[j] with each
+    difference times scale, summed axis by axis, as a scalar loop sums it.
+    A square past the float range reads as inf.  This is the one loop over
+    pairwise distances.  The ranges are expanded into index pairs a run of
+    ranges at a time, at most _PAIRS_PER_PASS pairs (or one range) per
+    pass, so memory stays O(len(first) + _PAIRS_PER_PASS + the longest
+    range) however many points share a range."""
     live = np.flatnonzero(stop > first)
     first = first[live]
     counts = stop[live] - first
@@ -377,9 +412,10 @@ def _close_in_ranges(q, pts, first, stop, thr2):
         with np.errstate(over="ignore"):
             for a in range(q.shape[1]):
                 t = pts[cols, a] - q[rows, a]
-                d2 += t * t
-        close = np.flatnonzero(d2 < thr2)
-        yield rows[close], cols[close]
+                t *= scale
+                t *= t
+                d2 += t
+        yield rows, cols, d2
         start = end
 
 
@@ -399,25 +435,47 @@ def bin_cells(flat, dim, lo, width, ncells):
 
 
 def pair_sq_extremes(rows):
-    """(min, max) squared distance over the pairs of rows of an (n, d) array.
+    """(min, max) squared distance over the pairs of rows of an (n, d)
+    array, in the rows' units, and the farthest pair (i, j), i < j: the
+    first in (i, j) order.
 
-    One scan compares each row with all earlier rows.  Every distance is
-    summed axis by axis in a fixed order, as a scalar loop sums it, so both
-    extremes are bit for bit the naive double loop's.
+    One scan (``_sq_dists_in_ranges``) compares each row with all later
+    rows.  Every distance is summed axis by axis in a fixed order, as a
+    scalar loop sums it, so both extremes are bit for bit the naive double
+    loop's; a square past the float range reads as inf, as in that loop.
     """
-    n, dim = rows.shape
+    n = len(rows)
     if n < 2:
         raise ValueError("need at least two points")
-    by_axis = rows.T.copy()
-    lo, hi = math.inf, 0.0
-    # A difference of two finite floats may square past the float range;
-    # like the scalar loop, the scan then reads it as inf.
+    lo, hi, far = math.inf, -1.0, None
+    for i, j, d2 in _sq_dists_in_ranges(rows, rows, np.arange(1, n + 1), np.full(n, n), 1.0):
+        lo = min(lo, float(d2.min()))
+        top = int(d2.argmax())
+        if d2[top] > hi:
+            hi, far = float(d2[top]), (int(i[top]), int(j[top]))
+    return lo, hi, far
+
+
+def pair_extremes(rows):
+    """(min, max) distance over the pairs of rows of an (n, d) array, in
+    the rows' units, and the first farthest pair: ``pair_sq_extremes`` on
+    the rows scaled into the unit range (``_to_unit``), so no square leaves
+    the float range on account of the rows' scale.  A distance whose
+    square is a normal float in both units is the naive loop's sqrt bit
+    for bit; a max distance past the float range reads as inf."""
+    unit, e = _to_unit(rows)
+    lo, hi, far = pair_sq_extremes(unit)
     with np.errstate(over="ignore"):
-        for i in range(1, n):
-            d2 = np.zeros(i)
-            for a in range(dim):
-                t = by_axis[a, :i] - by_axis[a, i]
-                d2 += t * t
-            lo = min(lo, float(d2.min()))
-            hi = max(hi, float(d2.max()))
-    return lo, hi
+        lo, hi = np.ldexp(np.sqrt([lo, hi]), e).tolist()
+    return lo, hi, far
+
+
+def _to_unit(a):
+    """a * 2**-e and e, for the e that brings max |a| into [0.5, 1).
+
+    The scaling is exact in floats, so a quantity computed in the unit
+    range is the input's, without squared lengths that underflow or
+    overflow.
+    """
+    e = math.frexp(float(np.abs(a).max()))[1]
+    return np.ldexp(a, -e), e

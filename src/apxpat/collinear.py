@@ -75,9 +75,14 @@ class CollinearOutcome:
 
 
 def bucket_count(eps: float) -> int:
+    """r = ceil(pi/eps) + 1, the number of angle buckets.  Raises ValueError
+    when r is not finite or does not fit numpy's index type."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    return math.ceil(math.pi / eps) + 1
+    r = math.pi / eps
+    if not r < np.iinfo(np.intp).max - 1:
+        raise ValueError(f"eps {eps:g} asks for more angle buckets than an array can index")
+    return math.ceil(r) + 1
 
 
 def _buckets(dx: np.ndarray, dy: np.ndarray, r: int) -> np.ndarray:

@@ -153,16 +153,11 @@ class Pattern(PointSet):
         super().__init__(dim, points)
         if len(self) < 2:
             raise ValueError("a pattern needs at least two points")
-        seen = set()
-        for row in map(tuple, self.coords.tolist()):
-            if row in seen:
-                raise ValueError(f"pattern points must be distinct (repeated {row})")
-            seen.add(row)
-        lo, hi = _kernels.pair_sq_extremes(self.coords)
+        lo, hi, _ = _kernels.pair_extremes(self.coords)
         if lo <= 0.0:
-            raise ValueError("pattern points are numerically coincident")
-        object.__setattr__(self, "min_pairwise", math.sqrt(lo))
-        object.__setattr__(self, "diameter", math.sqrt(hi))
+            raise ValueError("pattern points must be distinct and not coincide numerically")
+        object.__setattr__(self, "min_pairwise", lo)
+        object.__setattr__(self, "diameter", hi)
 
     @classmethod
     def from_pointset(cls, s: PointSet) -> "Pattern":
@@ -207,13 +202,15 @@ class AxisBox:
 
 
 def min_pairwise_distance(s: PointSet) -> float:
-    """Minimum pairwise Euclidean distance, by the O(n^2) pair scan."""
-    return math.sqrt(_kernels.pair_sq_extremes(s.coords)[0])
+    """Minimum pairwise Euclidean distance, by the O(n^2) pair scan in the
+    unit range (``_kernels.pair_extremes``)."""
+    return _kernels.pair_extremes(s.coords)[0]
 
 
 def diameter(s: PointSet) -> float:
-    """Maximum pairwise Euclidean distance, by the O(n^2) pair scan."""
-    return math.sqrt(_kernels.pair_sq_extremes(s.coords)[1])
+    """Maximum pairwise Euclidean distance, by the O(n^2) pair scan in the
+    unit range (``_kernels.pair_extremes``); inf past the float range."""
+    return _kernels.pair_extremes(s.coords)[1]
 
 
 def apply_homothety(h: Homothety, p: Pattern) -> PointSet:

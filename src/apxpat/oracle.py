@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernels
 from .errors import BudgetExceeded
 from .geometry import Pattern, PointSet
 from .verifier import triangle_angles, verify_ap, verify_homothetic
@@ -207,10 +208,7 @@ def grid_min_deviation_homothety(q: PointSet, p: Pattern, assignment: Sequence[i
     pa = p.coords[sigma]
     d = q.dim
     m_p = p.min_pairwise
-    dists = [
-        float(np.linalg.norm(qa[i] - qa[j])) for i in range(k) for j in range(i + 1, k)
-    ]
-    m_q, diam_q = min(dists), max(dists)
+    m_q, diam_q, _ = _kernels.pair_extremes(qa)
     lam_lo = m_q / (4.0 * m_p)
     lam_hi = 4.0 * diam_q / p.diameter
 

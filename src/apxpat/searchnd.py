@@ -143,8 +143,11 @@ def _subdivide(s: PointSet, k: int, schedule: Schedule, lo, length) -> SearchOut
     )
     if lo_vec.shape != (d,):
         raise DimensionMismatch("lo must have one coordinate per axis")
-    tight = float((coords.max(axis=0) - lo_vec).max())
+    with np.errstate(over="ignore"):
+        tight = float((coords.max(axis=0) - lo_vec).max())
     box_len = max(tight, 0.0 if length is None else float(length))
+    if not math.isfinite(box_len):
+        raise ValueError(f"the search {span} {box_len:g} is not a finite float")
     warnings: list[str] = []
     below = box_len < schedule.z0
     if below:

@@ -29,6 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernels
+from ._kernels import _to_unit
 from .errors import DimensionMismatch
 from .geometry import Pattern, Point, PointSet
 
@@ -55,17 +57,6 @@ _CENTER_REL = 4e-15
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _MEB_SHUFFLE_SEED = 0x5EEDBA11
-
-
-def _to_unit(a) -> tuple[np.ndarray, int]:
-    """a * 2**-e and e, for the e that brings max |a| into [0.5, 1).
-
-    The scaling is exact in floats, so a certificate computed in the unit
-    range is the input's, without squared lengths that underflow or
-    overflow.
-    """
-    e = math.frexp(float(np.abs(a).max()))[1]
-    return np.ldexp(a, -e), e
 
 
 @dataclass(frozen=True)
@@ -441,29 +432,21 @@ def verify_collinear(q: PointSet, eps: float) -> tuple[bool, tuple[int, int, int
 
 
 def cylinder_radius(q: PointSet) -> float:
-    """Max distance from any point to the line through a diameter pair."""
-    k = len(q)
-    if k < 2:
-        raise ValueError("need at least two points")
-    best_d2 = -1.0
-    pair = (0, 1)
-    pts = q.coords.tolist()
-    dim = q.dim
-    for i in range(k):
-        for j in range(i + 1, k):
-            d2 = sum((pts[i][a] - pts[j][a]) ** 2 for a in range(dim))
-            if d2 > best_d2:
-                best_d2 = d2
-                pair = (i, j)
-    i, j = pair
-    base = pts[i]
-    axis = [pts[j][a] - base[a] for a in range(dim)]
-    norm2 = sum(t * t for t in axis)
-    out = 0.0
-    for m in range(k):
-        w = [pts[m][a] - base[a] for a in range(dim)]
-        proj = sum(s * t for s, t in zip(w, axis)) / norm2
-        d2 = sum((w[a] - proj * axis[a]) ** 2 for a in range(dim))
-        if d2 > out:
-            out = d2
-    return math.sqrt(out)
+    """Max distance from any point to the line through a diameter pair, the
+    first farthest pair in (i, j) index order.
+
+    Computed on the points scaled by a power of two into the unit range,
+    each sum taken axis by axis.  Points that coincide there, to within
+    2^-511 of the largest coordinate, lie on every line: the radius is 0.
+    Raises ValueError below two points.
+    """
+    unit, e = _to_unit(q.coords)
+    _, norm2, (i, j) = _kernels.pair_sq_extremes(unit)
+    if norm2 < sys.float_info.min:
+        return 0.0
+    w = unit - unit[i]
+    axis = w[j]
+    proj = sum(w[:, a] * axis[a] for a in range(q.dim)) / norm2
+    out = sum((w[:, a] - proj * axis[a]) ** 2 for a in range(q.dim))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.sqrt(out.max()), e))

@@ -68,6 +68,11 @@ def test_bad_bucket_parameters_rejected():
             bucket_count(eps)
         with pytest.raises(ValueError):
             build_coloring(s, eps)
+    # ceil(pi/eps) + 1 past numpy's index range, or pi/eps past the floats.
+    for eps in (1e-300, 5e-324, math.pi / 2.0**63):
+        with pytest.raises(ValueError, match="angle buckets"):
+            bucket_count(eps)
+    assert bucket_count(math.pi / 2.0**62) == 2**62 + 1
 
 
 def test_coloring_is_partition():

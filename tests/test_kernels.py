@@ -5,6 +5,7 @@ separation audit checked against the naive pairwise scan."""
 import io
 import math
 import random
+import sys
 import time
 from contextlib import redirect_stdout
 from itertools import product
@@ -325,11 +326,11 @@ def test_pair_scan_matches_scalar_reference(dim):
             if trial % 3 == 0:
                 flat[dim:2 * dim] = flat[:dim]  # a repeated point
             rows = np.reshape(flat, (n, dim))
-            assert _kernels.pair_sq_extremes(rows) == (
+            assert _kernels.pair_sq_extremes(rows)[:2] == (
                 min_pairwise_sq(flat, dim), max_pairwise_sq(flat, dim))
     # Squares past the float range read as inf, as in the scalar loop.
     flat = [0.0] * dim + [1.0] * dim + [1e200] * dim
-    assert _kernels.pair_sq_extremes(np.reshape(flat, (3, dim))) == (
+    assert _kernels.pair_sq_extremes(np.reshape(flat, (3, dim)))[:2] == (
         min_pairwise_sq(flat, dim), math.inf)
     with pytest.raises(ValueError):
         _kernels.pair_sq_extremes(np.zeros((1, dim)))
@@ -345,7 +346,9 @@ def _assert_audit_agrees(flat, dim, thresholds):
     best = min_pairwise_sq(flat, dim)
     arr = np.asarray(flat)
     for thr in thresholds + _thresholds_around(best):
-        want = best < thr * thr
+        # The audit squares differences in thr's binary units, so a square
+        # of thr below the normal range does not hide a closer pair.
+        want = best < thr * thr if thr * thr >= sys.float_info.min else math.sqrt(best) < thr
         assert _kernels.has_close_pair(flat, dim, thr) == want, (dim, thr)
         assert _kernels.has_close_pair(arr, dim, thr) == want, (dim, thr)
 
@@ -409,9 +412,23 @@ def test_has_close_pair_shared_cells(dim):
     assert _kernels.has_close_pair(flat, dim, math.nextafter(2.0, math.inf))
 
 
-def _pairs_in_ranges(q, pts, first, stop, thr2):
+def test_has_close_pair_where_squares_leave_the_normal_range():
+    # The thresholds' squares underflow or overflow in the input's units;
+    # the audit squares differences in the threshold's binary units.
+    assert _kernels.has_close_pair([0.0, 1e-180, 1.0], 1, 1e-170)
+    assert _kernels.has_close_pair([0.0, 2e169, 1e200], 1, 1e170)
+    assert not _kernels.has_close_pair([0.0, 2e-170, 1.0], 1, 1e-170)
+    assert not _kernels.has_close_pair([0.0, 2e170, 1e200], 1, 1e170)
+    # Repeated points far from the origin, at a tiny threshold, and a span
+    # past the float range at a huge one.
+    assert _kernels.has_close_pair([1e300, 5.0, 1e300], 1, 1e-300)
+    assert _kernels.has_close_pair([1e300, 5.0, 1e300, 5.0], 2, 5e-324)
+    assert not _kernels.has_close_pair([-1.7e308, 0.0, 1.7e308], 1, 1.7e308)
+
+
+def _pairs_in_ranges(q, pts, first, stop, thr):
     """Every pass of the range walk, joined."""
-    return _kernels._joined(_kernels._close_in_ranges(q, pts, first, stop, thr2))
+    return _kernels._joined(_kernels._close_in_ranges(q, pts, first, stop, thr))
 
 
 def test_close_in_ranges_walks_whole_ranges():
@@ -438,8 +455,8 @@ def test_close_in_ranges_matches_brute_force(monkeypatch, per_pass):
         first = rng.integers(0, 40, 30)
         stop = np.minimum(first + rng.integers(-3, 25, 30), 40)
         want = [(i, j) for i in range(30) for j in range(first[i], stop[i])
-                if sum((pts[j, a] - q[i, a]) ** 2 for a in range(dim)) < 0.1]
-        i, j = _pairs_in_ranges(q, pts, first, stop, 0.1)
+                if sum((pts[j, a] - q[i, a]) ** 2 for a in range(dim)) < 0.3 * 0.3]
+        i, j = _pairs_in_ranges(q, pts, first, stop, 0.3)
         assert list(zip(i.tolist(), j.tolist())) == want
 
 

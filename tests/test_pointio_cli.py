@@ -9,13 +9,14 @@ import shlex
 import time
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from apxpat import cli
 from apxpat.cli import build_parser, main
 from apxpat.errors import ParseError
 from apxpat.generators import gen_random_separated
-from apxpat.geometry import Pattern, Point, PointSet
+from apxpat.geometry import Pattern, Point, PointSet, min_pairwise_distance
 from apxpat.oracle import enumerate_homothetic
 from apxpat.pointio import emit_svg, parse_pointset, write_pointset
 
@@ -367,6 +368,70 @@ class TestCli:
             assert json.loads(out)["max_relative_deviation"] == 0.0
         else:
             assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("pattern", ["0 0\n1 0\n0 1", "0 0\n1e160 0\n0 1e160"])
+    def test_verify_pattern_ignores_the_pattern_scale(self, tmp_path, pattern):
+        # The stretched triangle is rejected against the right triangle at
+        # any scale of the pattern, with the same deviation.
+        cand, pat = tmp_path / "cand.txt", tmp_path / "pat.txt"
+        cand.write_text("2\n0 0\n5 0\n0 1\n")
+        pat.write_text(f"2\n{pattern}\n")
+        code, out = run_cli("verify", "pattern", "--input", str(cand), "--pattern", str(pat),
+                            "--eps", "0.1", "--json")
+        assert code == 1
+        assert abs(json.loads(out)["max_relative_deviation"] - 0.3922322702763681) < 1e-12
+
+    @pytest.mark.parametrize("dim, length, delta", [
+        ("2", "10", "1"), ("2", "1e-179", "1e-180"), ("1", "6e-179", "1e-180"),
+        ("2", "1e171", "1e170"), ("1", "6e171", "1e170"),
+    ])
+    def test_generate_random_keeps_delta_at_any_scale(self, tmp_path, dim, length, delta):
+        out = tmp_path / "g.txt"
+        code, _ = run_cli("generate", "--kind", "random", "--dim", dim, "--length", length,
+                          "--delta", delta, "--count", "40", "--seed", "1", "--out", str(out))
+        assert code == 0
+        s = parse_pointset(out.read_text())
+        # Measured in units of delta, where no square leaves the float range.
+        u = s.coords / float(delta)
+        d2 = ((u[:, None, :] - u[None, :, :]) ** 2).sum(axis=2) + np.diag([np.inf] * 40)
+        assert len(s) == 40 and d2.min() >= 1.0
+        assert min_pairwise_distance(s) >= float(delta)
+
+    @pytest.mark.parametrize("rows", [
+        [(2 * x, 2 * y) for x in range(3) for y in range(3)] + [(0.23, 0)],
+        [(4, 4), (0, 0), (0.23, 0)],
+    ])
+    def test_search_grid_audit_at_tiny_delta_exit_2(self, tmp_path, capsys, rows):
+        # A pair 0.23*delta apart, in a 3x3 lattice of spacing 2*delta (the
+        # grid hash) or with one more point (every pair compared).
+        pts = tmp_path / "close.txt"
+        pts.write_text("2\n" + "".join(f"{x}e-180 {y}e-180\n" for x, y in rows))
+        code, out = run_cli("search", "grid", "--input", str(pts), "--k", "2",
+                            "--eps", "0.3333333333333333", "--delta", "1e-180", "--c", "1")
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == "error: input contains a pair closer than delta=1e-180\n"
+
+    @pytest.mark.parametrize("eps", ["1e-300", "5e-324"])
+    def test_search_collinear_eps_too_small_to_bucket_exit_2(self, tmp_path, capsys, eps):
+        pts = tmp_path / "c3.txt"
+        pts.write_text("2\n0 0\n1 0\n2 0\n")
+        code, out = run_cli("search", "collinear", "--input", str(pts), "--k", "3",
+                            "--eps", eps)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_search_ap_box_past_the_float_range_exit_2(self, tmp_path, capsys):
+        # Under the suite's warnings-as-errors setting a numpy RuntimeWarning
+        # would raise here instead of the one error line.
+        pts = tmp_path / "wide.txt"
+        pts.write_text("1\n-1.7e308\n0\n1.7e308\n")
+        code, out = run_cli("search", "ap", "--input", str(pts), "--k", "3",
+                            "--eps", "0.3333333333333333", "--delta", "1", "--c", "0.4")
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == "error: the search interval length inf is not a finite float\n"
 
     def test_consecutive_calls_are_independent(self, tmp_path):
         # The parser is built once per process; no call may see another's flags.

@@ -97,6 +97,14 @@ def test_determinism():
     assert a == b
 
 
+def test_box_past_the_float_range_raises_before_binning():
+    # The span overflows; no numpy RuntimeWarning may come first (the
+    # suite turns those into errors).
+    s = PointSet(1, [(-1.7e308,), (0.0,), (1.7e308,)])
+    with pytest.raises(ValueError, match="not a finite float"):
+        search_ap(s, 3, 1 / 3, 1.0, 0.4)
+
+
 def test_degenerate_single_point():
     out = search_ap(PointSet(1, [(5.0,)]), 3, 1 / 3, 1.0, 0.5)
     assert not out.found

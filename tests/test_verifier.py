@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apxpat import verifier
+from apxpat import _kernels, verifier
 from apxpat.geometry import Pattern, Point, PointSet
 from apxpat.verifier import (
     TAU,
@@ -407,6 +407,24 @@ class TestCylinderRadius:
 
     def test_height_above_diameter(self):
         assert cylinder_radius(PointSet(2, [(0, 0), (2, 0), (1, 0.1)])) == pytest.approx(0.1)
+
+    def test_tied_diameter_takes_the_first_pair_in_index_order(self):
+        # Pairs (0, 3) and (1, 2) both have squared length 40.  The line
+        # through points 0 and 3 is 28/sqrt(40) from point 1; the line
+        # through points 1 and 2 would give 24/sqrt(40).
+        pts = [(5, 0), (0, 1), (6, 3), (3, 6)]
+        assert _kernels.pair_sq_extremes(np.asarray(pts, float))[1:] == (40.0, (0, 3))
+        assert cylinder_radius(PointSet(2, pts)) == pytest.approx(28 / math.sqrt(40), rel=1e-15)
+
+    def test_diameter_past_the_float_range(self):
+        # Squares of these differences overflow in the input's units.
+        s = PointSet(2, [(0, 0), (1e308, 1e308), (-1e308, -1e308)])
+        assert cylinder_radius(s) == 0.0
+        s = PointSet(2, [(0, 0), (1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)])
+        assert cylinder_radius(s) == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+
+    def test_coincident_points_lie_on_every_line(self):
+        assert cylinder_radius(PointSet(2, [(3, 4)] * 3)) == 0.0
 
     def test_bound_on_accepted_sets(self):
         # Every accepted eps-collinear set lies in a cylinder of radius eps*D.
