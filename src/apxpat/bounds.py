@@ -9,6 +9,7 @@ which the subdivision search always succeeds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = ["Schedule", "schedule_1d", "schedule_nd", "kappa", "ball_volume"]
@@ -51,15 +52,18 @@ def _check_dim(d: int) -> None:
 def _log_ratio(kap: int, c: float, delta: float, d: int) -> float:
     """log(kap / (c * delta^d)), the packing ratio the depth bound needs.
 
-    Taken from the quotient itself while that is a positive finite float;
-    otherwise (c * delta^d, delta^d or the quotient past the float range)
-    from log kap - log c - d * log delta, which holds in both directions.
+    Taken from the quotient itself while delta^d, c * delta^d and the
+    quotient are normal floats; otherwise (a subnormal power has lost
+    digits, or a value is past the float range) from
+    log kap - log c - d * log delta, which holds in both directions.
     """
     try:
-        arg = kap / (c * delta**d)
+        power = delta**d
+        denom = c * power
+        arg = kap / denom
     except (OverflowError, ZeroDivisionError):
-        arg = math.inf
-    if 0.0 < arg < math.inf:
+        power = denom = arg = math.inf
+    if all(sys.float_info.min <= v < math.inf for v in (power, denom, arg)):
         return math.log(arg)
     return math.log(kap) - math.log(c) - d * math.log(delta)
 

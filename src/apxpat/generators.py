@@ -67,16 +67,15 @@ def gen_random_separated(
 
 def _packs(count: int, d: int, length: float, delta: float) -> bool:
     """Whether count balls of radius delta/2 fit, by volume, into the cube
-    of side length + delta.  A volume past the float range counts as inf."""
+    of side length + delta.  Both lengths are first scaled by one power of
+    two into the unit range, exactly, so neither volume leaves the float
+    range at any scale; a count past the float range does not pack."""
+    e = math.frexp(max(length, delta))[1]
+    length, delta = math.ldexp(length, -e), math.ldexp(delta, -e)
     try:
-        need = count * ball_volume(d, delta / 2.0)
+        return count * ball_volume(d, delta / 2.0) <= (length + delta) ** d
     except OverflowError:
-        need = math.inf
-    try:
-        room = (length + delta) ** d
-    except OverflowError:
-        room = math.inf
-    return need <= room
+        return False
 
 
 def gen_jittered_lattice(d: int, length: float, jitter: float, seed: int) -> PointSet:

@@ -6,7 +6,23 @@ collects every coordinate token and converts them all at once into the
 set's (n, d) float64 array; numpy converts each token as Python's
 ``float`` does, and a malformed or non-finite token is reported with its
 line.  Writing prints each coordinate's shortest round-trip ``repr``, so
-parse(write(S)) reproduces the coordinates exactly.
+parse(write(S)) reproduces the coordinates exactly; one ``%r`` template
+formats the whole file.
+
+SVG dots are written in blocks of rows through a numpy fixed-point
+formatter that gives the bytes of Python's ``'%.3f'``.  That format rounds
+the exact value 1000*v of the double v to an integer, ties to even.  The
+float product t = v*1000 is 1000*v rounded, and rounding is monotonic:
+as every half-integer below 2**52 is a float, t lies on the same side of
+each of them as 1000*v, or on it.  So where t is not a half-integer,
+m = rint(t) is the integer nearest to 1000*v, and its digits with a point
+before the last three are the text; t - m is exact, so the test is
+|t - m| < 0.5.  Every other value (t a half-integer, negatives and -0.0,
+values that round to 1e6 or more, nan and inf) is formatted by Python's
+``'%.3f'`` itself.
+
+The figure's frame is free of the input's scale: points and anchors are
+scaled into the unit range by a power of two before any length is taken.
 """
 
 from __future__ import annotations
@@ -16,6 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .errors import ParseError
 from .geometry import PointSet
 
@@ -80,16 +97,90 @@ def _reject_bad_row(tokens: list[str], lines: list[int], dim: int) -> None:
 
 
 def write_pointset(s: PointSet) -> bytes:
-    lines = [str(s.dim)] + [" ".join(map(repr, row)) for row in s.coords.tolist()]
-    return ("\n".join(lines) + "\n").encode("ascii")
+    n, d = s.coords.shape
+    rows = (b"%r " * (d - 1) + b"%r\n") * n
+    return b"%d\n" % d + rows % tuple(s.coords.ravel().tolist())
 
 
 _SVG_W = 640
 _SVG_MARGIN = 40.0
+# One dot per line.  The block writer lays each line out as the grey
+# template with both numbers in fields of _FIELD bytes, right-aligned.
+_DOT = ('<circle cx="%.3f" cy="%.3f" r="2.5" fill="#888888"/>\n',
+        '<circle cx="%.3f" cy="%.3f" r="5" fill="black"/>\n')
+_FIELD = 10
+_HEAD, _MID, _TAIL = (part.encode("ascii") for part in _DOT[0].split("%.3f"))
+_BIG_TAIL = np.frombuffer(_DOT[1].split("%.3f")[2].encode("ascii"), dtype=np.uint8)
+_ROW = np.frombuffer(_HEAD + b"." * _FIELD + _MID + b"." * _FIELD + _TAIL, dtype=np.uint8)
+_X = len(_HEAD)
+_Y = _X + _FIELD + len(_MID)
+_T = _Y + _FIELD
+_BLOCK_ROWS = 4096
+# Below 1e9 thousandths a whole part has at most 6 digits.
+_T_MAX = 1e9
+# "000" .. "999" as 3-byte items; item k of _LEAD keeps the last k + 5
+# bytes of a field: a whole part of k + 1 digits, the point and three
+# decimals.  Fields take them through views as one item per row.
+_GROUPS = np.frombuffer(b"".join(b"%03d" % i for i in range(1000)), dtype="V3")
+_LEAD = (np.arange(_FIELD) >= _FIELD - 5 - np.arange(6)[:, None]).view(f"V{_FIELD}")[:, 0]
+_TENS = 10 ** np.arange(1, 6)
 
 
 def _fmt(v: float) -> str:
     return f"{v:.3f}"
+
+
+def _fixed3(v: np.ndarray, text: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Write the '%.3f' text of each value of v into the rows of text, an
+    (n, _FIELD) uint8 array, right-aligned; set keep, of the same shape,
+    to the bytes in use.  Return the mask of the values written.
+
+    Written are the values with no sign bit whose product t = v*1000 rounds
+    to below 1e9 and is not a half-integer (see the module docstring).  The
+    others (negatives and -0.0, values of about 1e6 and up, nan, inf,
+    ties) are left to Python's '%.3f'; their rows hold no text.
+    """
+    t = v * 1000.0
+    m = np.rint(t)
+    with np.errstate(invalid="ignore"):
+        ok = ~np.signbit(v) & (m < _T_MAX) & (np.abs(t - m) < 0.5)
+    whole, frac = np.divmod(np.where(ok, m, 0.0).astype(np.int64), 1000)
+    high, low = np.divmod(whole, 1000)
+    text[:, 0:3].view("V3")[:, 0] = _GROUPS.take(high)
+    text[:, 3:6].view("V3")[:, 0] = _GROUPS.take(low)
+    text[:, 6] = ord(".")
+    text[:, 7:].view("V3")[:, 0] = _GROUPS.take(frac)
+    keep.view(_LEAD.dtype)[:, 0] = _LEAD.take(np.searchsorted(_TENS, whole, side="right"))
+    return ok
+
+
+def _dot_rows(cxs: np.ndarray, cys: np.ndarray, big: np.ndarray) -> list:
+    """The dot lines of rows cxs, cys (one block), as bytes-like pieces to
+    join, each line as _DOT writes it: grey dots, black where big is set.
+    A row with a value _fixed3 leaves to Python is formatted by the
+    template itself."""
+    n = len(cxs)
+    text = np.tile(_ROW, (n, 1))
+    keep = np.ones(text.shape, dtype=bool)
+    ok = _fixed3(cxs, text[:, _X : _X + _FIELD], keep[:, _X : _X + _FIELD])
+    ok &= _fixed3(cys, text[:, _Y:_T], keep[:, _Y:_T])
+    text[big, _T : _T + len(_BIG_TAIL)] = _BIG_TAIL
+    keep[big, _T + len(_BIG_TAIL) :] = False
+    fallback = np.flatnonzero(~ok)
+    keep[fallback] = False
+    blob = text[keep]
+    if not fallback.size:
+        return [blob]
+    # A fallback row keeps no bytes: the blob's rows before it end where
+    # its own line goes.
+    at = np.cumsum(keep.sum(axis=1)).tolist()
+    pieces, prev = [], 0
+    for r in fallback.tolist():
+        pieces += [blob[prev : at[r]],
+                   (_DOT[int(big[r])] % (float(cxs[r]), float(cys[r]))).encode("ascii")]
+        prev = at[r]
+    pieces.append(blob[prev:])
+    return pieces
 
 
 def emit_svg(
@@ -98,36 +189,33 @@ def emit_svg(
     anchors: Optional[Sequence[Sequence[float]]] = None,
 ) -> bytes:
     """Deterministic SVG figure: the set as dots, a found subset as filled
-    markers, exact anchors as open markers (1-D: tick bars on an axis)."""
+    markers, exact anchors as open markers (1-D: tick bars on an axis).
+
+    The points and anchors are first scaled by one power of two into the
+    unit range (``_kernels._to_unit``), and their offsets from the frame's
+    corner by another into [0, 1]; both scalings are exact, so the figure
+    of a set scaled by 2**k is the same, and no length overflows."""
     if s.dim > 2:
         raise ValueError("SVG emission supports dim 1 and 2 only")
+    n, d = s.coords.shape
     hi_set = set(int(i) for i in highlight) if highlight else set()
     anchor_pts = list(anchors) if anchors else []
-    xy = s.coords
-
-    xs = [float(xy[:, 0].min()), float(xy[:, 0].max())] + [a[0] for a in anchor_pts]
-    x_lo, x_hi = min(xs), max(xs)
-    x_span = (x_hi - x_lo) or 1.0
-    if s.dim == 2:
-        ys = [float(xy[:, 1].min()), float(xy[:, 1].max())] + [a[1] for a in anchor_pts]
-        y_lo, y_hi = min(ys), max(ys)
-        y_span = (y_hi - y_lo) or 1.0
-        span = max(x_span, y_span)
-        height = _SVG_W
+    if any(len(a) != d for a in anchor_pts):
+        raise ValueError(f"anchors must have the set's dimension {d}")
+    rows = np.array([list(a) for a in anchor_pts], dtype=np.float64).reshape(-1, d)
+    unit, _ = _kernels._to_unit(np.concatenate([s.coords, rows]))
+    off = unit - unit.min(axis=0)
+    span = float(off.max()) or 1.0  # with no extent every offset is 0
+    e = math.frexp(span)[1]
+    off, span = np.ldexp(off, -e), math.ldexp(span, -e)
+    height = _SVG_W if d == 2 else 120
+    scale = (_SVG_W - 2 * _SVG_MARGIN) / span
+    # Points, then anchors.
+    cxs = _SVG_MARGIN + off[:, 0] * scale
+    if d == 2:
+        cys = height - _SVG_MARGIN - off[:, 1] * scale
     else:
-        span = x_span
-        height = 120
-
-    inner = _SVG_W - 2 * _SVG_MARGIN
-    scale = inner / span
-
-    def sx(v: float) -> float:
-        return _SVG_MARGIN + (v - x_lo) * scale
-
-    def sy(v: float) -> float:
-        if s.dim == 1:
-            return height / 2.0
-        return height - _SVG_MARGIN - (v - y_lo) * scale
+        cys = np.full(len(off), height / 2.0)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -135,37 +223,30 @@ def emit_svg(
         f'width="{_SVG_W}" height="{height}" viewBox="0 0 {_SVG_W} {height}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    if s.dim == 1:
+    if d == 1:
         mid = height / 2.0
         out.append(
             f'<line x1="{_fmt(_SVG_MARGIN / 2)}" y1="{_fmt(mid)}" '
             f'x2="{_fmt(_SVG_W - _SVG_MARGIN / 2)}" y2="{_fmt(mid)}" '
             'stroke="black" stroke-width="1"/>'
         )
-        for a in anchor_pts:
-            x = _fmt(sx(a[0]))
+        for cx in cxs[n:].tolist():
+            x = _fmt(cx)
             out.append(
                 f'<line x1="{x}" y1="{_fmt(mid - 14)}" x2="{x}" y2="{_fmt(mid + 14)}" '
                 'stroke="black" stroke-width="3"/>'
             )
     else:
-        for a in anchor_pts:
+        for cx, cy in zip(cxs[n:].tolist(), cys[n:].tolist()):
             out.append(
-                f'<circle cx="{_fmt(sx(a[0]))}" cy="{_fmt(sy(a[1]))}" r="7" '
+                f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="7" '
                 'fill="none" stroke="black" stroke-width="1.5"/>'
             )
-    # The dots in one array pass, with sx's and sy's operations in their
-    # order, so every coordinate has the same bits as theirs.
-    cxs = _SVG_MARGIN + (xy[:, 0] - x_lo) * scale
-    if s.dim == 2:
-        cys = height - _SVG_MARGIN - (xy[:, 1] - y_lo) * scale
-    else:
-        cys = np.full(len(s), height / 2.0)
-    out.extend(
-        f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" fill="black"/>'
-        if i in hi_set
-        else f'<circle cx="{x:.3f}" cy="{y:.3f}" r="2.5" fill="#888888"/>'
-        for i, (x, y) in enumerate(zip(cxs.tolist(), cys.tolist()))
-    )
-    out.append("</svg>")
-    return ("\n".join(out) + "\n").encode("ascii")
+    big = np.zeros(n, dtype=bool)
+    big[[i for i in hi_set if 0 <= i < n]] = True
+    pieces = [("\n".join(out) + "\n").encode("ascii")]
+    for i in range(0, n, _BLOCK_ROWS):
+        j = min(i + _BLOCK_ROWS, n)
+        pieces += _dot_rows(cxs[i:j], cys[i:j], big[i:j])
+    pieces.append(b"</svg>\n")
+    return b"".join(pieces)

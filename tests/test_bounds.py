@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from itertools import product
 
 import pytest
@@ -162,3 +163,15 @@ def test_schedule_past_the_float_range():
         schedule_nd(3, 10**8, 0.5, 1, 0.3)
     # ... unless the starting box already suffices.
     assert schedule_nd(1, 10**20, 1e6, 1, 0.3).j == 1
+
+
+def test_schedule_with_a_subnormal_power_of_delta():
+    # delta^16 = 1e-320 is subnormal and has lost most of its digits, so
+    # the float quotient kappa / (c * delta^d) gives one step too many; the
+    # sum of logs gives the depth of a 60-digit evaluation.
+    s = schedule_nd(16, 2, 1e300, 1e-20, 0.3)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        log_arg = Decimal(s.kappa).ln() - Decimal(1e300).ln() - 16 * Decimal(1e-20).ln()
+        depth = math.ceil(log_arg / Decimal(s.r).ln())
+    assert s.j == depth == 4_264_806

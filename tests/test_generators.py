@@ -1,10 +1,13 @@
 import math
 import time
+from itertools import product
 
 import pytest
 
+from apxpat.bounds import ball_volume
 from apxpat.errors import InfeasibleGeneration
 from apxpat.generators import (
+    _packs,
     gen_adversarial_ap3,
     gen_jittered_lattice,
     gen_random_separated,
@@ -43,6 +46,28 @@ class TestRandomSeparated:
         # (length + delta)^2 overflows a float: the cube has room for any
         # count, and the cell grid still fits in Python ints.
         assert len(gen_random_separated(2, 1e200, 1.0, 3, 0)) == 3
+
+    @pytest.mark.parametrize("count, d, length, delta", [
+        (100, 2, 3e-179, 1e-179), (1000, 3, 3e120, 1e120), (100, 2, 3.0, 1.0)])
+    def test_packing_infeasible_at_every_scale(self, count, d, length, delta):
+        # The volumes of the first two, taken in the input's units,
+        # underflow to 0 and overflow to inf.
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleGeneration, match="cannot pack"):
+            gen_random_separated(d, length, delta, count, 0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_packing_verdicts_at_normal_scales(self):
+        def volumes_in_input_units(count, d, length, delta):
+            return count * ball_volume(d, delta / 2.0) <= (length + delta) ** d
+
+        for d, length, delta in product(range(1, 6), (1.0, 1.5, 3.0, 10.0, 13122.0, 0.3),
+                                        (0.1, 0.5, 1.0, 2.0)):
+            room = (length + delta) ** d / ball_volume(d, delta / 2.0)
+            for count in {1, 2, max(1, math.floor(room)), math.floor(room) + 1, 10**6}:
+                assert _packs(count, d, length, delta) == volumes_in_input_units(
+                    count, d, length, delta), (count, d, length, delta)
+        assert not _packs(10**400, 1, 3.0, 1.0)
 
     def test_deterministic(self):
         a = gen_random_separated(2, 25.0, 0.8, 80, 42)

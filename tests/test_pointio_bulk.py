@@ -1,0 +1,169 @@
+"""The array writers of pointio against copies of the per-row loops they
+replaced: the same bytes for point files, SVG dots and whole figures."""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from apxpat.geometry import PointSet
+from apxpat.pointio import _BLOCK_ROWS, _fixed3, _dot_rows, emit_svg, write_pointset
+
+
+def reference_write(s):
+    lines = [str(s.dim)] + [" ".join(map(repr, row)) for row in s.coords.tolist()]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def reference_dots(cxs, cys, hi_set):
+    return "".join(
+        f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" fill="black"/>\n'
+        if i in hi_set
+        else f'<circle cx="{x:.3f}" cy="{y:.3f}" r="2.5" fill="#888888"/>\n'
+        for i, (x, y) in enumerate(zip(cxs.tolist(), cys.tolist()))
+    ).encode("ascii")
+
+
+def reference_svg(s, highlight=None, anchors=None):
+    """emit_svg as a loop over points, in the input's units.  Its frame
+    differs from emit_svg's only where one axis of a 2-D figure has no
+    extent and the other less than 1, which these tests do not draw."""
+    hi_set = set(int(i) for i in highlight) if highlight else set()
+    anchor_pts = list(anchors) if anchors else []
+    xy = s.coords
+    xs = [float(xy[:, 0].min()), float(xy[:, 0].max())] + [a[0] for a in anchor_pts]
+    x_lo = min(xs)
+    x_span = (max(xs) - x_lo) or 1.0
+    if s.dim == 2:
+        ys = [float(xy[:, 1].min()), float(xy[:, 1].max())] + [a[1] for a in anchor_pts]
+        y_lo = min(ys)
+        span = max(x_span, (max(ys) - y_lo) or 1.0)
+        height = 640
+    else:
+        span, height = x_span, 120
+    scale = 560 / span
+
+    def sx(v):
+        return 40.0 + (v - x_lo) * scale
+
+    def sy(v):
+        return height / 2.0 if s.dim == 1 else height - 40.0 - (v - y_lo) * scale
+
+    out = ['<?xml version="1.0" encoding="UTF-8"?>',
+           f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+           f'width="640" height="{height}" viewBox="0 0 640 {height}">',
+           '<rect width="100%" height="100%" fill="white"/>']
+    if s.dim == 1:
+        mid = height / 2.0
+        out.append(f'<line x1="20.000" y1="{mid:.3f}" x2="620.000" y2="{mid:.3f}" '
+                   'stroke="black" stroke-width="1"/>')
+        for a in anchor_pts:
+            x = f"{sx(a[0]):.3f}"
+            out.append(f'<line x1="{x}" y1="{mid - 14:.3f}" x2="{x}" y2="{mid + 14:.3f}" '
+                       'stroke="black" stroke-width="3"/>')
+    else:
+        for a in anchor_pts:
+            out.append(f'<circle cx="{sx(a[0]):.3f}" cy="{sy(a[1]):.3f}" r="7" '
+                       'fill="none" stroke="black" stroke-width="1.5"/>')
+    for i, row in enumerate(xy.tolist()):
+        x, y = sx(row[0]), sy(row[-1])
+        out.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="5" fill="black"/>' if i in hi_set
+                   else f'<circle cx="{x:.3f}" cy="{y:.3f}" r="2.5" fill="#888888"/>')
+    out.append("</svg>")
+    return ("\n".join(out) + "\n").encode("ascii")
+
+
+def formatted(v):
+    """_fixed3's text of the values it writes, one per line, and its mask."""
+    text = np.zeros((len(v), 11), dtype=np.uint8)
+    text[:, 10] = ord("\n")
+    keep = np.ones(text.shape, dtype=bool)
+    ok = _fixed3(v, text[:, :10], keep[:, :10])
+    return text[ok][keep[ok]].tobytes().decode("ascii"), ok
+
+
+def test_fixed3_matches_percent_format():
+    rng = np.random.default_rng(13)
+    thousandths = np.arange(640_001) / 1000.0
+    halves = (np.arange(0, 640_000, 3) + 0.5) / 1000.0
+    near = np.concatenate([thousandths[::4], halves])
+    v = np.concatenate([
+        rng.uniform(0.0, 640.0, 200_000),
+        rng.uniform(0.0, 1e6, 20_000),
+        rng.uniform(999_999.99, 1e6, 2_000),
+        thousandths, halves,
+        np.nextafter(near, np.inf), np.nextafter(near, -np.inf),
+        np.arange(10_241) / 16.0,  # exact binary ties such as 0.0625
+        [0.0, 5e-324, 1e-4, 0.0005, 0.0015, 999_999.9994, 999_999.9995, 1e6, 1e300,
+         -0.0, -1e-4, -5.0, math.nan, math.inf, -math.inf],
+    ])
+    assert len(v) >= 10**6
+    got, ok = formatted(v)
+    want = ["%.3f" % x for x in v[ok].tolist()]
+    got = got.splitlines()
+    assert len(got) == len(want)
+    assert [(g, w) for g, w in zip(got, want) if g != w][:5] == []
+    # Left to Python: signed, non-finite, too large, or a tie after scaling.
+    t = v * 1000.0
+    with np.errstate(invalid="ignore"):
+        plain = ~np.signbit(v) & (t < 999_999_999) & (t - np.floor(t) != 0.5)
+    assert ok[plain].all()
+    assert not ok[np.signbit(v) | ~np.isfinite(v) | (v >= 999_999.9995)].any()
+    assert np.count_nonzero(~ok[:200_000]) <= 5
+
+
+def test_dot_rows_match_the_loop_with_python_fallbacks():
+    rng = np.random.default_rng(4)
+    n = 3000
+    cxs = rng.uniform(40.0, 600.0, n)
+    cys = rng.uniform(40.0, 600.0, n)
+    odd = [40.0625, 100.0005, -0.0, -1e-4, -3.25, 1e6, 2.5e7, math.nan, math.inf,
+           -math.inf, 5e-324, 999_999.9995]
+    cxs[:: n // len(odd)][: len(odd)] = odd
+    cys[7 :: n // len(odd)][: len(odd)] = odd[::-1]
+    cxs[-1] = math.nan
+    big = rng.random(n) < 0.1
+    hi_set = set(np.flatnonzero(big).tolist())
+    assert b"".join(_dot_rows(cxs, cys, big)) == reference_dots(cxs, cys, hi_set)
+    assert b"".join(_dot_rows(cxs[:1], cys[:1], big[:1])) == reference_dots(
+        cxs[:1], cys[:1], hi_set)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_emit_svg_matches_the_loop(dim):
+    rng = random.Random(dim)
+    for trial in range(300):
+        n = rng.choice([1, 2, 5, 40, 300])
+        scale = rng.choice([1.0, 1e-3, 7.3, 1e4, 1e-9])
+        if trial % 3:
+            rows = [[rng.uniform(-100, 100) * scale for _ in range(dim)] for _ in range(n)]
+        else:
+            rows = [[rng.randint(-40, 40) / 8 * scale for _ in range(dim)] for _ in range(n)]
+        s = PointSet(dim, rows)
+        if dim == 2 and min(np.ptp(s.coords, axis=0)) == 0 < max(np.ptp(s.coords, axis=0)):
+            continue
+        highlight = rng.sample(range(-3, n + 3), min(n, rng.randint(0, 6))) * 2
+        anchors = [[rng.uniform(-150, 150) * scale for _ in range(dim)]
+                   for _ in range(rng.randint(0, 3))]
+        assert emit_svg(s, highlight, anchors) == reference_svg(s, highlight, anchors)
+
+
+def test_emit_svg_matches_the_loop_across_blocks():
+    rng = np.random.default_rng(8)
+    s = PointSet(2, rng.uniform(-3.0, 170.0, (2 * _BLOCK_ROWS + 77, 2)))
+    highlight = [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, len(s) - 1, len(s), -1, 5, 5]
+    anchors = [[-10.0, 3.0], [200.0, 0.5]]
+    assert emit_svg(s, highlight, anchors) == reference_svg(s, highlight, anchors)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_write_pointset_matches_the_loop(dim):
+    rng = np.random.default_rng(dim)
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e-300, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, 1 / 3, -7.0, 123456789.0]
+    for n in (1, 2, 7, 500):
+        rows = rng.choice(special, (n, dim)) * rng.choice([1.0, 1.0, 0.5], (n, dim))
+        rows[::3] = rng.uniform(-1e3, 1e3, rows[::3].shape)
+        s = PointSet(dim, rows)
+        assert write_pointset(s) == reference_write(s)

@@ -125,6 +125,18 @@ class TestSvg:
         with pytest.raises(ValueError):
             emit_svg(PointSet(3, [(0, 0, 0)]))
 
+    @pytest.mark.parametrize("dim, anchor", [(2, (0.5,)), (1, (0.5, 0.5))])
+    def test_anchor_of_another_dimension_rejected(self, dim, anchor, tmp_path, capsys):
+        s = PointSet(dim, [(0,) * dim, (1,) * dim])
+        with pytest.raises(ValueError, match="dimension"):
+            emit_svg(s, anchors=[Point(anchor)])
+        (tmp_path / "in.txt").write_bytes(write_pointset(s))
+        (tmp_path / "anchors.txt").write_bytes(write_pointset(PointSet(len(anchor), [anchor])))
+        code, out = run_cli("plot", "--input", str(tmp_path / "in.txt"), "--anchors",
+                            str(tmp_path / "anchors.txt"), "--out", str(tmp_path / "out.svg"))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: anchors must have")
+
 
 def run_cli(*argv: str) -> tuple[int, str]:
     buf = io.StringIO()
@@ -296,6 +308,10 @@ class TestCli:
         ("--kind", "lattice", "--dim", "30", "--length", "3"),
         ("--kind", "adversarial", "--count", "2000", "--variant", "eighth"),
         ("--kind", "adversarial", "--count", "700", "--variant", "xi", "--eps", "0.1"),
+        ("--kind", "random", "--dim", "2", "--length", "3e-179", "--delta", "1e-179",
+         "--count", "100"),
+        ("--kind", "random", "--dim", "3", "--length", "3e120", "--delta", "1e120",
+         "--count", "1000"),
     ])
     def test_generate_infeasible_exit_2(self, flags, capsys):
         code, out = run_cli("generate", *flags)

@@ -7,14 +7,19 @@ drawn here, and every scaling is exact.
 """
 
 import math
+import re
+import warnings
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apxpat import _kernels
-from apxpat.generators import gen_random_separated
+from apxpat.cli import main
+from apxpat.generators import _packs, gen_random_separated
 from apxpat.geometry import Pattern, PointSet, diameter, min_pairwise_distance
+from apxpat.pointio import emit_svg
 from apxpat.verifier import cylinder_radius, verify_homothetic
 
 POWERS = st.integers(min_value=-1000, max_value=1000)
@@ -87,3 +92,42 @@ def test_random_separated_scales_exactly(dim, count, seed, k):
     want = gen_random_separated(dim, length, 1.0, count, seed).coords
     got = gen_random_separated(dim, math.ldexp(length, k), math.ldexp(1.0, k), count, seed)
     assert np.array_equal(got.coords, np.ldexp(want, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.integers(min_value=1, max_value=10**6), dim=st.integers(min_value=1, max_value=5),
+       length=st.integers(min_value=1, max_value=200), delta=st.integers(min_value=1, max_value=16),
+       k=POWERS)
+def test_packing_verdict_ignores_the_scale(count, dim, length, delta, k):
+    want = _packs(count, dim, length / 8.0, delta / 8.0)
+    assert _packs(count, dim, math.ldexp(length / 8.0, k), math.ldexp(delta / 8.0, k)) == want
+
+
+@pytest.mark.parametrize("text", ["2\n-1e308 0\n1e308 1\n", "2\n1e-310 0\n3e-310 2e-310\n"])
+def test_plot_frame_holds_extreme_scales(tmp_path, text):
+    (tmp_path / "in.txt").write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["plot", "--input", str(tmp_path / "in.txt"),
+                     "--out", str(tmp_path / "out.svg")])
+    assert code == 0
+    svg = (tmp_path / "out.svg").read_text()
+    values = [float(v) for v in re.findall(r'c[xy]="([^"]*)"', svg)]
+    assert len(values) == 4 and all(40.0 <= v <= 600.0 for v in values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=point_rows(min_size=1), picks=st.lists(st.integers(-3, 14), max_size=4),
+       anchors=st.integers(min_value=0, max_value=2),
+       # Every scaled coordinate, down to subnormals, stays exact.
+       k=st.integers(min_value=-1071, max_value=1020))
+@example(drawn=(2, np.array([[0.0, 0.0], [0.0, 0.5]])), k=3, picks=[], anchors=0)
+@example(drawn=(1, np.array([[-8.0], [8.0]])), k=1020, picks=[1], anchors=1)
+@example(drawn=(2, np.array([[0.125, 0.0], [0.375, 0.25]])), k=-1071, picks=[0], anchors=1)
+def test_svg_ignores_the_scale(drawn, k, picks, anchors):
+    dim, rows = drawn
+    assume(dim <= 2)
+    marks = rows[:anchors] + 0.5
+    want = emit_svg(PointSet(dim, rows), picks, marks.tolist())
+    got = emit_svg(PointSet(dim, np.ldexp(rows, k)), picks, np.ldexp(marks, k).tolist())
+    assert got == want
