@@ -117,10 +117,12 @@ def angle_bucket(p: Sequence[float], q: Sequence[float], r: int) -> int:
 
 def build_coloring(s: PointSet, eps: float) -> tuple[AngleColoring, np.ndarray]:
     """Angle coloring of all segments, in the input's own coordinates, and
-    the number of pairs in each of its r buckets.
+    the pair positions ordered by bucket (a stable sort, so each bucket's
+    pairs stay in ``np.triu_indices`` order).
 
     Directions are taken modulo pi as in ``angle_bucket``, so a vertical
-    segment is in bucket 0 and no frame is needed.
+    segment is in bucket 0 and no frame is needed.  Nothing is sized by
+    the bucket count r, so a tiny eps costs no more memory than a wide one.
     """
     if s.dim != 2:
         raise DimensionMismatch("coloring is defined in the plane")
@@ -128,7 +130,10 @@ def build_coloring(s: PointSet, eps: float) -> tuple[AngleColoring, np.ndarray]:
     x, y = s.coords[:, 0], s.coords[:, 1]
     i, j = np.triu_indices(len(x), 1)
     assignments = _buckets(x[j] - x[i], y[j] - y[i], r)
-    return AngleColoring(r, i, j, assignments), np.bincount(assignments, minlength=r)
+    # Sorted in the narrowest type that holds r - 1: the same order, and
+    # numpy sorts 8- and 16-bit keys stably by radix.
+    key = assignments.astype(np.min_scalar_type(r - 1))
+    return AngleColoring(r, i, j, assignments), np.argsort(key, kind="stable")
 
 
 def _core(i: np.ndarray, j: np.ndarray, n: int, m: int) -> tuple[list[int], list[int]]:
@@ -260,15 +265,18 @@ def find_collinear(
             proven_absent=True,
         )
 
-    coloring, counts = build_coloring(s, eps)
-    by_bucket = np.argsort(coloring.assignments, kind="stable")
-    starts = np.cumsum(counts) - counts
+    coloring, by_bucket = build_coloring(s, eps)
+    # The buckets that occur, ascending, and where each one's pairs start.
+    sorted_buckets = coloring.assignments[by_bucket]
+    starts = np.flatnonzero(np.diff(sorted_buckets, prepend=-1) != 0)
+    counts = np.diff(starts, append=len(by_bucket))
 
     exhausted_any = False
-    for b in np.argsort(-counts, kind="stable").tolist():
-        if counts[b] < k * (k - 1) // 2:
+    for g in np.argsort(-counts, kind="stable").tolist():
+        if counts[g] < k * (k - 1) // 2:
             break
-        pairs = by_bucket[starts[b]:starts[b] + counts[b]]
+        b = int(sorted_buckets[starts[g]])
+        pairs = by_bucket[starts[g]:starts[g] + counts[g]]
         i, j = coloring.i[pairs], coloring.j[pairs]
         clique, exhausted = _k_clique(i, j, len(s), k, node_budget)
         if exhausted:

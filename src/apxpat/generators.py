@@ -70,8 +70,7 @@ def _packs(count: int, d: int, length: float, delta: float) -> bool:
     of side length + delta.  Both lengths are first scaled by one power of
     two into the unit range, exactly, so neither volume leaves the float
     range at any scale; a count past the float range does not pack."""
-    e = math.frexp(max(length, delta))[1]
-    length, delta = math.ldexp(length, -e), math.ldexp(delta, -e)
+    length, delta = _kernels._to_unit(np.array([length, delta]))[0].tolist()
     try:
         return count * ball_volume(d, delta / 2.0) <= (length + delta) ** d
     except OverflowError:

@@ -204,10 +204,8 @@ def emit_svg(
         raise ValueError(f"anchors must have the set's dimension {d}")
     rows = np.array([list(a) for a in anchor_pts], dtype=np.float64).reshape(-1, d)
     unit, _ = _kernels._to_unit(np.concatenate([s.coords, rows]))
-    off = unit - unit.min(axis=0)
+    off, _ = _kernels._to_unit(unit - unit.min(axis=0))
     span = float(off.max()) or 1.0  # with no extent every offset is 0
-    e = math.frexp(span)[1]
-    off, span = np.ldexp(off, -e), math.ldexp(span, -e)
     height = _SVG_W if d == 2 else 120
     scale = (_SVG_W - 2 * _SVG_MARGIN) / span
     # Points, then anchors.

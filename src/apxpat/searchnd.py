@@ -1,29 +1,36 @@
 """Subdivision search in R^d: approximate k-grids and, via a sufficiently
 fine grid, approximate copies of arbitrary finite patterns.
 
-One loop serves every dimension; ``search1d.search_ap`` is its d = 1 case.
-Each step bins the active points into the (k*s)^d congruent cells of the
-current cube and takes the occupied cells.  Every axis index lies in
-[0, k*s), so the offset system t (its k^d cells t + s*m, m in {0..k-1}^d)
-is fully occupied iff exactly k^d occupied cells have index = t (mod s) on
-every axis.  One count of the occupied cells' residues therefore decides
-all s^d systems at once; the lexicographically smallest full t wins.
-Otherwise the search descends into the first max-count cell in
-lexicographic order.  Work and memory are O(n log n) and O(n) per step:
-no array of size s^d or (k*s)^d and no flat cell index is formed, so any
-d the schedule accepts runs.
+One loop serves every dimension and both targets; ``search1d.search_ap``
+is its d = 1 grid case.  Each step bins the active points into the
+(k*s)^d congruent cells of the current cube and takes the occupied cells.
+Every axis index lies in [0, k*s), so an occupied cell belongs to the
+offset system t = index mod s, as its cell t + s*m with m = index div s in
+{0..k-1}^d.  The target names its nodes m: every m for the k-grid, one m
+per point for a pattern.  A system is complete when all its node cells
+are occupied, and one grouping of the occupied cells by residue decides
+all s^d systems at once.  Of the complete systems the most occupied wins,
+the lexicographically smallest t among those, so the grid search takes
+the smallest full t, and a pattern's search takes it too wherever a full
+K-grid system exists.  The success step lists the node cells' anchors and
+chosen points, in node order.  Otherwise the search descends into the
+first max-count cell in lexicographic order; the descent does not depend
+on the target, so a pattern is found at the step its K-grid would be, or
+earlier.  Work and memory are O(n log n) and O(n) per step: no array of
+size s^d or (k*s)^d and no flat cell index is formed, so any d the
+schedule accepts runs.
 
 The grid searcher certifies its success with ``verify_homothetic`` against
-the unit k-grid.  The pattern searcher maps the target pattern onto the
-nodes of a fine K-grid, runs the grid search, and post-verifies the
-selected points against the original pattern.
+the unit k-grid.  The pattern searcher rounds the target pattern onto the
+nodes of a fine K-grid, searches for those |P| node cells, and certifies
+the selected points against the original pattern.  Its trace keeps tuple
+offsets and cells at d = 1 too; only ``search_ap`` turns them into ints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -51,16 +58,19 @@ DEFAULT_RESOLUTION_CAP = 10_000
 
 @dataclass(frozen=True)
 class StepSuccess:
-    """A fully occupied system: offset t, anchor points, chosen input indices."""
+    """A complete system: offset t, and the anchor and chosen input index of
+    each node cell, in node order (all k^d cells for a grid, one per point
+    for a pattern)."""
 
-    t: object  # int in 1-D, tuple of ints in d-D
+    t: object  # int from search_ap, else a tuple of ints (1-D patterns too)
     anchors: tuple[Point, ...]
     chosen: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class StepDescend:
-    """Recursion into the max-count cell (int in 1-D, multi-index in d-D)."""
+    """Recursion into the max-count cell (int from search_ap, else a
+    multi-index)."""
 
     cell: object
 
@@ -108,10 +118,6 @@ def _audit_separation(flat: np.ndarray, dim: int, delta: float) -> None:
         )
 
 
-def _unit_grid_pattern(dim: int, k: int) -> Pattern:
-    return Pattern(dim, list(product(range(k), repeat=dim)))
-
-
 def _lex_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable lexicographic order of the rows of an (n, d) array and the
     positions in that order where each run of equal rows starts."""
@@ -122,18 +128,34 @@ def _lex_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(new)
 
 
-def _subdivide(s: PointSet, k: int, schedule: Schedule, lo, length) -> SearchOutcome:
+def _node_rank(quot: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Position in ``nodes`` (distinct rows) of each row of ``quot``, or -1."""
+    _, run = np.unique(np.concatenate([nodes, quot]), axis=0, return_inverse=True)
+    rank = np.full(len(nodes) + len(quot), -1)
+    rank[run[: len(nodes)]] = np.arange(len(nodes))
+    return rank[run[len(nodes):]]
+
+
+def _subdivide(
+    s: PointSet, k: int, schedule: Schedule, lo, length, nodes: np.ndarray | None = None
+) -> SearchOutcome:
     """The subdivision loop shared by every dimension.
 
+    ``nodes`` holds a pattern's node offsets m in {0..k-1}^d, one row per
+    pattern point; without it every m is a node (the k-grid).  A system t
+    succeeds when every node cell t + s*m is occupied, and its members are
+    listed in node order (lexicographic order of m for the grid).
     A success carries the chosen points, anchors and witness but no
     certificate (verify=None); the caller certifies it.  Warnings use the
-    1-D wording (interval, k) at d = 1 and the cube wording otherwise.
+    1-D wording (interval, k) at d = 1 and the cube wording otherwise, or
+    name the pattern's point count.
     """
     d = s.dim
-    if d == 1:
-        region, span, needed_name = "interval", "interval length", "k"
+    region, span = ("interval", "interval length") if d == 1 else ("cube", "cube side")
+    if nodes is None:
+        needed, needed_name = k**d, "k" if d == 1 else "k^d"
     else:
-        region, span, needed_name = "cube", "cube side", "k^d"
+        needed, needed_name = len(nodes), f"the pattern's {len(nodes)} points"
     coords = s.coords
     if len(s) >= 2:
         _audit_separation(coords.reshape(-1), d, schedule.delta)
@@ -165,7 +187,6 @@ def _subdivide(s: PointSet, k: int, schedule: Schedule, lo, length) -> SearchOut
     inside = np.all((coords >= lo_vec) & (coords <= lo_vec + box_len), axis=1)
     active = np.flatnonzero(inside)
     stride, ks = schedule.s, k * schedule.s
-    needed = k**d
     cur_lo = lo_vec
     cur_len = box_len
     steps: list[SearchStep] = []
@@ -173,7 +194,7 @@ def _subdivide(s: PointSet, k: int, schedule: Schedule, lo, length) -> SearchOut
     for _step in range(schedule.j):
         if len(active) < needed:
             # Counts only shrink along the recursion, so no later step can
-            # occupy k^d cells; stop instead of subdividing uselessly.
+            # occupy the needed cells; stop instead of subdividing uselessly.
             warnings.append(f"active point count fell below {needed_name}; stopping early")
             break
         x = cur_len / ks
@@ -188,21 +209,32 @@ def _subdivide(s: PointSet, k: int, schedule: Schedule, lo, length) -> SearchOut
         cells = idx[first]
         counts = np.diff(starts, append=len(order))
         box = AxisBox(Point(cur_lo), cur_len)
+        # Occupied cells grouped by system t (the residue); the stable sort
+        # keeps each group in lexicographic order of its cells.
         residue = cells % stride
         r_order, r_starts = _lex_runs(residue)
         per_system = np.diff(r_starts, append=len(r_order))
-        full = np.flatnonzero(per_system == needed)
-        if len(full):
-            t = residue[r_order[r_starts[full[0]]]]
-            # The k^d cells t + s*m, in lexicographic order of m.
-            members = np.flatnonzero((residue == t).all(axis=1))
+        if nodes is None:
+            complete = per_system == needed
+        else:
+            rank = _node_rank(cells // stride, nodes)
+            complete = np.add.reduceat((rank >= 0)[r_order].astype(np.intp), r_starts) == needed
+        if complete.any():
+            # The first of the most occupied complete systems: a full
+            # k-grid system wherever one exists, the smallest such t.
+            g = int(np.where(complete, per_system, 0).argmax())
+            members = r_order[r_starts[g] : r_starts[g] + per_system[g]]
+            if nodes is not None:
+                # Rank -1 sorts first: the last |P| are the nodes in order.
+                members = members[np.argsort(rank[members])[-needed:]]
+            t = residue[r_order[r_starts[g]]]
             chosen = tuple(int(i) for i in active[first[members]])
             anchors = tuple(Point(cur_lo + cells[m] * x) for m in members)
             hit = tuple(int(v) for v in t)
             steps.append(SearchStep(box, cur_len, len(active), StepSuccess(hit, anchors, chosen)))
             return SearchOutcome(
                 found=True, subset=chosen, anchors=anchors,
-                homothety=Homothety(anchors[0], stride * x), verify=None,
+                homothety=Homothety(cur_lo + t * x, stride * x), verify=None,
                 trace=SearchTrace(tuple(steps)), schedule=schedule,
                 below_threshold=below, warnings=tuple(warnings),
             )
@@ -238,9 +270,9 @@ def search_grid(
     out = _subdivide(s, k, schedule_nd(d, k, c, delta, eps), lo, length)
     if not out.found:
         return out
-    # Success implies at least k^d input points, so the unit grid is no
-    # larger than the input.
-    pattern = _unit_grid_pattern(d, k)
+    # Success implies at least k^d input points, so the unit grid, its
+    # points in lexicographic order, is no larger than the input.
+    pattern = Pattern(d, np.indices((k,) * d).reshape(d, -1).T)
     result = verify_homothetic(s.subset(out.subset), pattern, list(range(len(pattern))), eps)
     if not result.accepted:
         raise InternalError(
@@ -285,9 +317,10 @@ def search_pattern(
 ) -> SearchOutcome:
     """Find an eps-approximate homothetic copy of an arbitrary finite pattern.
 
-    Runs the k-grid search on a sufficiently fine K-grid, then reads the
-    pattern's copy off the found grid points and post-verifies it against
-    the original pattern; found=True only if that certificate passes.
+    Rounds the pattern onto the nodes of a sufficiently fine K-grid and
+    runs the subdivision search for those node cells alone, then
+    certifies the chosen points against the original pattern; found=True
+    only if that certificate passes.
     A K above ``DEFAULT_RESOLUTION_CAP`` raises ResolutionOverflow.
     """
     if s.dim != p.dim:
@@ -300,41 +333,20 @@ def search_pattern(
         )
     p_lo, d_inf = _pattern_extent(p)
     # np.rint rounds half to even, as round() does.
-    nodes = [tuple(row) for row in
-             np.rint((p.coords - p_lo) * (K - 1) / d_inf).astype(np.int64).tolist()]
-    if len(set(nodes)) != len(nodes):
+    nodes = np.rint((p.coords - p_lo) * (K - 1) / d_inf).astype(np.int64)
+    if len(np.unique(nodes, axis=0)) != len(nodes):
         raise InternalError("pattern nodes collided; resolution formula violated")
 
-    inner = search_grid(s, K, eps_g, delta, c, lo=lo, length=length)
-    reduction = PatternReduction(grid_k=K, grid_eps=eps_g, nodes=tuple(nodes))
-    if not inner.found:
-        return SearchOutcome(
-            found=False, subset=(), anchors=(), homothety=None, verify=None,
-            trace=inner.trace, schedule=inner.schedule,
-            below_threshold=inner.below_threshold, warnings=inner.warnings,
-            reduction=reduction,
-        )
-
-    def node_flat(node: tuple[int, ...]) -> int:
-        f = 0
-        for a in range(d):
-            f = f * K + node[a]
-        return f
-
-    subset = tuple(inner.subset[node_flat(n)] for n in nodes)
-    g = inner.homothety.scale
-    a0 = inner.homothety.anchor
-    scale = g * (K - 1) / d_inf
-    witness = Homothety(np.asarray(a0.coords) - scale * p_lo, scale)
-    anchors = tuple(witness.apply(pt) for pt in p)
-    result = verify_homothetic(s.subset(subset), p, list(range(len(p))), eps)
-    warnings = inner.warnings
+    out = _subdivide(s, K, schedule_nd(d, K, c, delta, eps_g), lo, length, nodes)
+    out = replace(out, reduction=PatternReduction(
+        grid_k=K, grid_eps=eps_g, nodes=tuple(map(tuple, nodes.tolist()))))
+    if not out.found:
+        return out
+    scale = out.homothety.scale * (K - 1) / d_inf
+    witness = Homothety(np.asarray(out.homothety.anchor.coords) - scale * p_lo, scale)
+    result = verify_homothetic(s.subset(out.subset), p, list(range(len(p))), eps)
+    warnings = out.warnings
     if not result.accepted:
         warnings = warnings + ("pattern post-verification failed; reporting not found",)
-    return SearchOutcome(
-        found=result.accepted, subset=subset, anchors=anchors,
-        homothety=witness, verify=result,
-        trace=inner.trace, schedule=inner.schedule,
-        below_threshold=inner.below_threshold, warnings=warnings,
-        reduction=reduction,
-    )
+    return replace(out, found=result.accepted, anchors=tuple(witness.apply(pt) for pt in p),
+                   homothety=witness, verify=result, warnings=warnings)

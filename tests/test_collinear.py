@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,9 +103,26 @@ def test_vertical_line_found_in_bucket_0():
     res = find_collinear(s, 5, 0.2)
     assert res.found
     assert res.bucket == 0
-    coloring, counts = build_coloring(s, 0.2)
+    coloring, by_bucket = build_coloring(s, 0.2)
     assert coloring.assignments.tolist() == [0] * 45
-    assert counts.tolist() == [45] + [0] * (coloring.r - 1)
+    assert by_bucket.tolist() == list(range(45))
+
+
+def test_tiny_eps_needs_no_bucket_sized_arrays():
+    # eps = 1e-6 asks for r = 3,141,594 buckets; counting them all peaks at
+    # about 200 MB under tracemalloc, and eps = 1e-9 would take tens of GB.
+    # Only the buckets that occur are grouped, so memory follows the pairs.
+    rng = random.Random(5)
+    s = PointSet(2, [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(12)])
+    for eps in (1e-6, 1e-9):
+        tracemalloc.start()
+        try:
+            res = find_collinear(s, 3, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert not res.found and res.proven_absent
 
 
 def test_tiny_coordinates_found():

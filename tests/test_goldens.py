@@ -28,6 +28,13 @@ and search-collinear-absent.json) were re-recorded when the finder lost its
 frame rotation: each is the previous bytes with only the ``"rotations": 0``
 key removed.
 
+search-pattern.json was re-recorded when the pattern search came to look
+for the pattern's node cells alone instead of a whole K-grid: the success
+step of its trace lists the 3 node cells' anchors and chosen points instead
+of all 49 cells of the 7-grid.  Its subset [0, 4200, 60], witness,
+certificate and every other byte are unchanged; the old trace's entries at
+the node cells are exactly the new ones.
+
 ``TEXT_GOLDEN`` pins the replies without --json (exit code, stdout and
 stderr) of every leaf command.  They were recorded before the commands
 returned their replies to ``main``, which alone writes them and picks the
@@ -66,7 +73,7 @@ GOLDEN = {
     "search-grid-3d.json":
         "c8ae6ed8280afcab144ccd27d1d8d10049f2a8181e1ca67b47afbd0dc760f3e5",
     "search-pattern.json":
-        "dbcb4e527f4ec9ecd179e4989fcc65280ba836e82eeae611ed20b24b37b5b36c",
+        "f893338443fc8f32aa7e41da26aed47ae01a4cf4aa4341d4821df27b5c25b7a4",
     "random-2d.txt":
         "b4c57cbfdfbf39de80e0f5f0e82bdd2b854a61eaae8ef31a6ad957e2588159fd",
     "search-collinear.json":
