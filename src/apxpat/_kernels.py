@@ -48,12 +48,12 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _TO53 = 2.0**-53
 # The most candidate rows dart_throw decides at once: enough to amortise
 # numpy's per-call cost, few enough that a block's own close pairs stay few.
-_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 4096
 # Candidate pairs whose distances one numpy pass computes.
-_PAIRS_PER_PASS = 64 * _BLOCK_ROWS
+_PAIRS_PER_PASS = 65536
 # Ring cells looked up in one searchsorted: enough to amortise numpy's
-# per-call cost on a block, few enough that the lookup stays in cache.
-_CELLS_PER_LOOKUP = 8 * _BLOCK_ROWS
+# per-call cost, few enough that the lookup stays in cache.
+_CELLS_PER_LOOKUP = 8192
 
 
 def splitmix64_block(state, count):

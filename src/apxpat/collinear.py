@@ -47,9 +47,11 @@ __all__ = [
 DEFAULT_NODE_BUDGET = 10**6
 # numpy's arctan2 can differ from math.atan2 in the last bit, which moves a
 # bucket position (angle over bucket width) by about r * 1e-16.  Positions
-# within _EDGE_MARGIN * r of a bucket edge are recomputed with math.atan2,
-# so every bucket is the one the scalar rule gives.
-_EDGE_MARGIN = 1e-9
+# within _EDGE_MARGIN * r (about 9e-13 * r, thousands of times that
+# discrepancy) of a bucket edge are recomputed with math.atan2, so every
+# bucket is the one the scalar rule gives, and a tiny eps still sends few
+# positions to the scalar loop.
+_EDGE_MARGIN = 2.0**-40
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,7 @@ Enumeration is driven by the verifier; the dense grid searches over
 witness parameters are a second, independent route to the same feasibility
 problems and exist so the test suite can cross-validate the verifier
 against something that shares none of its machinery (no LP insight, no
-minimum enclosing ball, no golden section).
+minimum enclosing ball, no one-dimensional scale search).
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, DimensionMismatch
 from .geometry import Pattern, PointSet
-from .verifier import triangle_angles, verify_ap, verify_homothetic
+from .verifier import TAU, triangle_angles, verify_ap, verify_homothetic
 
 __all__ = [
     "enumerate_aps",
@@ -70,6 +70,13 @@ def enumerate_homothetic(
 
     One entry per subset: the lexicographically smallest accepted
     assignment is kept.
+
+    A pair goes to the verifier only when the scales its distances allow
+    meet.  An accepted witness with scale lam and deviation D <= eps + TAU
+    has every |q_i - q_j| within 2*D*lam*m_P of lam*|p_i - p_j|, so lam lies
+    in [|q_ij| / (|p_ij| + 2*D*m_P), |q_ij| / (|p_ij| - 2*D*m_P)] for every
+    pair; the lower end's denominator stays positive for eps <= 1/3.  A
+    pair whose intervals, widened by 1e-9 relative, do not meet is skipped.
     """
     k = len(p)
     if k > 8:
@@ -78,17 +85,43 @@ def enumerate_homothetic(
     cap = DEFAULT_SUBSET_BUDGET if budget is None else int(budget)
     if math.comb(n, k) * math.factorial(k) > cap:
         raise BudgetExceeded(f"C({n},{k})*{k}! exceeds the budget {cap}")
+    eps = float(eps)
+    if not (0.0 < eps <= 1.0 / 3.0):
+        raise ValueError("eps must lie in (0, 1/3]")
+    if s.dim != p.dim:
+        raise DimensionMismatch("candidate and pattern dimensions differ")
+    # The pattern distance each candidate pair (iu, ju) meets under each
+    # assignment, in the pattern's unit range, as is m_P.
+    perms = list(permutations(range(k)))
+    iu, ju = np.triu_indices(k, 1)
+    pd = np.zeros((k, k))
+    pd[iu, ju] = pd[ju, iu] = _unit_pair_distances(p.coords)
+    sig = np.asarray(perms)
+    matched = pd[sig[:, iu], sig[:, ju]]
+    reach = 2.0 * (eps + TAU) * pd[iu, ju].min()
+    lo_den, hi_den = matched + reach, matched - reach
     hits = []
     rows = [tuple(row) for row in s.coords.tolist()]
     for combo in combinations(range(n), k):
         if len({rows[i] for i in combo}) != k:
             continue
         candidate = s.subset(combo)
-        for sigma in permutations(range(k)):
-            if verify_homothetic(candidate, p, sigma, eps).accepted:
-                hits.append((combo, sigma))
+        qd = _unit_pair_distances(candidate.coords)
+        meet = (qd / lo_den).max(axis=1) <= (qd / hi_den).min(axis=1) * (1.0 + 1e-9)
+        for t in np.flatnonzero(meet).tolist():
+            if verify_homothetic(candidate, p, perms[t], eps).accepted:
+                hits.append((combo, perms[t]))
                 break
     return hits
+
+
+def _unit_pair_distances(rows: np.ndarray) -> np.ndarray:
+    """Distances of the pairs (i < j) of rows in ``np.triu_indices`` order,
+    with the rows scaled by a power of two into the unit range."""
+    unit = _kernels._to_unit(rows)[0]
+    n = len(unit)
+    scan = _kernels._sq_dists_in_ranges(unit, unit, np.arange(1, n + 1), np.full(n, n), 1.0)
+    return np.sqrt(np.concatenate([d2 for _, _, d2 in scan]))
 
 
 def exists_collinear(

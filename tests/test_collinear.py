@@ -14,6 +14,7 @@ from apxpat.collinear import (
     find_collinear,
 )
 from apxpat.errors import DimensionMismatch
+from apxpat.generators import gen_random_separated
 from apxpat.geometry import Point, PointSet, diameter
 from apxpat.oracle import exists_collinear
 from apxpat.verifier import cylinder_radius, triangle_angles, verify_collinear
@@ -420,3 +421,54 @@ def test_buckets_at_edges_match_scalar_rule():
                 zip(dx[::step].tolist(), dy[::step].tolist())] == want[::step]
         total += theta.size
     assert total == 41_000
+
+
+def _oriented_ref_bucket(dx, dy, r):
+    """The scalar rule of ``angle_bucket``: the segment pointed so that
+    dx > 0, or dx = 0 and dy < 0, then math.atan2."""
+    if dx < 0 or (dx == 0 and dy > 0):
+        dx, dy = -dx, -dy
+    return _ref_bucket(dx, dy, r)
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-3, 1e-6, 1e-8, 1e-9])
+def test_buckets_match_scalar_rule_at_tiny_eps(eps):
+    # Random directions, and directions a few ulps from bucket edges, in
+    # every quadrant: the vector path with its scalar fallback near edges
+    # gives the scalar rule's bucket.
+    rng = np.random.default_rng(int(-math.log10(eps)))
+    r = bucket_count(eps)
+    edges = -math.pi / 2 + rng.integers(1, r, 300) * (math.pi / r)
+    ulps = rng.integers(-4, 5, (300, 1)) * np.spacing(np.abs(edges))[:, None]
+    theta = np.concatenate([rng.uniform(-math.pi, math.pi, 2000),
+                            (edges[:, None] + ulps).ravel(),
+                            (edges[:, None] + ulps).ravel() + math.pi])
+    length = rng.uniform(0.1, 10.0, theta.size)
+    dx, dy = length * np.cos(theta), length * np.sin(theta)
+    want = [_oriented_ref_bucket(a, b, r) for a, b in zip(dx.tolist(), dy.tolist())]
+    assert collinear._buckets(dx, dy, r).tolist() == want
+
+
+def test_tiny_eps_keeps_the_vector_path(monkeypatch):
+    # build_coloring recomputes in Python, with math.atan2, only the
+    # positions within _EDGE_MARGIN * r of a bucket edge: a sliver of the
+    # pairs even at eps = 1e-9, where a margin of 1e-9 * r took every pair
+    # from about eps = 6e-9 down.
+    calls = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def atan2(self, y, x):
+            calls.append(1)
+            return math.atan2(y, x)
+
+    monkeypatch.setattr(collinear, "math", CountingMath())
+    s = gen_random_separated(2, 40, 1.0, 400, 3)
+    pairs = len(s) * (len(s) - 1) // 2
+    for eps in (1e-8, 1e-9):
+        calls.clear()
+        coloring, _ = build_coloring(s, eps)
+        assert len(coloring.assignments) == pairs
+        assert len(calls) < 0.01 * pairs

@@ -35,6 +35,15 @@ of all 49 cells of the 7-grid.  Its subset [0, 4200, 60], witness,
 certificate and every other byte are unchanged; the old trace's entries at
 the node cells are exactly the new ones.
 
+The same four outputs, and the text replies of ``search grid``, ``search
+pattern`` and ``verify pattern``, were re-recorded when the scale search
+became Brent's method in place of golden-section search: it stops at other
+points of the same bracket, so only the ``verify`` fields move.  The
+deviation moved by at most 4.2e-13 relative (search-grid.json) and rose in
+no case.  The witness moved by up to 2e-8 relative
+(verify-pattern-reject.json): near the optimum the deviation is flat over a
+range of scales, and the witness may stop anywhere in it.
+
 ``TEXT_GOLDEN`` pins the replies without --json (exit code, stdout and
 stderr) of every leaf command.  They were recorded before the commands
 returned their replies to ``main``, which alone writes them and picks the
@@ -61,7 +70,7 @@ GOLDEN = {
     "search-ap.svg":
         "90aa448eb60e7078c1b9c335479522bbb9a865a9702fcca10534c3e5f79624f2",
     "search-grid.json":
-        "b5d4d0a7a4065288065428393e614262f14731195ba403fc347eb4bb984096cd",
+        "d11e8e191f4bdbda4e9fb05e039e8ecca2fc3ac4b31b28dfb020b1e8934fe17c",
     "search-grid.svg":
         "0b2b00be8addc30b32e0ce91a3c0eeb97f56298695d28439c6d48fcff0d1cdeb",
     "adversarial-1d.txt":
@@ -73,7 +82,7 @@ GOLDEN = {
     "search-grid-3d.json":
         "c8ae6ed8280afcab144ccd27d1d8d10049f2a8181e1ca67b47afbd0dc760f3e5",
     "search-pattern.json":
-        "f893338443fc8f32aa7e41da26aed47ae01a4cf4aa4341d4821df27b5c25b7a4",
+        "faa97626c2c6c242d2b8c142e8072a0754199dc7af2011536a124446dbaeb1e2",
     "random-2d.txt":
         "b4c57cbfdfbf39de80e0f5f0e82bdd2b854a61eaae8ef31a6ad957e2588159fd",
     "search-collinear.json":
@@ -83,9 +92,9 @@ GOLDEN = {
     "verify-collinear.json":
         "e41852eefd92fd709c5cdc4374fad38814f2db8d06a6eae3382d4aa9e213cab8",
     "verify-pattern-accept.json":
-        "6f83f80abbb62b7b090afe183670c6e6c8beb8daca1d33f3c164b88f482e4121",
+        "168cafe42dedba68629bc272ce7b5e645d633665e87b1edf53d9982a1869c657",
     "verify-pattern-reject.json":
-        "c79ba976c9540b1d900e3636f7d91a8cb94cab356e33f8d45b75c3e8330da562",
+        "65fc1df9639e0944bedaf50e727e29920ca494ec51271c02fa720046591a8377",
     "plot.svg":
         "be8be14877b21a0fe1a21a049fb308469ab16f95a17cb537d6a54248909e6f68",
     "bounds-1d.json":
@@ -134,7 +143,7 @@ def artifacts(tmp_path) -> dict[str, bytes]:
     wide = generate("lattice-2d-wide.txt", "--kind", "lattice", "--dim", "2",
                     "--length", "70", "--jitter", "0.1", "--seed", "4")
     # A 3-D lattice from a negative seed, and a dense 2-D dart throw whose
-    # 2,294 attempts run past the first block of candidates.
+    # 2,294 attempts run past its first block of 1,408 candidates.
     generate("lattice-3d.txt", "--kind", "lattice", "--dim", "3", "--length", "6",
              "--jitter", "0.3", "--seed", "-7")
     generate("random-2d-dense.txt", "--kind", "random", "--dim", "2", "--length", "40",
@@ -252,15 +261,15 @@ TEXT_GOLDEN = {
     "search-ap-warn":
         "08661cada3bd9470b6ba83fbe7bd7e27a1e2505895cc64eb813097770e6990c2",
     "search-grid":
-        "487e256c9894a6cb45cd37d5d557eb9c421ca2836b3b3143c271d13effb7fe7f",
+        "181bffdf9012623426d2335fb112b7a59188eaaf098773854f320a8fa7663690",
     "search-pattern":
-        "07496153268e081cb3a47b914bb0ca1594829dbe8e2de03c69457a0268de58ae",
+        "7c5cfdeb9d2d20ac7acd6709c44bee0f82c9350bbf9483eff114379c4c87dbc0",
     "search-collinear":
         "5efaefbb9b4f343d72a3565b02e5516c20235e511244fb9efc9f38e240ce9b02",
     "verify-ap":
         "7dc9869b136e84e496674ad954b4938cf797400c446b8b20dba2fd485c48c168",
     "verify-pattern":
-        "d14693f1b1390f77fa1efd5fa1512751f370fc32382cb6fcb731971b668f4b97",
+        "78e362b09e80b10724000af70cfa83928313877fd282fec3a14e1f81cf23f892",
     "verify-collinear":
         "fc5ef85e7e44c5581903ceebc339f50c3c22d0b44ca9be3cac69951687eb0a7f",
     "oracle-ap":

@@ -187,9 +187,10 @@ def _assert_matches_reference(case):
 
 @pytest.mark.parametrize("case", [
     (1, 400.0, 1.0, 120, 11, 10**6),       # 1-D grid path
-    (1, 13122.0, 1.0, 5249, 3, 10**6),     # the 1-D threshold instance
+    (1, 13122.0, 1.0, 5249, 3, 10**6),     # the 1-D threshold instance: blocks of
+                                           # 4,096, 4,096 and 1,210 candidates
     (1, 3.0, 0.5, 4, -3, 10**6),           # 1-D direct scan
-    (2, 40.0, 1.0, 700, 3, 10**6),         # 2,294 attempts: two refilled blocks
+    (2, 40.0, 1.0, 700, 3, 10**6),         # 2,294 attempts in seven blocks
     (2, 40.0, 1.0, 700, 3, 1500),          # cut inside the second block
     (2, 3.0, 1.0, 20, 8, 1300),            # the box fills before the cut
     (3, 12.0, 1.0, 100, 5, 10**6),         # the reference scans below 5^3 offsets
@@ -197,6 +198,9 @@ def _assert_matches_reference(case):
     (10, 1.5, 1.0, 40, 99, 10**6),         # 3^10 ring cells: all-points comparison
     (2, 1e10, 1.0, 40, 5, 10**6),          # keys past 2^63: one window per ring cell
     (3, 1e7, 3.0, 60, -1, 10**6),
+    (1, 13122.0, 1.0, 5249, 3, 9000),      # cut inside the third block
+    (2, 100.0, 1.0, 3000, 3, 10**6),       # a full block, then one cut at the target
+    (2, 100.0, 1.0, 3000, 3, 5000),        # cut inside the block after a full one
 ])
 def test_dart_throw_matches_scalar_reference(case):
     _assert_matches_reference(case)
@@ -242,7 +246,7 @@ def test_dart_throw_rejects_only_strictly_closer_points():
     (3, 2.0, 1.0, 20, -7), (4, 1.0, 1.0, 40, 0), (2, 3.0, 1.0, 14, 2**64 - 1),
 ])
 def test_dart_throw_stops_when_the_box_is_full(case):
-    # Each stops after 69 to 3,160 attempts, well short of 20,000.
+    # Each stops after 69 to 9,569 attempts, short of 20,000.
     dim, length, delta, target, seed = case
     flat, attempts = _kernels.dart_throw(*case, 20_000)
     assert len(flat) < target * dim and attempts < 20_000

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -15,8 +15,11 @@ from apxpat.oracle import (
     grid_min_deviation_ap,
     grid_min_deviation_homothety,
 )
+from apxpat.bounds import schedule_nd
 from apxpat.search1d import search_ap
-from apxpat.verifier import verify_ap, verify_collinear
+from apxpat.searchnd import pattern_grid_resolution
+from apxpat.verifier import verify_ap, verify_collinear, verify_homothetic
+from test_pattern_nodes import PATTERNS, _small_instance
 
 
 class TestEnumerateAps:
@@ -94,11 +97,64 @@ class TestEnumerateHomothetic:
             }
             assert ap_sets ^ hom_sets == boundary, (vals, eps)
 
+    def test_distance_ratio_filter_matches_unfiltered_on_pattern_node_sets(self):
+        # The sets of test_small_finds_confirmed_by_the_oracle.
+        rng = random.Random(8)
+        hits = 0
+        for trial in range(12):
+            p = Pattern(2, PATTERNS[("triangle", "skew triangle", "L-shape")[trial % 3]])
+            K, eps_g = pattern_grid_resolution(p, 1 / 3, 2)
+            stride = schedule_nd(2, K, 0.5, 0.5, eps_g).s
+            s = _small_instance(rng, p, K, stride, planted=trial % 4 != 3)
+            want = _unfiltered_enumerate_homothetic(s, p, 1 / 3)
+            assert enumerate_homothetic(s, p, 1 / 3) == want
+            hits += len(want)
+        assert hits >= 9
+
+    def test_distance_ratio_filter_matches_unfiltered_fuzz(self):
+        # Noisy copies of random patterns (d = 1..3, |P| = 2..4) at noise
+        # around eps, among random points, so many subsets sit near the
+        # boundary of acceptance.
+        rng = random.Random(41)
+        hits = 0
+        for _ in range(30):
+            d, k = rng.randint(1, 3), rng.randint(2, 4)
+            pts = [tuple(rng.uniform(-3, 3) for _ in range(d)) for _ in range(k)]
+            p = Pattern(d, pts)
+            eps = rng.choice([0.05, 0.15, 0.25, 1 / 3])
+            lam = math.exp(rng.uniform(-2, 2))
+            noise = rng.uniform(0.5, 1.5) * eps * p.min_pairwise * lam / math.sqrt(d)
+            rows = [tuple(lam * c + rng.uniform(-noise, noise) for c in row) for row in pts]
+            rows += [tuple(rng.uniform(-3, 3) * lam for _ in range(d)) for _ in range(5 - k)]
+            rng.shuffle(rows)
+            s = PointSet(d, rows)
+            want = _unfiltered_enumerate_homothetic(s, p, eps)
+            assert enumerate_homothetic(s, p, eps) == want
+            hits += len(want)
+        assert hits >= 30
+
     def test_budget_and_size_caps(self):
         p = Pattern(1, [(float(i),) for i in range(9)])
         s = PointSet(1, [(float(i),) for i in range(12)])
         with pytest.raises(BudgetExceeded):
             enumerate_homothetic(s, p, 0.1)
+
+
+def _unfiltered_enumerate_homothetic(s, p, eps):
+    """enumerate_homothetic before its distance-ratio filter: every
+    (subset, assignment) pair goes to the verifier."""
+    k = len(p)
+    hits = []
+    rows = [tuple(row) for row in s.coords.tolist()]
+    for combo in combinations(range(len(s)), k):
+        if len({rows[i] for i in combo}) != k:
+            continue
+        candidate = s.subset(combo)
+        for sigma in permutations(range(k)):
+            if verify_homothetic(candidate, p, sigma, eps).accepted:
+                hits.append((combo, sigma))
+                break
+    return hits
 
 
 class TestExistsCollinear:

@@ -1,6 +1,7 @@
 import math
 import random
 from itertools import combinations
+from operator import mul
 
 import numpy as np
 import pytest
@@ -327,7 +328,7 @@ class TestVerifyHomothetic:
             hom = verify_homothetic(PointSet(1, [(v,) for v in q]), pat, range(k), eps)
             assert ap.accepted == hom.accepted, (q, eps)
             # On the line the homothety search solves verify_ap's exact
-            # Chebyshev fit (the search stops at a relative width of 1e-12).
+            # Chebyshev fit (the search stops at a relative tolerance of 1e-13).
             assert hom.max_relative_deviation == pytest.approx(
                 ap.max_relative_deviation, rel=1e-9
             ), (q, eps)
@@ -354,8 +355,10 @@ class TestVerifyHomothetic:
                 assert r.witness_anchor == results[0].witness_anchor
 
     def test_meb_solves_per_grid_certificate(self, monkeypatch):
-        # One golden-section search with warm-started balls: the two
-        # searches it replaced took about 105 solves for this grid.
+        # One Brent search with warm-started balls: 62 solves for this
+        # near-exact grid, whose many kinks near the minimum leave Brent
+        # few parabolic steps.  Golden-section search took 64, and the two
+        # searches before it about 105.
         rng = random.Random(6)
         grid = Pattern(2, [(i, j) for i in range(6) for j in range(6)])
         q = PointSet(2, [(3.7 + 2 * i + rng.uniform(-0.3, 0.3), -1.2 + 2 * j + rng.uniform(-0.3, 0.3))
@@ -373,6 +376,59 @@ class TestVerifyHomothetic:
 
     def test_matches_two_search_reference(self):
         _compare_with_reference(random.Random(31), 200)
+
+    def test_brent_matches_golden_search_with_fewer_solves(self):
+        # The same verdicts as golden-section search on the same bracket,
+        # deviations at most 1e-10 above its, and at most 0.6 of its ball
+        # solves on average (about 34 against 64).
+        rng = random.Random(47)
+        compared = brent_solves = golden_solves = 0
+        for _ in range(2100):
+            q, p, sigma, eps = _random_instance(rng)
+            if len(set(map(tuple, q.coords.tolist()))) < len(q):
+                continue
+            r, n = _certify(q, p, sigma, eps, verifier._brent_min)
+            g, m = _certify(q, p, sigma, eps, _golden_min)
+            assert r.accepted == g.accepted
+            assert r.max_relative_deviation <= g.max_relative_deviation + 1e-10
+            compared += 1
+            brent_solves += n
+            golden_solves += m
+        assert compared >= 2000
+        assert brent_solves <= 0.6 * golden_solves
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_brent_matches_golden_search_on_grid_candidates(self, k):
+        # Jittered k x k grid copies, accepted, and copies stretched along x
+        # by 1 + 4 eps, which fit no homothety.
+        rng = random.Random(50 + k)
+        grid = Pattern(2, [(i, j) for i in range(k) for j in range(k)])
+        for stretched in (False, True):
+            for _ in range(15):
+                ax, ay, lam = rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(0.5, 5.0)
+                jit, sx = 0.2 / 3, 7 / 3 if stretched else 1.0
+                q = PointSet(2, [(ax + lam * (sx * x + rng.uniform(-jit, jit)),
+                                  ay + lam * (y + rng.uniform(-jit, jit)))
+                                 for x, y in grid.coords.tolist()])
+                r, _ = _certify(q, grid, range(k * k), 1 / 3, verifier._brent_min)
+                g, _ = _certify(q, grid, range(k * k), 1 / 3, _golden_min)
+                assert r.accepted == g.accepted == (not stretched)
+                assert r.max_relative_deviation <= g.max_relative_deviation + 1e-10
+
+    def test_meb_keeps_the_bits_and_order_of_the_previous_solver(self):
+        # Clouds in d = 1..4 of 1 to 41 points (log-uniform), with repeated
+        # rows: the same center, squared radius and visiting order, bit for
+        # bit.
+        rng = random.Random(53)
+        for _ in range(10_000):
+            d, k = rng.randint(1, 4), int(41.99 ** rng.random())
+            cloud = [[rng.uniform(-3, 3) for _ in range(d)] for _ in range(k)]
+            cloud += [list(rng.choice(cloud)) for _ in range(rng.randint(0, 3))]
+            order = list(range(len(cloud)))
+            rng.shuffle(order)
+            ref_order = list(order)
+            assert verifier._meb(cloud, order) == _previous_meb(cloud, ref_order)
+            assert order == ref_order
 
 
 class TestCollinear:
@@ -470,6 +526,124 @@ def test_homothetic_witness_deviation_consistent(offs):
     ) / (r.witness_scale * SQUARE.min_pairwise)
     assert dev == pytest.approx(r.max_relative_deviation, abs=1e-12)
     assert r.accepted == (r.max_relative_deviation <= 1 / 3 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The certificate's scale search before Brent's method, golden-section
+# search over the same bracket down to a width of 1e-12 relative, and the
+# ball solver before its lean rewrite.  Kept as the references the new
+# search and solver must match.
+# ---------------------------------------------------------------------------
+
+_GOLDEN_REL_WIDTH = 1e-12
+_PIVOT_REL = 1e-14
+_CONTAIN_REL = 5e-14
+_CENTER_REL = 4e-15
+
+
+def _golden_min(f, hi):
+    a, b = 0.0, hi
+    h = b - a
+    c = a + _INVPHI2 * h
+    d = a + _INVPHI * h
+    fc = f(c)
+    fd = f(d)
+    floor = 1e-3 * hi
+    while h > _GOLDEN_REL_WIDTH * max(a, floor):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = a + _INVPHI2 * h
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + _INVPHI * h
+            fd = f(d)
+    return c if fc <= fd else d
+
+
+def _certify(q, p, sigma, eps, search):
+    """verify_homothetic with its scale search replaced by search, and the
+    number of balls it solved."""
+    meb, brent = verifier._meb, verifier._brent_min
+    solves = 0
+
+    def counting(*args):
+        nonlocal solves
+        solves += 1
+        return meb(*args)
+
+    verifier._meb, verifier._brent_min = counting, search
+    try:
+        return verify_homothetic(q, p, sigma, eps), solves
+    finally:
+        verifier._meb, verifier._brent_min = meb, brent
+
+
+def _previous_circumball(support):
+    s0 = support[0]
+    u = [[x - y for x, y in zip(s, s0)] for s in support[1:]]
+    m = len(u)
+    if m == 0:
+        return list(s0), 0.0
+    if m == 1:
+        offset = [0.5 * t for t in u[0]]
+        return [x + y for x, y in zip(s0, offset)], sum(map(mul, offset, offset))
+    rows = [[sum(map(mul, ui, uj)) for uj in u] + [0.5 * sum(map(mul, ui, ui))] for ui in u]
+    tiny = _PIVOT_REL * max([rows[j][j] for j in range(m)])
+    pivots = []
+    r = 0
+    for c in range(m):
+        p = r
+        for i in range(r + 1, m):
+            if abs(rows[i][c]) > abs(rows[p][c]):
+                p = i
+        if abs(rows[p][c]) <= tiny:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        piv = rows[r]
+        for row in rows[r + 1 :]:
+            f = row[c] / piv[c]
+            for j in range(c, m + 1):
+                row[j] -= f * piv[j]
+        pivots.append((r, c))
+        r += 1
+    beta = [0.0] * m
+    for r, c in reversed(pivots):
+        row = rows[r]
+        beta[c] = (row[m] - sum(map(mul, row[c + 1 : m], beta[c + 1 :]))) / row[c]
+    offset = [sum(map(mul, beta, col)) for col in zip(*u)]
+    return [x + y for x, y in zip(s0, offset)], sum(map(mul, offset, offset))
+
+
+def _previous_reach(center, r2):
+    r = math.sqrt(r2)
+    return r * (1.0 + _CONTAIN_REL) + _CENTER_REL * max(map(abs, center))
+
+
+def _previous_mtf(cloud, order, end, support, dim):
+    if support:
+        center, r2 = _previous_circumball(support)
+        if len(support) == dim + 1:
+            return center, r2
+        lim = _previous_reach(center, r2)
+    else:
+        center, r2, lim = cloud[order[0]], 0.0, -1.0
+    for i in range(end):
+        j = order[i]
+        p = cloud[j]
+        if math.dist(p, center) > lim:
+            center, r2 = _previous_mtf(cloud, order, i, support + [p], dim)
+            lim = _previous_reach(center, r2)
+            if i:
+                del order[i]
+                order.insert(0, j)
+    return center, r2
+
+
+def _previous_meb(cloud, order):
+    return _previous_mtf(cloud, order, len(order), [], len(cloud[0]))
 
 
 def _brute_radius(pts):
