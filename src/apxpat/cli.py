@@ -167,6 +167,8 @@ def _cmd_generate(args) -> tuple[dict | None, bool]:
 
 def _cmd_search(args) -> tuple[dict, bool]:
     s = _read_pointset(args.input)
+    if args.svg and s.dim > 2:
+        raise ValueError("SVG emission supports dim 1 and 2 only")
     if args.mode == "collinear":
         outcome = find_collinear(s, args.k, args.eps, node_budget=args.budget)
         reply, anchors = _collinear_dict(outcome), None

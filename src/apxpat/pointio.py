@@ -1,13 +1,18 @@
 """Point-set file codec and SVG figure emission.
 
 File format: '#' lines are comments; the first data line is the dimension
-d; every following data line holds d space-separated decimals.  Parsing
-collects every coordinate token and converts them all at once into the
-set's (n, d) float64 array; numpy converts each token as Python's
-``float`` does, and a malformed or non-finite token is reported with its
-line.  Writing prints each coordinate's shortest round-trip ``repr``, so
-parse(write(S)) reproduces the coordinates exactly; one ``%r`` template
-formats the whole file.
+d; every following data line holds d space-separated decimals.  A file of
+only digits, signs, '.', 'e', 'E', spaces, tabs and line ends, such as
+every file ``write_pointset`` makes, is read by numpy's C text reader,
+which checks each row's column count and converts each field with the
+converter behind Python's ``float``.  Any other file, and any file that
+reader refuses or reads to a wrong shape or a non-finite value, goes
+through the row loop: it skips comments and blank lines, takes every
+token ``float`` takes, and reports the first bad row with its line (an
+arity error before a bad token, a malformed token before a non-finite
+one).  Both give the same bits.  Writing prints each coordinate's
+shortest round-trip ``repr``, so parse(write(S)) reproduces the
+coordinates exactly; one ``%r`` template formats the whole file.
 
 SVG dots are written in blocks of rows through a numpy fixed-point
 formatter that gives the bytes of Python's ``'%.3f'``.  That format rounds
@@ -27,6 +32,8 @@ scaled into the unit range by a power of two before any length is taken.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 from typing import Iterable, Optional, Sequence
 
@@ -38,6 +45,10 @@ from .geometry import PointSet
 
 __all__ = ["parse_pointset", "write_pointset", "emit_svg"]
 
+# The only bytes of a file numpy's C reader is given; any other byte sends
+# the file to the row loop.
+_BULK_BYTES = b"0123456789+-.eE \t\r\n"
+
 
 def parse_pointset(data: bytes | str) -> PointSet:
     if isinstance(data, bytes):
@@ -46,10 +57,25 @@ def parse_pointset(data: bytes | str) -> PointSet:
         except UnicodeDecodeError as exc:
             raise ParseError(f"not 7-bit text: {exc}") from None
     else:
-        text = data
+        # A character past ASCII becomes '?', which sends the text to the loop.
+        text, data = data, data.encode("ascii", "replace")
+    # With no '#' in the file, the first non-blank line is the dimension's.
+    head, _, body = text.lstrip().partition("\n")
+    if not data.translate(None, _BULK_BYTES) and body and not body.isspace():
+        with contextlib.suppress(ValueError):
+            dim = int(head)
+            coords = np.loadtxt(io.StringIO(body), dtype=np.float64, ndmin=2, comments=None)
+            # Rows hold at least one column, so a match proves dim >= 1.
+            if coords.shape[1] == dim and np.isfinite(coords).all():
+                return PointSet(dim, coords)
+    return _parse_rows(text)
+
+
+def _parse_rows(text: str) -> PointSet:
+    """Read any file of the format row by row; raise the ParseError of the
+    first bad row."""
     dim: int | None = None
-    tokens: list[str] = []
-    lines: list[int] = []  # line number of each data row
+    rows: list[list[float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -64,36 +90,20 @@ def parse_pointset(data: bytes | str) -> PointSet:
             continue
         parts = line.split()
         if len(parts) != dim:
-            _reject_bad_row(tokens, lines, dim)
             raise ParseError(f"expected {dim} coordinates, got {len(parts)}", lineno)
-        tokens.extend(parts)
-        lines.append(lineno)
-    if dim is None:
-        raise ParseError("empty file: missing dimension line")
-    if not lines:
-        raise ParseError("no points in file")
-    try:
-        coords = np.array(tokens, dtype=np.float64).reshape(len(lines), dim)
-    except ValueError:
-        _reject_bad_row(tokens, lines, dim)
-        raise
-    if not np.isfinite(coords).all():
-        _reject_bad_row(tokens, lines, dim)
-    return PointSet(dim, coords)
-
-
-def _reject_bad_row(tokens: list[str], lines: list[int], dim: int) -> None:
-    """Raise the ParseError of the first row holding a token that is not a
-    decimal or not finite.  Each row's tokens are converted before its
-    values are checked, so a malformed token wins over a non-finite one."""
-    for r, lineno in enumerate(lines):
         try:
-            row = [float(tok) for tok in tokens[r * dim : (r + 1) * dim]]
+            row = [float(tok) for tok in parts]
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
         for c in row:
             if not math.isfinite(c):
                 raise ParseError(f"non-finite coordinate {c!r}", lineno)
+        rows.append(row)
+    if dim is None:
+        raise ParseError("empty file: missing dimension line")
+    if not rows:
+        raise ParseError("no points in file")
+    return PointSet(dim, rows)
 
 
 def write_pointset(s: PointSet) -> bytes:

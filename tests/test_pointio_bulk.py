@@ -1,14 +1,20 @@
-"""The array writers of pointio against copies of the per-row loops they
-replaced: the same bytes for point files, SVG dots and whole figures."""
+"""The bulk paths of pointio against copies of the per-row loops they
+replaced: the same bytes for point files, SVG dots and whole figures, and
+the same coordinates or the same error for parsed files."""
 
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from apxpat import pointio
+from apxpat.errors import ParseError
 from apxpat.geometry import PointSet
-from apxpat.pointio import _BLOCK_ROWS, _fixed3, _dot_rows, emit_svg, write_pointset
+from apxpat.pointio import (_BLOCK_ROWS, _fixed3, _dot_rows, emit_svg, parse_pointset,
+                            write_pointset)
 
 
 def reference_write(s):
@@ -167,3 +173,207 @@ def test_write_pointset_matches_the_loop(dim):
         rows[::3] = rng.uniform(-1e3, 1e3, rows[::3].shape)
         s = PointSet(dim, rows)
         assert write_pointset(s) == reference_write(s)
+
+
+def reference_parse(data):
+    """parse_pointset as it was before the bulk reader: every token of the
+    file collected, converted at once, and bad rows found afterwards."""
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not 7-bit text: {exc}") from None
+    else:
+        text = data
+    dim = None
+    tokens, lines = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if dim is None:
+            try:
+                dim = int(line)
+            except ValueError:
+                raise ParseError(f"expected the dimension, got {line!r}", lineno) from None
+            if dim < 1:
+                raise ParseError(f"dimension must be positive, got {dim}", lineno)
+            continue
+        parts = line.split()
+        if len(parts) != dim:
+            reference_reject_bad_row(tokens, lines, dim)
+            raise ParseError(f"expected {dim} coordinates, got {len(parts)}", lineno)
+        tokens.extend(parts)
+        lines.append(lineno)
+    if dim is None:
+        raise ParseError("empty file: missing dimension line")
+    if not lines:
+        raise ParseError("no points in file")
+    try:
+        coords = np.array(tokens, dtype=np.float64).reshape(len(lines), dim)
+    except ValueError:
+        reference_reject_bad_row(tokens, lines, dim)
+        raise
+    if not np.isfinite(coords).all():
+        reference_reject_bad_row(tokens, lines, dim)
+    return PointSet(dim, coords)
+
+
+def reference_reject_bad_row(tokens, lines, dim):
+    for r, lineno in enumerate(lines):
+        try:
+            row = [float(tok) for tok in tokens[r * dim : (r + 1) * dim]]
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+        for c in row:
+            if not math.isfinite(c):
+                raise ParseError(f"non-finite coordinate {c!r}", lineno)
+
+
+def outcome(parse, data):
+    """What a parser makes of data: the set's dimension and coordinate
+    bits, or the error's type, message and line."""
+    try:
+        s = parse(data)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return s.dim, s.coords.shape, s.coords.tobytes()
+
+
+def assert_same_as_reference(data):
+    assert outcome(parse_pointset, data) == outcome(reference_parse, data)
+
+
+ODD_TOKENS = ["0", "-0.0", "+1", "+.5", ".5", "5.", "-.25e+2", "1E5", "1e-5", "0001",
+              "4.9e-324", "2.5e-310", "1e-400", "1e309", "-1e309", "1.7976931348623157e308",
+              "1_0", "inf", "-inf", "nan", "Infinity", "x1", "1e", "e1", "+", "-", ".",
+              "1.2.3", "--1", "1e+-3", "0x10", "1d5"]
+
+
+@st.composite
+def point_files(draw):
+    """Point files near the format: mostly well formed, with comments, blank
+    and whitespace-only lines, CRLF, CR and LF line ends, tabs, and now and
+    then a bad dimension, a row of the wrong length or an odd token."""
+    dim = draw(st.integers(1, 3))
+    ends = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+    if draw(st.booleans()):
+        ends = st.just(draw(ends))
+    seps = st.sampled_from([" ", " ", "\t", "  ", " \t "])
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(-1e3, 1e3).map(lambda v: "%.6f" % v),
+        st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%+.3e" % v),
+        st.integers(-10**6, 10**6).map(str),
+    )
+    odd_rate = draw(st.sampled_from([0.0, 0.0, 0.02, 0.2]))
+    junk_rate = draw(st.sampled_from([0.0, 0.0, 0.1]))
+
+    def token():
+        if draw(st.floats(0, 1)) < odd_rate:
+            return draw(st.sampled_from(ODD_TOKENS))
+        return draw(number)
+
+    def junk_line():
+        return draw(st.sampled_from(["", " ", "\t", " \t ", "# comment", "#", "  # 1 2"]))
+
+    lines = [junk_line() for _ in range(draw(st.integers(0, 2)))]
+    lines.append(draw(st.sampled_from([str(dim)] * 8 + [f" {dim}\t", f"+{dim}", "0", "-1",
+                                                         "x", f"{dim} 1", f"{dim}.0"])))
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.floats(0, 1)) < junk_rate:
+            lines.append(junk_line())
+            continue
+        arity = dim
+        if draw(st.floats(0, 1)) < odd_rate:
+            arity = draw(st.integers(max(0, dim - 1), dim + 1))
+        row = [token() for _ in range(arity)]
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + "".join(
+            tok + (draw(seps) if i + 1 < arity else "") for i, tok in enumerate(row)))
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("ascii")
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_files())
+@example(b"")
+@example(b"\n \n")
+@example(b"2\n")
+@example(b"2\n  \t\r\n")
+@example(b"2\n1 2 3\n4\n")
+@example(b"2\n1 2\n3 4 5\n")
+@example(b"1\n1\r2\r3\r")
+@example(b"2\r\n+1\t.5\r\n5. -0.0\r\n\r\n1e-400 4.9e-324\r\n")
+@example(b"1\n1e309\n")
+@example(b"2\n0 0\nnan x\n")
+@example(b"2\n0 inf\n1 2 3\n")
+@example(b"2\n0 0\n1 2 3\n1 x\n")
+@example(b"1\n1_0\n")
+@example(b"1\n1\v2\n")
+@example(b"2\n1\v2\n")
+@example(b"2\n1\f2\n")
+@example(b"2\n1\x1c2\n")
+@example(b"2\n1 2\x1d\n")
+@example(b"1\n\xff\n")
+@example(b"0\n1\n")
+@example(b"2 \n1 2\n")
+@example(b"\t2\n1 2\n")
+def test_parse_matches_the_reference(data):
+    assert_same_as_reference(data)
+    assert_same_as_reference(data.decode("latin-1"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["1\n", "2\n", "3\n", ""]),
+       st.text(alphabet="0123456789+-.eE \t\r\n#x_in\v\f\x1c\u00a0\u0663", max_size=60))
+def test_parse_matches_the_reference_on_noise(head, body):
+    assert_same_as_reference(head + body)
+    assert_same_as_reference((head + body).encode("utf-8"))
+
+
+def refuse_the_loop(monkeypatch):
+    def loop(text):
+        raise AssertionError("the file went to the row loop")
+    monkeypatch.setattr(pointio, "_parse_rows", loop)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_written_files_take_the_bulk_path(dim, monkeypatch):
+    refuse_the_loop(monkeypatch)
+    rng = np.random.default_rng(dim)
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
+               1.7976931348623157e308, 0.1, 1 / 3, -7.0, 123456789.0]
+    for n in (1, 2, 7, 500):
+        rows = rng.choice(special, (n, dim)) * rng.choice([1.0, -1.0, 0.5], (n, dim))
+        rows[::3] = rng.uniform(-1e3, 1e3, rows[::3].shape)
+        s = PointSet(dim, rows)
+        again = parse_pointset(write_pointset(s))
+        assert again.dim == dim
+        assert again.coords.tobytes() == s.coords.tobytes()
+
+
+@pytest.mark.parametrize("data", [
+    b"\n \n2\r\n+1\t.5\r\n\r\n 5.  -0.0 \r\n1e-400 4.9e-324\r\n",
+    b"1\n1E5\n-.25e+2\n0001",
+    " 3\n1 2 3\n",
+])
+def test_plain_text_takes_the_bulk_path(data, monkeypatch):
+    want = outcome(reference_parse, data)
+    refuse_the_loop(monkeypatch)
+    assert outcome(parse_pointset, data) == want
+
+
+@pytest.mark.parametrize("data", [
+    b"# c\n1\n1\n", b"1\n1_0\n", b"1\n1\r2\r", b"2\n1\v2\n", b"2\n1\x1c2\n",
+    "2\n1\u20282\n", b"2\n1 2\n3\n",
+    b"1\ninf\n", b"1\n1e309\n", b"2\n1 2 3\n", b"1\n", "1\n\u0663\n",
+])
+def test_other_files_go_to_the_loop(data, monkeypatch):
+    want = outcome(reference_parse, data)
+    refuse_the_loop(monkeypatch)
+    with pytest.raises(AssertionError, match="row loop"):
+        parse_pointset(data)
+    monkeypatch.undo()
+    assert outcome(parse_pointset, data) == want

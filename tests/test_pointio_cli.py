@@ -187,6 +187,25 @@ class TestCli:
         assert doc["found"] and doc["verify"]["accepted"]
         assert fig.read_bytes().startswith(b"<?xml")
 
+    @pytest.mark.parametrize("mode", ["grid", "collinear"])
+    def test_search_svg_of_3d_refused_before_the_search(self, mode, tmp_path, monkeypatch,
+                                                        capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the search ran")
+        monkeypatch.setattr(cli, "search_grid", never)
+        monkeypatch.setattr(cli, "find_collinear", never)
+        pts = tmp_path / "cube.txt"
+        pts.write_bytes(write_pointset(PointSet(3, [(0, 0, 0), (1, 0, 0), (0, 1, 1)])))
+        fig = tmp_path / "fig.svg"
+        args = ["search", mode, "--input", str(pts), "--k", "3", "--eps", "0.3",
+                "--svg", str(fig)]
+        if mode == "grid":
+            args += ["--delta", "0.5", "--c", "1.0"]
+        code, out = run_cli(*args)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: SVG emission supports dim 1 and 2 only\n"
+        assert not fig.exists()
+
     def test_search_pattern(self, tmp_path):
         pts = tmp_path / "pts.txt"
         pat = tmp_path / "pat.txt"
