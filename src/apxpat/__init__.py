@@ -25,15 +25,7 @@ from .oracle import enumerate_aps, enumerate_homothetic, exists_collinear
 from .pointio import emit_svg, parse_pointset, write_pointset
 from .search1d import SearchOutcome, SearchTrace, search_ap
 from .searchnd import pattern_grid_resolution, search_grid, search_pattern
-from .verifier import (
-    Ball,
-    VerifyResult,
-    cylinder_radius,
-    min_enclosing_ball,
-    verify_ap,
-    verify_collinear,
-    verify_homothetic,
-)
+from .verifier import VerifyResult, verify_ap, verify_collinear, verify_homothetic
 
 __version__ = "0.1.0"
 
@@ -54,12 +46,9 @@ __all__ = [
     "kappa",
     "ball_volume",
     "VerifyResult",
-    "Ball",
     "verify_ap",
     "verify_homothetic",
-    "min_enclosing_ball",
     "verify_collinear",
-    "cylinder_radius",
     "SearchOutcome",
     "SearchTrace",
     "search_ap",

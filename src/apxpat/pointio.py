@@ -204,11 +204,15 @@ def emit_svg(
     The points and anchors are first scaled by one power of two into the
     unit range (``_kernels._to_unit``), and their offsets from the frame's
     corner by another into [0, 1]; both scalings are exact, so the figure
-    of a set scaled by 2**k is the same, and no length overflows."""
+    of a set scaled by 2**k is the same, and no length overflows.  Raises
+    ValueError for a highlight index outside 0..n-1."""
     if s.dim > 2:
         raise ValueError("SVG emission supports dim 1 and 2 only")
     n, d = s.coords.shape
-    hi_set = set(int(i) for i in highlight) if highlight else set()
+    marked = [int(i) for i in highlight] if highlight else []
+    bad = [i for i in marked if not 0 <= i < n]
+    if bad:
+        raise ValueError(f"highlight index {bad[0]} is outside 0..{n - 1}")
     anchor_pts = list(anchors) if anchors else []
     if any(len(a) != d for a in anchor_pts):
         raise ValueError(f"anchors must have the set's dimension {d}")
@@ -251,7 +255,7 @@ def emit_svg(
                 'fill="none" stroke="black" stroke-width="1.5"/>'
             )
     big = np.zeros(n, dtype=bool)
-    big[[i for i in hi_set if 0 <= i < n]] = True
+    big[marked] = True
     pieces = [("\n".join(out) + "\n").encode("ascii")]
     for i in range(0, n, _BLOCK_ROWS):
         j = min(i + _BLOCK_ROWS, n)

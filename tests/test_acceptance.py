@@ -19,11 +19,12 @@ from apxpat.generators import (
     gen_random_separated,
 )
 from apxpat.geometry import Pattern, PointSet, diameter
-from apxpat.oracle import enumerate_aps, exists_collinear, grid_min_deviation_ap, grid_min_deviation_homothety
+from apxpat.oracle import enumerate_aps, exists_collinear
 from apxpat.search1d import StepDescend, StepSuccess, search_ap
 from apxpat.searchnd import search_grid, search_pattern
-from apxpat.verifier import cylinder_radius, verify_ap, verify_collinear, verify_homothetic
+from apxpat.verifier import verify_ap, verify_collinear, verify_homothetic
 
+from _reference import cylinder_radius, grid_min_deviation_ap, grid_min_deviation_homothety
 from test_collinear import planted_tube_instance
 
 

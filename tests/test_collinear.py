@@ -17,7 +17,9 @@ from apxpat.errors import DimensionMismatch
 from apxpat.generators import gen_random_separated
 from apxpat.geometry import Point, PointSet, diameter
 from apxpat.oracle import exists_collinear
-from apxpat.verifier import cylinder_radius, triangle_angles, verify_collinear
+from apxpat.verifier import triangle_angles, verify_collinear
+
+from _reference import cylinder_radius
 
 
 def planted_tube_instance(seed: int, n_noise: int = 200, n_tube: int = 10):

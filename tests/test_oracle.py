@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 
 from apxpat.errors import BudgetExceeded
-from apxpat.generators import gen_adversarial_ap3
+from apxpat.generators import gen_adversarial_ap3, gen_random_separated
 from apxpat.geometry import Pattern, PointSet
 from apxpat.oracle import (
     enumerate_aps,
     enumerate_homothetic,
     exists_collinear,
-    grid_min_deviation_ap,
-    grid_min_deviation_homothety,
 )
 from apxpat.bounds import schedule_nd
 from apxpat.search1d import search_ap
 from apxpat.searchnd import pattern_grid_resolution
 from apxpat.verifier import verify_ap, verify_collinear, verify_homothetic
+from _reference import grid_min_deviation_ap, grid_min_deviation_homothety
 from test_pattern_nodes import PATTERNS, _small_instance
 
 
@@ -96,6 +95,32 @@ class TestEnumerateHomothetic:
                 ) < 1e-6
             }
             assert ap_sets ^ hom_sets == boundary, (vals, eps)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_progression_hits_are_the_aps(self, k):
+        # With eps <= 1/3 an accepted 1-D homothety keeps the order, so the
+        # unit k-term progression's hits are enumerate_aps's index sets,
+        # each under its sorted assignment.  Dart-thrown sets, half of them
+        # with a jittered progression shuffled in.
+        rng = random.Random(80 + k)
+        p = Pattern(1, [(i,) for i in range(k)])
+        hits = 0
+        for seed in range(8):
+            rows = gen_random_separated(1, 16.0, 1.0, 8, seed).coords[:, 0].tolist()
+            if seed % 2:
+                a, r = rng.uniform(-4, 4), rng.uniform(1.0, 3.0)
+                rows[:k] = [a + r * (i + rng.uniform(-0.2, 0.2)) for i in range(k)]
+                rng.shuffle(rows)
+            s = PointSet(1, [(v,) for v in rows])
+            for eps in (0.1, 0.25, 1 / 3):
+                aps = {frozenset(hit) for hit in enumerate_aps(s, k, eps)}
+                found = enumerate_homothetic(s, p, eps)
+                assert {frozenset(sub) for sub, _ in found} == aps, (rows, eps)
+                for sub, sigma in found:
+                    xs = [rows[i] for i in sub]
+                    assert list(sigma) == [sorted(xs).index(x) for x in xs]
+                hits += len(aps)
+        assert hits >= 100
 
     def test_distance_ratio_filter_matches_unfiltered_on_pattern_node_sets(self):
         # The sets of test_small_finds_confirmed_by_the_oracle.

@@ -152,7 +152,12 @@ def test_emit_svg_matches_the_loop(dim):
         highlight = rng.sample(range(-3, n + 3), min(n, rng.randint(0, 6))) * 2
         anchors = [[rng.uniform(-150, 150) * scale for _ in range(dim)]
                    for _ in range(rng.randint(0, 3))]
-        assert emit_svg(s, highlight, anchors) == reference_svg(s, highlight, anchors)
+        # The reference drops indices outside the set; emit_svg refuses them.
+        valid = [i for i in highlight if 0 <= i < n]
+        if valid != highlight:
+            with pytest.raises(ValueError, match="highlight index"):
+                emit_svg(s, highlight, anchors)
+        assert emit_svg(s, valid, anchors) == reference_svg(s, highlight, anchors)
 
 
 def test_emit_svg_matches_the_loop_across_blocks():
@@ -160,7 +165,10 @@ def test_emit_svg_matches_the_loop_across_blocks():
     s = PointSet(2, rng.uniform(-3.0, 170.0, (2 * _BLOCK_ROWS + 77, 2)))
     highlight = [0, _BLOCK_ROWS - 1, _BLOCK_ROWS, len(s) - 1, len(s), -1, 5, 5]
     anchors = [[-10.0, 3.0], [200.0, 0.5]]
-    assert emit_svg(s, highlight, anchors) == reference_svg(s, highlight, anchors)
+    with pytest.raises(ValueError, match=f"highlight index {len(s)} is outside"):
+        emit_svg(s, highlight, anchors)
+    valid = [i for i in highlight if 0 <= i < len(s)]
+    assert emit_svg(s, valid, anchors) == reference_svg(s, highlight, anchors)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

@@ -137,6 +137,20 @@ class TestSvg:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error: anchors must have")
 
+    @pytest.mark.parametrize("index", [3, 5, -1])
+    def test_highlight_outside_the_set_rejected(self, index, tmp_path, capsys):
+        # The figure would silently lack the marker; plot exits 2 and writes
+        # no figure.
+        s = PointSet(2, [(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(ValueError, match=f"highlight index {index} is outside 0..2"):
+            emit_svg(s, highlight=[1, index, 7])
+        (tmp_path / "in.txt").write_bytes(write_pointset(s))
+        fig = tmp_path / "out.svg"
+        code, out = run_cli("plot", "--input", str(tmp_path / "in.txt"), "--out", str(fig),
+                            "--highlight", f"0,{index}")
+        assert code == 2 and out == "" and not fig.exists()
+        assert capsys.readouterr().err == f"error: highlight index {index} is outside 0..2\n"
+
 
 def run_cli(*argv: str) -> tuple[int, str]:
     buf = io.StringIO()

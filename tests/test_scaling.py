@@ -20,7 +20,9 @@ from apxpat.cli import main
 from apxpat.generators import _packs, gen_random_separated
 from apxpat.geometry import Pattern, PointSet, diameter, min_pairwise_distance
 from apxpat.pointio import emit_svg
-from apxpat.verifier import cylinder_radius, verify_homothetic
+from apxpat.verifier import verify_homothetic
+
+from _reference import cylinder_radius
 
 POWERS = st.integers(min_value=-1000, max_value=1000)
 
@@ -128,6 +130,12 @@ def test_svg_ignores_the_scale(drawn, k, picks, anchors):
     dim, rows = drawn
     assume(dim <= 2)
     marks = rows[:anchors] + 0.5
-    want = emit_svg(PointSet(dim, rows), picks, marks.tolist())
-    got = emit_svg(PointSet(dim, np.ldexp(rows, k)), picks, np.ldexp(marks, k).tolist())
+    # Indices outside the set are refused; the figure of the others is
+    # compared.
+    valid = [i for i in picks if 0 <= i < len(rows)]
+    if valid != picks:
+        with pytest.raises(ValueError, match="highlight index"):
+            emit_svg(PointSet(dim, rows), picks, marks.tolist())
+    want = emit_svg(PointSet(dim, rows), valid, marks.tolist())
+    got = emit_svg(PointSet(dim, np.ldexp(rows, k)), valid, np.ldexp(marks, k).tolist())
     assert got == want
