@@ -7,20 +7,18 @@ deviation, which is then compared against eps plus a fixed feasibility
 tolerance TAU.  Constraint balls are closed, so boundary contact counts
 as containment.
 
-A homothetic copy is certified by minimising one convex function.  With
-mu = 1/scale, the relative deviation of a scale and its best anchor is
-R(mu)/m_P, where R(mu) is the radius of the minimum enclosing ball of
-{mu*q_i - p_sigma(i)}.  In d = 1 that minimum is an exact Chebyshev line
-fit, the one that certifies arithmetic progressions, so one fit serves
-every 1-D certificate.  In d >= 2, R is convex in mu and its minimum lies
-in [0, 2*rad(P)/rad(Q)], so Brent's minimiser over that bracket finds the
-best scale: parabolic steps through the three best points so far, with a
-golden-section step wherever a parabola would not shrink the bracket fast
-enough (R. P. Brent, Algorithms for Minimization without Derivatives,
-1973, ch. 5).  It needs about half the evaluations of golden-section
-search alone.  Each evaluation's ball is solved by Welzl's move-to-front
-recursion in Python floats, starting from the order the previous solve
-left, so the previous support is tested first.
+A homothetic copy is certified by one convex search.  With mu = 1/scale,
+the relative deviation of a scale and its best anchor is R(mu)/m_P, where
+R(mu) is the radius of the minimum enclosing ball of {mu*q_i - p_sigma(i)}.
+R is convex in mu and its minimum lies in [0, 2*rad(P)/rad(Q)], so Brent's
+minimiser over that bracket finds the best scale: parabolic steps through
+the three best points so far, with a golden-section step wherever a
+parabola would not shrink the bracket fast enough (R. P. Brent, Algorithms
+for Minimization without Derivatives, 1973, ch. 5).  It needs about half
+the evaluations of golden-section search alone.  Each evaluation's ball is
+solved by Welzl's move-to-front recursion in Python floats, starting from
+the order the previous solve left, so the previous support is tested
+first.
 """
 
 from __future__ import annotations
@@ -57,9 +55,6 @@ _PIVOT_REL = 1e-14
 _CONTAIN = 1.0 + 5e-14
 _CENTER_REL = 4e-15
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
-# The 1-D fit's smallest mu, relative to the bracket: below where Brent's
-# search stops on a minimum at 0 (about 7e-17 of it).
-_MU_FLOOR = 1e-17
 _MEB_SHUFFLE_SEED = 0x5EEDBA11
 
 
@@ -72,40 +67,15 @@ class VerifyResult:
 
 
 # ---------------------------------------------------------------------------
-# 1-D certificates: the exact 2-parameter Chebyshev line fit.
+# 1-D arithmetic progressions: exact 2-parameter Chebyshev fit.
 #
-# A 1-D candidate q fits values y (an AP's are y_i = i, a pattern's are
-# p_sigma(i)) when |q_i - a - r*y_i| <= eps*r*m for some a and r > 0.
-# Substituting rho = 1/r and alpha = a/r turns this into the minimax line
-# fit rho*q_i - alpha ~ y_i.  For a 2-parameter Chebyshev fit on distinct
-# abscissae the optimum is attained on a 3-point reference set with
-# equioscillating errors, so the exact optimum is the maximum over all
-# index triples of the triple's best error, and its slope is the chord
-# slope of that triple's outer pair.
+# Feasibility |q_i - (a + i*r)| <= eps*r for some a, r > 0 is, after
+# substituting rho = 1/r and alpha = a/r, the minimax line fit of the index
+# sequence 0..k-1 against the coordinates.  For a 2-parameter Chebyshev fit
+# on distinct abscissae the optimum is attained on a 3-point reference set
+# with equioscillating errors, so the exact optimum is the maximum over all
+# index triples of the triple's best error.
 # ---------------------------------------------------------------------------
-
-def _line_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """Slope rho and negated intercept alpha of the minimax line
-    rho*x - alpha ~ y over strictly increasing x, k >= 2 (for k = 2, the
-    chord).  Raises ValueError where x repeats."""
-    if any(a == b for a, b in zip(x, x[1:])):
-        raise ValueError("values coincide once scaled into the unit range")
-    best_t = -1.0
-    best = (0, 0, 1)  # k = 2 has no triple: the chord, with j = i
-    for i, j, l in combinations(range(len(x)), 3):
-        rho = (y[l] - y[i]) / (x[l] - x[i])
-        e = (y[j] - y[i]) - rho * (x[j] - x[i])
-        t = abs(e) / 2.0
-        if t > best_t:
-            best_t = t
-            best = (i, j, l)
-    i, j, l = best
-    rho = (y[l] - y[i]) / (x[l] - x[i])
-    e = (y[j] - y[i]) - rho * (x[j] - x[i])
-    # Optimal line: chord through the outer pair, shifted by half the
-    # middle residual; alpha is its negated intercept in rho*x - alpha = y.
-    return rho, rho * x[i] - y[i] - e / 2.0
-
 
 def verify_ap(q: Sequence[float], eps: float) -> VerifyResult:
     """Certify a strictly increasing k >= 3 sequence as an eps-approximate AP.
@@ -131,7 +101,24 @@ def verify_ap(q: Sequence[float], eps: float) -> VerifyResult:
     # of the same formula in the input's units.
     unit, ex = _to_unit(np.asarray(vals))
     vals = unit.tolist()
-    rho, alpha = _line_fit(vals, range(k))
+    if any(a == b for a, b in zip(vals, vals[1:])):
+        raise ValueError("values coincide once scaled into the unit range")
+
+    best_t = -1.0
+    best = (0, 1, 2)
+    for i, j, l in combinations(range(k), 3):
+        rho = (l - i) / (vals[l] - vals[i])
+        e = (j - i) - rho * (vals[j] - vals[i])
+        t = abs(e) / 2.0
+        if t > best_t:
+            best_t = t
+            best = (i, j, l)
+    i, j, l = best
+    rho = (l - i) / (vals[l] - vals[i])
+    e = (j - i) - rho * (vals[j] - vals[i])
+    # Optimal line: chord through the outer pair, shifted by half the
+    # middle residual; alpha is its negated intercept in rho*x - alpha = y.
+    alpha = rho * vals[i] - i - e / 2.0
     dev = max(abs(rho * vals[m] - alpha - m) for m in range(k))
     r = 1.0 / rho
     a = alpha * r
@@ -251,18 +238,12 @@ def _meb(cloud: list[list[float]], order: list[int]) -> tuple[list[float], float
 # - The minimum lies in [0, 2*rad(P)/rad(Q)]: mu*q_i = (mu*q_i - p_i - b)
 #   + p_i + b gives mu*rad(Q) <= R(mu) + rad(P), so beyond that bound
 #   R(mu) > rad(P) = R(0).
-# - In d = 1 the minimum is the line fit of p_sigma(i) against q_i above:
-#   its slope, or 0 where that slope is not positive (R is convex, so it
-#   then grows from 0 on: no positive scale fits better than a single
-#   point, a certain reject).  mu is kept at least _MU_FLOOR of the
-#   bracket, so that witness stays finite and no worse than Brent's.
-# - In d >= 2 the search is Brent's: a parabola through the three best
-#   points so far where R^2 is smooth, a golden-section step at a kink or
-#   where a parabola would not shrink the bracket, and no step shorter
-#   than tol1.  Its relative tolerance, 1e-13, keeps tol1 at least 225
-#   ulps of mu, so no step rounds to nothing; it takes about 31
-#   evaluations where golden-section search down to a width of 1e-12
-#   took 61.
+# - The search is Brent's: a parabola through the three best points so
+#   far where R^2 is smooth, a golden-section step at a kink or where a
+#   parabola would not shrink the bracket, and no step shorter than tol1.
+#   Its relative tolerance, 1e-13, keeps tol1 at least 225 ulps of mu, so
+#   no step rounds to nothing; it takes about 31 evaluations where
+#   golden-section search down to a width of 1e-12 took 61.
 # - Every solve starts from the previous solve's visiting order, so the
 #   last support is tested first (warm start).
 #
@@ -337,10 +318,8 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
 
     assignment[i] is the pattern index matched to q[i].  Raises ValueError
     for repeated candidate points, for points that coincide only
-    numerically (a squared radius in the unit range is not a normal float;
-    in 1-D also candidate points equal there, or a chord slope that
-    overflows there), and when the witness leaves the float range in the
-    input's units.
+    numerically (a squared radius in the unit range is not a normal float),
+    and when the witness leaves the float range in the input's units.
     """
     k = len(q)
     if len(p) != k or k < 2:
@@ -381,17 +360,8 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
     def r2_at(mu: float) -> float:
         return _meb(cloud_at(mu), order)[1]
 
-    hi = 2.0 * math.sqrt(rad_p2 / rad_q2)
-    if q.dim == 1:
-        x, y = zip(*sorted(zip(qu[:, 0].tolist(), pu[:, 0].tolist())))
-        mu = max(_line_fit(x, y)[0], _MU_FLOOR * hi)
-        if not mu <= hi:
-            # Only an overflowing chord slope gets here: three candidate
-            # points within a subnormal distance of each other.
-            raise ValueError("candidate points coincide numerically: a chord's slope overflows")
-    else:
-        # Squared radii: R^2 is minimised where R is.
-        mu = _brent_min(r2_at, hi)
+    # Squared radii: R^2 is minimised where R is.
+    mu = _brent_min(r2_at, 2.0 * math.sqrt(rad_p2 / rad_q2))
     center, _ = _meb(cloud_at(mu), order)
     scale = 1.0 / mu
     anchor = [a + (c - b) * scale for a, b, c in zip(cq, cp, center)]
