@@ -8,11 +8,10 @@ random test inputs, and certifies every result.
 """
 
 from ._kernels import BACKEND
-from .bounds import Schedule, ball_volume, kappa, schedule_1d, schedule_nd
+from .bounds import Schedule, ball_volume, kappa, schedule_nd
 from .collinear import CollinearOutcome, angle_bucket, find_collinear
 from .generators import gen_adversarial_ap3, gen_jittered_lattice, gen_random_separated
 from .geometry import (
-    AxisBox,
     Homothety,
     Pattern,
     Point,
@@ -23,8 +22,9 @@ from .geometry import (
 )
 from .oracle import enumerate_aps, enumerate_homothetic, exists_collinear
 from .pointio import emit_svg, parse_pointset, write_pointset
-from .search1d import SearchOutcome, SearchTrace, search_ap
-from .searchnd import pattern_grid_resolution, search_grid, search_pattern
+from .search1d import search_ap
+from .searchnd import (SearchOutcome, SearchTrace, pattern_grid_resolution, search_grid,
+                       search_pattern)
 from .verifier import VerifyResult, verify_ap, verify_collinear, verify_homothetic
 
 __version__ = "0.1.0"
@@ -36,12 +36,10 @@ __all__ = [
     "PointSet",
     "Pattern",
     "Homothety",
-    "AxisBox",
     "min_pairwise_distance",
     "diameter",
     "apply_homothety",
     "Schedule",
-    "schedule_1d",
     "schedule_nd",
     "kappa",
     "ball_volume",

@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-__all__ = ["Schedule", "schedule_1d", "schedule_nd", "kappa", "ball_volume"]
+__all__ = ["Schedule", "schedule_nd", "kappa", "ball_volume"]
 
 _MAX_DIM = 30
 
@@ -85,11 +85,15 @@ def _z0(delta: float, ks: int, j: int) -> float:
         return math.inf
 
 
-def _odd_double_factorial(d: int) -> float:
-    out = 1.0
+def _unit_ball(d: int) -> tuple[float, float]:
+    """The unit d-ball's volume as (num, den): pi^(d/2) / (d/2)! for even d,
+    2 * (2 pi)^((d-1)/2) / d!! for odd d."""
+    if d % 2 == 0:
+        return math.pi ** (d / 2), math.factorial(d // 2)
+    den = 1.0
     for i in range(1, d + 1, 2):
-        out *= i
-    return out
+        den *= i
+    return 2.0 * (2.0 * math.pi) ** ((d - 1) / 2), den
 
 
 def ball_volume(d: int, radius: float) -> float:
@@ -98,24 +102,15 @@ def ball_volume(d: int, radius: float) -> float:
     radius = float(radius)
     if radius < 0.0 or not math.isfinite(radius):
         raise ValueError("radius must be >= 0 and finite")
-    if d % 2 == 0:
-        unit = math.pi ** (d / 2) / math.factorial(d // 2)
-    else:
-        unit = 2.0 * (2.0 * math.pi) ** ((d - 1) / 2) / _odd_double_factorial(d)
-    return unit * radius**d
+    num, den = _unit_ball(d)
+    return num / den * radius**d
 
 
 def kappa(d: int) -> int:
     """Packing constant ceil(3^d / unit-ball volume) entering the depth bound."""
     _check_dim(d)
-    if d % 2 == 0:
-        return math.ceil(3**d * math.factorial(d // 2) / math.pi ** (d / 2))
-    return math.ceil(3**d * _odd_double_factorial(d) / (2.0 * (2.0 * math.pi) ** ((d - 1) / 2)))
-
-
-def schedule_1d(k: int, c: float, delta: float, eps: float) -> Schedule:
-    """Search schedule for k-term approximate arithmetic progressions."""
-    return schedule_nd(1, k, c, delta, eps)
+    num, den = _unit_ball(d)
+    return math.ceil(3**d * den / num)
 
 
 def schedule_nd(d: int, k: int, c: float, delta: float, eps: float) -> Schedule:

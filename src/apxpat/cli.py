@@ -28,8 +28,8 @@ from .generators import gen_adversarial_ap3, gen_jittered_lattice, gen_random_se
 from .geometry import Pattern, PointSet
 from .oracle import enumerate_aps, enumerate_homothetic, exists_collinear
 from .pointio import emit_svg, parse_pointset, write_pointset
-from .search1d import SearchOutcome, StepDescend, StepSuccess, search_ap
-from .searchnd import search_grid, search_pattern
+from .search1d import search_ap
+from .searchnd import SearchOutcome, StepDescend, StepSuccess, search_grid, search_pattern
 from .verifier import VerifyResult, triangle_angles, verify_ap, verify_collinear, verify_homothetic
 
 SCHEMA = 1
@@ -56,7 +56,7 @@ def _trace_dict(outcome: SearchOutcome) -> list[dict]:
     steps = []
     for st in outcome.trace.steps:
         entry = {
-            "box_low": list(st.box.low.coords),
+            "box_low": list(st.low.coords),
             "side": st.side,
             "count": st.count,
         }
@@ -136,7 +136,8 @@ def _read_pointset(path: str) -> PointSet:
 
 
 def _read_pattern(path: str) -> Pattern:
-    return Pattern.from_pointset(_read_pointset(path))
+    s = _read_pointset(path)
+    return Pattern(s.dim, s.coords)
 
 
 # Each command returns (reply, ok): the reply dict, or None when it wrote

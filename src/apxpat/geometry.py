@@ -7,8 +7,8 @@ arbitrary-precision path anywhere.
 A ``PointSet`` (and its subclass ``Pattern``) stores its points once, as
 a read-only (n, d) float64 array ``coords``; every module reads that
 array, or a ``subset`` of it, directly.  ``Point`` is the single-point
-type of anchors, witnesses and boxes, and is built from a set's rows only
-on demand.
+type of anchors, witnesses and the low corners of search steps, and is
+built from a set's rows only on demand.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "PointSet",
     "Pattern",
     "Homothety",
-    "AxisBox",
     "min_pairwise_distance",
     "diameter",
     "apply_homothety",
@@ -159,10 +158,6 @@ class Pattern(PointSet):
         object.__setattr__(self, "min_pairwise", lo)
         object.__setattr__(self, "diameter", hi)
 
-    @classmethod
-    def from_pointset(cls, s: PointSet) -> "Pattern":
-        return cls(s.dim, s.coords)
-
 
 @dataclass(frozen=True, init=False)
 class Homothety:
@@ -178,27 +173,6 @@ class Homothety:
             raise ValueError("scale must be strictly positive and finite")
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "scale", scale)
-
-    def apply(self, p: Point) -> Point:
-        if p.dim != self.anchor.dim:
-            raise DimensionMismatch("homothety and point dimensions differ")
-        return Point(tuple(a + self.scale * x for a, x in zip(self.anchor, p)))
-
-
-@dataclass(frozen=True, init=False)
-class AxisBox:
-    """The cube [low, low + side]^d."""
-
-    low: Point
-    side: float
-
-    def __init__(self, low, side: float):
-        low = low if isinstance(low, Point) else Point(low)
-        side = float(side)
-        if not (side > 0.0 and math.isfinite(side)):
-            raise ValueError("side must be strictly positive and finite")
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "side", side)
 
 
 def min_pairwise_distance(s: PointSet) -> float:

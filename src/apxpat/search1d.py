@@ -14,29 +14,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .bounds import schedule_1d
+from .bounds import schedule_nd
 from .errors import DimensionMismatch, InternalError
 from .geometry import PointSet
-from .searchnd import (
-    PatternReduction,
-    SearchOutcome,
-    SearchStep,
-    SearchTrace,
-    StepDescend,
-    StepSuccess,
-    _subdivide,
-)
+from .searchnd import SearchOutcome, SearchTrace, StepDescend, StepSuccess, _subdivide
 from .verifier import verify_ap
 
-__all__ = [
-    "StepSuccess",
-    "StepDescend",
-    "SearchStep",
-    "SearchTrace",
-    "SearchOutcome",
-    "PatternReduction",
-    "search_ap",
-]
+__all__ = ["search_ap"]
 
 
 def _scalar_action(action: StepSuccess | StepDescend) -> StepSuccess | StepDescend:
@@ -67,7 +51,7 @@ def search_ap(
     if int(k) != k or k < 3:
         raise ValueError("k must be an integer >= 3")
     k = int(k)
-    schedule = schedule_1d(k, c, delta, eps)
+    schedule = schedule_nd(1, k, c, delta, eps)
     out = _subdivide(s, k, schedule, None if lo is None else (lo,), length)
     steps = tuple(replace(st, action=_scalar_action(st.action)) for st in out.trace.steps)
     out = replace(out, trace=SearchTrace(steps))

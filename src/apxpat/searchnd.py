@@ -38,7 +38,7 @@ import numpy as np
 from . import _kernels
 from .bounds import Schedule, schedule_nd
 from .errors import DimensionMismatch, InsufficientSeparation, InternalError, ResolutionOverflow
-from .geometry import AxisBox, Homothety, Pattern, Point, PointSet
+from .geometry import Homothety, Pattern, Point, PointSet, apply_homothety
 from .verifier import TAU, VerifyResult, verify_homothetic
 
 __all__ = [
@@ -77,7 +77,9 @@ class StepDescend:
 
 @dataclass(frozen=True)
 class SearchStep:
-    box: AxisBox
+    """One subdivision step over the cube [low, low + side]^d."""
+
+    low: Point
     side: float
     count: int
     action: StepSuccess | StepDescend
@@ -208,7 +210,7 @@ def _subdivide(
         first = order[starts]
         cells = idx[first]
         counts = np.diff(starts, append=len(order))
-        box = AxisBox(Point(cur_lo), cur_len)
+        low = Point(cur_lo)
         # Occupied cells grouped by system t (the residue); the stable sort
         # keeps each group in lexicographic order of its cells.
         residue = cells % stride
@@ -231,7 +233,7 @@ def _subdivide(
             chosen = tuple(int(i) for i in active[first[members]])
             anchors = tuple(Point(cur_lo + cells[m] * x) for m in members)
             hit = tuple(int(v) for v in t)
-            steps.append(SearchStep(box, cur_len, len(active), StepSuccess(hit, anchors, chosen)))
+            steps.append(SearchStep(low, cur_len, len(active), StepSuccess(hit, anchors, chosen)))
             return SearchOutcome(
                 found=True, subset=chosen, anchors=anchors,
                 homothety=Homothety(cur_lo + t * x, stride * x), verify=None,
@@ -239,7 +241,7 @@ def _subdivide(
                 below_threshold=below, warnings=tuple(warnings),
             )
         best = int(counts.argmax())
-        steps.append(SearchStep(box, cur_len, len(active),
+        steps.append(SearchStep(low, cur_len, len(active),
                                 StepDescend(tuple(int(v) for v in cells[best]))))
         active = active[order[starts[best] : starts[best] + counts[best]]]
         cur_lo = cur_lo + cells[best] * x
@@ -287,7 +289,7 @@ def _pattern_extent(p: Pattern) -> tuple[np.ndarray, float]:
     return p_lo, float((p.coords.max(axis=0) - p_lo).max())
 
 
-def pattern_grid_resolution(p: Pattern, eps: float, d: int) -> tuple[int, float]:
+def pattern_grid_resolution(p: Pattern, eps: float) -> tuple[int, float]:
     """Grid size K and grid tolerance eps_g realizing the pattern reduction.
 
     Guarantees that distinct pattern points round to distinct nodes of the
@@ -301,7 +303,7 @@ def pattern_grid_resolution(p: Pattern, eps: float, d: int) -> tuple[int, float]
         raise ValueError("degenerate pattern")
     _, d_inf = _pattern_extent(p)
     eps_g = min(eps / 2.0, 1.0 / 3.0)
-    K = 1 + math.ceil((eps_g + math.sqrt(d) / 2.0) * d_inf / (eps_g * p.min_pairwise))
+    K = 1 + math.ceil((eps_g + math.sqrt(p.dim) / 2.0) * d_inf / (eps_g * p.min_pairwise))
     return K, eps_g
 
 
@@ -326,7 +328,7 @@ def search_pattern(
     if s.dim != p.dim:
         raise DimensionMismatch("point set and pattern dimensions differ")
     d = s.dim
-    K, eps_g = pattern_grid_resolution(p, eps, d)
+    K, eps_g = pattern_grid_resolution(p, eps)
     if K > DEFAULT_RESOLUTION_CAP:
         raise ResolutionOverflow(
             f"pattern reduction needs a {K}-grid per axis (cap {DEFAULT_RESOLUTION_CAP})"
@@ -348,5 +350,5 @@ def search_pattern(
     warnings = out.warnings
     if not result.accepted:
         warnings = warnings + ("pattern post-verification failed; reporting not found",)
-    return replace(out, found=result.accepted, anchors=tuple(witness.apply(pt) for pt in p),
+    return replace(out, found=result.accepted, anchors=tuple(apply_homothety(witness, p)),
                    homothety=witness, verify=result, warnings=warnings)

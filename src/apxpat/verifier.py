@@ -108,7 +108,11 @@ def verify_ap(q: Sequence[float], eps: float) -> VerifyResult:
     best = (0, 1, 2)
     for i, j, l in combinations(range(k), 3):
         rho = (l - i) / (vals[l] - vals[i])
-        e = (j - i) - rho * (vals[j] - vals[i])
+        if rho == math.inf:
+            # A subnormal span: score the triple by the ratio of its spans.
+            e = (j - i) - (l - i) * ((vals[j] - vals[i]) / (vals[l] - vals[i]))
+        else:
+            e = (j - i) - rho * (vals[j] - vals[i])
         t = abs(e) / 2.0
         if t > best_t:
             best_t = t

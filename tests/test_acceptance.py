@@ -10,7 +10,7 @@ import time
 from contextlib import redirect_stdout
 from itertools import combinations
 
-from apxpat.bounds import ball_volume, kappa, schedule_1d
+from apxpat.bounds import ball_volume, kappa, schedule_nd
 from apxpat.cli import main
 from apxpat.collinear import find_collinear
 from apxpat.generators import (
@@ -20,8 +20,8 @@ from apxpat.generators import (
 )
 from apxpat.geometry import Pattern, PointSet, diameter
 from apxpat.oracle import enumerate_aps, exists_collinear
-from apxpat.search1d import StepDescend, StepSuccess, search_ap
-from apxpat.searchnd import search_grid, search_pattern
+from apxpat.search1d import search_ap
+from apxpat.searchnd import StepDescend, StepSuccess, search_grid, search_pattern
 from apxpat.verifier import verify_ap, verify_collinear, verify_homothetic
 
 from _reference import cylinder_radius, grid_min_deviation_ap, grid_min_deviation_homothety
@@ -36,7 +36,7 @@ def _report(n: int, name: str, t0: float, budget: float) -> None:
 
 def test_acceptance_1_guarantee_at_threshold_scale():
     t0 = time.perf_counter()
-    sch = schedule_1d(3, 0.4, 1.0, 1 / 3)
+    sch = schedule_nd(1, 3, 0.4, 1.0, 1 / 3)
     assert sch.z0 == 13122.0 and sch.j == 4
     target = math.ceil(0.4 * 13122)
     assert target == 5249
@@ -99,7 +99,7 @@ def _check_trace(out, dim: int) -> None:
         assert nxt.side == x  # side ratio exactly ks
         cell = prev.action.cell if dim > 1 else (prev.action.cell,)
         for a in range(dim):
-            assert nxt.box.low.coords[a] == prev.box.low.coords[a] + cell[a] * x
+            assert nxt.low.coords[a] == prev.low.coords[a] + cell[a] * x
         assert nxt.count * shrink >= prev.count  # pigeonhole
 
 

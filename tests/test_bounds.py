@@ -4,27 +4,29 @@ from itertools import product
 
 import pytest
 
-from apxpat.bounds import ball_volume, kappa, schedule_1d, schedule_nd
+from apxpat.bounds import ball_volume, kappa, schedule_nd
+from apxpat.geometry import PointSet
+from apxpat.search1d import search_ap
 
 
 def test_schedule_1d_frozen_examples():
-    s = schedule_1d(3, 0.5, 1.0, 1 / 3)
+    s = schedule_nd(1, 3, 0.5, 1.0, 1 / 3)
     assert (s.s, s.r, s.j, s.z0) == (3, 1.5, 4, 13122.0)
-    s = schedule_1d(2, 1.0, 1.0, 1 / 3)
+    s = schedule_nd(1, 2, 1.0, 1.0, 1 / 3)
     assert (s.s, s.r, s.j, s.z0) == (3, 2.0, 1, 12.0)
 
 
 def test_schedule_eps_domain():
     with pytest.raises(ValueError):
-        schedule_1d(3, 0.5, 1.0, 0.4)
+        schedule_nd(1, 3, 0.5, 1.0, 0.4)
     with pytest.raises(ValueError):
-        schedule_1d(3, 0.5, 1.0, 0.0)
+        schedule_nd(1, 3, 0.5, 1.0, 0.0)
     with pytest.raises(ValueError):
-        schedule_1d(1, 0.5, 1.0, 1 / 3)
+        schedule_nd(1, 1, 0.5, 1.0, 1 / 3)
     with pytest.raises(ValueError):
-        schedule_1d(3, -1.0, 1.0, 1 / 3)
+        schedule_nd(1, 3, -1.0, 1.0, 1 / 3)
     with pytest.raises(ValueError):
-        schedule_1d(3, 0.5, 0.0, 1 / 3)
+        schedule_nd(1, 3, 0.5, 0.0, 1 / 3)
 
 
 def test_schedule_nd_frozen_examples():
@@ -38,10 +40,10 @@ def test_schedule_nd_frozen_examples():
 
 
 def test_schedule_nd_dim1_matches_1d():
-    for k, c, delta, eps in [(3, 0.5, 1.0, 1 / 3), (2, 1.0, 1.0, 0.25), (4, 0.1, 0.5, 0.2)]:
-        a = schedule_1d(k, c, delta, eps)
-        b = schedule_nd(1, k, c, delta, eps)
-        assert (a.j, a.z0, a.s) == (b.j, b.z0, b.s)
+    # The AP search runs on the d = 1 schedule.
+    s = PointSet(1, [(0,), (1,), (2,), (3,)])
+    for k, c, delta, eps in [(3, 0.5, 1.0, 1 / 3), (3, 1.0, 1.0, 0.25), (4, 0.1, 0.5, 0.2)]:
+        assert search_ap(s, k, eps, delta, c).schedule == schedule_nd(1, k, c, delta, eps)
 
 
 def _ap_schedule(k, c, delta, eps):
@@ -61,8 +63,7 @@ def _ap_schedule(k, c, delta, eps):
 def test_schedule_1d_is_the_ap_schedule_over_a_grid():
     grid = product((2, 3, 4, 6), (0.1, 0.5, 1.0, 3.0), (0.5, 1.0, 2.0), (1 / 3, 0.25, 0.1, 0.01))
     for k, c, delta, eps in grid:
-        a = schedule_1d(k, c, delta, eps)
-        assert a == schedule_nd(1, k, c, delta, eps)
+        a = schedule_nd(1, k, c, delta, eps)
         assert (a.d, a.k, a.c, a.delta, a.eps, a.kappa) == (1, k, c, delta, eps, 2)
         assert (a.s, a.r, a.j, a.z0) == _ap_schedule(k, c, delta, eps), (k, c, delta, eps)
 
@@ -92,15 +93,36 @@ def test_ball_volume_scaling():
             assert ball_volume(d, r) == pytest.approx(unit * r**d, rel=1e-12)
 
 
+def test_ball_formulas_keep_their_bits():
+    # kappa and ball_volume against the unit-ball formula written out for
+    # even and odd d, bit for bit.
+    def odd_double_factorial(d):
+        out = 1.0
+        for i in range(1, d + 1, 2):
+            out *= i
+        return out
+
+    for d in range(1, 31):
+        if d % 2 == 0:
+            unit = math.pi ** (d / 2) / math.factorial(d // 2)
+            kap = math.ceil(3**d * math.factorial(d // 2) / math.pi ** (d / 2))
+        else:
+            unit = 2.0 * (2.0 * math.pi) ** ((d - 1) / 2) / odd_double_factorial(d)
+            kap = math.ceil(3**d * odd_double_factorial(d) / (2.0 * (2.0 * math.pi) ** ((d - 1) / 2)))
+        assert kappa(d) == kap, d
+        for r in (0.0, 1e-300, 0.25, 1.7, 3.0, 1e10):
+            assert ball_volume(d, r).hex() == (unit * r**d).hex(), (d, r)
+
+
 def test_z0_and_j_floors():
     # Very dense/coarse instances clamp j to 1 and keep z0 >= 2*delta.
-    s = schedule_1d(3, 10.0, 1.0, 1 / 3)
+    s = schedule_nd(1, 3, 10.0, 1.0, 1 / 3)
     assert s.j == 1
     assert s.z0 >= 2 * s.delta
     for k in (2, 3, 5):
         for c in (0.1, 1.0):
             for delta in (0.5, 1.0):
-                sch = schedule_1d(k, c, delta, 0.3)
+                sch = schedule_nd(1, k, c, delta, 0.3)
                 assert sch.j >= 1 and sch.z0 >= 2 * delta
 
 
@@ -109,19 +131,19 @@ def test_z0_monotonicity_coarse_sweeps():
     base = dict(k=3, c=0.8, delta=1.0, eps=1 / 3)
 
     cs = [0.8, 0.4, 0.2, 0.1]
-    zs = [schedule_1d(base["k"], c, base["delta"], base["eps"]).z0 for c in cs]
+    zs = [schedule_nd(1, base["k"], c, base["delta"], base["eps"]).z0 for c in cs]
     assert all(a <= b for a, b in zip(zs, zs[1:]))
 
     deltas = [2.0, 1.0, 0.5, 0.25]
-    zs = [schedule_1d(base["k"], base["c"], d, base["eps"]).z0 for d in deltas]
+    zs = [schedule_nd(1, base["k"], base["c"], d, base["eps"]).z0 for d in deltas]
     assert all(a <= b for a, b in zip(zs, zs[1:]))
 
     epss = [1 / 3, 1 / 6, 1 / 12, 1 / 24]
-    zs = [schedule_1d(base["k"], base["c"], base["delta"], e).z0 for e in epss]
+    zs = [schedule_nd(1, base["k"], base["c"], base["delta"], e).z0 for e in epss]
     assert all(a <= b for a, b in zip(zs, zs[1:]))
 
     ks = [2, 3, 4, 5]
-    zs = [schedule_1d(k, base["c"], base["delta"], base["eps"]).z0 for k in ks]
+    zs = [schedule_nd(1, k, base["c"], base["delta"], base["eps"]).z0 for k in ks]
     assert all(a <= b for a, b in zip(zs, zs[1:]))
 
     # Same sweeps for the d-dimensional schedule.

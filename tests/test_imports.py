@@ -12,6 +12,10 @@ top-level statement of the package (as a bare name, an attribute such as
 ``_kernels.bin_cells``, or a name imported with ``from ... import``) or be
 listed in its module's ``__all__``.  Code that only the tests run belongs
 under tests/.
+
+A module's ``__all__`` lists only names that the module itself defines at
+top level, so no module re-exports another's names; ``__init__`` is the
+one exception, as the package's public face.
 """
 
 import ast
@@ -79,6 +83,13 @@ def _unused_definitions(trees: dict[str, ast.Module]) -> list[str]:
             and not any(name in r for other, r in enumerate(reads) if other != at)]
 
 
+def _undefined_exports(tree: ast.Module) -> list[str]:
+    """Names in the module's __all__ that no top-level statement of the
+    module defines (an import does not define a name)."""
+    defined = {name for stmt in tree.body for name in _defined(stmt)}
+    return sorted(_exports(tree) - defined)
+
+
 def test_package_modules_found():
     assert {"searchnd.py", "collinear.py", "__init__.py"} <= {m.name for m in MODULES}
 
@@ -92,6 +103,19 @@ def test_checker_flags_a_leftover_import():
     tree = ast.parse("from itertools import product\nimport numpy as np\n"
                      "__all__ = ['f']\nfrom .x import f\nnp.zeros(1)\n")
     assert _unused_imports(tree) == ["line 1: product"]
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_all_lists_only_own_definitions(path):
+    assert _undefined_exports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_checker_flags_a_reexport():
+    tree = ast.parse("from .x import Step\nimport numpy as np\n"
+                     "__all__ = ['run', 'Step', 'LIMIT', 'CAP', 'Box', 'np']\n"
+                     "LIMIT: int = 3\nCAP = 4\ndef run():\n    return Step\nclass Box:\n    pass\n")
+    assert _undefined_exports(tree) == ["Step", "np"]
 
 
 def test_no_unused_definitions():

@@ -128,7 +128,7 @@ class TestEnumerateHomothetic:
         hits = 0
         for trial in range(12):
             p = Pattern(2, PATTERNS[("triangle", "skew triangle", "L-shape")[trial % 3]])
-            K, eps_g = pattern_grid_resolution(p, 1 / 3, 2)
+            K, eps_g = pattern_grid_resolution(p, 1 / 3)
             stride = schedule_nd(2, K, 0.5, 0.5, eps_g).s
             s = _small_instance(rng, p, K, stride, planted=trial % 4 != 3)
             want = _unfiltered_enumerate_homothetic(s, p, 1 / 3)

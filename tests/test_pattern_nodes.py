@@ -36,7 +36,7 @@ def _full_grid_search(s, p, eps, delta, c):
 
     Returns the grid outcome, and the pattern's subset and witness where
     the grid was found (None otherwise)."""
-    K, eps_g = pattern_grid_resolution(p, eps, p.dim)
+    K, eps_g = pattern_grid_resolution(p, eps)
     grid = search_grid(s, K, eps_g, delta, c)
     if not grid.found:
         return grid, None, None
@@ -71,7 +71,7 @@ def test_node_search_agrees_with_the_full_grid_search():
         # same success step, listing the grid's node cells.
         assert out.trace.steps[:-1] == grid.trace.steps[:-1]
         step, grid_step = out.trace.steps[-1], grid.trace.steps[-1]
-        assert (step.box, step.side, step.count) == (grid_step.box, grid_step.side, grid_step.count)
+        assert (step.low, step.side, step.count) == (grid_step.low, grid_step.side, grid_step.count)
         assert isinstance(step.action, StepSuccess) and step.action.t == grid_step.action.t
         at = [grid_step.action.chosen.index(i) for i in subset]
         assert step.action.chosen == subset
@@ -162,7 +162,7 @@ def test_small_finds_confirmed_by_the_oracle():
     finds = 0
     for trial in range(12):
         p = Pattern(2, PATTERNS[("triangle", "skew triangle", "L-shape")[trial % 3]])
-        K, eps_g = pattern_grid_resolution(p, 1 / 3, 2)
+        K, eps_g = pattern_grid_resolution(p, 1 / 3)
         stride = schedule_nd(2, K, 0.5, 0.5, eps_g).s
         s = _small_instance(rng, p, K, stride, planted=trial % 4 != 3)
         out = search_pattern(s, p, 1 / 3, 0.5, 0.5, lo=(0.0, 0.0), length=K * stride)

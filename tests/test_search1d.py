@@ -5,7 +5,8 @@ import pytest
 from apxpat.errors import InsufficientSeparation
 from apxpat.generators import gen_random_separated
 from apxpat.geometry import PointSet
-from apxpat.search1d import StepDescend, StepSuccess, search_ap
+from apxpat.search1d import search_ap
+from apxpat.searchnd import StepDescend, StepSuccess
 
 
 def test_hand_traced_success():
@@ -82,7 +83,7 @@ def test_trace_invariants_fuzz():
             # exact subdivision geometry
             x = prev.side / ks
             assert nxt.side == x
-            assert nxt.box.low.coords[0] == prev.box.low.coords[0] + prev.action.cell * x
+            assert nxt.low.coords[0] == prev.low.coords[0] + prev.action.cell * x
             # pigeonhole: the child holds at least parent/((k-1)s) points
             assert nxt.count * (sch.k - 1) * sch.s >= prev.count
         if out.found:

@@ -10,14 +10,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from apxpat.bounds import schedule_1d, schedule_nd
+from apxpat.bounds import schedule_nd
 from apxpat.cli import main
 from apxpat.errors import ResolutionOverflow
 from apxpat.generators import gen_jittered_lattice, gen_random_separated
-from apxpat.geometry import Pattern, PointSet
+from apxpat.geometry import Pattern, PointSet, apply_homothety
 from apxpat.pointio import write_pointset
-from apxpat.search1d import StepDescend, StepSuccess, search_ap
-from apxpat.searchnd import SearchOutcome, pattern_grid_resolution, search_grid, search_pattern
+from apxpat.search1d import search_ap
+from apxpat.searchnd import (SearchOutcome, StepDescend, StepSuccess, pattern_grid_resolution,
+                             search_grid, search_pattern)
 
 
 def test_jittered_lattice_step0_success():
@@ -83,7 +84,7 @@ def test_soundness_fuzz_2d():
             x = prev.side / ks
             assert nxt.side == x
             for a in range(2):
-                assert nxt.box.low.coords[a] == prev.box.low.coords[a] + prev.action.cell[a] * x
+                assert nxt.low.coords[a] == prev.low.coords[a] + prev.action.cell[a] * x
             assert nxt.count * (sch.k**2 - 1) * sch.s**2 >= prev.count
         if out.found:
             assert out.verify.accepted
@@ -101,19 +102,19 @@ def test_cell_partition_exactness():
 
 class TestPatternResolution:
     def test_pair_pattern(self):
-        K, eg = pattern_grid_resolution(Pattern(1, [(0,), (1,)]), 1 / 3, 1)
+        K, eg = pattern_grid_resolution(Pattern(1, [(0,), (1,)]), 1 / 3)
         assert K == 5
         assert eg == pytest.approx(1 / 6)
 
     def test_unit_square(self):
         K, eg = pattern_grid_resolution(
-            Pattern(2, [(0, 0), (1, 0), (0, 1), (1, 1)]), 1 / 3, 2
+            Pattern(2, [(0, 0), (1, 0), (0, 1), (1, 1)]), 1 / 3
         )
         assert K == 7
 
     def test_monotone_in_eps(self):
         p = Pattern(2, [(0, 0), (1, 0), (0, 1)])
-        ks = [pattern_grid_resolution(p, e, 2)[0] for e in (1 / 3, 0.2, 0.1, 0.05)]
+        ks = [pattern_grid_resolution(p, e)[0] for e in (1 / 3, 0.2, 0.1, 0.05)]
         assert all(a <= b for a, b in zip(ks, ks[1:]))
 
     def test_distinct_nodes_fuzz(self):
@@ -129,7 +130,7 @@ class TestPatternResolution:
                 continue
             if p.min_pairwise < 0.05:
                 continue
-            K, eg = pattern_grid_resolution(p, rng.uniform(0.1, 1 / 3), 2)
+            K, eg = pattern_grid_resolution(p, rng.uniform(0.1, 1 / 3))
             d_inf = max(
                 max(c[a] for c in p.points for c in [c.coords]) - min(c.coords[a] for c in p.points)
                 for a in range(2)
@@ -159,8 +160,7 @@ class TestSearchPattern:
         assert out.found
         assert out.verify.accepted
         # anchors are the exact homothetic copy under the reported witness
-        for anc, pt in zip(out.anchors, tri.points):
-            img = out.homothety.apply(pt)
+        for anc, img in zip(out.anchors, apply_homothety(out.homothety, tri)):
             assert math.dist(anc.coords, img.coords) < 1e-9
 
     def test_coincident_pattern_points_rejected_at_construction(self):
@@ -238,9 +238,9 @@ def _steps(out):
     for st in out.trace.steps:
         act = st.action
         if isinstance(act, StepSuccess):
-            rows.append((st.box.low.coords, st.side, st.count, act.t, act.chosen))
+            rows.append((st.low.coords, st.side, st.count, act.t, act.chosen))
         else:
-            rows.append((st.box.low.coords, st.side, st.count, act.cell, None))
+            rows.append((st.low.coords, st.side, st.count, act.cell, None))
     return rows
 
 
@@ -263,7 +263,7 @@ def test_residue_scan_matches_dense_reference():
         if d == 1:
             out = search_ap(s, k, eps, delta, c)
             ref = [(lo, side, n_, h[0], ch) for lo, side, n_, h, ch
-                   in _dense_reference(s, k, schedule_1d(k, c, delta, eps))]
+                   in _dense_reference(s, k, schedule_nd(1, k, c, delta, eps))]
         else:
             out = search_grid(s, k, eps, delta, c)
             ref = _dense_reference(s, k, schedule_nd(d, k, c, delta, eps))

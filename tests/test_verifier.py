@@ -120,6 +120,18 @@ class TestVerifyApRange:
         assert r.accepted and r.max_relative_deviation == 0.0
         assert (r.witness_anchor.coords[0], r.witness_scale) == (0.0, 1e-310)
 
+    def test_subnormal_span_inside_the_unit_range(self):
+        # In the unit range the triple (0, 1, 2) spans a subnormal gap, so
+        # its chord slope overflows, though its exact error is 0; the best
+        # triple is (0, 2, 3), and its witness is a finite float.
+        q = (0.0, 1e-320, 2e-320, 1.0)
+        r = verify_ap(q, 0.3)
+        assert not r.accepted and r.max_relative_deviation == 1.0
+        a, scale = r.witness_anchor.coords[0], r.witness_scale
+        assert (a, scale) == (-1 / 3, 1 / 3)
+        reproduced = max(abs((v - a) / scale - m) for m, v in enumerate(q))
+        assert reproduced == pytest.approx(1.0, rel=1e-12)
+
     def test_witness_past_the_float_range(self):
         with pytest.raises(ValueError, match="float range"):
             verify_ap((-1.7e308, -1.6e308, 1.7e308), 0.3)
