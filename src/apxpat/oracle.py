@@ -37,6 +37,9 @@ def enumerate_aps(
     if int(k) != k or k < 3:
         raise ValueError("k must be an integer >= 3")
     k = int(k)
+    eps = float(eps)
+    if not (0.0 <= eps <= 1.0 / 3.0):
+        raise ValueError("eps must lie in [0, 1/3]")
     n = len(s)
     cap = DEFAULT_SUBSET_BUDGET if budget is None else int(budget)
     if math.comb(n, k) > cap:
@@ -131,15 +134,15 @@ def exists_collinear(
     if int(k) != k or k < 3:
         raise ValueError("k must be an integer >= 3")
     k = int(k)
+    eps = float(eps)
+    if not (0.0 < eps <= 1.0):
+        raise ValueError("eps must lie in (0, 1]")
     n = len(s)
     if n < k:
         return False
     cap = DEFAULT_COLLINEAR_BUDGET if budget is None else int(budget)
     if math.comb(n, k) > cap:
         raise BudgetExceeded(f"C({n},{k}) exceeds the budget {cap}")
-    eps = float(eps)
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
     pts = s.coords.tolist()
     if len(set(map(tuple, pts))) < n:
         raise ValueError("duplicate points: angles undefined")

@@ -18,7 +18,11 @@ for Minimization without Derivatives, 1973, ch. 5).  It needs about half
 the evaluations of golden-section search alone.  Each evaluation's ball is
 solved by Welzl's move-to-front recursion in Python floats, starting from
 the order the previous solve left, so the previous support is tested
-first.
+first.  The recursion's levels that hold zero to three support points are
+written out as loops that take their support points as arguments, and the
+three-point ball's 2x2 elimination is spelled out; they keep the
+recursion's visiting order and every bit of its centers and radii.  Only
+supports of four or more points (d >= 3) go through the general level.
 """
 
 from __future__ import annotations
@@ -148,8 +152,8 @@ def verify_ap(q: Sequence[float], eps: float) -> VerifyResult:
 # ---------------------------------------------------------------------------
 
 def _circumball(support: list[list[float]]) -> tuple[list[float], float]:
-    """Center and squared radius of the smallest ball with the support on its
-    boundary.
+    """Center and squared radius of the smallest ball with a support of four
+    or more points on its boundary.
 
     The center is s_0 + sum_j beta_j u_j with u_j = s_j - s_0, where beta
     solves the Gram system (u_i . u_j) beta = |u_i|^2 / 2 by Gaussian
@@ -159,12 +163,6 @@ def _circumball(support: list[list[float]]) -> tuple[list[float], float]:
     """
     s0 = support[0]
     m = len(support) - 1
-    if m == 0:
-        return list(s0), 0.0
-    if m == 1:
-        # beta = (|u|^2 / 2) / |u|^2 = 1/2 exactly (u = 0 for a repeated point).
-        offset = [0.5 * (x - y) for x, y in zip(support[1], s0)]
-        return [x + y for x, y in zip(s0, offset)], sum(map(mul, offset, offset))
     u = [[x - y for x, y in zip(s, s0)] for s in support[1:]]
     rows = [[sum(map(mul, ui, uj)) for uj in u] + [0.5 * sum(map(mul, ui, ui))] for ui in u]
     tiny = _PIVOT_REL * max([rows[j][j] for j in range(m)])
@@ -193,40 +191,149 @@ def _circumball(support: list[list[float]]) -> tuple[list[float], float]:
     return [x + y for x, y in zip(s0, offset)], sum(map(mul, offset, offset))
 
 
-def _mtf(cloud, order, end, support, dim):
-    """Smallest ball around cloud[order[:end]] with the support on its
-    boundary; moves each point it pushes to the front of order.
-
-    A point is outside the ball beyond the distance lim: besides a slack
-    relative to the radius, it forgives about 18 ulps of the center's
-    largest coordinate.  The center is rounded to its ulps, and without
-    that term a repeat of a support point far from the origin can test
-    outside and be pushed as a second, degenerate support."""
-    dist = math.dist
-    if support:
-        center, r2 = _circumball(support)
-        if len(support) == dim + 1:
-            return center, r2
-        lim = math.sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
+def _circumball3(a, b, c):
+    """_circumball for the support (a, b, c), written out for its 2x2 Gram
+    system: the same pivots, skipped columns and float operations, in the
+    same order."""
+    u = [x - y for x, y in zip(b, a)]
+    v = [x - y for x, y in zip(c, a)]
+    g00 = sum(map(mul, u, u))
+    g01 = sum(map(mul, u, v))
+    g11 = sum(map(mul, v, v))
+    tiny = _PIVOT_REL * max(g00, g11)
+    # Column 0 pivots on the row with the larger entry, the first on a tie.
+    if abs(g01) > g00:
+        p0, p1, p2, o0, o1, o2 = g01, g11, 0.5 * g11, g00, g01, 0.5 * g00
     else:
-        # No ball yet: the first point visited always starts one.
-        center, r2, lim = cloud[order[0]], 0.0, -1.0
+        p0, p1, p2, o0, o1, o2 = g00, g01, 0.5 * g00, g01, g11, 0.5 * g11
+    if abs(p0) <= tiny:
+        # Column 0 skipped, so |g00| and |g01| are at most tiny and g11 is
+        # 0 or above tiny: column 1 pivots on g11 if it is the larger entry,
+        # and is skipped otherwise.
+        beta0 = 0.0
+        beta1 = 0.5 * g11 / g11 if g11 > abs(g01) else 0.0
+    else:
+        f = o0 / p0
+        o1 -= f * p1
+        o2 -= f * p2
+        beta1 = 0.0 if abs(o1) <= tiny else o2 / o1
+        # Each 0.0 + is the start of the sum it replaces, which turns a
+        # first term of -0.0 into 0.0.
+        beta0 = (p2 - (0.0 + p1 * beta1)) / p0
+    offset = [0.0 + beta0 * x + beta1 * y for x, y in zip(u, v)]
+    return [x + y for x, y in zip(a, offset)], sum(map(mul, offset, offset))
+
+
+# The levels of the recursion that hold zero to three support points are
+# written out below, each taking its support points as arguments; _mtf is
+# the level for four or more.  They visit, test, move and compute exactly
+# as one recursive level over a support list did, with _circumball3 for
+# three points, so every center, squared radius and visiting order has the
+# same bits as that recursion's.
+#
+# A point is outside the ball beyond the distance lim: besides a slack
+# relative to the radius, it forgives about 18 ulps of the center's largest
+# coordinate.  The center is rounded to its ulps, and without that term a
+# repeat of a support point far from the origin can test outside and be
+# pushed as a second, degenerate support.  With no radius, lim is that term
+# alone.
+
+def _meb(cloud: list[list[float]], order: list[int]) -> tuple[list[float], float]:
+    """Center and squared radius of the smallest ball around the cloud's rows,
+    visited in ``order``, which is reordered in place (move-to-front)."""
+    dist, sqrt = math.dist, math.sqrt
+    dim = len(cloud[0])
+    # The first point visited starts the ball, in place, with no move.
+    center, r2 = cloud[order[0]], 0.0
+    lim = _CENTER_REL * max(map(abs, center))
+    for i in range(1, len(order)):
+        j = order[i]
+        p = cloud[j]
+        if dist(p, center) > lim:
+            center, r2 = _mtf1(cloud, order, i, p, dim)
+            lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
+            del order[i]
+            order.insert(0, j)
+    return center, r2
+
+
+def _mtf1(cloud, order, end, a, dim):
+    """Smallest ball around cloud[order[:end]] with a on its boundary."""
+    dist, sqrt = math.dist, math.sqrt
+    center, r2 = a, 0.0
+    lim = _CENTER_REL * max(map(abs, a))
     for i in range(end):
         j = order[i]
         p = cloud[j]
         if dist(p, center) > lim:
-            center, r2 = _mtf(cloud, order, i, support + [p], dim)
-            lim = math.sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
+            center, r2 = _mtf2(cloud, order, i, a, p, dim)
+            lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
             if i:
                 del order[i]
                 order.insert(0, j)
     return center, r2
 
 
-def _meb(cloud: list[list[float]], order: list[int]) -> tuple[list[float], float]:
-    """Center and squared radius of the smallest ball around the cloud's rows,
-    visited in ``order``, which is reordered in place (move-to-front)."""
-    return _mtf(cloud, order, len(order), [], len(cloud[0]))
+def _mtf2(cloud, order, end, a, b, dim):
+    """Smallest ball around cloud[order[:end]] with a and b on its boundary."""
+    # beta = (|u|^2 / 2) / |u|^2 = 1/2 exactly (u = 0 for a repeated point).
+    offset = [0.5 * (x - y) for x, y in zip(b, a)]
+    center = [x + y for x, y in zip(a, offset)]
+    r2 = sum(map(mul, offset, offset))
+    if dim == 1:
+        return center, r2
+    dist, sqrt = math.dist, math.sqrt
+    lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
+    for i in range(end):
+        j = order[i]
+        p = cloud[j]
+        if dist(p, center) > lim:
+            center, r2 = _mtf3(cloud, order, i, a, b, p, dim)
+            lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
+            if i:
+                del order[i]
+                order.insert(0, j)
+    return center, r2
+
+
+def _mtf3(cloud, order, end, a, b, c, dim):
+    """Smallest ball around cloud[order[:end]] with a, b and c on its
+    boundary."""
+    center, r2 = _circumball3(a, b, c)
+    if dim == 2:
+        return center, r2
+    dist, sqrt = math.dist, math.sqrt
+    lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
+    for i in range(end):
+        j = order[i]
+        p = cloud[j]
+        if dist(p, center) > lim:
+            center, r2 = _mtf(cloud, order, i, [a, b, c, p], dim)
+            lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
+            if i:
+                del order[i]
+                order.insert(0, j)
+    return center, r2
+
+
+def _mtf(cloud, order, end, support, dim):
+    """Smallest ball around cloud[order[:end]] with the support, four or more
+    points (d >= 3), on its boundary; moves each point it pushes to the
+    front of order."""
+    center, r2 = _circumball(support)
+    if len(support) == dim + 1:
+        return center, r2
+    lim = math.sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
+    for i in range(end):
+        j = order[i]
+        p = cloud[j]
+        if math.dist(p, center) > lim:
+            center, r2 = _mtf(cloud, order, i, support + [p], dim)
+            lim = math.sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
+            if i:
+                del order[i]
+                order.insert(0, j)
+    return center, r2
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,15 @@ class TestEnumerateAps:
         with pytest.raises(BudgetExceeded):
             enumerate_aps(s, 10, 0.1, budget=100)
 
+    @pytest.mark.parametrize("eps", [-0.1, 0.5, math.nan])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_bad_eps_raises_whatever_the_size(self, eps, n):
+        s = PointSet(1, [(float(i * i),) for i in range(n)])
+        with pytest.raises(ValueError, match=r"eps must lie in \[0, 1/3\]"):
+            enumerate_aps(s, 3, eps)
+        with pytest.raises(ValueError, match="eps"):
+            enumerate_aps(s, 3, eps, budget=0)
+
     def test_order_independence(self):
         rng = random.Random(5)
         vals = sorted(rng.uniform(0, 20) for _ in range(9))
@@ -246,6 +255,15 @@ class TestExistsCollinear:
             exists_collinear(s, 3, 0.1)
         with pytest.raises(ValueError, match="eps"):
             exists_collinear(PointSet(2, [(0, 0), (1, 1), (2, 2)]), 3, 1.5)
+
+    @pytest.mark.parametrize("eps", [0.0, 5.0, math.nan])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_bad_eps_raises_whatever_the_size(self, eps, n):
+        s = PointSet(2, [(float(i), float(i * i)) for i in range(n)])
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+            exists_collinear(s, 3, eps)
+        with pytest.raises(ValueError, match="eps"):
+            exists_collinear(s, 3, eps, budget=0)
 
 
 def _dense_grid_min_deviation_ap(q, grid=2000):

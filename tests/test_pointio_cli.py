@@ -269,6 +269,17 @@ class TestCli:
         doc = json.loads(out)
         assert doc["count"] == 0 and doc["hits"] == []
 
+    @pytest.mark.parametrize("mode, eps", [("ap", "0.5"), ("ap", "nan"), ("collinear", "5")])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_oracle_bad_eps_exit_2_whatever_the_size(self, mode, eps, n, tmp_path, capsys):
+        # A bad eps is refused before the set's size is looked at.
+        pts = tmp_path / "pts.txt"
+        rows = [f"{i}\n" if mode == "ap" else f"{i} {i * i}\n" for i in range(n)]
+        pts.write_text(("1\n" if mode == "ap" else "2\n") + "".join(rows))
+        code, out = run_cli("oracle", mode, "--input", str(pts), "--k", "3", "--eps", eps)
+        interval = "[0, 1/3]" if mode == "ap" else "(0, 1]"
+        assert (code, out, capsys.readouterr().err) == (2, "", f"error: eps must lie in {interval}\n")
+
     def test_oracle_pattern(self, tmp_path):
         pts = tmp_path / "pts.txt"
         rows = [(0, 0), (1, 0), (0, 1), (5, 5), (7, 5.1), (5, 7), (3, 9), (9, 2)]

@@ -234,11 +234,23 @@ class TestMinEnclosingBall:
             [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0 + 1e-13]],
             [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
             [[3.0, 3.0, 3.0]] * 4,
+            [[0.0, 0.0], [0.0, 1e-9], [1.0, 0.0]],
+            [[-1.5, 0.5]] * 3,
         ],
     )
     def test_singular_support_does_not_raise(self, support):
-        center, r2 = verifier._circumball(support)
+        # Each support goes to the solver level that builds a ball of its
+        # size, and gets the previous solver's bits.
+        a, *rest = support
+        if len(support) == 2:
+            ball = verifier._mtf2([], [], 0, a, rest[0], len(a))
+        elif len(support) == 3:
+            ball = verifier._circumball3(a, *rest)
+        else:
+            ball = verifier._circumball(support)
+        center, r2 = ball
         assert all(math.isfinite(c) for c in center) and math.isfinite(r2)
+        assert _bits(ball) == _bits(_previous_circumball(support))
 
 
 class TestVerifyHomothetic:
@@ -426,6 +438,29 @@ class TestVerifyHomothetic:
         assert verify_homothetic(q, grid, range(36), 1 / 3).accepted
         assert len(solves) <= 70
 
+    def test_general_elimination_only_for_four_point_supports(self, monkeypatch):
+        # The written-out levels build every ball of a plane certificate, so
+        # the general elimination is not called; a certificate in space
+        # reaches supports of four points, and calls it.
+        calls = []
+        general = verifier._circumball
+
+        def counting(support):
+            calls.append(len(support))
+            return general(support)
+
+        monkeypatch.setattr(verifier, "_circumball", counting)
+        rng = random.Random(6)
+        grid = Pattern(2, [(i, j) for i in range(6) for j in range(6)])
+        q = PointSet(2, [(3.7 + 2 * i + rng.uniform(-0.3, 0.3), -1.2 + 2 * j + rng.uniform(-0.3, 0.3))
+                         for i, j in grid.coords.tolist()])
+        assert verify_homothetic(q, grid, range(36), 1 / 3).accepted
+        assert calls == []
+        cube = Pattern(3, [(i, j, l) for i in range(3) for j in range(3) for l in range(3)])
+        q = PointSet(3, [tuple(2 * x + rng.uniform(-0.3, 0.3) for x in row) for row in cube.coords.tolist()])
+        assert verify_homothetic(q, cube, range(27), 1 / 3).accepted
+        assert calls and min(calls) == 4
+
     def test_matches_two_search_reference(self):
         _compare_with_reference(random.Random(31), 200)
 
@@ -481,6 +516,67 @@ class TestVerifyHomothetic:
             ref_order = list(order)
             assert verifier._meb(cloud, order) == _previous_meb(cloud, ref_order)
             assert order == ref_order
+
+    def test_three_point_balls_keep_the_bits_of_the_previous_elimination(self):
+        # Triples that take every branch of the written-out 2x2 elimination:
+        # a column skipped at the first pivot (b within 1e-16..1e-12 of a) or
+        # at the second (collinear, or off a line by 1e-9..1e-5 of its
+        # length, so the pivot lies near tiny), rows swapped (c far along
+        # b - a), and both ways around the origin and 1e6 from it.
+        rng = random.Random(61)
+        for _ in range(4000):
+            d = rng.randint(2, 6)
+            base = [rng.uniform(-1e6, 1e6) if rng.random() < 0.3 else 0.0 for _ in range(d)]
+            a = [x + rng.uniform(-1, 1) for x in base]
+            u = [rng.gauss(0, 1) for _ in range(d)]
+            kind = rng.randrange(4)
+            if kind == 0:
+                b = [x + 10.0 ** rng.uniform(-16, -12) * t for x, t in zip(a, u)]
+                c = [x + rng.uniform(-1, 1) for x in a]
+            else:
+                t, off = rng.uniform(-3, 3), (0.0, 10.0 ** rng.uniform(-9, -5), 1.0)[kind - 1]
+                b = [x + y for x, y in zip(a, u)]
+                c = [x + t * y + off * rng.gauss(0, 1) for x, y in zip(a, u)]
+            support = rng.choice([[a, b, c], [a, c, b], [c, a, b]])
+            assert _bits(verifier._circumball3(*support)) == _bits(_previous_circumball(support))
+
+    def test_meb_keeps_the_bits_and_order_on_degenerate_clouds(self):
+        # Collinear, nearly collinear, near-repeated, cocircular, stretched
+        # and far-offset clouds in d = 1..6, each in four visiting orders:
+        # the same center, squared radius and order, bit for bit.
+        rng = random.Random(59)
+        for _ in range(2000):
+            cloud = _degenerate_cloud(rng)
+            for _ in range(4):
+                order = list(range(len(cloud)))
+                rng.shuffle(order)
+                ref_order = list(order)
+                assert _bits(verifier._meb(cloud, order)) == _bits(_previous_meb(cloud, ref_order))
+                assert order == ref_order
+
+    def test_certificates_keep_their_bits_with_the_previous_solver(self, monkeypatch):
+        # Whole certificates equal those of the previous ball solver: on
+        # jittered k x k grids and grids stretched by 1 + 4 eps along x,
+        # k = 3..6, and on random instances in d = 1..3.
+        rng = random.Random(67)
+        cases = []
+        for k in range(3, 7):
+            grid = Pattern(2, [(i, j) for i in range(k) for j in range(k)])
+            for n in range(48):
+                ax, ay, lam = rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(0.5, 5.0)
+                jit, sx = 0.2 / 3, 7 / 3 if n % 2 else 1.0
+                q = PointSet(2, [(ax + lam * (sx * x + rng.uniform(-jit, jit)),
+                                  ay + lam * (y + rng.uniform(-jit, jit)))
+                                 for x, y in grid.coords.tolist()])
+                cases.append((q, grid, range(k * k), 1 / 3))
+        while len(cases) < 192 + 1000:
+            q, p, sigma, eps = _random_instance(rng)
+            if len(set(map(tuple, q.coords.tolist()))) == len(q):
+                cases.append((q, p, sigma, eps))
+        new = [verify_homothetic(*case) for case in cases]
+        monkeypatch.setattr(verifier, "_meb", _previous_meb)
+        for case, r in zip(cases, new):
+            assert _bits(r) == _bits(verify_homothetic(*case))
 
 
 class TestCollinear:
@@ -696,6 +792,41 @@ def _previous_mtf(cloud, order, end, support, dim):
 
 def _previous_meb(cloud, order):
     return _previous_mtf(cloud, order, len(order), [], len(cloud[0]))
+
+
+def _bits(x):
+    """x's repr, which tells every float bit apart (-0.0 from 0.0 too)."""
+    return repr(x)
+
+
+def _degenerate_cloud(rng):
+    """A cloud of 3 to 12 points in d = 1..6, of one of six kinds, with up to
+    two rows repeated."""
+    d, kind, k = rng.randint(1, 6), rng.randrange(6), rng.randint(3, 12)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    base = [rng.uniform(-1e6, 1e6) if kind == 5 else rng.uniform(-1, 1) for _ in range(d)]
+    line = [rng.gauss(0, 1) for _ in range(d)]
+    if kind == 0:  # collinear
+        cloud = [[b + scale * t * x for b, x in zip(base, line)]
+                 for t in [rng.uniform(-1, 1) for _ in range(k)]]
+    elif kind == 1:  # off a line by 1e-9..1e-5 of its length
+        cloud = [[b + scale * (t * x + 10.0 ** rng.uniform(-9, -5) * rng.gauss(0, 1))
+                  for b, x in zip(base, line)] for t in [rng.uniform(-1, 1) for _ in range(k)]]
+    elif kind == 2:  # two points 1e-14..1e-8 apart among three or four others
+        cloud = [[b + scale * rng.uniform(-1, 1) for b in base] for _ in range(rng.randint(4, 5))]
+        cloud.append([x + scale * 10.0 ** rng.uniform(-14, -8) * rng.gauss(0, 1) for x in cloud[0]])
+    elif kind == 3:  # on a circle, half of them at quarter turns
+        plane = [[rng.gauss(0, 1) for _ in range(d)] for _ in range(2)]
+        cloud = []
+        for _ in range(k):
+            t = rng.randrange(4) * math.pi / 2 if rng.random() < 0.5 else rng.uniform(0, 2 * math.pi)
+            cloud.append([b + scale * (math.cos(t) * x + math.sin(t) * y) for b, x, y in zip(base, *plane)])
+    elif kind == 4:  # stretched tenfold along the first axis
+        cloud = [[b + scale * rng.uniform(-1, 1) * (10.0 if a == 0 else 1.0) for a, b in enumerate(base)]
+                 for _ in range(k)]
+    else:  # a cluster offset by up to 1e6 from the origin
+        cloud = [[b + scale * 1e-3 * rng.uniform(-1, 1) for b in base] for _ in range(k)]
+    return cloud + [list(rng.choice(cloud)) for _ in range(rng.randint(0, 2))]
 
 
 def _brute_radius(pts):
