@@ -71,6 +71,9 @@ def enumerate_homothetic(
     pair; the lower end's denominator stays positive for eps <= 1/3.  A
     pair whose intervals, widened by 1e-9 relative, do not meet is skipped.
     """
+    eps = float(eps)
+    if not (0.0 < eps <= 1.0 / 3.0):
+        raise ValueError("eps must lie in (0, 1/3]")
     k = len(p)
     if k > 8:
         raise BudgetExceeded("pattern size capped at 8 for enumeration")
@@ -78,9 +81,6 @@ def enumerate_homothetic(
     cap = DEFAULT_SUBSET_BUDGET if budget is None else int(budget)
     if math.comb(n, k) * math.factorial(k) > cap:
         raise BudgetExceeded(f"C({n},{k})*{k}! exceeds the budget {cap}")
-    eps = float(eps)
-    if not (0.0 < eps <= 1.0 / 3.0):
-        raise ValueError("eps must lie in (0, 1/3]")
     if s.dim != p.dim:
         raise DimensionMismatch("candidate and pattern dimensions differ")
     # The pattern distance each candidate pair (iu, ju) meets under each

@@ -240,7 +240,8 @@ def _circumball3(a, b, c):
 
 def _meb(cloud: list[list[float]], order: list[int]) -> tuple[list[float], float]:
     """Center and squared radius of the smallest ball around the cloud's rows,
-    visited in ``order``, which is reordered in place (move-to-front)."""
+    visited in ``order``, which is reordered in place (move-to-front).  The
+    center of a ball around one point is that row itself, not a copy."""
     dist, sqrt = math.dist, math.sqrt
     dim = len(cloud[0])
     # The first point visited starts the ball, in place, with no move.
@@ -320,6 +321,7 @@ def _mtf(cloud, order, end, support, dim):
     """Smallest ball around cloud[order[:end]] with the support, four or more
     points (d >= 3), on its boundary; moves each point it pushes to the
     front of order."""
+    dist = math.dist
     center, r2 = _circumball(support)
     if len(support) == dim + 1:
         return center, r2
@@ -327,7 +329,7 @@ def _mtf(cloud, order, end, support, dim):
     for i in range(end):
         j = order[i]
         p = cloud[j]
-        if math.dist(p, center) > lim:
+        if dist(p, center) > lim:
             center, r2 = _mtf(cloud, order, i, support + [p], dim)
             lim = math.sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
             if i:

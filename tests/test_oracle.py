@@ -172,6 +172,11 @@ class TestEnumerateHomothetic:
         s = PointSet(1, [(float(i),) for i in range(12)])
         with pytest.raises(BudgetExceeded):
             enumerate_homothetic(s, p, 0.1)
+        # A bad eps is refused before any cap is looked at.
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1/3\]"):
+            enumerate_homothetic(s, p, 0.5)
+        with pytest.raises(ValueError, match="eps"):
+            enumerate_homothetic(s, Pattern(1, [(0.0,), (1.0,), (3.0,)]), math.nan, budget=0)
 
 
 def _unfiltered_enumerate_homothetic(s, p, eps):

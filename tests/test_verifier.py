@@ -522,7 +522,7 @@ class TestVerifyHomothetic:
         # a column skipped at the first pivot (b within 1e-16..1e-12 of a) or
         # at the second (collinear, or off a line by 1e-9..1e-5 of its
         # length, so the pivot lies near tiny), rows swapped (c far along
-        # b - a), and both ways around the origin and 1e6 from it.
+        # b - a), about a third of the coordinates up to 1e6 from the origin.
         rng = random.Random(61)
         for _ in range(4000):
             d = rng.randint(2, 6)
