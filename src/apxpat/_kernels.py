@@ -24,7 +24,8 @@ the input.  Below 3^dim points, where a ring of cells would cost more
 than the points it holds, both compare every pair instead.
 
 Every pairwise squared distance is computed by one loop,
-``_sq_dists_in_ranges``.  ``pair_sq_extremes`` scans all pairs with it
+``_sq_dists_in_ranges``, over the pairs of one range expander,
+``_range_pairs``, which the collinear finder's coloring also walks.  ``pair_sq_extremes`` scans all pairs with it
 for the extremes and the farthest pair; ``pair_extremes``, which pattern
 metrics, ``min_pairwise_distance``, ``diameter`` and the homothety
 oracle read, runs that scan on the rows scaled by a power of two into
@@ -389,24 +390,11 @@ def _sq_dists_in_ranges(q, pts, first, stop, scale):
     then j; d2 is the squared distance of q[i] and pts[j] with each
     difference times scale, summed axis by axis, as a scalar loop sums it.
     A square past the float range reads as inf.  This is the one loop over
-    pairwise distances.  The ranges are expanded into index pairs a run of
-    ranges at a time, at most _PAIRS_PER_PASS pairs (or one range) per
-    pass, so memory stays O(len(first) + _PAIRS_PER_PASS + the longest
-    range) however many points share a range."""
-    live = np.flatnonzero(stop > first)
-    first = first[live]
-    counts = stop[live] - first
-    ends = np.cumsum(counts)
-    start = 0
-    while start < len(live):
-        done = int(ends[start - 1]) if start else 0
-        end = max(start + 1, int(np.searchsorted(ends, done + _PAIRS_PER_PASS, "right")))
-        runs = counts[start:end]
-        rows = np.repeat(live[start:end], runs)
-        # Pair p of a live row r sits at p - (ends[r] - runs[r] - done)
-        # in the pass, and compares with point first[r] plus that.
-        cols = np.arange(len(rows)) + np.repeat(
-            first[start:end] - (ends[start:end] - runs - done), runs)
+    pairwise distances.  The pairs come from ``_range_pairs``, at most
+    _PAIRS_PER_PASS pairs (or one range) per pass, so memory stays
+    O(len(first) + _PAIRS_PER_PASS + the longest range) however many
+    points share a range."""
+    for rows, cols in _range_pairs(first, stop, _PAIRS_PER_PASS):
         rows %= len(q)
         d2 = np.zeros(len(rows))
         with np.errstate(over="ignore"):
@@ -416,6 +404,29 @@ def _sq_dists_in_ranges(q, pts, first, stop, scale):
                 t *= t
                 d2 += t
         yield rows, cols, d2
+
+
+def _range_pairs(first, stop, per_pass):
+    """Yield (r, j), two index arrays per pass, over the index pairs with j
+    in [first[r], stop[r]), in order of r and then j.  This is the one
+    expansion of ranges into pairs, for the distance loop and for the
+    collinear finder's coloring: each pass holds whole ranges, a run of
+    them at a time, at most per_pass pairs (or one range)."""
+    live = np.flatnonzero(stop > first)
+    first = first[live]
+    counts = stop[live] - first
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(live):
+        done = int(ends[start - 1]) if start else 0
+        end = max(start + 1, int(np.searchsorted(ends, done + per_pass, "right")))
+        runs = counts[start:end]
+        rows = np.repeat(live[start:end], runs)
+        # Pair p of a live row r sits at p - (ends[r] - runs[r] - done)
+        # in the pass, and compares with point first[r] plus that.
+        cols = np.arange(len(rows)) + np.repeat(
+            first[start:end] - (ends[start:end] - runs - done), runs)
+        yield rows, cols
         start = end
 
 

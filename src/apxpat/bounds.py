@@ -31,9 +31,19 @@ class Schedule:
     kappa: int
 
 
+def check_k(k, least: int) -> int:
+    """k as an int.  Raises ValueError unless k is an integer >= least;
+    inf and nan are not integers."""
+    try:
+        if int(k) == k and k >= least:
+            return int(k)
+    except (OverflowError, ValueError):
+        pass
+    raise ValueError(f"k must be an integer >= {least}")
+
+
 def _check_common(k: int, c: float, delta: float, eps: float) -> None:
-    if int(k) != k or k < 2:
-        raise ValueError("k must be an integer >= 2")
+    check_k(k, 2)
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError("density c must be positive and finite")
     if not (delta > 0.0 and math.isfinite(delta)):

@@ -15,12 +15,17 @@ bucket first.  A found subset is re-certified with the collinearity
 verifier, which scales its points by a power of two into the unit range,
 so the certificate does not depend on the scale either.
 
-The coloring is held as arrays: every pair in ``np.triu_indices`` order and
-one bucket per pair.  A bucket's graph is peeled to its (k-1)-core in numpy
-and searched with Python-int bitsets over the core's vertices, pruned by a
-greedy coloring bound, in the style of bit-parallel maximum-clique solvers
-(San Segundo et al., "An improved bit-parallel exact maximum clique
-algorithm", 2011).
+The coloring is held as arrays: every pair (i, j), i < j, in row order, as
+two arrays of the narrowest unsigned type that holds n - 1, and one bucket
+per pair, in the narrowest that holds r - 1.  The pairs are colored a pass
+of whole rows at a time, so no float or wide index array over all
+n(n-1)/2 pairs is formed; the widest is the pair positions sorted by
+bucket, 8 bytes a pair.  The finder peaks at about 16 bytes a pair
+(n <= 65536, r <= 256).  A bucket's graph is peeled to its (k-1)-core in
+numpy and searched with Python-int bitsets over the core's vertices,
+pruned by a greedy coloring bound, in the style of bit-parallel
+maximum-clique solvers (San Segundo et al., "An improved bit-parallel
+exact maximum clique algorithm", 2011).
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _kernels
+from .bounds import check_k
 from .errors import BudgetExceeded, DimensionMismatch, InternalError
 from .geometry import PointSet
 from .verifier import triangle_angles, verify_collinear
@@ -52,12 +59,18 @@ DEFAULT_NODE_BUDGET = 10**6
 # bucket is the one the scalar rule gives, and a tiny eps still sends few
 # positions to the scalar loop.
 _EDGE_MARGIN = 2.0**-40
+# Pairs build_coloring colors in one numpy pass: enough to amortise numpy's
+# per-call cost, few enough that a pass's float temporaries stay in cache.
+_PAIRS_PER_PASS = 8192
 
 
 @dataclass(frozen=True, eq=False)
 class AngleColoring:
     """Bucket ``assignments[p]`` of the pair ``(i[p], j[p])``, for every
-    unordered pair of point indices in ``np.triu_indices`` order."""
+    pair of point indices i < j in row order (the order of
+    ``np.triu_indices``).  ``i`` and ``j`` have the narrowest unsigned type
+    that holds n - 1 (``np.min_scalar_type``), and ``assignments`` the
+    narrowest that holds r - 1."""
 
     r: int
     i: np.ndarray
@@ -120,22 +133,32 @@ def angle_bucket(p: Sequence[float], q: Sequence[float], r: int) -> int:
 def build_coloring(s: PointSet, eps: float) -> tuple[AngleColoring, np.ndarray]:
     """Angle coloring of all segments, in the input's own coordinates, and
     the pair positions ordered by bucket (a stable sort, so each bucket's
-    pairs stay in ``np.triu_indices`` order).
+    pairs stay in row order).
 
     Directions are taken modulo pi as in ``angle_bucket``, so a vertical
-    segment is in bucket 0 and no frame is needed.  Nothing is sized by
-    the bucket count r, so a tiny eps costs no more memory than a wide one.
+    segment is in bucket 0 and no frame is needed.  The pairs are colored
+    in passes of whole rows, at most _PAIRS_PER_PASS pairs (or one row) at
+    a time, into arrays of the narrowest types that hold n - 1 and r - 1,
+    so no array of n(n-1)/2 floats or wide indices is ever formed.
+    Nothing is sized by the bucket count r, so a tiny eps costs no more
+    memory than a wide one.
     """
     if s.dim != 2:
         raise DimensionMismatch("coloring is defined in the plane")
     r = bucket_count(eps)
+    n = len(s)
     x, y = s.coords[:, 0], s.coords[:, 1]
-    i, j = np.triu_indices(len(x), 1)
-    assignments = _buckets(x[j] - x[i], y[j] - y[i], r)
-    # Sorted in the narrowest type that holds r - 1: the same order, and
-    # numpy sorts 8- and 16-bit keys stably by radix.
-    key = assignments.astype(np.min_scalar_type(r - 1))
-    return AngleColoring(r, i, j, assignments), np.argsort(key, kind="stable")
+    i = np.empty(n * (n - 1) // 2, dtype=np.min_scalar_type(max(n - 1, 0)))
+    j = np.empty_like(i)
+    assignments = np.empty(len(i), dtype=np.min_scalar_type(r - 1))
+    at = 0
+    for rows, cols in _kernels._range_pairs(np.arange(1, n + 1), np.full(n, n), _PAIRS_PER_PASS):
+        end = at + len(rows)
+        i[at:end], j[at:end] = rows, cols
+        assignments[at:end] = _buckets(x[cols] - x[rows], y[cols] - y[rows], r)
+        at = end
+    # numpy sorts the narrow 8- and 16-bit keys stably by radix.
+    return AngleColoring(r, i, j, assignments), np.argsort(assignments, kind="stable")
 
 
 def _core(i: np.ndarray, j: np.ndarray, n: int, m: int) -> tuple[list[int], list[int]]:
@@ -146,7 +169,8 @@ def _core(i: np.ndarray, j: np.ndarray, n: int, m: int) -> tuple[list[int], list
     """
     while True:
         deg = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
-        keep = (deg[i] >= m) & (deg[j] >= m)
+        full = deg >= m
+        keep = full[i] & full[j]
         if keep.all():
             break
         i, j = i[keep], j[keep]
@@ -249,9 +273,7 @@ def find_collinear(
     """
     if s.dim != 2:
         raise DimensionMismatch("the finder is restricted to the plane")
-    if int(k) != k or k < 3:
-        raise ValueError("k must be an integer >= 3")
-    k = int(k)
+    k = check_k(k, 3)
     eps = float(eps)
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -270,16 +292,19 @@ def find_collinear(
     coloring, by_bucket = build_coloring(s, eps)
     # The buckets that occur, ascending, and where each one's pairs start.
     sorted_buckets = coloring.assignments[by_bucket]
-    starts = np.flatnonzero(np.diff(sorted_buckets, prepend=-1) != 0)
+    starts = np.append(0, np.flatnonzero(sorted_buckets[1:] != sorted_buckets[:-1]) + 1)
+    buckets = sorted_buckets[starts].tolist()
+    del sorted_buckets  # a byte a pair, not needed by the searches
     counts = np.diff(starts, append=len(by_bucket))
 
     exhausted_any = False
     for g in np.argsort(-counts, kind="stable").tolist():
         if counts[g] < k * (k - 1) // 2:
             break
-        b = int(sorted_buckets[starts[g]])
+        b = buckets[g]
         pairs = by_bucket[starts[g]:starts[g] + counts[g]]
-        i, j = coloring.i[pairs], coloring.j[pairs]
+        # Indices as intp: _core gathers and counts narrow ones more slowly.
+        i, j = coloring.i[pairs].astype(np.intp), coloring.j[pairs].astype(np.intp)
         clique, exhausted = _k_clique(i, j, len(s), k, node_budget)
         if exhausted:
             exhausted_any = True

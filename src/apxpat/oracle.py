@@ -14,6 +14,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import _kernels
+from .bounds import check_k
 from .errors import BudgetExceeded, DimensionMismatch
 from .geometry import Pattern, PointSet
 from .verifier import TAU, triangle_angles, verify_ap, verify_homothetic
@@ -34,9 +35,7 @@ def enumerate_aps(
     """All k-subsets (index tuples in coordinate order) accepted by verify_ap."""
     if s.dim != 1:
         raise ValueError("AP enumeration needs a 1-D point set")
-    if int(k) != k or k < 3:
-        raise ValueError("k must be an integer >= 3")
-    k = int(k)
+    k = check_k(k, 3)
     eps = float(eps)
     if not (0.0 <= eps <= 1.0 / 3.0):
         raise ValueError("eps must lie in [0, 1/3]")
@@ -131,9 +130,7 @@ def exists_collinear(
     grown in index order only from subsets whose triangles all pass, and
     each triangle's verdict is computed once.
     """
-    if int(k) != k or k < 3:
-        raise ValueError("k must be an integer >= 3")
-    k = int(k)
+    k = check_k(k, 3)
     eps = float(eps)
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .bounds import Schedule, schedule_nd
+from .bounds import Schedule, check_k, schedule_nd
 from .errors import DimensionMismatch, InsufficientSeparation, InternalError, ResolutionOverflow
 from .geometry import Homothety, Pattern, Point, PointSet, apply_homothety
 from .verifier import TAU, VerifyResult, verify_homothetic
@@ -265,9 +265,7 @@ def search_grid(
     length: float | None = None,
 ) -> SearchOutcome:
     """Find an eps-approximate k-grid in a delta-separated set in [lo, lo+L]^d."""
-    if int(k) != k or k < 2:
-        raise ValueError("k must be an integer >= 2")
-    k = int(k)
+    k = check_k(k, 2)
     d = s.dim
     out = _subdivide(s, k, schedule_nd(d, k, c, delta, eps), lo, length)
     if not out.found:

@@ -5,8 +5,11 @@ from itertools import product
 import pytest
 
 from apxpat.bounds import ball_volume, kappa, schedule_nd
+from apxpat.collinear import find_collinear
 from apxpat.geometry import PointSet
+from apxpat.oracle import enumerate_aps, exists_collinear
 from apxpat.search1d import search_ap
+from apxpat.searchnd import search_grid
 
 
 def test_schedule_1d_frozen_examples():
@@ -14,6 +17,29 @@ def test_schedule_1d_frozen_examples():
     assert (s.s, s.r, s.j, s.z0) == (3, 1.5, 4, 13122.0)
     s = schedule_nd(1, 2, 1.0, 1.0, 1 / 3)
     assert (s.s, s.r, s.j, s.z0) == (3, 2.0, 1, 12.0)
+
+
+_LINE = PointSet(1, [(0,), (1,), (2,), (3,)])
+_PLANE = PointSet(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+_TAKES_K = {
+    "schedule_nd": (2, lambda k: schedule_nd(1, k, 0.5, 1.0, 0.25)),
+    "search_ap": (3, lambda k: search_ap(_LINE, k, 0.25, 1.0, 0.5)),
+    "search_grid": (2, lambda k: search_grid(_PLANE, k, 0.25, 1.0, 0.5)),
+    "enumerate_aps": (3, lambda k: enumerate_aps(_LINE, k, 0.25)),
+    "exists_collinear": (3, lambda k: exists_collinear(_PLANE, k, 0.25)),
+    "find_collinear": (3, lambda k: find_collinear(_PLANE, k, 0.25)),
+}
+
+
+@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, 3.5, 1])
+@pytest.mark.parametrize("entry", sorted(_TAKES_K))
+def test_k_must_be_an_integer_wherever_it_is_taken(entry, k):
+    # One check for every entry point that takes k: inf and nan are not
+    # integers, and get the same ValueError as 3.5 or a k too small.
+    least, call = _TAKES_K[entry]
+    with pytest.raises(ValueError, match=f"^k must be an integer >= {least}$"):
+        call(k)
+    call(float(least + 1))
 
 
 def test_schedule_eps_domain():

@@ -1,6 +1,8 @@
+import importlib
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,3 +476,141 @@ def test_tiny_eps_keeps_the_vector_path(monkeypatch):
         coloring, _ = build_coloring(s, eps)
         assert len(coloring.assignments) == pairs
         assert len(calls) < 0.01 * pairs
+
+
+# ---------------------------------------------------------------------------
+# The coloring before it was built in passes: every pair at once from
+# np.triu_indices, with n(n-1)/2-long int64 and float temporaries.  Kept as
+# the reference the pass-by-pass coloring must match pair for pair.
+# ---------------------------------------------------------------------------
+
+def _one_shot_coloring(s, eps):
+    r = bucket_count(eps)
+    x, y = s.coords[:, 0], s.coords[:, 1]
+    i, j = np.triu_indices(len(x), 1)
+    assignments = collinear._buckets(x[j] - x[i], y[j] - y[i], r)
+    key = assignments.astype(np.min_scalar_type(r - 1))
+    return i, j, assignments, np.argsort(key, kind="stable")
+
+
+class _Rows:
+    """A stand-in for a planar point set of any size, zero included (a
+    PointSet refuses to be empty)."""
+
+    dim = 2
+
+    def __init__(self, coords):
+        self.coords = np.asarray(coords, dtype=float).reshape(-1, 2)
+
+    def __len__(self):
+        return len(self.coords)
+
+
+def _coloring_fuzz_sets(rng):
+    """Uniform clouds, vertical segments, lines along bucket edges, each
+    also at 2^k scalings."""
+    for n in (0, 1, 2, 3, 40, 255, 256, 257):
+        yield _Rows(rng.random((n, 2)))
+    for n in (10, 60):
+        pts = rng.random((n, 2))
+        pts[::3, 0] = pts[0, 0]  # vertical segments, both orientations
+        yield _Rows(pts)
+    for eps in (0.5, 0.1, 1e-3):
+        r = bucket_count(eps)
+        theta = -math.pi / 2 + rng.integers(1, r, 12) * (math.pi / r)
+        t = rng.uniform(-1, 1, (12, 5))
+        pts = np.stack([np.cos(theta)[:, None] * t, np.sin(theta)[:, None] * t], axis=2)
+        yield _Rows(pts.reshape(-1, 2) + rng.uniform(-1e-9, 1e-9, (60, 2)))
+    base = rng.random((50, 2))
+    for e in (-300, -40, 40, 300):
+        yield _Rows(np.ldexp(base, e))
+
+
+def _assert_coloring_matches_one_shot(s, eps):
+    coloring, by_bucket = build_coloring(s, eps)
+    i, j, assignments, want_order = _one_shot_coloring(s, eps)
+    n = len(s)
+    assert coloring.r == bucket_count(eps)
+    assert coloring.i.dtype == coloring.j.dtype == np.min_scalar_type(max(n - 1, 0))
+    assert coloring.assignments.dtype == np.min_scalar_type(coloring.r - 1)
+    assert np.array_equal(coloring.i, i) and np.array_equal(coloring.j, j)
+    assert np.array_equal(coloring.assignments, assignments)
+    assert np.array_equal(by_bucket, want_order)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1, 1e-3, 1e-9])
+def test_coloring_in_passes_matches_the_one_shot_coloring(eps):
+    rng = np.random.default_rng(round(-math.log2(eps)))
+    for s in _coloring_fuzz_sets(rng):
+        _assert_coloring_matches_one_shot(s, eps)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1, 1e-3, 1e-9])
+def test_coloring_matches_the_one_shot_coloring_around_pass_sizes(monkeypatch, eps):
+    # Pair counts just below, at and just above one and two passes: at the
+    # module's own pass size (128 points hold 8,128 pairs, 129 hold 8,256,
+    # 181 hold 16,290, 182 hold 16,471), and at pass sizes set from a
+    # set's pair count m, down to one pair per pass.
+    assert collinear._PAIRS_PER_PASS == 8192
+    rng = np.random.default_rng(7)
+    for n in (128, 129, 181, 182):
+        _assert_coloring_matches_one_shot(_Rows(rng.random((n, 2))), eps)
+    for n in (5, 30, 77):
+        s = _Rows(rng.random((n, 2)))
+        m = n * (n - 1) // 2
+        for per_pass in (1, m // 2 - 1, m // 2, m // 2 + 1, m - 1, m, m + 1):
+            monkeypatch.setattr(collinear, "_PAIRS_PER_PASS", per_pass)
+            _assert_coloring_matches_one_shot(s, eps)
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_finder_memory_per_pair(n):
+    # The pairs are held as narrow index and bucket arrays with one
+    # position each from the sort by bucket: about 16 bytes a pair at its
+    # peak, against 64 for the one-shot coloring.
+    s = PointSet(2, np.random.default_rng(n).random((n, 2)))
+    tracemalloc.start()
+    try:
+        find_collinear(s, 8, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * n * (n - 1) // 2
+
+
+def _previous_core(i, j, n, m):
+    """``_core`` with two degree tests per edge in each peeling round."""
+    while True:
+        deg = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+        keep = (deg[i] >= m) & (deg[j] >= m)
+        if keep.all():
+            break
+        i, j = i[keep], j[keep]
+    by_degree = np.argsort(-deg, kind="stable")
+    size = np.count_nonzero(deg)
+    pos = np.argsort(by_degree)
+    adj = np.zeros((size, size), dtype=bool)
+    adj[pos[i], pos[j]] = adj[pos[j], pos[i]] = True
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    return by_degree[:size].tolist(), [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def test_core_matches_the_previous_core_on_workload_bucket_graphs(tmp_path, monkeypatch):
+    # Every bucket graph of the collinear-tube benchmark's 24 clouds (seed
+    # 3), peeled to the cores its k = 8 and k = 13 searches and the greedy
+    # fallback ask for.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "apxbench"))
+    workloads = importlib.import_module("workloads")
+    bench = workloads.CollinearTube(tmp_path, 3)
+    graphs = 0
+    for _, pts in bench.tubes + bench.uniform:
+        s = PointSet(2, pts)
+        coloring, by_bucket = build_coloring(s, bench.eps)
+        buckets = coloring.assignments[by_bucket]
+        for b in np.unique(buckets):
+            pairs = by_bucket[buckets == b]
+            i, j = coloring.i[pairs].astype(np.intp), coloring.j[pairs].astype(np.intp)
+            for m in (1, 7, 12):
+                assert collinear._core(i, j, len(s), m) == _previous_core(i, j, len(s), m)
+            graphs += 1
+    assert graphs >= 24 * 30
