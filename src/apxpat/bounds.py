@@ -35,11 +35,12 @@ def check_k(k, least: int) -> int:
     """k as an int.  Raises ValueError unless k is an integer >= least;
     inf and nan are not integers."""
     try:
-        if int(k) == k and k >= least:
-            return int(k)
+        whole = int(k) == k
     except (OverflowError, ValueError):
-        pass
-    raise ValueError(f"k must be an integer >= {least}")
+        whole = False
+    if not (whole and k >= least):
+        raise ValueError(f"k must be an integer >= {least}")
+    return int(k)
 
 
 def _check_common(k: int, c: float, delta: float, eps: float) -> None:

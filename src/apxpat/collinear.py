@@ -148,7 +148,7 @@ def build_coloring(s: PointSet, eps: float) -> tuple[AngleColoring, np.ndarray]:
     r = bucket_count(eps)
     n = len(s)
     x, y = s.coords[:, 0], s.coords[:, 1]
-    i = np.empty(n * (n - 1) // 2, dtype=np.min_scalar_type(max(n - 1, 0)))
+    i = np.empty(n * (n - 1) // 2, dtype=np.min_scalar_type(n - 1))
     j = np.empty_like(i)
     assignments = np.empty(len(i), dtype=np.min_scalar_type(r - 1))
     at = 0

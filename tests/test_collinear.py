@@ -531,7 +531,7 @@ def _assert_coloring_matches_one_shot(s, eps):
     i, j, assignments, want_order = _one_shot_coloring(s, eps)
     n = len(s)
     assert coloring.r == bucket_count(eps)
-    assert coloring.i.dtype == coloring.j.dtype == np.min_scalar_type(max(n - 1, 0))
+    assert coloring.i.dtype == coloring.j.dtype == np.min_scalar_type(n - 1)
     assert coloring.assignments.dtype == np.min_scalar_type(coloring.r - 1)
     assert np.array_equal(coloring.i, i) and np.array_equal(coloring.j, j)
     assert np.array_equal(coloring.assignments, assignments)
