@@ -31,16 +31,21 @@ class Schedule:
     kappa: int
 
 
-def check_k(k, least: int) -> int:
-    """k as an int.  Raises ValueError unless k is an integer >= least;
+def check_whole(value, least: int, name: str) -> int:
+    """value as an int.  Raises ValueError unless it is an integer >= least;
     inf and nan are not integers."""
     try:
-        whole = int(k) == k
+        whole = int(value) == value
     except (OverflowError, ValueError):
         whole = False
-    if not (whole and k >= least):
-        raise ValueError(f"k must be an integer >= {least}")
-    return int(k)
+    if not (whole and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return int(value)
+
+
+def check_k(k, least: int) -> int:
+    """k as an int; see check_whole."""
+    return check_whole(k, least, "k")
 
 
 def _check_common(k: int, c: float, delta: float, eps: float) -> None:
@@ -53,11 +58,12 @@ def _check_common(k: int, c: float, delta: float, eps: float) -> None:
         raise ValueError("eps must lie in (0, 1/3]")
 
 
-def _check_dim(d: int) -> None:
-    if int(d) != d or d < 1:
-        raise ValueError("dimension must be an integer >= 1")
+def _check_dim(d: int) -> int:
+    """d as an int, checked by check_whole and capped."""
+    d = check_whole(d, 1, "dimension")
     if d > _MAX_DIM:
         raise ValueError(f"dimension capped at {_MAX_DIM} (float factorials)")
+    return d
 
 
 def _log_ratio(kap: int, c: float, delta: float, d: int) -> float:
@@ -109,7 +115,7 @@ def _unit_ball(d: int) -> tuple[float, float]:
 
 def ball_volume(d: int, radius: float) -> float:
     """Volume of the d-ball of the given radius."""
-    _check_dim(d)
+    d = _check_dim(d)
     radius = float(radius)
     if radius < 0.0 or not math.isfinite(radius):
         raise ValueError("radius must be >= 0 and finite")
@@ -119,7 +125,7 @@ def ball_volume(d: int, radius: float) -> float:
 
 def kappa(d: int) -> int:
     """Packing constant ceil(3^d / unit-ball volume) entering the depth bound."""
-    _check_dim(d)
+    d = _check_dim(d)
     num, den = _unit_ball(d)
     return math.ceil(3**d * den / num)
 
@@ -133,11 +139,14 @@ def schedule_nd(d: int, k: int, c: float, delta: float, eps: float) -> Schedule:
     float range still gives a depth (z0 may then be inf); a k^d so large
     that r rounds to 1 raises ValueError unless the depth is 1.
     """
-    _check_dim(d)
+    d = _check_dim(d)
     _check_common(k, c, delta, eps)
-    d = int(d)
     k = int(k)
-    s = math.ceil(math.sqrt(d) / eps)
+    # A subnormal eps sends sqrt(d)/eps past the float range, so no stride.
+    stride = math.sqrt(d) / eps
+    if stride == math.inf:
+        raise ValueError(f"eps {eps!r} is too small: the stride sqrt(d)/eps is past the float range")
+    s = math.ceil(stride)
     kd = k**d
     r = kd / (kd - 1)
     kap = kappa(d)

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .bounds import ball_volume
+from .bounds import ball_volume, check_whole
 from .errors import InfeasibleGeneration
 from .geometry import PointSet
 
@@ -39,9 +39,7 @@ def gen_random_separated(
     soon as the accepted points provably fill the box (every candidate
     would be within delta of one of them), which a small box reaches
     quickly."""
-    if int(d) != d or d < 1:
-        raise ValueError("dimension must be a positive integer")
-    d = int(d)
+    d = check_whole(d, 1, "dimension")
     length = float(length)
     delta = float(delta)
     if not (0.0 < length < math.inf and 0.0 < delta < math.inf):
@@ -83,9 +81,7 @@ def gen_jittered_lattice(d: int, length: float, jitter: float, seed: int) -> Poi
 
     The output is (1 - 2*jitter)-separated and every unit cell is occupied.
     """
-    if int(d) != d or d < 1:
-        raise ValueError("dimension must be a positive integer")
-    d = int(d)
+    d = check_whole(d, 1, "dimension")
     length = float(length)
     if not (1.0 <= length < math.inf):
         raise ValueError("length must be finite and >= 1")

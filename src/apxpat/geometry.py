@@ -20,6 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
+from .bounds import check_whole
 from .errors import DimensionMismatch
 
 __all__ = [
@@ -66,6 +67,14 @@ class Point:
         return iter(self.coords)
 
 
+def _point(row: list[float]) -> Point:
+    """A Point of a set's row, whose coordinates the set already holds as
+    finite floats, built without checking them again."""
+    pt = object.__new__(Point)
+    object.__setattr__(pt, "coords", tuple(row))
+    return pt
+
+
 def _as_rows(points, dim: int) -> np.ndarray:
     """A fresh read-only (n, dim) float64 copy of points: an array, or an
     iterable of Points or coordinate sequences."""
@@ -103,9 +112,7 @@ class PointSet:
     coords: np.ndarray
 
     def __init__(self, dim: int, points: Iterable):
-        dim = int(dim)
-        if dim < 1:
-            raise ValueError("dimension must be a positive integer")
+        dim = check_whole(dim, 1, "dimension")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coords", _as_rows(points, dim))
 
@@ -126,10 +133,13 @@ class PointSet:
         return len(self.coords)
 
     def __iter__(self):
-        return (Point(row) for row in self.coords.tolist())
+        return map(_point, self.coords.tolist())
 
     def __getitem__(self, i: int) -> Point:
-        return Point(self.coords[i].tolist())
+        row = self.coords[i]
+        if row.ndim != 1:
+            raise TypeError("a point set is indexed by one integer")
+        return _point(row.tolist())
 
     def values(self) -> tuple[float, ...]:
         """1-D convenience: the raw coordinates."""

@@ -301,8 +301,13 @@ def pattern_grid_resolution(p: Pattern, eps: float) -> tuple[int, float]:
         raise ValueError("degenerate pattern")
     _, d_inf = _pattern_extent(p)
     eps_g = min(eps / 2.0, 1.0 / 3.0)
-    K = 1 + math.ceil((eps_g + math.sqrt(p.dim) / 2.0) * d_inf / (eps_g * p.min_pairwise))
-    return K, eps_g
+    try:
+        ratio = (eps_g + math.sqrt(p.dim) / 2.0) * d_inf / (eps_g * p.min_pairwise)
+    except ZeroDivisionError:  # eps/2 or its product with m_P rounds to 0
+        ratio = math.inf
+    if ratio == math.inf:
+        raise ResolutionOverflow(f"eps {eps!r} needs a pattern grid past the float range")
+    return 1 + math.ceil(ratio), eps_g
 
 
 def search_pattern(

@@ -10,19 +10,24 @@ as containment.
 A homothetic copy is certified by one convex search.  With mu = 1/scale,
 the relative deviation of a scale and its best anchor is R(mu)/m_P, where
 R(mu) is the radius of the minimum enclosing ball of {mu*q_i - p_sigma(i)}.
-R is convex in mu and its minimum lies in [0, 2*rad(P)/rad(Q)], so Brent's
-minimiser over that bracket finds the best scale: parabolic steps through
-the three best points so far, with a golden-section step wherever a
-parabola would not shrink the bracket fast enough (R. P. Brent, Algorithms
-for Minimization without Derivatives, 1973, ch. 5).  It needs about half
-the evaluations of golden-section search alone.  Each evaluation's ball is
-solved by Welzl's move-to-front recursion in Python floats, starting from
-the order the previous solve left, so the previous support is tested
-first.  The recursion's levels that hold zero to three support points are
-written out as loops that take their support points as arguments, and the
-three-point ball's 2x2 elimination is spelled out; they keep the
-recursion's visiting order and every bit of its centers and radii.  Only
-supports of four or more points (d >= 3) go through the general level.
+R^2 is convex in mu and its minimum lies in [0, 2*rad(P)/rad(Q)].  Each
+ball solve also reads, from the support it ends on and that support's
+barycentric weights, a quadratic that touches R^2 there and lies below it
+everywhere (the dual of the ball problem, as in the LP-type view of
+Matousek, Sharir and Welzl, 1996).  The search walks on these: it cuts the
+bracket to where they allow the minimum, steps by the secant of the
+slopes where solves share a support and to where the quadratics cross
+where they do not, and stops once the best R^2 is within rounding of
+their lower bound; about 7 solves per certificate, where Brent's search
+took about 34.  A minimum at mu = 0 is decided by the pattern's own ball.
+Each ball is solved by Welzl's move-to-front recursion in Python floats,
+starting from the order the previous solve left, so the previous support
+is tested first.  The recursion's levels that hold zero to three support
+points are written out as loops that take their support points' indices
+as arguments, and the three-point ball's 2x2 elimination is spelled out;
+they keep the recursion's visiting order and every bit of its centers and
+radii.  Only supports of four or more points (d >= 3) go through the
+general level.
 """
 
 from __future__ import annotations
@@ -54,11 +59,14 @@ __all__ = [
 # satisfied, so float rounding never flips a certificate on exact inputs.
 TAU = 1e-9
 
-_BRENT_REL_TOL = 1e-13
+_REL_WIDTH = 1e-15
+_ZERO_REL = 2e-16
+_GAP_REL = 1e-12
+_ROUND = 2.0**-50
+_LOW = 2.0**-48
 _PIVOT_REL = 1e-14
 _CONTAIN = 1.0 + 5e-14
 _CENTER_REL = 4e-15
-_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _MEB_SHUFFLE_SEED = 0x5EEDBA11
 
 
@@ -85,12 +93,15 @@ def verify_ap(q: Sequence[float], eps: float) -> VerifyResult:
     """Certify a strictly increasing k >= 3 sequence as an eps-approximate AP.
 
     Computed on the terms scaled by a power of two into the unit range.
-    Raises ValueError when terms coincide once scaled, and when the witness
-    leaves the float range in the input's units."""
+    Raises ValueError for a term that is not finite, when terms coincide
+    once scaled, and when the witness leaves the float range in the input's
+    units."""
     vals = [float(v) for v in q]
     k = len(vals)
     if k < 3:
         raise ValueError("need at least three terms")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("terms must be finite")
     for a, b in zip(vals, vals[1:]):
         if a == b:
             raise ValueError("duplicate values")
@@ -151,9 +162,9 @@ def verify_ap(q: Sequence[float], eps: float) -> VerifyResult:
 # meets its support first and usually finishes in one containment pass.
 # ---------------------------------------------------------------------------
 
-def _circumball(support: list[list[float]]) -> tuple[list[float], float]:
-    """Center and squared radius of the smallest ball with a support of four
-    or more points on its boundary.
+def _circumball(support: list[list[float]]) -> tuple[list[float], float, list[float]]:
+    """Center, squared radius and beta of the smallest ball with a support
+    of four or more points on its boundary.
 
     The center is s_0 + sum_j beta_j u_j with u_j = s_j - s_0, where beta
     solves the Gram system (u_i . u_j) beta = |u_i|^2 / 2 by Gaussian
@@ -188,13 +199,13 @@ def _circumball(support: list[list[float]]) -> tuple[list[float], float]:
         row = rows[r]
         beta[c] = (row[m] - sum(map(mul, row[c + 1 : m], beta[c + 1 :]))) / row[c]
     offset = [sum(map(mul, beta, col)) for col in zip(*u)]
-    return [x + y for x, y in zip(s0, offset)], sum(map(mul, offset, offset))
+    return [x + y for x, y in zip(s0, offset)], sum(map(mul, offset, offset)), beta
 
 
 def _circumball3(a, b, c):
     """_circumball for the support (a, b, c), written out for its 2x2 Gram
     system: the same pivots, skipped columns and float operations, in the
-    same order."""
+    same order.  Returns the center, the squared radius and (beta0, beta1)."""
     u = [x - y for x, y in zip(b, a)]
     v = [x - y for x, y in zip(c, a)]
     g00 = sum(map(mul, u, u))
@@ -221,15 +232,21 @@ def _circumball3(a, b, c):
         # first term of -0.0 into 0.0.
         beta0 = (p2 - (0.0 + p1 * beta1)) / p0
     offset = [0.0 + beta0 * x + beta1 * y for x, y in zip(u, v)]
-    return [x + y for x, y in zip(a, offset)], sum(map(mul, offset, offset))
+    return [x + y for x, y in zip(a, offset)], sum(map(mul, offset, offset)), (beta0, beta1)
 
 
 # The levels of the recursion that hold zero to three support points are
-# written out below, each taking its support points as arguments; _mtf is
-# the level for four or more.  They visit, test, move and compute exactly
-# as one recursive level over a support list did, with _circumball3 for
-# three points, so every center, squared radius and visiting order has the
-# same bits as that recursion's.
+# written out below, each taking the indices of its support points as
+# arguments; _mtf is the level for four or more.  They visit, test, move and
+# compute exactly as one recursive level over a support list did, with
+# _circumball3 for three points, so every center, squared radius and
+# visiting order has the same bits as that recursion's.
+#
+# Each level also returns the support of the ball it returns, as (indices,
+# beta): with s_0, s_1, ... the support points in the order of the
+# indices, the center is s_0 + sum_j beta_j (s_j - s_0), so the barycentric
+# weights are 1 - sum(beta) and beta.  The returned ball is always the one
+# built last, so this is the support the solve ended on.
 #
 # A point is outside the ball beyond the distance lim: besides a slack
 # relative to the radius, it forgives about 18 ulps of the center's largest
@@ -238,192 +255,286 @@ def _circumball3(a, b, c):
 # pushed as a second, degenerate support.  With no radius, lim is that term
 # alone.
 
-def _meb(cloud: list[list[float]], order: list[int]) -> tuple[list[float], float]:
-    """Center and squared radius of the smallest ball around the cloud's rows,
-    visited in ``order``, which is reordered in place (move-to-front).  The
-    center of a ball around one point is that row itself, not a copy."""
+def _meb(cloud: list[list[float]], order: list[int]):
+    """Center, squared radius and support (see above) of the smallest ball
+    around the cloud's rows, visited in ``order``, which is reordered in
+    place (move-to-front).  The center of a ball around one point is that
+    row itself, not a copy."""
     dist, sqrt = math.dist, math.sqrt
     dim = len(cloud[0])
     # The first point visited starts the ball, in place, with no move.
-    center, r2 = cloud[order[0]], 0.0
+    center, r2, support = cloud[order[0]], 0.0, ((order[0],), ())
     lim = _CENTER_REL * max(map(abs, center))
     for i in range(1, len(order)):
         j = order[i]
-        p = cloud[j]
-        if dist(p, center) > lim:
-            center, r2 = _mtf1(cloud, order, i, p, dim)
+        if dist(cloud[j], center) > lim:
+            center, r2, support = _mtf1(cloud, order, i, j, dim)
             lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
             del order[i]
             order.insert(0, j)
-    return center, r2
+    return center, r2, support
 
 
-def _mtf1(cloud, order, end, a, dim):
-    """Smallest ball around cloud[order[:end]] with a on its boundary."""
+def _mtf1(cloud, order, end, ja, dim):
+    """Smallest ball around cloud[order[:end]] with cloud[ja] on its
+    boundary."""
     dist, sqrt = math.dist, math.sqrt
-    center, r2 = a, 0.0
-    lim = _CENTER_REL * max(map(abs, a))
+    center, r2, support = cloud[ja], 0.0, ((ja,), ())
+    lim = _CENTER_REL * max(map(abs, center))
     for i in range(end):
         j = order[i]
-        p = cloud[j]
-        if dist(p, center) > lim:
-            center, r2 = _mtf2(cloud, order, i, a, p, dim)
+        if dist(cloud[j], center) > lim:
+            center, r2, support = _mtf2(cloud, order, i, ja, j, dim)
             lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
             if i:
                 del order[i]
                 order.insert(0, j)
-    return center, r2
+    return center, r2, support
 
 
-def _mtf2(cloud, order, end, a, b, dim):
-    """Smallest ball around cloud[order[:end]] with a and b on its boundary."""
+def _mtf2(cloud, order, end, ja, jb, dim):
+    """Smallest ball around cloud[order[:end]] with cloud[ja] and cloud[jb]
+    on its boundary."""
+    a = cloud[ja]
     # beta = (|u|^2 / 2) / |u|^2 = 1/2 exactly (u = 0 for a repeated point).
-    offset = [0.5 * (x - y) for x, y in zip(b, a)]
+    offset = [0.5 * (x - y) for x, y in zip(cloud[jb], a)]
     center = [x + y for x, y in zip(a, offset)]
     r2 = sum(map(mul, offset, offset))
+    support = ((ja, jb), (0.5,))
     if dim == 1:
-        return center, r2
+        return center, r2, support
     dist, sqrt = math.dist, math.sqrt
     lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
     for i in range(end):
         j = order[i]
-        p = cloud[j]
-        if dist(p, center) > lim:
-            center, r2 = _mtf3(cloud, order, i, a, b, p, dim)
+        if dist(cloud[j], center) > lim:
+            center, r2, support = _mtf3(cloud, order, i, ja, jb, j, dim)
             lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
             if i:
                 del order[i]
                 order.insert(0, j)
-    return center, r2
+    return center, r2, support
 
 
-def _mtf3(cloud, order, end, a, b, c, dim):
-    """Smallest ball around cloud[order[:end]] with a, b and c on its
-    boundary."""
-    center, r2 = _circumball3(a, b, c)
+def _mtf3(cloud, order, end, ja, jb, jc, dim):
+    """Smallest ball around cloud[order[:end]] with cloud[ja], cloud[jb]
+    and cloud[jc] on its boundary."""
+    center, r2, beta = _circumball3(cloud[ja], cloud[jb], cloud[jc])
+    support = ((ja, jb, jc), beta)
     if dim == 2:
-        return center, r2
+        return center, r2, support
     dist, sqrt = math.dist, math.sqrt
     lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
     for i in range(end):
         j = order[i]
-        p = cloud[j]
-        if dist(p, center) > lim:
-            center, r2 = _mtf(cloud, order, i, [a, b, c, p], dim)
+        if dist(cloud[j], center) > lim:
+            center, r2, support = _mtf(cloud, order, i, (ja, jb, jc, j), dim)
             lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
             if i:
                 del order[i]
                 order.insert(0, j)
-    return center, r2
+    return center, r2, support
 
 
-def _mtf(cloud, order, end, support, dim):
-    """Smallest ball around cloud[order[:end]] with the support, four or more
-    points (d >= 3), on its boundary; moves each point it pushes to the
-    front of order."""
+def _mtf(cloud, order, end, idx, dim):
+    """Smallest ball around cloud[order[:end]] with the support cloud[idx],
+    four or more points (d >= 3), on its boundary; moves each point it
+    pushes to the front of order."""
     dist = math.dist
-    center, r2 = _circumball(support)
-    if len(support) == dim + 1:
-        return center, r2
+    center, r2, beta = _circumball([cloud[j] for j in idx])
+    support = (idx, beta)
+    if len(idx) == dim + 1:
+        return center, r2, support
     lim = math.sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
     for i in range(end):
         j = order[i]
-        p = cloud[j]
-        if dist(p, center) > lim:
-            center, r2 = _mtf(cloud, order, i, support + [p], dim)
+        if dist(cloud[j], center) > lim:
+            center, r2, support = _mtf(cloud, order, i, idx + (j,), dim)
             lim = math.sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
             if i:
                 del order[i]
                 order.insert(0, j)
-    return center, r2
+    return center, r2, support
 
 
 # ---------------------------------------------------------------------------
 # Homothetic copies.  Substituting mu = 1/scale and b = anchor/scale turns
 # the relative deviation max_i |q_i - anchor - scale*p_i| / (scale*m_P)
 # into R(mu)/m_P, where R(mu) = min_b max_i |mu*q_i - p_i - b| is the
-# radius of the minimum enclosing ball of {mu*q_i - p_i}.
+# radius of the minimum enclosing ball of the cloud z_i(mu) = mu*q_i - p_i.
 #
-# - R is convex: for each b it is a max of norms of affine maps of
-#   (mu, b), and minimising a jointly convex function over b keeps it
-#   convex in mu.  So one bracketing search finds its minimum; R^2 is
-#   searched, which is minimised where R is.
+# - R^2 is convex, and every ball solve bounds it from below.  By duality,
+#   R^2(mu) = max over weights lam in the simplex of
+#   f_lam(mu) = sum_i lam_i |z_i(mu) - sum_j lam_j z_j(mu)|^2, a convex
+#   quadratic in mu for each lam.  The support a solve ends on, with its
+#   barycentric weights (1/2, 1/2 for two points; 1 - beta0 - beta1,
+#   beta0, beta1 for three; 1 - sum(beta) and beta in general), gives an
+#   f_lam that touches R^2 at the solve's mu and lies below it everywhere:
+#   its minorant.  Its slope there, 2 * sum_i lam_i <z_i - c, q_i>, is a
+#   subgradient of R^2.  A weight that rounding leaves below 0 is clipped,
+#   which keeps the minorant a lower bound.
 # - The minimum lies in [0, 2*rad(P)/rad(Q)]: mu*q_i = (mu*q_i - p_i - b)
 #   + p_i + b gives mu*rad(Q) <= R(mu) + rad(P), so beyond that bound
-#   R(mu) > rad(P) = R(0).
-# - The search is Brent's: a parabola through the three best points so
-#   far where R^2 is smooth, a golden-section step at a kink or where a
-#   parabola would not shrink the bracket, and no step shorter than tol1.
-#   Its relative tolerance, 1e-13, keeps tol1 at least 225 ulps of mu, so
-#   no step rounds to nothing; it takes about 31 evaluations where
-#   golden-section search down to a width of 1e-12 took 61.
+#   R(mu) > rad(P) = R(0).  The ball of P is the solve at mu = 0, so its
+#   minorant is known before any other solve.
+# - The walk keeps a bracket that holds the minimum: no mu where a
+#   minorant exceeds the best R^2 so far (plus the stopping tolerance) can
+#   be it, so each solve's minorant cuts the bracket to where it is at most
+#   that.  Of the last solve with a slope <= 0 (at first P's, at 0) and the
+#   last with a slope > 0, the larger minorant bounds R^2 on the bracket
+#   from below, and its least value there is the lower bound the walk
+#   stops on.  The next solve is at the zero of the secant through the
+#   slopes of the last two solves, or else of those two sides, where the
+#   pair shares a support and that zero lies in the bracket (for a
+#   two-point support the minorant is R^2 itself, and the secant lands on
+#   the minimum).  Otherwise it is where the larger minorant is least: the
+#   vertex of one, or where the two cross, which is the kink when each is
+#   exact on its side.  When two steps in a row halve neither the bracket
+#   nor that gap, the next one bisects the bracket.
+# - It stops when the best R^2 is within _GAP_REL of it, plus the rounding
+#   of a cloud coordinate (_ROUND of rad(P)), above the lower bound, or
+#   when the bracket is narrower than 2*_REL_WIDTH of the best mu (of
+#   1e-3*hi below that).  Each minorant is lowered by a bound on the
+#   rounding of evaluating it (_LOW of its terms), so rounding cannot
+#   raise the bound.  A minimum at mu = 0, where no scale fits better than
+#   a single point (a certain reject), is decided by P's minorant alone
+#   when its slope at 0 is not negative.
 # - Every solve starts from the previous solve's visiting order, so the
 #   last support is tested first (warm start).
 #
 # Both sets are first scaled by powers of two into the unit range.  The
-# witness is the best mu's ball: scale 1/mu and anchor center/mu, scaled
-# back to the input's units.  The reported deviation is measured from the
-# witness in the unit range, where it is the same number (the scaling is
-# exact).
+# witness is the best solve's ball: scale 1/mu and anchor center/mu, scaled
+# back to the input's units.  When the best mu is 0 the witness is the
+# ball at _ZERO_REL*hi, whose radius exceeds R(0) by a relative 4e-16 at
+# most (mu*rad(Q) <= 2*_ZERO_REL*rad(P)), and whose scale is finite.  The reported deviation is
+# measured from the witness in the unit range, where it is the same number
+# (the scaling is exact).
 # ---------------------------------------------------------------------------
 
-def _brent_min(f, hi: float) -> float:
-    """Argmin of a convex f on [0, hi] by Brent's method, the best point
-    evaluated.  It stops once the bracket around that point is narrower
-    than 4*tol1, with tol1 = _BRENT_REL_TOL/2 of the point, or of 1e-3*hi
-    below that, so a minimum at 0 (no scale fits better than a single
-    point, a certain reject) ends the search too."""
-    a, b = 0.0, hi
+def _minorant(mu: float, cloud, qrows, support) -> tuple[float, float, float, float]:
+    """The minorant of R^2 given by a solve's support at mu, as (mu, f, g, a):
+    f + (x - mu)*(g + a*(x - mu)) <= R^2(x) for every x, with f = R^2(mu)
+    up to rounding."""
+    idx, beta = support
+    lam = [1.0 - sum(beta), *beta]
+    if min(lam) < 0.0:
+        lam = [max(w, 0.0) for w in lam]
+        total = sum(lam)
+        lam = [w / total for w in lam]
+    zs = [cloud[j] for j in idx]
+    qs = [qrows[j] for j in idx]
+    zbar = [sum(map(mul, lam, col)) for col in zip(*zs)]
+    qbar = [sum(map(mul, lam, col)) for col in zip(*qs)]
+    f = g = a = 0.0
+    for w, z, q in zip(lam, zs, qs):
+        dz = [x - y for x, y in zip(z, zbar)]
+        dq = [x - y for x, y in zip(q, qbar)]
+        f += w * sum(map(mul, dz, dz))
+        g += w * sum(map(mul, dz, dq))
+        a += w * sum(map(mul, dq, dq))
+    return mu, f, 2.0 * g, a
+
+
+def _value(m, x: float) -> float:
+    """The minorant m at x, less a bound on its rounding."""
+    mu, f, g, a = m
+    s = x - mu
+    return f + s * (g + a * s) - _LOW * (f + abs(s * g) + a * s * s)
+
+
+def _roots(a: float, b: float, c: float) -> tuple[float, ...]:
+    """The real roots of a*s^2 + b*s + c, without cancellation."""
+    if a == 0.0:
+        return (-c / b,) if b else ()
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return ()
+    h = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return (h / a, c / h) if h else (0.0, 0.0)
+
+
+def _model_min(m_lo, m_up, lo: float, up: float) -> tuple[float, float]:
+    """Where on [lo, up] the larger of the minorants m_lo and m_up (m_up
+    None for none) is least, and that value: at an end, at a vertex, or
+    where the two cross."""
+    ms = [m for m in (m_lo, m_up) if m is not None]
+    xs = [lo, up]
+    for mu, _, g, a in ms:
+        if a > 0.0:
+            xs.append(mu - 0.5 * g / a)
+    if len(ms) == 2:
+        # m_up - m_lo as a quadratic in s = x - mu_lo.
+        (mu1, f1, g1, a1), (mu2, f2, g2, a2) = ms
+        dt = mu1 - mu2
+        xs.extend(mu1 + s for s in _roots(a2 - a1, g2 + 2.0 * a2 * dt - g1,
+                                          f2 + dt * (g2 + a2 * dt) - f1))
+    best_x, best_v = lo, math.inf
+    for x in xs:
+        x = min(max(x, lo), up)
+        v = max([_value(m, x) for m in ms])
+        if v < best_v:
+            best_x, best_v = x, v
+    return best_x, best_v
+
+
+def _walk(solve, m0, r2_0: float, hi: float) -> tuple[float, list[float]]:
+    """The best mu found on [0, hi] and the center of its ball.
+
+    solve(mu) returns (R^2, center, support, minorant) of one ball solve;
+    m0 is the minorant at mu = 0, where R^2 is r2_0 = rad(P)^2.  See the
+    comment above for the rule."""
     floor = 1e-3 * hi
-    x = w = v = _CGOLD * hi
-    fx = fw = fv = f(x)
-    d = e = 0.0  # the last step, and the one before it
+    rho = _ROUND * math.sqrt(r2_0)  # the rounding of a cloud coordinate
+    best_mu, best_r2, best_center = 0.0, r2_0, None
+    lo, up = 0.0, hi
+    # The last solves with a slope <= 0 and > 0, each as (support, minorant).
+    left, right = (None, m0), None
+    last = before = None  # the last two solves
+    new, width, gap, fails = m0, math.inf, math.inf, 0
     while True:
-        m = 0.5 * (a + b)
-        tol1 = 0.5 * _BRENT_REL_TOL * max(x, floor)
-        tol2 = 2.0 * tol1
-        if b - a < 4.0 * tol1:
-            return x
-        golden = True
-        if abs(e) > tol1:
-            # The parabola through (x, fx), (w, fw) and (v, fv) has its
-            # vertex at x + p/q.
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            else:
-                q = -q
-            # Take it when it lies inside the bracket and moves less than
-            # half the step before last; never closer than tol2 to an end.
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = tol1 if x < m else -tol1
-                golden = False
-        if golden:
-            e = a - x if x >= m else b - x
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= tol1 else tol1 if d > 0.0 else -tol1)
-        fu = f(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        tol = _GAP_REL * best_r2 + rho * (2.0 * math.sqrt(best_r2) + rho)
+        mu, f, g, a = new
+        if a > 0.0:
+            # The level is raised by a bound on the rounding of the minorant
+            # at its roots, where its terms are at most f + g^2/(4a) in size.
+            roots = _roots(a, g, f - best_r2 - tol - _LOW * (f + 0.25 * g * g / a))
+            if roots:
+                lo, up = max(lo, mu + min(roots)), min(up, mu + max(roots))
+        tol1 = 0.5 * _REL_WIDTH * max(best_mu, floor)
+        if up - lo < 4.0 * tol1:
+            break
+        x, bound = _model_min(left[1], right and right[1], lo, up)
+        if best_r2 - bound <= tol:
+            break
+        # A step makes progress when it halves the bracket or the gap.
+        fails = 0 if up - lo <= 0.5 * width or best_r2 - bound <= 0.5 * gap else fails + 1
+        width, gap = up - lo, best_r2 - bound
+        # The zero of the slopes' secant through the last two solves, or
+        # else through the two sides, where they share a support.
+        for one, two in ((last, before), (left, right)):
+            if two and one[0] == two[0] and one[1][2] != two[1][2]:
+                (mu1, _, g1, _), (mu2, _, g2, _) = one[1], two[1]
+                secant = mu1 - g1 * (mu2 - mu1) / (g2 - g1)
+                if lo < secant < up:
+                    x = secant
+                    break
+        if fails == 2:
+            x, fails = 0.5 * (lo + up), 0
+        x = min(max(x, lo + tol1), up - tol1)
+        if abs(x - best_mu) < tol1:
+            x = best_mu + tol1 if best_mu < 0.5 * (lo + up) else best_mu - tol1
+        r2, center, support, new = solve(x)
+        last, before = (frozenset(support[0]), new), last
+        if new[2] > 0.0:
+            right = last
         else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+            left = last
+        if r2 < best_r2:
+            best_mu, best_r2, best_center = x, r2, center
+    if best_center is None:
+        best_mu = _ZERO_REL * hi
+        best_center = solve(best_mu)[1]
+    return best_mu, best_center
 
 
 def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: float) -> VerifyResult:
@@ -455,8 +566,8 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
     random.Random(_MEB_SHUFFLE_SEED).shuffle(order)
     # Both sets are moved to their ball centers, so the cloud's coordinates
     # are of the order of its radius and rounding stays relative to it.
-    cq, rad_q2 = _meb(qa, order)
-    cp, rad_p2 = _meb(pa, order)
+    cq, rad_q2, _ = _meb(qa, order)
+    cp, rad_p2, support = _meb(pa, order)
     # The bracket [0, 2*sqrt(rad_p2/rad_q2)] needs both squared radii and
     # their ratio to be normal floats: in the unit range, a subnormal or
     # zero one means points that coincide numerically.
@@ -466,16 +577,16 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
                          "radius leaves the normal float range")
     qc = qu - cq
     pc = pu - cp
+    qrows = qc.tolist()
 
-    def cloud_at(mu: float) -> list[list[float]]:
-        return (mu * qc - pc).tolist()
+    def solve(mu: float):
+        cloud = (mu * qc - pc).tolist()
+        center, r2, support = _meb(cloud, order)
+        return r2, center, support, _minorant(mu, cloud, qrows, support)
 
-    def r2_at(mu: float) -> float:
-        return _meb(cloud_at(mu), order)[1]
-
-    # Squared radii: R^2 is minimised where R is.
-    mu = _brent_min(r2_at, 2.0 * math.sqrt(rad_p2 / rad_q2))
-    center, _ = _meb(cloud_at(mu), order)
+    # P's ball is the solve at mu = 0, in a frame moved by cp.
+    m0 = _minorant(0.0, (-pc).tolist(), qrows, support)
+    mu, center = _walk(solve, m0, rad_p2, 2.0 * math.sqrt(rad_p2 / rad_q2))
     scale = 1.0 / mu
     anchor = [a + (c - b) * scale for a, b, c in zip(cq, cp, center)]
     dev = max(

@@ -8,6 +8,9 @@
   point set, with the radius that reaches every point.
 - ``cylinder_radius``: the distance of a set from the line through its
   diameter pair, a bound on accepted collinear sets.
+- ``brent_homothetic``: the homothety certificate with Brent's search over
+  1/scale in place of the support walk, bit for bit the certificate the
+  walk replaced (``brent_min`` is that search).
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from apxpat import _kernels
+from apxpat import _kernels, verifier
 from apxpat._kernels import _to_unit
 from apxpat.geometry import Pattern, Point, PointSet
-from apxpat.verifier import _MEB_SHUFFLE_SEED, _meb
+from apxpat.verifier import _MEB_SHUFFLE_SEED, TAU, VerifyResult, _meb
 
 # The homothety grid search: scales and anchors per axis in each pass, and
 # the number of passes.
@@ -49,7 +52,7 @@ def min_enclosing_ball(pts) -> Ball:
     rows = pts.coords.tolist()
     order = list(range(len(rows)))
     random.Random(_MEB_SHUFFLE_SEED).shuffle(order)
-    center, r2 = _meb(rows, order)
+    center, r2, _ = _meb(rows, order)
     # The containment test forgives a little rounding slack, so take the
     # radius that reaches every point.
     radius = max(math.sqrt(r2), max([math.dist(x, center) for x in rows]))
@@ -204,3 +207,95 @@ def grid_min_deviation_homothety(q: PointSet, p: Pattern, assignment: Sequence[i
         log_step = 2.0 * lam_half / (_N_LAMBDA - 1)
         a_step = 2.0 * a_half / (_N_ANCHOR - 1)
     return best
+
+
+# ---------------------------------------------------------------------------
+# The homothety certificate's scale search before the support walk: Brent's
+# minimiser of R^2(mu) over [0, 2*rad(P)/rad(Q)] (R. P. Brent, Algorithms
+# for Minimization without Derivatives, 1973, ch. 5), with a relative
+# tolerance of 1e-13 and a floor of 1e-3*hi below which the tolerance stops
+# shrinking, so a minimum at 0 ends the search too.
+# ---------------------------------------------------------------------------
+
+_BRENT_REL_TOL = 1e-13
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def brent_min(f, hi: float) -> float:
+    """Argmin of a convex f on [0, hi] by Brent's method, the best point
+    evaluated."""
+    a, b = 0.0, hi
+    floor = 1e-3 * hi
+    x = w = v = _CGOLD * hi
+    fx = fw = fv = f(x)
+    d = e = 0.0  # the last step, and the one before it
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = 0.5 * _BRENT_REL_TOL * max(x, floor)
+        tol2 = 2.0 * tol1
+        if b - a < 4.0 * tol1:
+            return x
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = tol1 if x < m else -tol1
+                golden = False
+        if golden:
+            e = a - x if x >= m else b - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else tol1 if d > 0.0 else -tol1)
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def brent_homothetic(q: PointSet, p: Pattern, sigma: Sequence[int], eps: float,
+                     meb=None) -> VerifyResult:
+    """verify_homothetic as it was with Brent's search, on valid input, with
+    the ball solver ``meb`` (by default the module's ``_meb``, looked up at
+    call time)."""
+    meb = meb or (lambda cloud, order: verifier._meb(cloud, order)[:2])
+    qu, eq = _to_unit(q.coords)
+    pu, ep = _to_unit(p.coords[list(sigma)])
+    qa, pa = qu.tolist(), pu.tolist()
+    order = list(range(len(q)))
+    random.Random(_MEB_SHUFFLE_SEED).shuffle(order)
+    cq, rad_q2 = meb(qa, order)
+    cp, rad_p2 = meb(pa, order)
+    qc, pc = qu - cq, pu - cp
+    mu = brent_min(lambda m: meb((m * qc - pc).tolist(), order)[1],
+                   2.0 * math.sqrt(rad_p2 / rad_q2))
+    center, _ = meb((mu * qc - pc).tolist(), order)
+    scale = 1.0 / mu
+    anchor = [a + (c - b) * scale for a, b, c in zip(cq, cp, center)]
+    dev = max(
+        [math.dist(qi, [a + scale * y for a, y in zip(anchor, pi)]) for qi, pi in zip(qa, pa)]
+    ) / (scale * math.ldexp(p.min_pairwise, -ep))
+    scale = math.ldexp(scale, eq - ep)
+    anchor = [math.ldexp(a, eq) for a in anchor]
+    return VerifyResult(accepted=dev <= eps + TAU, witness_anchor=Point(tuple(anchor)),
+                        witness_scale=scale, max_relative_deviation=dev)

@@ -6,10 +6,12 @@ import pytest
 
 from apxpat.bounds import ball_volume, kappa, schedule_nd
 from apxpat.collinear import find_collinear
-from apxpat.geometry import PointSet
+from apxpat.errors import ResolutionOverflow
+from apxpat.generators import gen_jittered_lattice, gen_random_separated
+from apxpat.geometry import Pattern, PointSet
 from apxpat.oracle import enumerate_aps, exists_collinear
 from apxpat.search1d import search_ap
-from apxpat.searchnd import search_grid
+from apxpat.searchnd import search_grid, search_pattern
 
 
 def test_schedule_1d_frozen_examples():
@@ -40,6 +42,42 @@ def test_k_must_be_an_integer_wherever_it_is_taken(entry, k):
     with pytest.raises(ValueError, match=f"^k must be an integer >= {least}$"):
         call(k)
     call(float(least + 1))
+
+
+_TAKES_DIM = {
+    "schedule_nd": lambda d: schedule_nd(d, 3, 0.5, 1.0, 0.25),
+    "kappa": kappa,
+    "ball_volume": lambda d: ball_volume(d, 1.0),
+    "PointSet": lambda d: PointSet(d, [(0.0,) * 2]),
+    "gen_random_separated": lambda d: gen_random_separated(d, 3.0, 1.0, 2, 0),
+    "gen_jittered_lattice": lambda d: gen_jittered_lattice(d, 2.0, 0.1, 0),
+}
+
+
+@pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan, 1.5, 0])
+@pytest.mark.parametrize("entry", sorted(_TAKES_DIM))
+def test_dimension_must_be_an_integer_wherever_it_is_taken(entry, d):
+    # The shared whole-number check: inf and nan get the ValueError of 1.5
+    # or 0, where inf raised OverflowError and nan "cannot convert".
+    with pytest.raises(ValueError, match="^dimension must be an integer >= 1$"):
+        _TAKES_DIM[entry](d)
+    _TAKES_DIM[entry](2.0)
+
+
+def test_subnormal_eps_is_refused_before_the_stride():
+    # sqrt(d)/eps passes the float range for a subnormal eps: each entry
+    # point refuses it with a typed error instead of an OverflowError.
+    tri = Pattern(2, [(0, 0), (1, 0), (0, 1)])
+    for eps in (1e-320, 5e-324):
+        for call in (lambda: schedule_nd(2, 3, 1.0, 0.5, eps),
+                     lambda: search_ap(_LINE, 3, eps, 1.0, 0.5),
+                     lambda: search_grid(_PLANE, 2, eps, 1.0, 0.5)):
+            with pytest.raises(ValueError, match="is too small: the stride"):
+                call()
+        with pytest.raises(ResolutionOverflow, match="past the float range"):
+            search_pattern(_PLANE, tri, eps, 1.0, 0.5)
+    # The smallest normal eps still has a stride.
+    assert schedule_nd(2, 3, 1.0, 0.5, 2.2250738585072014e-308).s > 10**307
 
 
 def test_schedule_eps_domain():

@@ -87,6 +87,25 @@ def test_pointset_points_are_built_on_demand():
     assert s.subset([1, 0]) == PointSet(2, [(2, 3), (0, 1)])
 
 
+def test_points_of_a_set_equal_checked_points():
+    # Points built from a set's rows, without checking them again, equal
+    # and hash like Points built through the checked constructor, down to
+    # -0.0, subnormal and huge coordinates.
+    rows = [(0.0, -0.0), (5e-324, -1e308), (1.5, 2.0), (-3.0, 7e-310)]
+    s = PointSet(2, rows)
+    checked = [Point(r) for r in rows]
+    for got in (list(s), list(s.points), [s[i] for i in range(len(s))]):
+        assert got == checked
+        assert [hash(p) for p in got] == [hash(p) for p in checked]
+        assert all(type(p.coords) is tuple and all(type(c) is float for c in p.coords) for p in got)
+        assert [repr(p) for p in got] == [repr(p) for p in checked]
+    assert s[-4] == checked[0]
+    with pytest.raises(IndexError):
+        s[4]
+    with pytest.raises(TypeError):
+        s[0:2]
+
+
 def test_min_pairwise_examples():
     assert min_pairwise_distance(PointSet(1, [(0,), (1,), (3,)])) == 1.0
     assert min_pairwise_distance(PointSet(2, [(0, 0), (3, 4)])) == 5.0

@@ -44,6 +44,19 @@ no case.  The witness moved by up to 2e-8 relative
 (verify-pattern-reject.json): near the optimum the deviation is flat over a
 range of scales, and the witness may stop anywhere in it.
 
+The same four outputs and three text replies were re-recorded when the
+support walk on R^2(mu) replaced Brent's search: it stops at another scale,
+so again only the ``verify`` fields move.  The deviation, old -> new:
+search-grid.json and the ``search grid`` reply 0.04236024840368032 ->
+0.042360248403675686 (-1.1e-13 relative); search-pattern.json and the
+``search pattern`` reply 0.0006680514942672665 -> 0.000668051494267269
+(+3.7e-15 relative, 2.5e-18 absolute, the rounding of evaluating it);
+verify-pattern-accept.json and the ``verify pattern`` reply
+0.002500000000000604 -> 0.002500000000000391 (-8.5e-14 relative);
+verify-pattern-reject.json 0.3922322702763681, unchanged.  The witness
+scales moved by up to 1.5e-9 relative (verify-pattern-reject.json,
+4.3333333398690685 -> 4.333333333333333; the accepted copy's is now 2.0).
+
 ``TEXT_GOLDEN`` pins the replies without --json (exit code, stdout and
 stderr) of every leaf command.  They were recorded before the commands
 returned their replies to ``main``, which alone writes them and picks the
@@ -70,7 +83,7 @@ GOLDEN = {
     "search-ap.svg":
         "90aa448eb60e7078c1b9c335479522bbb9a865a9702fcca10534c3e5f79624f2",
     "search-grid.json":
-        "d11e8e191f4bdbda4e9fb05e039e8ecca2fc3ac4b31b28dfb020b1e8934fe17c",
+        "00e4bc42b49b5724e63c46a8e823f6201afef80362de3fc657d6e69e26b1a4f3",
     "search-grid.svg":
         "0b2b00be8addc30b32e0ce91a3c0eeb97f56298695d28439c6d48fcff0d1cdeb",
     "adversarial-1d.txt":
@@ -82,7 +95,7 @@ GOLDEN = {
     "search-grid-3d.json":
         "c8ae6ed8280afcab144ccd27d1d8d10049f2a8181e1ca67b47afbd0dc760f3e5",
     "search-pattern.json":
-        "faa97626c2c6c242d2b8c142e8072a0754199dc7af2011536a124446dbaeb1e2",
+        "cf860b887b17a0a249eae6fa1fbdbd894e174fdac1baba4a5115039a06af5531",
     "random-2d.txt":
         "b4c57cbfdfbf39de80e0f5f0e82bdd2b854a61eaae8ef31a6ad957e2588159fd",
     "search-collinear.json":
@@ -92,9 +105,9 @@ GOLDEN = {
     "verify-collinear.json":
         "e41852eefd92fd709c5cdc4374fad38814f2db8d06a6eae3382d4aa9e213cab8",
     "verify-pattern-accept.json":
-        "168cafe42dedba68629bc272ce7b5e645d633665e87b1edf53d9982a1869c657",
+        "0d87c0dce1028f9fa2d672cb9c40e27faa43f9defa19d8a7f0150ee9fcc03872",
     "verify-pattern-reject.json":
-        "65fc1df9639e0944bedaf50e727e29920ca494ec51271c02fa720046591a8377",
+        "85b726af05c8d8ff0b9ace65f6ae80c2636f56e17d0f9be5a6c98376933ef92b",
     "plot.svg":
         "be8be14877b21a0fe1a21a049fb308469ab16f95a17cb537d6a54248909e6f68",
     "bounds-1d.json":
@@ -261,15 +274,15 @@ TEXT_GOLDEN = {
     "search-ap-warn":
         "08661cada3bd9470b6ba83fbe7bd7e27a1e2505895cc64eb813097770e6990c2",
     "search-grid":
-        "181bffdf9012623426d2335fb112b7a59188eaaf098773854f320a8fa7663690",
+        "c3cb9f7337321cbf28d36304458a2a390be7d7b536b6c034914ebc829998557a",
     "search-pattern":
-        "7c5cfdeb9d2d20ac7acd6709c44bee0f82c9350bbf9483eff114379c4c87dbc0",
+        "6dd55dea481a9205fbb081c60659f2b325ea8c66cdd9ff6065280b337010a3b9",
     "search-collinear":
         "5efaefbb9b4f343d72a3565b02e5516c20235e511244fb9efc9f38e240ce9b02",
     "verify-ap":
         "7dc9869b136e84e496674ad954b4938cf797400c446b8b20dba2fd485c48c168",
     "verify-pattern":
-        "78e362b09e80b10724000af70cfa83928313877fd282fec3a14e1f81cf23f892",
+        "afac4524c43f254abd45e2dda783b7e583415e44aeac3ed0e7dfee30d23d1ab4",
     "verify-collinear":
         "fc5ef85e7e44c5581903ceebc339f50c3c22d0b44ca9be3cac69951687eb0a7f",
     "oracle-ap":

@@ -160,6 +160,25 @@ def run_cli(*argv: str) -> tuple[int, str]:
 
 
 class TestCli:
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--dim", "2", "--k", "3", "--c", "1", "--delta", "0.5", "--json"),
+        ("search", "ap", "--input", "{d1}", "--k", "3", "--delta", "0.5", "--c", "1"),
+        ("search", "grid", "--input", "{d2}", "--k", "2", "--delta", "0.5", "--c", "1"),
+        ("search", "pattern", "--input", "{d2}", "--pattern", "{tri}", "--delta", "0.5",
+         "--c", "1", "--json"),
+    ])
+    def test_subnormal_eps_exits_2(self, argv, tmp_path, capsys):
+        # It printed an OverflowError traceback and exited 1, the "not
+        # found" code.
+        files = {"d1": "1\n0\n1\n2\n", "d2": "2\n0 0\n1 0\n0 1\n1 1\n", "tri": "2\n0 0\n1 0\n0 1\n"}
+        for name, text in files.items():
+            (tmp_path / f"{name}.txt").write_text(text)
+        argv = [a.format(**{n: str(tmp_path / f"{n}.txt") for n in files}) for a in argv]
+        code, out = run_cli(*argv, "--eps", "1e-320")
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.startswith("error: eps 1e-320 ") and err.count("\n") == 1
+
     def test_bounds_json(self):
         code, out = run_cli("bounds", "--dim", "1", "--k", "3", "--c", "0.5",
                             "--delta", "1", "--eps", "0.3333333333333333", "--json")

@@ -19,7 +19,7 @@ from apxpat.verifier import (
     verify_homothetic,
 )
 
-from _reference import cylinder_radius, min_enclosing_ball
+from _reference import brent_homothetic, cylinder_radius, min_enclosing_ball
 
 SQUARE = Pattern(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
 
@@ -54,6 +54,12 @@ class TestVerifyAp:
             verify_ap((2, 1, 0), 0.1)
         with pytest.raises(ValueError):
             verify_ap((0, 1, 2), 0.5)
+
+    def test_non_finite_terms_raise(self):
+        # [0, 1, inf] raised ZeroDivisionError.
+        for q in ([0, 1, math.inf], [-math.inf, 0, 1], [0, math.nan, 1], [0, 1, 2, math.nan]):
+            with pytest.raises(ValueError, match="terms must be finite"):
+                verify_ap(q, 0.3)
 
     def test_witness_attains_reported_deviation(self):
         rng = random.Random(7)
@@ -241,16 +247,19 @@ class TestMinEnclosingBall:
     def test_singular_support_does_not_raise(self, support):
         # Each support goes to the solver level that builds a ball of its
         # size, and gets the previous solver's bits.
-        a, *rest = support
+        # Each also gives weights that rebuild its center from the support.
         if len(support) == 2:
-            ball = verifier._mtf2([], [], 0, a, rest[0], len(a))
+            center, r2, (idx, beta) = verifier._mtf2(support, [], 0, 0, 1, len(support[0]))
+            assert idx == (0, 1)
         elif len(support) == 3:
-            ball = verifier._circumball3(a, *rest)
+            center, r2, beta = verifier._circumball3(*support)
         else:
-            ball = verifier._circumball(support)
-        center, r2 = ball
+            center, r2, beta = verifier._circumball(support)
         assert all(math.isfinite(c) for c in center) and math.isfinite(r2)
-        assert _bits(ball) == _bits(_previous_circumball(support))
+        assert _bits((center, r2)) == _bits(_previous_circumball(support))
+        s0 = support[0]
+        rebuilt = [x + sum(b * (s[a] - x) for b, s in zip(beta, support[1:])) for a, x in enumerate(s0)]
+        assert rebuilt == pytest.approx(center, abs=1e-12)
 
 
 class TestVerifyHomothetic:
@@ -418,25 +427,18 @@ class TestVerifyHomothetic:
                 assert r.witness_scale == results[0].witness_scale
                 assert r.witness_anchor == results[0].witness_anchor
 
-    def test_meb_solves_per_grid_certificate(self, monkeypatch):
-        # One Brent search with warm-started balls: 62 solves for this
-        # near-exact grid, whose many kinks near the minimum leave Brent
-        # few parabolic steps.  Golden-section search took 64, and the two
-        # searches before it about 105.
+    def test_meb_solves_per_grid_certificate(self):
+        # The support walk with warm-started balls: 2 radius solves and 8
+        # walk solves for this near-exact grid, whose many kinks near the
+        # minimum left Brent's search few parabolic steps (62 solves, and
+        # about 105 for the two searches before it).
         rng = random.Random(6)
         grid = Pattern(2, [(i, j) for i in range(6) for j in range(6)])
         q = PointSet(2, [(3.7 + 2 * i + rng.uniform(-0.3, 0.3), -1.2 + 2 * j + rng.uniform(-0.3, 0.3))
                          for i, j in grid.coords.tolist()])
-        solves = []
-        meb = verifier._meb
-
-        def counting(*args):
-            solves.append(1)
-            return meb(*args)
-
-        monkeypatch.setattr(verifier, "_meb", counting)
-        assert verify_homothetic(q, grid, range(36), 1 / 3).accepted
-        assert len(solves) <= 70
+        r, solves = _certify(q, grid, range(36), 1 / 3)
+        assert r.accepted
+        assert solves <= 20
 
     def test_general_elimination_only_for_four_point_supports(self, monkeypatch):
         # The written-out levels build every ball of a plane certificate, so
@@ -464,32 +466,46 @@ class TestVerifyHomothetic:
     def test_matches_two_search_reference(self):
         _compare_with_reference(random.Random(31), 200)
 
-    def test_brent_matches_golden_search_with_fewer_solves(self):
-        # The same verdicts as golden-section search on the same bracket,
-        # deviations at most 1e-10 above its, and at most 0.6 of its ball
-        # solves on average (about 34 against 64).
+    def test_walk_matches_brent_with_fewer_solves(self):
+        # 2,000 instances in d = 1..3: the same verdicts as Brent's search
+        # (the certificate before the walk) and as the two-search
+        # certificate (every eighth instance), deviations never above
+        # theirs by more than 1e-12 relative plus the rounding of evaluating
+        # a deviation at the candidate's coordinates, at most 8 ball solves
+        # per certificate on average against Brent's 34 (7.2; the two radius
+        # solves included), and a witness that gives the reported deviation
+        # bit for bit.
         rng = random.Random(47)
-        compared = brent_solves = golden_solves = 0
-        for _ in range(2100):
+        compared = walk_solves = brent_solves = 0
+        while compared < 2000:
             q, p, sigma, eps = _random_instance(rng)
             if len(set(map(tuple, q.coords.tolist()))) < len(q):
                 continue
-            r, n = _certify(q, p, sigma, eps, verifier._brent_min)
-            g, m = _certify(q, p, sigma, eps, _golden_min)
-            assert r.accepted == g.accepted
-            assert r.max_relative_deviation <= g.max_relative_deviation + 1e-10
+            r, n = _certify(q, p, sigma, eps)
+            b, m = _certify(q, p, sigma, eps, brent_homothetic)
+            rounding = 16 * np.finfo(float).eps * np.abs(q.coords).max() / (r.witness_scale * p.min_pairwise)
+            assert r.accepted == b.accepted
+            assert r.max_relative_deviation <= b.max_relative_deviation * (1 + 1e-12) + rounding
+            assert _witness_deviation_nd(q, p, sigma, r) == r.max_relative_deviation
+            if compared % 8 == 0:
+                accepted, dev = _reference_homothetic(q, p, sigma, eps)
+                assert r.accepted == accepted
+                assert r.max_relative_deviation <= dev * (1 + 1e-12) + rounding
             compared += 1
-            brent_solves += n
-            golden_solves += m
-        assert compared >= 2000
-        assert brent_solves <= 0.6 * golden_solves
+            walk_solves += n
+            brent_solves += m
+        assert walk_solves <= 8 * compared and brent_solves >= 30 * compared
 
     @pytest.mark.parametrize("k", [4, 5, 6])
-    def test_brent_matches_golden_search_on_grid_candidates(self, k):
+    def test_walk_matches_brent_on_grid_candidates(self, k):
         # Jittered k x k grid copies, accepted, and copies stretched along x
-        # by 1 + 4 eps, which fit no homothety.
+        # by 1 + 4 eps, which fit no homothety: the same verdicts as
+        # Brent's search, and at most 16 ball solves per certificate, the
+        # two radius solves included (7.1 to 7.6 on average; Brent's took
+        # 44 to 46).
         rng = random.Random(50 + k)
         grid = Pattern(2, [(i, j) for i in range(k) for j in range(k)])
+        solves = []
         for stretched in (False, True):
             for _ in range(15):
                 ax, ay, lam = rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(0.5, 5.0)
@@ -497,10 +513,36 @@ class TestVerifyHomothetic:
                 q = PointSet(2, [(ax + lam * (sx * x + rng.uniform(-jit, jit)),
                                   ay + lam * (y + rng.uniform(-jit, jit)))
                                  for x, y in grid.coords.tolist()])
-                r, _ = _certify(q, grid, range(k * k), 1 / 3, verifier._brent_min)
-                g, _ = _certify(q, grid, range(k * k), 1 / 3, _golden_min)
-                assert r.accepted == g.accepted == (not stretched)
-                assert r.max_relative_deviation <= g.max_relative_deviation + 1e-10
+                r, n = _certify(q, grid, range(k * k), 1 / 3)
+                b = brent_homothetic(q, grid, range(k * k), 1 / 3)
+                assert r.accepted == b.accepted == (not stretched)
+                assert r.max_relative_deviation <= b.max_relative_deviation * (1 + 1e-12)
+                assert _witness_deviation_nd(q, grid, range(k * k), r) == r.max_relative_deviation
+                solves.append(n)
+        assert max(solves) <= 16
+
+    def test_minimum_at_zero_is_decided_from_the_slope_at_zero(self):
+        # Random triangles against the right triangle at eps 1/3: where no
+        # scale fits better than a single point, P's ball already shows a
+        # slope >= 0 at mu = 0, so the certificate takes the two radius
+        # solves and the witness's (Brent's search took about 77 there).
+        # The witness is finite and gives the deviation R(0)/m_P.
+        rng = random.Random(3)
+        tri = Pattern(2, [(0, 0), (1, 0), (0, 1)])
+        at_zero = 0
+        for _ in range(400):
+            q = PointSet(2, [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(3)])
+            r, n = _certify(q, tri, range(3), 1 / 3)
+            b = brent_homothetic(q, tri, range(3), 1 / 3)
+            assert r.accepted == b.accepted
+            assert r.max_relative_deviation <= b.max_relative_deviation * (1 + 1e-12)
+            if r.witness_scale > 1e12:
+                at_zero += 1
+                assert not r.accepted and n <= 3
+                assert math.isfinite(r.witness_scale)
+                assert all(math.isfinite(c) for c in r.witness_anchor.coords)
+                assert r.max_relative_deviation == pytest.approx(math.sqrt(0.5), rel=1e-12)
+        assert at_zero >= 150
 
     def test_meb_keeps_the_bits_and_order_of_the_previous_solver(self):
         # Clouds in d = 1..4 of 1 to 41 points (log-uniform), with repeated
@@ -514,7 +556,7 @@ class TestVerifyHomothetic:
             order = list(range(len(cloud)))
             rng.shuffle(order)
             ref_order = list(order)
-            assert verifier._meb(cloud, order) == _previous_meb(cloud, ref_order)
+            assert verifier._meb(cloud, order)[:2] == _previous_meb(cloud, ref_order)
             assert order == ref_order
 
     def test_three_point_balls_keep_the_bits_of_the_previous_elimination(self):
@@ -538,7 +580,7 @@ class TestVerifyHomothetic:
                 b = [x + y for x, y in zip(a, u)]
                 c = [x + t * y + off * rng.gauss(0, 1) for x, y in zip(a, u)]
             support = rng.choice([[a, b, c], [a, c, b], [c, a, b]])
-            assert _bits(verifier._circumball3(*support)) == _bits(_previous_circumball(support))
+            assert _bits(verifier._circumball3(*support)[:2]) == _bits(_previous_circumball(support))
 
     def test_meb_keeps_the_bits_and_order_on_degenerate_clouds(self):
         # Collinear, nearly collinear, near-repeated, cocircular, stretched
@@ -551,13 +593,14 @@ class TestVerifyHomothetic:
                 order = list(range(len(cloud)))
                 rng.shuffle(order)
                 ref_order = list(order)
-                assert _bits(verifier._meb(cloud, order)) == _bits(_previous_meb(cloud, ref_order))
+                assert _bits(verifier._meb(cloud, order)[:2]) == _bits(_previous_meb(cloud, ref_order))
                 assert order == ref_order
 
-    def test_certificates_keep_their_bits_with_the_previous_solver(self, monkeypatch):
-        # Whole certificates equal those of the previous ball solver: on
-        # jittered k x k grids and grids stretched by 1 + 4 eps along x,
-        # k = 3..6, and on random instances in d = 1..3.
+    def test_certificates_keep_their_bits_with_the_previous_solver(self):
+        # Whole certificates by Brent's search equal those made with the
+        # previous ball solver: on jittered k x k grids and grids stretched
+        # by 1 + 4 eps along x, k = 3..6, and on random instances in
+        # d = 1..3.
         rng = random.Random(67)
         cases = []
         for k in range(3, 7):
@@ -573,10 +616,8 @@ class TestVerifyHomothetic:
             q, p, sigma, eps = _random_instance(rng)
             if len(set(map(tuple, q.coords.tolist()))) == len(q):
                 cases.append((q, p, sigma, eps))
-        new = [verify_homothetic(*case) for case in cases]
-        monkeypatch.setattr(verifier, "_meb", _previous_meb)
-        for case, r in zip(cases, new):
-            assert _bits(r) == _bits(verify_homothetic(*case))
+        for case in cases:
+            assert _bits(brent_homothetic(*case)) == _bits(brent_homothetic(*case, meb=_previous_meb))
 
 
 class TestCollinear:
@@ -677,44 +718,18 @@ def test_homothetic_witness_deviation_consistent(offs):
 
 
 # ---------------------------------------------------------------------------
-# The certificate's scale search before Brent's method, golden-section
-# search over the same bracket down to a width of 1e-12 relative, and the
-# ball solver before its lean rewrite.  Kept as the references the new
-# search and solver must match.
+# The ball solver before its lean rewrite, kept as the reference the solver
+# must match bit for bit, and a counter of a certificate's ball solves.
 # ---------------------------------------------------------------------------
 
-_GOLDEN_REL_WIDTH = 1e-12
 _PIVOT_REL = 1e-14
 _CONTAIN_REL = 5e-14
 _CENTER_REL = 4e-15
 
 
-def _golden_min(f, hi):
-    a, b = 0.0, hi
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc = f(c)
-    fd = f(d)
-    floor = 1e-3 * hi
-    while h > _GOLDEN_REL_WIDTH * max(a, floor):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    return c if fc <= fd else d
-
-
-def _certify(q, p, sigma, eps, search):
-    """verify_homothetic with its scale search replaced by search, and the
-    number of balls it solved."""
-    meb, brent = verifier._meb, verifier._brent_min
+def _certify(q, p, sigma, eps, certificate=verify_homothetic):
+    """The certificate, and the number of balls it solved."""
+    meb = verifier._meb
     solves = 0
 
     def counting(*args):
@@ -722,11 +737,11 @@ def _certify(q, p, sigma, eps, search):
         solves += 1
         return meb(*args)
 
-    verifier._meb, verifier._brent_min = counting, search
+    verifier._meb = counting
     try:
-        return verify_homothetic(q, p, sigma, eps), solves
+        return certificate(q, p, sigma, eps), solves
     finally:
-        verifier._meb, verifier._brent_min = meb, brent
+        verifier._meb = meb
 
 
 def _previous_circumball(support):
@@ -1027,6 +1042,15 @@ def _exact_line_optimum(q, p, sigma):
     slopes = [(ys[j] - ys[i]) / (xs[j] - xs[i]) for i, j in combinations(range(len(xs)), 2)]
     mu = min([Fraction(0)] + [s for s in slopes if s > 0], key=radius)
     return mu, radius(mu) / m_p
+
+
+def _witness_deviation_nd(q, p, sigma, r):
+    """The relative deviation of r's witness in the input's units, with the
+    certificate's operations: the scaling into the unit range is exact, so
+    it gives the reported deviation bit for bit."""
+    anchor, s = r.witness_anchor.coords, r.witness_scale
+    return max([math.dist(x, [a + s * y for a, y in zip(anchor, p.coords[i].tolist())])
+                for x, i in zip(q.coords.tolist(), sigma)]) / (s * p.min_pairwise)
 
 
 def _witness_deviation(q, p, sigma, r):
