@@ -158,6 +158,9 @@ def _subdivide(
         needed, needed_name = k**d, "k" if d == 1 else "k^d"
     else:
         needed, needed_name = len(nodes), f"the pattern's {len(nodes)} points"
+    if k * schedule.s > np.iinfo(np.int64).max:
+        raise ValueError(f"eps {schedule.eps!r} is too small: its k*s cells per axis "
+                         "do not fit the int64 cell indices")
     coords = s.coords
     if len(s) >= 2:
         _audit_separation(coords.reshape(-1), d, schedule.delta)

@@ -567,7 +567,7 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
     # Both sets are moved to their ball centers, so the cloud's coordinates
     # are of the order of its radius and rounding stays relative to it.
     cq, rad_q2, _ = _meb(qa, order)
-    cp, rad_p2, support = _meb(pa, order)
+    cp, rad_p2, p_support = _meb(pa, order)
     # The bracket [0, 2*sqrt(rad_p2/rad_q2)] needs both squared radii and
     # their ratio to be normal floats: in the unit range, a subnormal or
     # zero one means points that coincide numerically.
@@ -585,7 +585,7 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
         return r2, center, support, _minorant(mu, cloud, qrows, support)
 
     # P's ball is the solve at mu = 0, in a frame moved by cp.
-    m0 = _minorant(0.0, (-pc).tolist(), qrows, support)
+    m0 = _minorant(0.0, (-pc).tolist(), qrows, p_support)
     mu, center = _walk(solve, m0, rad_p2, 2.0 * math.sqrt(rad_p2 / rad_q2))
     scale = 1.0 / mu
     anchor = [a + (c - b) * scale for a, b, c in zip(cq, cp, center)]

@@ -76,8 +76,15 @@ def test_subnormal_eps_is_refused_before_the_stride():
                 call()
         with pytest.raises(ResolutionOverflow, match="past the float range"):
             search_pattern(_PLANE, tri, eps, 1.0, 0.5)
-    # The smallest normal eps still has a stride.
+    # The smallest normal eps still has a stride, but the search's int64
+    # cell indices hold no k*s past 2^63 - 1 (it raised OverflowError).
     assert schedule_nd(2, 3, 1.0, 0.5, 2.2250738585072014e-308).s > 10**307
+    for eps in (1e-300, 1e-19):
+        for call in (lambda: search_ap(_LINE, 3, eps, 1.0, 0.5),
+                     lambda: search_grid(_PLANE, 2, eps, 1.0, 0.5)):
+            with pytest.raises(ValueError, match="do not fit the int64 cell indices"):
+                call()
+    assert not search_grid(_PLANE, 2, 1e-18, 1.0, 0.5).found
 
 
 def test_schedule_eps_domain():

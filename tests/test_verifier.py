@@ -428,7 +428,7 @@ class TestVerifyHomothetic:
                 assert r.witness_anchor == results[0].witness_anchor
 
     def test_meb_solves_per_grid_certificate(self):
-        # The support walk with warm-started balls: 2 radius solves and 8
+        # The support walk with warm-started balls: 2 radius solves and 11
         # walk solves for this near-exact grid, whose many kinks near the
         # minimum left Brent's search few parabolic steps (62 solves, and
         # about 105 for the two searches before it).
