@@ -40,6 +40,8 @@ import math
 
 import numpy as np
 
+from .errors import InvalidArgument
+
 BACKEND = "pure-python"
 
 _MASK64 = (1 << 64) - 1
@@ -107,7 +109,7 @@ def dart_throw(dim, length, delta, target, seed, max_attempts):
     so stopping there changes no output that reaches the target.
     """
     if not math.isfinite(length / delta):
-        raise ValueError(f"length {length:g} spans too many cells of delta {delta:g}")
+        raise InvalidArgument(f"length {length:g} spans too many cells of delta {delta:g}")
     # Wider than delta by more than x/cell can round across the box, so two
     # points the test rejects lie at most one cell index apart on each axis.
     cell = (delta + length * 2.0**-48) * (1.0 + 2.0**-40)
@@ -457,7 +459,7 @@ def pair_sq_extremes(rows):
     """
     n = len(rows)
     if n < 2:
-        raise ValueError("need at least two points")
+        raise InvalidArgument("need at least two points")
     lo, hi, far = math.inf, -1.0, None
     for i, j, d2 in _sq_dists_in_ranges(rows, rows, np.arange(1, n + 1), np.full(n, n), 1.0):
         lo = min(lo, float(d2.min()))

@@ -4,13 +4,24 @@ A schedule bundles the derived parameters for one (d, k, c, delta, eps)
 instance: subdivision stride s, pigeonhole growth ratio r, maximum
 recursion depth j, and the guarantee threshold z0 = 2*delta*(k*s)^j above
 which the subdivision search always succeeds.
+
+The module also holds the argument checks every entry point shares:
+whole numbers (``check_whole``, ``check_dim``), real values
+in an interval (``check_real``, ``check_eps``) and pairwise-distinct
+points (``check_distinct``).  Each raises ``InvalidArgument`` or returns
+the converted value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import InvalidArgument
 
 __all__ = ["Schedule", "schedule_nd", "kappa", "ball_volume"]
 
@@ -31,38 +42,69 @@ class Schedule:
     kappa: int
 
 
-def check_whole(value, least: int, name: str) -> int:
-    """value as an int.  Raises ValueError unless it is an integer >= least;
-    inf and nan are not integers."""
+def check_whole(value, least: float, name: str, message: str | None = None, *,
+                most: float = math.inf) -> int:
+    """value as an int.  Raises InvalidArgument unless it is an integer in
+    [least, most]; inf and nan are not integers.  The message defaults to
+    "{name} must be an integer >= {least}"."""
+    if type(value) is int and least <= value <= most:  # the common case, at once
+        return value
     try:
         whole = int(value) == value
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         whole = False
-    if not (whole and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}")
+    if not (whole and least <= value <= most):
+        raise InvalidArgument(message or f"{name} must be an integer >= {least}")
     return int(value)
 
 
-def check_k(k, least: int) -> int:
-    """k as an int; see check_whole."""
-    return check_whole(k, least, "k")
+def as_float(value) -> float:
+    """value as a float, or nan for what has none: an int past the float
+    range, or what is not a number."""
+    try:
+        return float(value)
+    except (OverflowError, TypeError, ValueError):
+        return math.nan
 
 
-def _check_common(k: int, c: float, delta: float, eps: float) -> None:
-    check_k(k, 2)
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError("density c must be positive and finite")
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise ValueError("separation delta must be positive and finite")
-    if not (0.0 < eps <= 1.0 / 3.0):
-        raise ValueError("eps must lie in (0, 1/3]")
+@functools.cache
+def _interval(spelling: str) -> tuple[float, float, bool, bool]:
+    """(low, high, low is open, high is open) of an interval spelled like
+    "(0, 1/3]" or "[0, inf)"."""
+    low, high = (float(num) / float(den or 1)
+                 for num, _, den in (t.partition("/") for t in spelling[1:-1].split(", ")))
+    return low, high, spelling[0] == "(", spelling[-1] == ")"
 
 
-def _check_dim(d: int) -> int:
-    """d as an int, checked by check_whole and capped."""
+def check_real(value, interval: str, message: str) -> float:
+    """value as a float (``as_float``).  Raises InvalidArgument(message)
+    unless it lies in the interval, spelled like "(0, 1/3]" or "(0, inf)";
+    nan lies in none."""
+    x = as_float(value)
+    low, high, low_open, high_open = _interval(interval)
+    if not ((low < x if low_open else low <= x) and (x < high if high_open else x <= high)):
+        raise InvalidArgument(message)
+    return x
+
+
+def check_eps(eps, interval: str = "(0, 1/3]") -> float:
+    """eps as a float; see check_real.  Each function takes eps in one of
+    "(0, 1/3]", "[0, 1/3]", "(0, 1]" and "(0, 1)"."""
+    return check_real(eps, interval, f"eps must lie in {interval}")
+
+
+def check_distinct(rows: np.ndarray, message: str) -> None:
+    """Raises InvalidArgument(message) unless the rows of an (n, d) array
+    are pairwise distinct (-0.0 equals 0.0)."""
+    if len(set(map(tuple, rows.tolist()))) < len(rows):
+        raise InvalidArgument(message)
+
+
+def check_dim(d) -> int:
+    """d as an int, checked by check_whole and capped at _MAX_DIM."""
     d = check_whole(d, 1, "dimension")
     if d > _MAX_DIM:
-        raise ValueError(f"dimension capped at {_MAX_DIM} (float factorials)")
+        raise InvalidArgument(f"dimension capped at {_MAX_DIM} (float factorials)")
     return d
 
 
@@ -91,7 +133,7 @@ def _depth(log_arg: float, r: float) -> int:
     if log_arg <= 0.0:
         return 1
     if r == 1.0:
-        raise ValueError("k^d is too large: the growth ratio k^d/(k^d - 1) rounds to 1")
+        raise InvalidArgument("k^d is too large: the growth ratio k^d/(k^d - 1) rounds to 1")
     return max(1, math.ceil(log_arg / math.log(r)))
 
 
@@ -114,18 +156,19 @@ def _unit_ball(d: int) -> tuple[float, float]:
 
 
 def ball_volume(d: int, radius: float) -> float:
-    """Volume of the d-ball of the given radius."""
-    d = _check_dim(d)
-    radius = float(radius)
-    if radius < 0.0 or not math.isfinite(radius):
-        raise ValueError("radius must be >= 0 and finite")
+    """Volume of the d-ball of the given radius; inf past the float range."""
+    d = check_dim(d)
+    radius = check_real(radius, "[0, inf)", "radius must be >= 0 and finite")
     num, den = _unit_ball(d)
-    return num / den * radius**d
+    try:
+        return num / den * radius**d
+    except OverflowError:
+        return math.inf
 
 
 def kappa(d: int) -> int:
     """Packing constant ceil(3^d / unit-ball volume) entering the depth bound."""
-    d = _check_dim(d)
+    d = check_dim(d)
     num, den = _unit_ball(d)
     return math.ceil(3**d * den / num)
 
@@ -137,21 +180,24 @@ def schedule_nd(d: int, k: int, c: float, delta: float, eps: float) -> Schedule:
     At d = 1 it is the AP schedule: s = ceil(1/eps), r = k/(k-1) and,
     with kappa(1) = 2, depth from 2/(c * delta).  A c * delta^d past the
     float range still gives a depth (z0 may then be inf); a k^d so large
-    that r rounds to 1 raises ValueError unless the depth is 1.
+    that r rounds to 1 raises InvalidArgument unless the depth is 1.
     """
-    d = _check_dim(d)
-    _check_common(k, c, delta, eps)
-    k = int(k)
+    d = check_dim(d)
+    k = check_whole(k, 2, "k")
+    c = check_real(c, "(0, inf)", "density c must be positive and finite")
+    delta = check_real(delta, "(0, inf)", "separation delta must be positive and finite")
+    eps = check_eps(eps)
     # A subnormal eps sends sqrt(d)/eps past the float range, so no stride.
     stride = math.sqrt(d) / eps
     if stride == math.inf:
-        raise ValueError(f"eps {eps!r} is too small: the stride sqrt(d)/eps is past the float range")
+        raise InvalidArgument(
+            f"eps {eps!r} is too small: the stride sqrt(d)/eps is past the float range")
     s = math.ceil(stride)
     kd = k**d
     r = kd / (kd - 1)
     kap = kappa(d)
-    j = _depth(_log_ratio(kap, float(c), float(delta), d), r)
+    j = _depth(_log_ratio(kap, c, delta, d), r)
     return Schedule(
-        d=d, k=k, c=float(c), delta=float(delta), eps=float(eps),
+        d=d, k=k, c=c, delta=delta, eps=eps,
         s=s, r=r, j=j, z0=_z0(delta, k * s, j), kappa=kap,
     )

@@ -23,7 +23,7 @@ from . import __version__
 from ._kernels import BACKEND
 from .bounds import Schedule, schedule_nd
 from .collinear import CollinearOutcome, find_collinear
-from .errors import ApxpatError
+from .errors import ApxpatError, InvalidArgument
 from .generators import gen_adversarial_ap3, gen_jittered_lattice, gen_random_separated
 from .geometry import Pattern, PointSet
 from .oracle import enumerate_aps, enumerate_homothetic, exists_collinear
@@ -169,7 +169,7 @@ def _cmd_generate(args) -> tuple[dict | None, bool]:
 def _cmd_search(args) -> tuple[dict, bool]:
     s = _read_pointset(args.input)
     if args.svg and s.dim > 2:
-        raise ValueError("SVG emission supports dim 1 and 2 only")
+        raise InvalidArgument("SVG emission supports dim 1 and 2 only")
     if args.mode == "collinear":
         outcome = find_collinear(s, args.k, args.eps, node_budget=args.budget)
         reply, anchors = _collinear_dict(outcome), None

@@ -37,8 +37,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .bounds import check_k
-from .errors import BudgetExceeded, DimensionMismatch, InternalError
+from .bounds import check_distinct, check_eps, check_real, check_whole
+from .errors import BudgetExceeded, DimensionMismatch, InternalError, InvalidArgument
 from .geometry import PointSet
 from .verifier import triangle_angles, verify_collinear
 
@@ -59,6 +59,9 @@ DEFAULT_NODE_BUDGET = 10**6
 # bucket is the one the scalar rule gives, and a tiny eps still sends few
 # positions to the scalar loop.
 _EDGE_MARGIN = 2.0**-40
+# The bucket counts numpy's index type holds: an eps, and an r, must stay
+# below this.
+_MAX_BUCKETS = np.iinfo(np.intp).max - 1
 # Pairs build_coloring colors in one numpy pass: enough to amortise numpy's
 # per-call cost, few enough that a pass's float temporaries stay in cache.
 _PAIRS_PER_PASS = 8192
@@ -90,13 +93,13 @@ class CollinearOutcome:
 
 
 def bucket_count(eps: float) -> int:
-    """r = ceil(pi/eps) + 1, the number of angle buckets.  Raises ValueError
-    when r is not finite or does not fit numpy's index type."""
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
+    """r = ceil(pi/eps) + 1, the number of angle buckets.  Raises
+    InvalidArgument when r is not finite or does not fit numpy's index
+    type."""
+    eps = check_eps(eps, "(0, 1)")
     r = math.pi / eps
-    if not r < np.iinfo(np.intp).max - 1:
-        raise ValueError(f"eps {eps:g} asks for more angle buckets than an array can index")
+    if not r < _MAX_BUCKETS:
+        raise InvalidArgument(f"eps {eps:g} asks for more angle buckets than an array can index")
     return math.ceil(r) + 1
 
 
@@ -120,14 +123,18 @@ def angle_bucket(p: Sequence[float], q: Sequence[float], r: int) -> int:
     The angle is taken modulo pi, with the segment pointed so that dx > 0,
     or dx = 0 and dy < 0: orientation does not matter, and a vertical
     segment is in bucket 0.  The points are used as given, in no other frame.
+    r is refused past the bucket counts ``bucket_count`` allows.
     """
-    if not isinstance(r, (int, np.integer)) or r < 1:
-        raise ValueError("r must be an integer >= 1")
+    r = check_whole(r, 1, "r")
+    if not r < _MAX_BUCKETS:
+        raise InvalidArgument(f"r {r:g} is more angle buckets than an array can index")
     if len(p) != 2 or len(q) != 2:
         raise DimensionMismatch("angle buckets are defined in the plane")
-    if p[0] == q[0] and p[1] == q[1]:
-        raise ValueError("coincident points have no direction")
-    return int(_buckets(np.array([q[0] - p[0]], float), np.array([q[1] - p[1]], float), r)[0])
+    (px, py), (qx, qy) = ([check_real(v, "(-inf, inf)", "coordinates must be finite") for v in pt]
+                          for pt in (p, q))
+    if px == qx and py == qy:
+        raise InvalidArgument("coincident points have no direction")
+    return int(_buckets(np.array([qx - px]), np.array([qy - py]), r)[0])
 
 
 def build_coloring(s: PointSet, eps: float) -> tuple[AngleColoring, np.ndarray]:
@@ -249,6 +256,13 @@ def _greedy_clique(order: list[int], nbr: list[int], k: int) -> Optional[list[in
     return None
 
 
+def _absent(proven: bool) -> CollinearOutcome:
+    """The outcome of a search that found no subset; proven_absent when
+    every bucket was searched exactly."""
+    return CollinearOutcome(found=False, subset=(), bucket=None, accepted=False,
+                            worst_triangle=None, worst_angles=None, proven_absent=proven)
+
+
 def find_collinear(
     s: PointSet,
     k: int,
@@ -273,21 +287,14 @@ def find_collinear(
     """
     if s.dim != 2:
         raise DimensionMismatch("the finder is restricted to the plane")
-    k = check_k(k, 3)
-    eps = float(eps)
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
-    if len(set(map(tuple, s.coords.tolist()))) < len(s):
-        raise ValueError("points must be pairwise distinct")
-    if node_budget is None:
-        node_budget = DEFAULT_NODE_BUDGET
+    k = check_whole(k, 3, "k")
+    eps = check_eps(eps, "(0, 1)")
+    check_distinct(s.coords, "points must be pairwise distinct")
+    node_budget = (DEFAULT_NODE_BUDGET if node_budget is None
+                   else check_whole(node_budget, 0, "node_budget"))
 
     if len(s) < k:
-        return CollinearOutcome(
-            found=False, subset=(), bucket=None, accepted=False,
-            worst_triangle=None, worst_angles=None,
-            proven_absent=True,
-        )
+        return _absent(proven=True)
 
     coloring, by_bucket = build_coloring(s, eps)
     # The buckets that occur, ascending, and where each one's pairs start.
@@ -326,8 +333,4 @@ def find_collinear(
             proven_absent=False,
         )
 
-    return CollinearOutcome(
-        found=False, subset=(), bucket=None, accepted=False,
-        worst_triangle=None, worst_angles=None,
-        proven_absent=not exhausted_any,
-    )
+    return _absent(proven=not exhausted_any)

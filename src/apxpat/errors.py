@@ -1,8 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error the package raises on purpose is an ``ApxpatError``.  An
+argument outside the domain a function accepts raises ``InvalidArgument``,
+from the shared checks in ``bounds``; ``InvalidArgument``,
+``DimensionMismatch`` and ``ParseError`` are also ``ValueError``s, so a
+caller that catches ``ValueError`` catches them too.
+"""
 
 
 class ApxpatError(Exception):
     """Base class for all package-specific errors."""
+
+
+class InvalidArgument(ApxpatError, ValueError):
+    """An argument outside the domain the function accepts: a value that is
+    not a number of the required kind or range, or points the function
+    cannot work with."""
 
 
 class DimensionMismatch(ApxpatError, ValueError):

@@ -14,18 +14,27 @@ the output is that of throwing one candidate at a time.
 
 from __future__ import annotations
 
-import math
+import os
 
 import numpy as np
 
 from . import _kernels
-from .bounds import ball_volume, check_whole
-from .errors import InfeasibleGeneration
+from .bounds import ball_volume, check_dim, check_real, check_whole
+from .errors import InfeasibleGeneration, InvalidArgument
 from .geometry import PointSet
 
 __all__ = ["gen_random_separated", "gen_jittered_lattice", "gen_adversarial_ap3"]
 
 _ATTEMPT_FACTOR = 1_000_000
+# base**i is 0.0 from i = 679 on for every base <= 1/3 (3**-679 < 2**-1076),
+# so no adversarial sequence has more distinct positive terms than this.
+_MAX_TERMS = 680
+
+# Physical memory, in bytes: a set whose float64 coordinates would not fit
+# is refused before anything is built for it.  Where the platform does not
+# report it, numpy's largest array size.
+_MEMORY = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+           if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ()) else np.iinfo(np.intp).max)
 
 
 def gen_random_separated(
@@ -34,26 +43,25 @@ def gen_random_separated(
     """Dart throwing: uniform candidates in [0, length)^d, accepted while
     keeping the set delta-separated, until target_count points stand.
 
-    Raises InfeasibleGeneration when the count cannot pack by volume, and
-    when the run ends short of it: after 10^6 attempts per point, or as
-    soon as the accepted points provably fill the box (every candidate
-    would be within delta of one of them), which a small box reaches
-    quickly."""
-    d = check_whole(d, 1, "dimension")
-    length = float(length)
-    delta = float(delta)
-    if not (0.0 < length < math.inf and 0.0 < delta < math.inf):
-        raise ValueError("length and delta must be positive and finite")
-    target_count = int(target_count)
-    if target_count < 1:
-        raise ValueError("target_count must be >= 1")
+    Raises InfeasibleGeneration when the count cannot pack by volume or
+    its points would not fit in memory, and when the run ends short of it:
+    after 10^6 attempts per point, or as soon as the accepted points
+    provably fill the box (every candidate would be within delta of one of
+    them), which a small box reaches quickly."""
+    d = check_dim(d)
+    length, delta = (check_real(v, "(0, inf)", "length and delta must be positive and finite")
+                     for v in (length, delta))
+    target_count = check_whole(target_count, 1, "target_count", "target_count must be >= 1")
+    seed = check_whole(seed, -np.inf, "seed", "seed must be an integer")
     if not _packs(target_count, d, length, delta):
         raise InfeasibleGeneration(
             f"{target_count} balls of radius {delta / 2:g} cannot pack into "
             f"side {length:g} plus slack"
         )
+    if 8 * d * target_count > _MEMORY:
+        raise InfeasibleGeneration(f"{target_count} points of dimension {d} do not fit in memory")
     flat, attempts = _kernels.dart_throw(
-        d, length, delta, target_count, int(seed), _ATTEMPT_FACTOR * target_count
+        d, length, delta, target_count, seed, _ATTEMPT_FACTOR * target_count
     )
     n = len(flat) // d
     if n < target_count:
@@ -80,25 +88,25 @@ def gen_jittered_lattice(d: int, length: float, jitter: float, seed: int) -> Poi
     placed at the cell center plus uniform jitter in [-jitter, jitter]^d.
 
     The output is (1 - 2*jitter)-separated and every unit cell is occupied.
+    Raises InfeasibleGeneration when its points do not fit in memory.
     """
-    d = check_whole(d, 1, "dimension")
-    length = float(length)
-    if not (1.0 <= length < math.inf):
-        raise ValueError("length must be finite and >= 1")
-    jitter = float(jitter)
-    if not (0.0 <= jitter < 0.5):
-        raise ValueError("jitter must lie in [0, 0.5)")
+    d = check_dim(d)
+    length = check_real(length, "[1, inf)", "length must be finite and >= 1")
+    jitter = check_real(jitter, "[0, 0.5)", "jitter must lie in [0, 0.5)")
+    seed = check_whole(seed, -np.inf, "seed", "seed must be an integer")
+    side = int(length)
+    too_big = f"a lattice of {side}^{d} points does not fit in memory"
+    if 8 * d * side**d > _MEMORY:
+        raise InfeasibleGeneration(too_big)
     # Cells in lexicographic order, axis order within a cell: the stream's
     # fixed layout.  Each statement below allocates n*d values.
     try:
-        cells = np.indices((int(length),) * d).reshape(d, -1).T
+        cells = np.indices((side,) * d).reshape(d, -1).T
         words, _ = _kernels.splitmix64_block(seed, cells.size)
         u = _kernels.unit_from_bits(words).reshape(cells.shape)
         return PointSet(d, cells + 0.5 + (2.0 * u - 1.0) * jitter)
     except MemoryError:
-        raise InfeasibleGeneration(
-            f"a lattice of {int(length)}^{d} points does not fit in memory"
-        ) from None
+        raise InfeasibleGeneration(too_big) from None
 
 
 def gen_adversarial_ap3(n: int, variant: str, eps: float | None = None) -> PointSet:
@@ -107,23 +115,21 @@ def gen_adversarial_ap3(n: int, variant: str, eps: float | None = None) -> Point
     variant "xi": {xi^i} with xi = 1/3 - eps, valid for 0 <= eps < 1/3.
     variant "eighth": {8^-i}, valid for every eps <= 1/4 (eps is ignored).
     n may not exceed the number of terms that are distinct positive floats
-    (359 for "eighth"); a larger n raises ValueError.
+    (359 for "eighth"); a larger n raises InvalidArgument, before more than
+    _MAX_TERMS terms are computed.
     """
-    if int(n) != n or n < 3:
-        raise ValueError("n must be an integer >= 3")
-    n = int(n)
+    n = check_whole(n, 3, "n")
+    terms = range(min(n, _MAX_TERMS))
     if variant == "xi":
-        if eps is None or not (0.0 <= eps < 1.0 / 3.0):
-            raise ValueError("variant 'xi' needs eps in [0, 1/3)")
-        xi = 1.0 / 3.0 - float(eps)
-        vals = [xi**i for i in range(n)]
+        xi = 1.0 / 3.0 - check_real(eps, "[0, 1/3)", "variant 'xi' needs eps in [0, 1/3)")
+        vals = [xi**i for i in terms]
     elif variant == "eighth":
-        vals = [8.0**-i for i in range(n)]
+        vals = [8.0**-i for i in terms]
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise InvalidArgument(f"unknown variant {variant!r}")
     # The terms fall to subnormals and then to 0: past that they repeat.
     distinct = len(set(vals) - {0.0})
     if distinct < n:
-        raise ValueError(f"only {distinct} terms of variant {variant!r} "
-                         f"are distinct positive floats; n={n} is too many")
+        raise InvalidArgument(f"only {distinct} terms of variant {variant!r} "
+                              f"are distinct positive floats; n={n} is too many")
     return PointSet(1, np.reshape(vals, (n, 1)))

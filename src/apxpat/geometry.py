@@ -20,8 +20,8 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .bounds import check_whole
-from .errors import DimensionMismatch
+from .bounds import as_float, check_real, check_whole
+from .errors import DimensionMismatch, InvalidArgument
 
 __all__ = [
     "Point",
@@ -35,12 +35,12 @@ __all__ = [
 
 
 def _as_floats(coords: Iterable[float]) -> tuple[float, ...]:
-    out = tuple(float(c) for c in coords)
+    out = tuple(map(as_float, coords))
     if not out:
-        raise ValueError("a point needs at least one coordinate")
+        raise InvalidArgument("a point needs at least one coordinate")
     for c in out:
         if not math.isfinite(c):
-            raise ValueError(f"non-finite coordinate {c!r}")
+            raise InvalidArgument(f"non-finite coordinate {c!r}")
     return out
 
 
@@ -83,18 +83,18 @@ def _as_rows(points, dim: int) -> np.ndarray:
     ]
     try:
         arr = np.array(rows, dtype=np.float64)
-    except ValueError:
+    except (OverflowError, TypeError, ValueError) as exc:
         for row in rows:
             if len(row) != dim:
                 raise DimensionMismatch(f"point of dim {len(row)} in a dim-{dim} set") from None
-        raise
+        raise InvalidArgument(str(exc)) from None
     if len(arr) == 0:
-        raise ValueError("point set must be nonempty")
+        raise InvalidArgument("point set must be nonempty")
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise DimensionMismatch(f"rows of shape {arr.shape[1:]} in a dim-{dim} set")
     finite = np.isfinite(arr)
     if not finite.all():
-        raise ValueError(f"non-finite coordinate {float(arr[~finite][0])!r}")
+        raise InvalidArgument(f"non-finite coordinate {float(arr[~finite][0])!r}")
     arr.flags.writeable = False
     return arr
 
@@ -161,10 +161,10 @@ class Pattern(PointSet):
     def __init__(self, dim: int, points: Iterable):
         super().__init__(dim, points)
         if len(self) < 2:
-            raise ValueError("a pattern needs at least two points")
+            raise InvalidArgument("a pattern needs at least two points")
         lo, hi, _ = _kernels.pair_extremes(self.coords)
         if lo <= 0.0:
-            raise ValueError("pattern points must be distinct and not coincide numerically")
+            raise InvalidArgument("pattern points must be distinct and not coincide numerically")
         object.__setattr__(self, "min_pairwise", lo)
         object.__setattr__(self, "diameter", hi)
 
@@ -178,9 +178,7 @@ class Homothety:
 
     def __init__(self, anchor, scale: float):
         anchor = anchor if isinstance(anchor, Point) else Point(anchor)
-        scale = float(scale)
-        if not (scale > 0.0 and math.isfinite(scale)):
-            raise ValueError("scale must be strictly positive and finite")
+        scale = check_real(scale, "(0, inf)", "scale must be strictly positive and finite")
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "scale", scale)
 
@@ -198,7 +196,9 @@ def diameter(s: PointSet) -> float:
 
 
 def apply_homothety(h: Homothety, p: Pattern) -> PointSet:
-    """The exact image {anchor + scale * p_i} as a point set."""
+    """The exact image {anchor + scale * p_i} as a point set; an image past
+    the float range raises InvalidArgument, as any non-finite point does."""
     if h.anchor.dim != p.dim:
         raise DimensionMismatch("homothety and pattern dimensions differ")
-    return PointSet(p.dim, np.asarray(h.anchor.coords) + h.scale * p.coords)
+    with np.errstate(over="ignore"):
+        return PointSet(p.dim, np.asarray(h.anchor.coords) + h.scale * p.coords)

@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import _kernels
-from .bounds import check_k
+from .bounds import check_distinct, check_eps, check_whole
 from .errors import BudgetExceeded, DimensionMismatch
 from .geometry import Pattern, PointSet
 from .verifier import TAU, triangle_angles, verify_ap, verify_homothetic
@@ -32,15 +32,16 @@ DEFAULT_COLLINEAR_BUDGET = 10**6
 def enumerate_aps(
     s: PointSet, k: int, eps: float, *, budget: int | None = None
 ) -> list[tuple[int, ...]]:
-    """All k-subsets (index tuples in coordinate order) accepted by verify_ap."""
+    """All k-subsets (index tuples in coordinate order) accepted by verify_ap;
+    none when k exceeds the set's size."""
     if s.dim != 1:
-        raise ValueError("AP enumeration needs a 1-D point set")
-    k = check_k(k, 3)
-    eps = float(eps)
-    if not (0.0 <= eps <= 1.0 / 3.0):
-        raise ValueError("eps must lie in [0, 1/3]")
+        raise DimensionMismatch("AP enumeration needs a 1-D point set")
+    k = check_whole(k, 3, "k")
+    eps = check_eps(eps, "[0, 1/3]")
+    cap = DEFAULT_SUBSET_BUDGET if budget is None else check_whole(budget, 0, "budget")
     n = len(s)
-    cap = DEFAULT_SUBSET_BUDGET if budget is None else int(budget)
+    if n < k:
+        return []
     if math.comb(n, k) > cap:
         raise BudgetExceeded(f"C({n},{k}) exceeds the budget {cap}")
     xs = s.coords[:, 0].tolist()
@@ -70,14 +71,12 @@ def enumerate_homothetic(
     pair; the lower end's denominator stays positive for eps <= 1/3.  A
     pair whose intervals, widened by 1e-9 relative, do not meet is skipped.
     """
-    eps = float(eps)
-    if not (0.0 < eps <= 1.0 / 3.0):
-        raise ValueError("eps must lie in (0, 1/3]")
+    eps = check_eps(eps)
     k = len(p)
     if k > 8:
         raise BudgetExceeded("pattern size capped at 8 for enumeration")
     n = len(s)
-    cap = DEFAULT_SUBSET_BUDGET if budget is None else int(budget)
+    cap = DEFAULT_SUBSET_BUDGET if budget is None else check_whole(budget, 0, "budget")
     if math.comb(n, k) * math.factorial(k) > cap:
         raise BudgetExceeded(f"C({n},{k})*{k}! exceeds the budget {cap}")
     if s.dim != p.dim:
@@ -130,19 +129,16 @@ def exists_collinear(
     grown in index order only from subsets whose triangles all pass, and
     each triangle's verdict is computed once.
     """
-    k = check_k(k, 3)
-    eps = float(eps)
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
+    k = check_whole(k, 3, "k")
+    eps = check_eps(eps, "(0, 1]")
+    cap = DEFAULT_COLLINEAR_BUDGET if budget is None else check_whole(budget, 0, "budget")
     n = len(s)
     if n < k:
         return False
-    cap = DEFAULT_COLLINEAR_BUDGET if budget is None else int(budget)
     if math.comb(n, k) > cap:
         raise BudgetExceeded(f"C({n},{k}) exceeds the budget {cap}")
+    check_distinct(s.coords, "duplicate points: angles undefined")
     pts = s.coords.tolist()
-    if len(set(map(tuple, pts))) < n:
-        raise ValueError("duplicate points: angles undefined")
 
     @functools.cache
     def passes(i: int, j: int, m: int) -> bool:

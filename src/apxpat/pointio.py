@@ -40,7 +40,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import ParseError
+from .bounds import check_real, check_whole
+from .errors import DimensionMismatch, InvalidArgument, ParseError
 from .geometry import PointSet
 
 __all__ = ["parse_pointset", "write_pointset", "emit_svg"]
@@ -205,18 +206,18 @@ def emit_svg(
     unit range (``_kernels._to_unit``), and their offsets from the frame's
     corner by another into [0, 1]; both scalings are exact, so the figure
     of a set scaled by 2**k is the same, and no length overflows.  Raises
-    ValueError for a highlight index outside 0..n-1."""
+    InvalidArgument for a highlight that is not an index in 0..n-1, and
+    for an anchor coordinate that is not finite."""
     if s.dim > 2:
-        raise ValueError("SVG emission supports dim 1 and 2 only")
+        raise InvalidArgument("SVG emission supports dim 1 and 2 only")
     n, d = s.coords.shape
-    marked = [int(i) for i in highlight] if highlight else []
-    bad = [i for i in marked if not 0 <= i < n]
-    if bad:
-        raise ValueError(f"highlight index {bad[0]} is outside 0..{n - 1}")
+    marked = [check_whole(i, 0, "highlight index", f"highlight index {i} is outside 0..{n - 1}",
+                          most=n - 1) for i in highlight] if highlight else []
     anchor_pts = list(anchors) if anchors else []
     if any(len(a) != d for a in anchor_pts):
-        raise ValueError(f"anchors must have the set's dimension {d}")
-    rows = np.array([list(a) for a in anchor_pts], dtype=np.float64).reshape(-1, d)
+        raise DimensionMismatch(f"anchors must have the set's dimension {d}")
+    rows = np.array([[check_real(v, "(-inf, inf)", "anchors must be finite") for v in a]
+                     for a in anchor_pts], dtype=np.float64).reshape(-1, d)
     unit, _ = _kernels._to_unit(np.concatenate([s.coords, rows]))
     off, _ = _kernels._to_unit(unit - unit.min(axis=0))
     span = float(off.max()) or 1.0  # with no extent every offset is 0

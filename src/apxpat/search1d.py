@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .bounds import check_k, schedule_nd
+from .bounds import check_whole, schedule_nd
 from .errors import DimensionMismatch, InternalError
 from .geometry import PointSet
 from .searchnd import SearchOutcome, SearchTrace, StepDescend, StepSuccess, _subdivide
@@ -48,7 +48,7 @@ def search_ap(
     """
     if s.dim != 1:
         raise DimensionMismatch("search_ap needs a 1-D point set")
-    k = check_k(k, 3)
+    k = check_whole(k, 3, "k")
     schedule = schedule_nd(1, k, c, delta, eps)
     out = _subdivide(s, k, schedule, None if lo is None else (lo,), length)
     steps = tuple(replace(st, action=_scalar_action(st.action)) for st in out.trace.steps)

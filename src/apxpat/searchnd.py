@@ -36,8 +36,9 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .bounds import Schedule, check_k, schedule_nd
-from .errors import DimensionMismatch, InsufficientSeparation, InternalError, ResolutionOverflow
+from .bounds import Schedule, check_eps, check_real, check_whole, schedule_nd
+from .errors import (DimensionMismatch, InsufficientSeparation, InternalError, InvalidArgument,
+                     ResolutionOverflow)
 from .geometry import Homothety, Pattern, Point, PointSet, apply_homothety
 from .verifier import TAU, VerifyResult, verify_homothetic
 
@@ -150,31 +151,36 @@ def _subdivide(
     A success carries the chosen points, anchors and witness but no
     certificate (verify=None); the caller certifies it.  Warnings use the
     1-D wording (interval, k) at d = 1 and the cube wording otherwise, or
-    name the pattern's point count.
+    name the pattern's point count.  A lo that is not finite, and a length
+    that is not finite or is negative, raise InvalidArgument.
     """
     d = s.dim
     region, span = ("interval", "interval length") if d == 1 else ("cube", "cube side")
+    if lo is not None:
+        lo = np.array([check_real(v, "(-inf, inf)", "lo must be finite")
+                       for v in np.ravel(lo.coords if isinstance(lo, Point) else lo)])
+        if lo.shape != (d,):
+            raise DimensionMismatch("lo must have one coordinate per axis")
+    if length is not None:
+        # An infinite length is refused with the box below.
+        length = check_real(length, "[0, inf]", f"the search {span} must be >= 0, not nan")
     if nodes is None:
         needed, needed_name = k**d, "k" if d == 1 else "k^d"
     else:
         needed, needed_name = len(nodes), f"the pattern's {len(nodes)} points"
     if k * schedule.s > np.iinfo(np.int64).max:
-        raise ValueError(f"eps {schedule.eps!r} is too small: its k*s cells per axis "
-                         "do not fit the int64 cell indices")
+        raise InvalidArgument(f"eps {schedule.eps!r} is too small: its k*s cells per axis "
+                              "do not fit the int64 cell indices")
     coords = s.coords
     if len(s) >= 2:
         _audit_separation(coords.reshape(-1), d, schedule.delta)
 
-    lo_vec = coords.min(axis=0) if lo is None else np.asarray(
-        lo.coords if isinstance(lo, Point) else lo, dtype=float
-    )
-    if lo_vec.shape != (d,):
-        raise DimensionMismatch("lo must have one coordinate per axis")
+    lo_vec = coords.min(axis=0) if lo is None else lo
     with np.errstate(over="ignore"):
         tight = float((coords.max(axis=0) - lo_vec).max())
-    box_len = max(tight, 0.0 if length is None else float(length))
+    box_len = max(tight, 0.0 if length is None else length)
     if not math.isfinite(box_len):
-        raise ValueError(f"the search {span} {box_len:g} is not a finite float")
+        raise InvalidArgument(f"the search {span} {box_len:g} is not a finite float")
     warnings: list[str] = []
     below = box_len < schedule.z0
     if below:
@@ -268,7 +274,7 @@ def search_grid(
     length: float | None = None,
 ) -> SearchOutcome:
     """Find an eps-approximate k-grid in a delta-separated set in [lo, lo+L]^d."""
-    k = check_k(k, 2)
+    k = check_whole(k, 2, "k")
     d = s.dim
     out = _subdivide(s, k, schedule_nd(d, k, c, delta, eps), lo, length)
     if not out.found:
@@ -297,11 +303,7 @@ def pattern_grid_resolution(p: Pattern, eps: float) -> tuple[int, float]:
     {0..K-1}^d grid and that node rounding error plus grid-search error fit
     inside the eps * scale * min_pairwise ball of the original pattern.
     """
-    eps = float(eps)
-    if not (0.0 < eps <= 1.0 / 3.0):
-        raise ValueError("eps must lie in (0, 1/3]")
-    if p.min_pairwise <= 0.0:
-        raise ValueError("degenerate pattern")
+    eps = check_eps(eps)
     _, d_inf = _pattern_extent(p)
     eps_g = min(eps / 2.0, 1.0 / 3.0)
     try:

@@ -22,12 +22,12 @@ their lower bound; about 7 solves per certificate, where Brent's search
 took about 34.  A minimum at mu = 0 is decided by the pattern's own ball.
 Each ball is solved by Welzl's move-to-front recursion in Python floats,
 starting from the order the previous solve left, so the previous support
-is tested first.  The recursion's levels that hold zero to three support
-points are written out as loops that take their support points' indices
-as arguments, and the three-point ball's 2x2 elimination is spelled out;
-they keep the recursion's visiting order and every bit of its centers and
-radii.  Only supports of four or more points (d >= 3) go through the
-general level.
+is tested first.  One loop serves every level of the recursion; it takes
+its support points' indices and builds its first ball by their number:
+the point itself, the midpoint, a spelled-out 2x2 elimination for three
+points, and the general elimination for four or more (d >= 3).  Every
+center, radius and visiting order keeps the bits of the recursion over
+support lists.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import _to_unit
-from .errors import DimensionMismatch
+from .bounds import check_distinct, check_eps, check_real, check_whole
+from .errors import DimensionMismatch, InvalidArgument
 from .geometry import Pattern, Point, PointSet
 
 __all__ = [
@@ -93,23 +94,19 @@ def verify_ap(q: Sequence[float], eps: float) -> VerifyResult:
     """Certify a strictly increasing k >= 3 sequence as an eps-approximate AP.
 
     Computed on the terms scaled by a power of two into the unit range.
-    Raises ValueError for a term that is not finite, when terms coincide
-    once scaled, and when the witness leaves the float range in the input's
-    units."""
-    vals = [float(v) for v in q]
+    Raises InvalidArgument for a term that is not finite, when terms
+    coincide once scaled, and when the witness leaves the float range in
+    the input's units."""
+    vals = [check_real(v, "(-inf, inf)", "terms must be finite") for v in q]
     k = len(vals)
     if k < 3:
-        raise ValueError("need at least three terms")
-    if not all(map(math.isfinite, vals)):
-        raise ValueError("terms must be finite")
+        raise InvalidArgument("need at least three terms")
     for a, b in zip(vals, vals[1:]):
         if a == b:
-            raise ValueError("duplicate values")
+            raise InvalidArgument("duplicate values")
         if a > b:
-            raise ValueError("input must be sorted ascending")
-    eps = float(eps)
-    if not (0.0 <= eps <= 1.0 / 3.0):
-        raise ValueError("eps must lie in [0, 1/3]")
+            raise InvalidArgument("input must be sorted ascending")
+    eps = check_eps(eps, "[0, 1/3]")
 
     # In the unit range, by an exact power of two, so no span overflows and
     # no slope does; on normal-range input every step below gives the bits
@@ -117,7 +114,7 @@ def verify_ap(q: Sequence[float], eps: float) -> VerifyResult:
     unit, ex = _to_unit(np.asarray(vals))
     vals = unit.tolist()
     if any(a == b for a, b in zip(vals, vals[1:])):
-        raise ValueError("values coincide once scaled into the unit range")
+        raise InvalidArgument("values coincide once scaled into the unit range")
 
     best_t = -1.0
     best = (0, 1, 2)
@@ -146,7 +143,7 @@ def verify_ap(q: Sequence[float], eps: float) -> VerifyResult:
     except OverflowError:
         r = 0.0
     if r == 0.0:
-        raise ValueError("the witness leaves the float range in the input's units")
+        raise InvalidArgument("the witness leaves the float range in the input's units")
     return VerifyResult(
         accepted=dev <= eps + TAU,
         witness_anchor=Point((a,)),
@@ -235,12 +232,12 @@ def _circumball3(a, b, c):
     return [x + y for x, y in zip(a, offset)], sum(map(mul, offset, offset)), (beta0, beta1)
 
 
-# The levels of the recursion that hold zero to three support points are
-# written out below, each taking the indices of its support points as
-# arguments; _mtf is the level for four or more.  They visit, test, move and
-# compute exactly as one recursive level over a support list did, with
-# _circumball3 for three points, so every center, squared radius and
-# visiting order has the same bits as that recursion's.
+# One move-to-front loop, _mtf, serves every level of the recursion.  A
+# level takes the indices of its support points and builds its first ball
+# by their number: the point itself (the row, not a copy), the midpoint
+# (beta = 1/2 exactly), _circumball3, or _circumball.  So every center,
+# squared radius and visiting order has the bits of the recursion over
+# support lists.
 #
 # Each level also returns the support of the ball it returns, as (indices,
 # beta): with s_0, s_1, ... the support points in the order of the
@@ -258,99 +255,39 @@ def _circumball3(a, b, c):
 def _meb(cloud: list[list[float]], order: list[int]):
     """Center, squared radius and support (see above) of the smallest ball
     around the cloud's rows, visited in ``order``, which is reordered in
-    place (move-to-front).  The center of a ball around one point is that
-    row itself, not a copy."""
-    dist, sqrt = math.dist, math.sqrt
-    dim = len(cloud[0])
-    # The first point visited starts the ball, in place, with no move.
-    center, r2, support = cloud[order[0]], 0.0, ((order[0],), ())
-    lim = _CENTER_REL * max(map(abs, center))
-    for i in range(1, len(order)):
-        j = order[i]
-        if dist(cloud[j], center) > lim:
-            center, r2, support = _mtf1(cloud, order, i, j, dim)
-            lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
-            del order[i]
-            order.insert(0, j)
-    return center, r2, support
-
-
-def _mtf1(cloud, order, end, ja, dim):
-    """Smallest ball around cloud[order[:end]] with cloud[ja] on its
-    boundary."""
-    dist, sqrt = math.dist, math.sqrt
-    center, r2, support = cloud[ja], 0.0, ((ja,), ())
-    lim = _CENTER_REL * max(map(abs, center))
-    for i in range(end):
-        j = order[i]
-        if dist(cloud[j], center) > lim:
-            center, r2, support = _mtf2(cloud, order, i, ja, j, dim)
-            lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
-            if i:
-                del order[i]
-                order.insert(0, j)
-    return center, r2, support
-
-
-def _mtf2(cloud, order, end, ja, jb, dim):
-    """Smallest ball around cloud[order[:end]] with cloud[ja] and cloud[jb]
-    on its boundary."""
-    a = cloud[ja]
-    # beta = (|u|^2 / 2) / |u|^2 = 1/2 exactly (u = 0 for a repeated point).
-    offset = [0.5 * (x - y) for x, y in zip(cloud[jb], a)]
-    center = [x + y for x, y in zip(a, offset)]
-    r2 = sum(map(mul, offset, offset))
-    support = ((ja, jb), (0.5,))
-    if dim == 1:
-        return center, r2, support
-    dist, sqrt = math.dist, math.sqrt
-    lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
-    for i in range(end):
-        j = order[i]
-        if dist(cloud[j], center) > lim:
-            center, r2, support = _mtf3(cloud, order, i, ja, jb, j, dim)
-            lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
-            if i:
-                del order[i]
-                order.insert(0, j)
-    return center, r2, support
-
-
-def _mtf3(cloud, order, end, ja, jb, jc, dim):
-    """Smallest ball around cloud[order[:end]] with cloud[ja], cloud[jb]
-    and cloud[jc] on its boundary."""
-    center, r2, beta = _circumball3(cloud[ja], cloud[jb], cloud[jc])
-    support = ((ja, jb, jc), beta)
-    if dim == 2:
-        return center, r2, support
-    dist, sqrt = math.dist, math.sqrt
-    lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
-    for i in range(end):
-        j = order[i]
-        if dist(cloud[j], center) > lim:
-            center, r2, support = _mtf(cloud, order, i, (ja, jb, jc, j), dim)
-            lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
-            if i:
-                del order[i]
-                order.insert(0, j)
-    return center, r2, support
+    place (move-to-front)."""
+    return _mtf(cloud, order, len(order), (), len(cloud[0]))
 
 
 def _mtf(cloud, order, end, idx, dim):
-    """Smallest ball around cloud[order[:end]] with the support cloud[idx],
-    four or more points (d >= 3), on its boundary; moves each point it
-    pushes to the front of order."""
-    dist = math.dist
-    center, r2, beta = _circumball([cloud[j] for j in idx])
-    support = (idx, beta)
-    if len(idx) == dim + 1:
-        return center, r2, support
-    lim = math.sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
+    """Smallest ball around cloud[order[:end]] with the points cloud[idx] on
+    its boundary (with end = 0, the first ball of that support); moves each
+    point it pushes to the front of order."""
+    dist, sqrt = math.dist, math.sqrt
+    # With no support there is no ball yet: the first point visited is
+    # outside, and starts one.
+    center, lim = cloud[order[0]], -1.0
+    if idx:
+        if len(idx) == 1:
+            center, r2, beta = cloud[idx[0]], 0.0, ()
+        elif len(idx) == 2:
+            a = cloud[idx[0]]
+            offset = [0.5 * (x - y) for x, y in zip(cloud[idx[1]], a)]
+            center = [x + y for x, y in zip(a, offset)]
+            r2, beta = sum(map(mul, offset, offset)), (0.5,)
+        elif len(idx) == 3:
+            center, r2, beta = _circumball3(cloud[idx[0]], cloud[idx[1]], cloud[idx[2]])
+        else:
+            center, r2, beta = _circumball([cloud[j] for j in idx])
+        support = (idx, beta)
+        if len(idx) == dim + 1:
+            return center, r2, support
+        lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
     for i in range(end):
         j = order[i]
         if dist(cloud[j], center) > lim:
             center, r2, support = _mtf(cloud, order, i, idx + (j,), dim)
-            lim = math.sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
+            lim = sqrt(r2) * _CONTAIN + _CENTER_REL * max(map(abs, center))
             if i:
                 del order[i]
                 order.insert(0, j)
@@ -540,24 +477,23 @@ def _walk(solve, m0, r2_0: float, hi: float) -> tuple[float, list[float]]:
 def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: float) -> VerifyResult:
     """Certify q as an eps-approximate homothetic copy of p under a fixed bijection.
 
-    assignment[i] is the pattern index matched to q[i].  Raises ValueError
-    for repeated candidate points, for points that coincide only
-    numerically (a squared radius in the unit range is not a normal float),
-    and when the witness leaves the float range in the input's units.
+    assignment[i] is the pattern index matched to q[i].  Raises
+    InvalidArgument for repeated candidate points, for points that coincide
+    only numerically (a squared radius in the unit range is not a normal
+    float), and when the witness leaves the float range in the input's
+    units.
     """
     k = len(q)
     if len(p) != k or k < 2:
-        raise ValueError("candidate and pattern must have the same size k >= 2")
+        raise InvalidArgument("candidate and pattern must have the same size k >= 2")
     if q.dim != p.dim:
         raise DimensionMismatch("candidate and pattern dimensions differ")
-    sigma = [int(i) for i in assignment]
+    bijection = "assignment must be a bijection onto 0..k-1"
+    sigma = [check_whole(i, 0, "assignment", bijection) for i in assignment]
     if sorted(sigma) != list(range(k)):
-        raise ValueError("assignment must be a bijection onto 0..k-1")
-    eps = float(eps)
-    if not (0.0 < eps <= 1.0 / 3.0):
-        raise ValueError("eps must lie in (0, 1/3]")
-    if len(set(map(tuple, q.coords.tolist()))) < k:
-        raise ValueError("duplicate points in candidate")
+        raise InvalidArgument(bijection)
+    eps = check_eps(eps)
+    check_distinct(q.coords, "duplicate points in candidate")
     qu, eq = _to_unit(q.coords)
     pu, ep = _to_unit(p.coords[sigma])
     qa = qu.tolist()
@@ -573,8 +509,8 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
     # zero one means points that coincide numerically.
     tiny = sys.float_info.min
     if not (tiny <= rad_q2 and tiny <= rad_p2 and tiny <= rad_p2 / rad_q2 < math.inf):
-        raise ValueError("candidate or pattern points coincide numerically: a squared "
-                         "radius leaves the normal float range")
+        raise InvalidArgument("candidate or pattern points coincide numerically: a squared "
+                              "radius leaves the normal float range")
     qc = qu - cq
     pc = pu - cp
     qrows = qc.tolist()
@@ -599,7 +535,7 @@ def verify_homothetic(q: PointSet, p: Pattern, assignment: Sequence[int], eps: f
     except OverflowError:
         scale = 0.0
     if scale < tiny:
-        raise ValueError("the witness leaves the float range in the input's units")
+        raise InvalidArgument("the witness leaves the float range in the input's units")
     return VerifyResult(
         accepted=dev <= eps + TAU,
         witness_anchor=Point(tuple(anchor)),
@@ -618,7 +554,7 @@ def _angle_at(x: Sequence[float], y: Sequence[float], z: Sequence[float]) -> flo
     uu = sum(t * t for t in u)
     vv = sum(t * t for t in v)
     if uu == 0.0 or vv == 0.0:
-        raise ValueError("duplicate points: angle undefined")
+        raise InvalidArgument("duplicate points: angle undefined")
     dot = sum(s * t for s, t in zip(u, v))
     cross_sq = uu * vv - dot * dot
     cross = math.sqrt(cross_sq) if cross_sq > 0.0 else 0.0
@@ -647,14 +583,11 @@ def verify_collinear(q: PointSet, eps: float) -> tuple[bool, tuple[int, int, int
     the second-smallest angle.  Works in every dimension, on the points
     scaled by a power of two into the unit range.
     """
-    eps = float(eps)
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
+    eps = check_eps(eps, "(0, 1]")
     k = len(q)
     if k < 3:
-        raise ValueError("need at least three points")
-    if len(set(map(tuple, q.coords.tolist()))) < k:
-        raise ValueError("duplicate points: angles undefined")
+        raise InvalidArgument("need at least three points")
+    check_distinct(q.coords, "duplicate points: angles undefined")
     rows = _to_unit(q.coords)[0].tolist()
     worst = -1.0
     worst_triple = (0, 1, 2)

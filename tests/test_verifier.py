@@ -235,6 +235,7 @@ class TestMinEnclosingBall:
     @pytest.mark.parametrize(
         "support",
         [
+            [[1.5, -2.0]],
             [[1.0, 2.0], [1.0, 2.0]],
             [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
             [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0 + 1e-13]],
@@ -245,16 +246,13 @@ class TestMinEnclosingBall:
         ],
     )
     def test_singular_support_does_not_raise(self, support):
-        # Each support goes to the solver level that builds a ball of its
-        # size, and gets the previous solver's bits.
-        # Each also gives weights that rebuild its center from the support.
-        if len(support) == 2:
-            center, r2, (idx, beta) = verifier._mtf2(support, [], 0, 0, 1, len(support[0]))
-            assert idx == (0, 1)
-        elif len(support) == 3:
-            center, r2, beta = verifier._circumball3(*support)
-        else:
-            center, r2, beta = verifier._circumball(support)
+        # Each support gets the first ball of the solver's one loop, which
+        # picks the ball by support size, with the previous solver's bits
+        # and the support's indices.  Each also gives weights that rebuild
+        # its center from the support.
+        idx = tuple(range(len(support)))
+        center, r2, (got, beta) = verifier._mtf(support, [0], 0, idx, len(support[0]))
+        assert got == idx and len(beta) == len(support) - 1
         assert all(math.isfinite(c) for c in center) and math.isfinite(r2)
         assert _bits((center, r2)) == _bits(_previous_circumball(support))
         s0 = support[0]
