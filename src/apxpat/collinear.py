@@ -59,8 +59,8 @@ DEFAULT_NODE_BUDGET = 10**6
 # bucket is the one the scalar rule gives, and a tiny eps still sends few
 # positions to the scalar loop.
 _EDGE_MARGIN = 2.0**-40
-# The bucket counts numpy's index type holds: an eps, and an r, must stay
-# below this.
+# Bucket counts, from an eps or given as r, stay below this, so that numpy's
+# index type holds them.
 _MAX_BUCKETS = np.iinfo(np.intp).max - 1
 # Pairs build_coloring colors in one numpy pass: enough to amortise numpy's
 # per-call cost, few enough that a pass's float temporaries stay in cache.
