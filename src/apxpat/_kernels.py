@@ -80,10 +80,10 @@ def unit_from_bits(z):
 def dart_throw(dim, length, delta, target, seed, max_attempts):
     """Sequential dart throwing in [0, length)^dim with minimum distance delta.
 
-    Returns (flat_coords, attempts) where flat_coords holds the accepted
-    points row-major in acceptance order.  Stops at the attempt that
-    accepts the target-th point, or after max_attempts candidates, or once
-    the accepted points provably fill the box.
+    Returns (flat_coords, attempts) where flat_coords is a flat float64
+    array of the accepted points, row-major in acceptance order.  Stops at
+    the attempt that accepts the target-th point, or after max_attempts
+    candidates, or once the accepted points provably fill the box.
 
     Candidates are rows of dim consecutive stream words, drawn in blocks of
     rows; the words a run stops short of are never used.  A candidate is
@@ -163,8 +163,8 @@ def dart_throw(dim, length, delta, target, seed, max_attempts):
                 break
             tested = (n, attempts)
     if not won_rows:
-        return [], attempts
-    return np.concatenate(won_rows).ravel().tolist(), attempts
+        return np.empty(0), attempts
+    return np.concatenate(won_rows).ravel(), attempts
 
 
 def _box_is_full(pts, keys, base, cell, length, delta, budget):

@@ -154,6 +154,8 @@ def _cmd_generate(args) -> tuple[dict | None, bool]:
         s = gen_random_separated(args.dim, args.length, args.delta, args.count, args.seed)
     elif args.kind == "lattice":
         s = gen_jittered_lattice(args.dim, args.length, args.jitter, args.seed)
+    elif args.dim != 1:
+        raise InvalidArgument(f"--kind adversarial makes a 1-D set; --dim must be 1, not {args.dim}")
     else:
         s = gen_adversarial_ap3(args.count, args.variant, args.eps)
     data = write_pointset(s)

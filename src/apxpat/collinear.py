@@ -5,9 +5,12 @@ r = ceil(pi/eps) + 1 half-closed intervals of width < eps.  A direction is
 taken modulo pi: each segment is pointed so that dx > 0, or, when it is
 vertical (dx = 0), so that dy < 0.  Every angle then lies in [-pi/2, pi/2)
 and a vertical segment falls in bucket 0.  The input is colored in its own
-coordinates, with no change of frame and no tolerance on its coordinates:
-scaling the input by a power of two leaves the coloring unchanged, as long
-as its coordinates and their differences stay normal floats.  Any k
+coordinates, with no change of frame and no tolerance on its coordinates.
+The coloring cannot overflow: a set with a coordinate of magnitude 2^1023
+or more is colored from its halved coordinates, which is exact for normal
+floats and keeps every difference finite.  Scaling the input by a power
+of two therefore leaves the coloring unchanged, up to the float limit, as
+long as no coordinate or difference falls below the normal range.  Any k
 points whose segments share one bucket form an eps-collinear set (the two
 base angles of every triangle are bounded by the bucket width), so the
 finder looks for a k-clique inside each bucket's segment graph, richest
@@ -37,9 +40,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .bounds import check_distinct, check_eps, check_real, check_whole
+from .bounds import check_distinct, check_eps, check_whole
 from .errors import BudgetExceeded, DimensionMismatch, InternalError, InvalidArgument
-from .geometry import PointSet
+from .geometry import PointSet, _as_rows
 from .verifier import triangle_angles, verify_collinear
 
 __all__ = [
@@ -103,6 +106,13 @@ def bucket_count(eps: float) -> int:
     return math.ceil(r) + 1
 
 
+def _in_range(coords: np.ndarray) -> np.ndarray:
+    """coords, halved when two of them could differ by more than a float
+    holds (some |coordinate| >= 2^1023).  Halving is exact for normal floats
+    and halves every difference alike, so no direction moves."""
+    return coords / 2.0 if np.abs(coords).max(initial=0.0) >= 2.0**1023 else coords
+
+
 def _buckets(dx: np.ndarray, dy: np.ndarray, r: int) -> np.ndarray:
     """Bucket of each segment direction, taken modulo pi: with the segment
     pointed so that dx > 0, or dx = 0 and dy < 0,
@@ -122,19 +132,18 @@ def angle_bucket(p: Sequence[float], q: Sequence[float], r: int) -> int:
     Buckets are the half-closed intervals [-pi/2 + i*pi/r, -pi/2 + (i+1)*pi/r).
     The angle is taken modulo pi, with the segment pointed so that dx > 0,
     or dx = 0 and dy < 0: orientation does not matter, and a vertical
-    segment is in bucket 0.  The points are used as given, in no other frame.
+    segment is in bucket 0.  The points are used as given, in no other frame,
+    and are checked as a point set's rows are (``geometry._as_rows``).
     r is refused past the bucket counts ``bucket_count`` allows.
     """
     r = check_whole(r, 1, "r")
     if not r < _MAX_BUCKETS:
         raise InvalidArgument(f"r {r:g} is more angle buckets than an array can index")
-    if len(p) != 2 or len(q) != 2:
-        raise DimensionMismatch("angle buckets are defined in the plane")
-    (px, py), (qx, qy) = ([check_real(v, "(-inf, inf)", "coordinates must be finite") for v in pt]
-                          for pt in (p, q))
-    if px == qx and py == qy:
+    pq = _as_rows([p, q], 2)
+    if (pq[0] == pq[1]).all():
         raise InvalidArgument("coincident points have no direction")
-    return int(_buckets(np.array([qx - px]), np.array([qy - py]), r)[0])
+    d = np.diff(_in_range(pq), axis=0)
+    return int(_buckets(d[:, 0], d[:, 1], r)[0])
 
 
 def build_coloring(s: PointSet, eps: float) -> tuple[AngleColoring, np.ndarray]:
@@ -154,7 +163,7 @@ def build_coloring(s: PointSet, eps: float) -> tuple[AngleColoring, np.ndarray]:
         raise DimensionMismatch("coloring is defined in the plane")
     r = bucket_count(eps)
     n = len(s)
-    x, y = s.coords[:, 0], s.coords[:, 1]
+    x, y = _in_range(s.coords).T
     i = np.empty(n * (n - 1) // 2, dtype=np.min_scalar_type(n - 1))
     j = np.empty_like(i)
     assignments = np.empty(len(i), dtype=np.min_scalar_type(r - 1))

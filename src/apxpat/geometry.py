@@ -34,8 +34,19 @@ __all__ = [
 ]
 
 
+def _width(row) -> int | None:
+    """len(row), or None for a row that has no length, such as a scalar."""
+    try:
+        return len(row)
+    except TypeError:
+        return None
+
+
 def _as_floats(coords: Iterable[float]) -> tuple[float, ...]:
-    out = tuple(map(as_float, coords))
+    try:
+        out = tuple(map(as_float, coords))
+    except TypeError:  # not iterable
+        raise DimensionMismatch(f"a point needs a sequence of coordinates, not {coords!r}") from None
     if not out:
         raise InvalidArgument("a point needs at least one coordinate")
     for c in out:
@@ -77,7 +88,9 @@ def _point(row: list[float]) -> Point:
 
 def _as_rows(points, dim: int) -> np.ndarray:
     """A fresh read-only (n, dim) float64 copy of points: an array, or an
-    iterable of Points or coordinate sequences."""
+    iterable of Points or coordinate sequences.  A row of another length,
+    or with no length, raises DimensionMismatch; a coordinate that is not a
+    finite float raises InvalidArgument."""
     rows = points if isinstance(points, np.ndarray) else [
         p.coords if isinstance(p, Point) else p for p in points
     ]
@@ -85,8 +98,8 @@ def _as_rows(points, dim: int) -> np.ndarray:
         arr = np.array(rows, dtype=np.float64)
     except (OverflowError, TypeError, ValueError) as exc:
         for row in rows:
-            if len(row) != dim:
-                raise DimensionMismatch(f"point of dim {len(row)} in a dim-{dim} set") from None
+            if _width(row) != dim:
+                raise DimensionMismatch(f"row {row!r} is not a point of a dim-{dim} set") from None
         raise InvalidArgument(str(exc)) from None
     if len(arr) == 0:
         raise InvalidArgument("point set must be nonempty")
@@ -148,7 +161,12 @@ class PointSet:
         return tuple(self.coords[:, 0].tolist())
 
     def subset(self, indices: Iterable[int]) -> "PointSet":
-        return PointSet(self.dim, self.coords[list(indices)])
+        """The points at indices, in their order; negative indices count
+        from the end, and any other index raises InvalidArgument."""
+        n = len(self)
+        message = f"an index of a {n}-point set is an integer in [{-n}, {n - 1}]"
+        return PointSet(self.dim, self.coords[
+            [check_whole(i, -n, "index", message, most=n - 1) for i in indices]])
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -42,7 +42,7 @@ import numpy as np
 from . import _kernels
 from .bounds import check_real, check_whole
 from .errors import DimensionMismatch, InvalidArgument, ParseError
-from .geometry import PointSet
+from .geometry import PointSet, _width
 
 __all__ = ["parse_pointset", "write_pointset", "emit_svg"]
 
@@ -214,7 +214,7 @@ def emit_svg(
     marked = [check_whole(i, 0, "highlight index", f"highlight index {i} is outside 0..{n - 1}",
                           most=n - 1) for i in highlight] if highlight else []
     anchor_pts = list(anchors) if anchors else []
-    if any(len(a) != d for a in anchor_pts):
+    if any(_width(a) != d for a in anchor_pts):
         raise DimensionMismatch(f"anchors must have the set's dimension {d}")
     rows = np.array([[check_real(v, "(-inf, inf)", "anchors must be finite") for v in a]
                      for a in anchor_pts], dtype=np.float64).reshape(-1, d)

@@ -18,7 +18,10 @@ first max-count cell in lexicographic order; the descent does not depend
 on the target, so a pattern is found at the step its K-grid would be, or
 earlier.  Work and memory are O(n log n) and O(n) per step: no array of
 size s^d or (k*s)^d and no flat cell index is formed, so any d the
-schedule accepts runs.
+schedule accepts runs.  The search has one exit: a degenerate box, too
+few active points, a cell width that underflows, a complete system and an
+exhausted depth each return through one outcome builder, which fills in
+the trace, schedule, ``below_threshold`` and warnings.
 
 The grid searcher certifies its success with ``verify_homothetic`` against
 the unit k-grid.  The pattern searcher rounds the target pattern onto the
@@ -114,13 +117,6 @@ class SearchOutcome:
     reduction: Optional[PatternReduction] = None
 
 
-def _audit_separation(flat: np.ndarray, dim: int, delta: float) -> None:
-    if _kernels.has_close_pair(flat, dim, delta * (1.0 - TAU)):
-        raise InsufficientSeparation(
-            f"input contains a pair closer than delta={delta}"
-        )
-
-
 def _lex_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable lexicographic order of the rows of an (n, d) array and the
     positions in that order where each run of equal rows starts."""
@@ -149,16 +145,19 @@ def _subdivide(
     succeeds when every node cell t + s*m is occupied, and its members are
     listed in node order (lexicographic order of m for the grid).
     A success carries the chosen points, anchors and witness but no
-    certificate (verify=None); the caller certifies it.  Warnings use the
-    1-D wording (interval, k) at d = 1 and the cube wording otherwise, or
-    name the pattern's point count.  A lo that is not finite, and a length
-    that is not finite or is negative, raise InvalidArgument.
+    certificate (verify=None); the caller certifies it.  Every stop (a
+    degenerate box, too few active points, a cell width that underflows, a
+    complete system, the depth exhausted) returns through ``outcome``,
+    which adds the trace, schedule, threshold flag and warnings.  Warnings
+    use the 1-D wording (interval, k) at d = 1 and the cube wording
+    otherwise, or name the pattern's point count.  A lo that is not
+    finite, and a length that is not finite or is negative, raise
+    InvalidArgument.
     """
     d = s.dim
     region, span = ("interval", "interval length") if d == 1 else ("cube", "cube side")
     if lo is not None:
-        lo = np.array([check_real(v, "(-inf, inf)", "lo must be finite")
-                       for v in np.ravel(lo.coords if isinstance(lo, Point) else lo)])
+        lo = np.array([check_real(v, "(-inf, inf)", "lo must be finite") for v in np.ravel(lo)])
         if lo.shape != (d,):
             raise DimensionMismatch("lo must have one coordinate per axis")
     if length is not None:
@@ -172,8 +171,9 @@ def _subdivide(
         raise InvalidArgument(f"eps {schedule.eps!r} is too small: its k*s cells per axis "
                               "do not fit the int64 cell indices")
     coords = s.coords
-    if len(s) >= 2:
-        _audit_separation(coords.reshape(-1), d, schedule.delta)
+    delta = schedule.delta
+    if len(s) >= 2 and _kernels.has_close_pair(coords.reshape(-1), d, delta * (1.0 - TAU)):
+        raise InsufficientSeparation(f"input contains a pair closer than delta={delta}")
 
     lo_vec = coords.min(axis=0) if lo is None else lo
     with np.errstate(over="ignore"):
@@ -181,26 +181,28 @@ def _subdivide(
     box_len = max(tight, 0.0 if length is None else length)
     if not math.isfinite(box_len):
         raise InvalidArgument(f"the search {span} {box_len:g} is not a finite float")
-    warnings: list[str] = []
     below = box_len < schedule.z0
+    warnings: list[str] = []
     if below:
-        warnings.append(
-            f"{span} {box_len:g} is below the guarantee threshold z0={schedule.z0:g}"
-        )
-    if box_len <= 0.0:
-        warnings.append(f"degenerate search {region}; nothing to subdivide")
+        warnings.append(f"{span} {box_len:g} is below the guarantee threshold z0={schedule.z0:g}")
+    steps: list[SearchStep] = []
+
+    def outcome(subset=(), anchors=(), homothety=None) -> SearchOutcome:
         return SearchOutcome(
-            found=False, subset=(), anchors=(), homothety=None, verify=None,
-            trace=SearchTrace(()), schedule=schedule,
+            found=homothety is not None, subset=subset, anchors=anchors, homothety=homothety,
+            verify=None, trace=SearchTrace(tuple(steps)), schedule=schedule,
             below_threshold=below, warnings=tuple(warnings),
         )
+
+    if box_len <= 0.0:
+        warnings.append(f"degenerate search {region}; nothing to subdivide")
+        return outcome()
 
     inside = np.all((coords >= lo_vec) & (coords <= lo_vec + box_len), axis=1)
     active = np.flatnonzero(inside)
     stride, ks = schedule.s, k * schedule.s
     cur_lo = lo_vec
     cur_len = box_len
-    steps: list[SearchStep] = []
 
     for _step in range(schedule.j):
         if len(active) < needed:
@@ -243,24 +245,14 @@ def _subdivide(
             anchors = tuple(Point(cur_lo + cells[m] * x) for m in members)
             hit = tuple(int(v) for v in t)
             steps.append(SearchStep(low, cur_len, len(active), StepSuccess(hit, anchors, chosen)))
-            return SearchOutcome(
-                found=True, subset=chosen, anchors=anchors,
-                homothety=Homothety(cur_lo + t * x, stride * x), verify=None,
-                trace=SearchTrace(tuple(steps)), schedule=schedule,
-                below_threshold=below, warnings=tuple(warnings),
-            )
+            return outcome(chosen, anchors, Homothety(cur_lo + t * x, stride * x))
         best = int(counts.argmax())
         steps.append(SearchStep(low, cur_len, len(active),
                                 StepDescend(tuple(int(v) for v in cells[best]))))
         active = active[order[starts[best] : starts[best] + counts[best]]]
         cur_lo = cur_lo + cells[best] * x
         cur_len = x
-
-    return SearchOutcome(
-        found=False, subset=(), anchors=(), homothety=None, verify=None,
-        trace=SearchTrace(tuple(steps)), schedule=schedule,
-        below_threshold=below, warnings=tuple(warnings),
-    )
+    return outcome()
 
 
 def search_grid(

@@ -45,7 +45,7 @@ import numpy as np
 from ._kernels import _to_unit
 from .bounds import check_distinct, check_eps, check_real, check_whole
 from .errors import DimensionMismatch, InvalidArgument
-from .geometry import Pattern, Point, PointSet
+from .geometry import Pattern, Point, PointSet, _as_rows, _width
 
 __all__ = [
     "TAU",
@@ -571,9 +571,11 @@ def triangle_angles(
     """Interior angles at a, b, c in radians; collinear triples give (0, 0, pi).
 
     Computed after scaling the three points by a power of two into the unit
-    range, so the angles do not depend on the scale.
+    range, so the angles do not depend on the scale.  The corners are
+    checked as a point set's rows are: corners of different lengths raise
+    DimensionMismatch, a coordinate that is not finite InvalidArgument.
     """
-    return _angles(*_to_unit(np.array([a, b, c], dtype=float))[0].tolist())
+    return _angles(*_to_unit(_as_rows([a, b, c], _width(a) or 1))[0].tolist())
 
 
 def verify_collinear(q: PointSet, eps: float) -> tuple[bool, tuple[int, int, int]]:

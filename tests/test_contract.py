@@ -1,25 +1,33 @@
 """One argument contract: every public entry point answers or raises a
 typed ``ApxpatError``.
 
-Each name in ``apxpat.__all__`` that takes arguments is called with each
-of its numeric arguments drawn on its own from an in-range strategy or
-from ``WILD``: boundaries, zeros, negatives, non-integers, subnormals,
-huge values, +-inf and nan.  Every call must return or raise an
-``ApxpatError``, within ``TIME_CAP_S`` seconds and with a tracemalloc peak
-under ``PEAK_CAP_BYTES``.  The same values go to every numeric flag of the
-CLI: every run exits 0, 1 or 2, raises nothing out of ``main``, and with
-``--json`` writes one JSON object or nothing.  The cases named in the
-regression tests at the end each failed before the checks were shared.
+Each name in the ``__all__`` of the package or of any of its modules that
+takes arguments, and each public method of ``PointSet``, is called with
+each of its numeric arguments drawn on its own from an in-range strategy
+or from ``WILD``: boundaries, zeros, negatives, non-integers, subnormals,
+huge values, +-inf and nan.  An argument that holds a point's coordinates
+is drawn from ``WILD_ROWS`` instead: a pair holding each ``WILD`` value,
+scalars, ragged and nested rows, strings and arrays.  Every call must
+return or raise an ``ApxpatError``, within ``TIME_CAP_S`` seconds and
+with a tracemalloc peak under ``PEAK_CAP_BYTES``.  The same values go to
+every numeric flag of the CLI: every run exits 0, 1 or 2, raises nothing
+out of ``main``, and with ``--json`` writes one JSON object or nothing.
+The cases named in the regression tests at the end each failed before
+the checks were shared, or before point inputs went through one row
+check.
 """
 
 import dataclasses
+import importlib
 import io
 import json
 import math
+import pkgutil
 import signal
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -32,12 +40,17 @@ from apxpat import (Homothety, Pattern, Point, PointSet, angle_bucket, apply_hom
                     pattern_grid_resolution, schedule_nd, search_ap, search_grid, search_pattern,
                     verify_ap, verify_collinear, verify_homothetic, write_pointset)
 from apxpat.cli import main
-from apxpat.errors import ApxpatError, InvalidArgument
+from apxpat.collinear import bucket_count, build_coloring
+from apxpat.errors import ApxpatError, DimensionMismatch, InvalidArgument
+from apxpat.verifier import triangle_angles
 
 INF, NAN = math.inf, math.nan
 WILD = (0, -1, 1, 2, 0.0, -0.0, 0.5, 1 / 3, 1.0, 2.5, -2.5, 5e-324, 1e-320,
         2.2250738585072014e-308, 1e-19, 1e308, -1e308, 10**30, -(10**30), 2**63,
         4294967296, INF, -INF, NAN)
+WILD_ROWS = (*((v, 1.0) for v in WILD), 1.0, NAN, None, "ab", (), (1.0,), (1.0, 2.0, 3.0),
+             ((1.0, 2.0), (3.0, 4.0)), [1.0, (2.0,)], (10**400, 0.0), np.array(1.0),
+             np.array([1.0, 2.0]), {1: 2, 3: 4})
 TIME_CAP_S = 10
 PEAK_CAP_BYTES = 32 * 2**20
 
@@ -70,11 +83,22 @@ _BUDGET = (None, _opt(st.integers(0, 10**4)))
 _LO, _LENGTH = (None, _opt(_floats(-5.0, 0.0))), (None, _opt(_floats(0.0, 100.0)))
 
 
+def _row(base):
+    """A point's coordinates: in range a pair of floats, wild from WILD_ROWS."""
+    return base, st.tuples(_floats(-3.0, 3.0), _floats(-3.0, 3.0)), WILD_ROWS
+
+
+# Every name in the __all__ of the package and of each of its modules.
+PUBLIC = {name: getattr(module, name)
+          for module in [apxpat, *(importlib.import_module(f"apxpat.{info.name}")
+                                   for info in pkgutil.iter_modules(apxpat.__path__))]
+          for name in getattr(module, "__all__", ())}
+
+
 def _records():
     """The dataclass records of the API, each field drawn like any argument."""
     out = {}
-    for name in apxpat.__all__:
-        obj = getattr(apxpat, name)
+    for name, obj in PUBLIC.items():
         if dataclasses.is_dataclass(obj) and obj.__dataclass_params__.init:
             fields = [f.name for f in dataclasses.fields(obj) if f.init]
             out[name] = (obj, {f: (0, st.integers(0, 3)) for f in fields})
@@ -82,15 +106,17 @@ def _records():
 
 
 ENTRIES = {
-    "Point": (lambda x: Point((x, 1.0)), {"x": _X2}),
-    "PointSet": (lambda dim, x: PointSet(dim, [(x, 0.0), (1.0, 1.0)]),
-                 {"dim": (2, st.just(2)), "x": _X2}),
-    "Pattern": (lambda dim, x: Pattern(dim, [(x, 0.0), (1.0, 1.0)]),
-                {"dim": (2, st.just(2)), "x": _X2}),
-    "Homothety": (lambda x, scale: Homothety((x, 0.0), scale),
-                  {"x": _X2, "scale": (2.0, _floats(1e-3, 1e3))}),
-    "apply_homothety": (lambda x, scale: apply_homothety(Homothety((x, 0.0), scale), _TRI),
-                        {"x": _X2, "scale": (2.0, _floats(1e-3, 1e3))}),
+    "Point": (Point, {"coords": _row((0.5, 1.0))}),
+    "PointSet": (lambda dim, x, row: PointSet(dim, [(x, 0.0), row]),
+                 {"dim": (2, st.just(2)), "x": _X2, "row": _row((1.0, 1.0))}),
+    "PointSet.points": (lambda x: _plane(x).points, {"x": _X2}),
+    "PointSet.subset": (lambda i: _plane(0.5).subset([0, i]), {"i": (1, st.integers(-5, 4))}),
+    "PointSet.values": (lambda x: _line(x).values(), {"x": _X1}),
+    "Pattern": (lambda dim, x, row: Pattern(dim, [(x, 0.0), row]),
+                {"dim": (2, st.just(2)), "x": _X2, "row": _row((1.0, 1.0))}),
+    "Homothety": (Homothety, {"anchor": _row((0.5, 0.0)), "scale": (2.0, _floats(1e-3, 1e3))}),
+    "apply_homothety": (lambda anchor, scale: apply_homothety(Homothety(anchor, scale), _TRI),
+                        {"anchor": _row((0.5, 0.0)), "scale": (2.0, _floats(1e-3, 1e3))}),
     "min_pairwise_distance": (lambda x: min_pairwise_distance(PointSet(1, [(0.0,), (x,)])),
                               {"x": _X2}),
     "diameter": (lambda x: diameter(PointSet(1, [(0.0,), (x,)])), {"x": _X2}),
@@ -103,6 +129,8 @@ ENTRIES = {
         lambda x, i, eps: verify_homothetic(PointSet(2, [(0.0, 0.0), (2.0, 0.0), (x, 2.0)]),
                                             _TRI, [0, 1, i], eps),
         {"x": (0.1, _floats(-0.5, 0.5)), "i": (2, st.just(2)), "eps": _EPS}),
+    "triangle_angles": (triangle_angles, {"a": _row((0.0, 0.0)), "b": _row((1.0, 0.5)),
+                                          "c": _row((2.0, 0.0))}),
     "verify_collinear": (
         lambda x, eps: verify_collinear(PointSet(2, [(0.0, 0.0), (1.0, 0.01), (2.0, x)]), eps),
         {"x": (0.0, _floats(-1.0, 1.0)), "eps": (0.25, _floats(0.01, 1.0))}),
@@ -123,8 +151,11 @@ ENTRIES = {
     "pattern_grid_resolution": (
         lambda x, eps: pattern_grid_resolution(Pattern(2, [(0.0, 0.0), (1.0, 0.0), (x, 1.0)]), eps),
         {"x": _X2, "eps": _EPS}),
-    "angle_bucket": (lambda x, r: angle_bucket((0.0, 0.0), (x, 1.0), r),
-                     {"x": _X2, "r": (8, st.integers(1, 10**6))}),
+    "angle_bucket": (lambda p, x, r: angle_bucket(p, (x, 1.0), r),
+                     {"p": _row((0.0, 0.0)), "x": _X2, "r": (8, st.integers(1, 10**6))}),
+    "bucket_count": (bucket_count, {"eps": (0.25, _floats(0.01, 0.99))}),
+    "build_coloring": (lambda x, eps: build_coloring(_plane(x), eps),
+                       {"x": _X2, "eps": (0.25, _floats(0.01, 0.99))}),
     "find_collinear": (
         lambda x, k, eps, node_budget: find_collinear(_plane(x), k, eps, node_budget=node_budget),
         {"x": _X2, "k": (3, st.integers(3, 5)), "eps": (0.25, _floats(0.01, 0.99)),
@@ -155,16 +186,27 @@ ENTRIES = {
     "parse_pointset": (lambda dim, x: parse_pointset(f"{dim}\n{x!r} 0\n1 1\n"),
                        {"dim": (2, st.just(2)), "x": _X2}),
     "write_pointset": (lambda x: write_pointset(PointSet(2, [(x, 0.0), (1.0, 1.0)])), {"x": _X2}),
-    "emit_svg": (lambda x, i: emit_svg(_plane(1.0), [i], [(x, 0.0)]),
-                 {"x": _X2, "i": (1, st.integers(0, 4))}),
+    "emit_svg": (lambda anchor, i: emit_svg(_plane(1.0), [i], [anchor]),
+                 {"anchor": _row((0.5, 0.0)), "i": (1, st.integers(0, 4))}),
     **_records(),
 }
 # Arguments that are not numbers take only their in-range values.
 _NOT_NUMERIC = {("gen_adversarial_ap3", "variant")}
 
 
+def _wild(name, arg):
+    """The wild values of one argument: none for an argument that is not a
+    number, WILD_ROWS for a point's coordinates, else WILD."""
+    if (name, arg) in _NOT_NUMERIC:
+        return ()
+    spec = ENTRIES[name][1][arg]
+    return spec[2] if len(spec) > 2 else WILD
+
+
 def test_every_public_name_that_takes_arguments_is_covered():
-    assert {name for name in apxpat.__all__ if callable(getattr(apxpat, name))} == set(ENTRIES)
+    methods = {f"PointSet.{name}" for name in vars(PointSet) if not name.startswith("_")}
+    assert methods == {"PointSet.points", "PointSet.subset", "PointSet.values"}
+    assert {name for name, obj in PUBLIC.items() if callable(obj)} | methods == set(ENTRIES)
 
 
 class _Overtime(BaseException):
@@ -199,10 +241,12 @@ def _typed(out):
 
 
 def _arguments(name):
-    specs = ENTRIES[name][1]
-    return st.fixed_dictionaries({
-        arg: strategy if (name, arg) in _NOT_NUMERIC else strategy | st.sampled_from(WILD)
-        for arg, (_, strategy) in specs.items()})
+    def drawn(arg, strategy):
+        wild = _wild(name, arg)
+        return strategy | st.sampled_from(wild) if wild else strategy
+
+    return st.fixed_dictionaries({arg: drawn(arg, spec[1])
+                                  for arg, spec in ENTRIES[name][1].items()})
 
 
 @pytest.mark.parametrize("name", sorted(ENTRIES))
@@ -218,13 +262,11 @@ def test_every_call_returns_or_raises_a_typed_error(name, data):
 
 @pytest.mark.parametrize("name", sorted(ENTRIES))
 def test_one_wild_argument_at_a_time(name):
-    # Every WILD value in every numeric argument, the others at their base.
+    # Every wild value of every argument, the others at their base.
     call, specs = ENTRIES[name]
-    base = {arg: value for arg, (value, _) in specs.items()}
+    base = {arg: spec[0] for arg, spec in specs.items()}
     for arg in specs:
-        if (name, arg) in _NOT_NUMERIC:
-            continue
-        for value in WILD:
+        for value in _wild(name, arg):
             out, peak = run_capped(call, **{**base, arg: value})
             assert _typed(out), (arg, value, repr(out))
             assert peak < PEAK_CAP_BYTES, (arg, value, peak)
@@ -357,6 +399,27 @@ def test_one_wild_flag_at_a_time(command, files):
 def test_values_once_accepted_silently_are_refused(call):
     with pytest.raises(InvalidArgument):
         call()
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: triangle_angles((0, 0), (1, NAN), (2, 0)), InvalidArgument),
+    (lambda: triangle_angles((0, 0), (1,), (2, 0)), DimensionMismatch),
+    (lambda: triangle_angles(1.0, (1, 2), (2, 0)), DimensionMismatch),
+    (lambda: PointSet(2, [1.0, (1, 2)]), DimensionMismatch),
+    (lambda: Point(1.0), DimensionMismatch),
+    (lambda: _plane(0.5).subset([0.5]), InvalidArgument),
+    (lambda: _plane(0.5).subset([5]), InvalidArgument),
+    (lambda: _plane(0.5).subset([-6]), InvalidArgument),
+], ids=["triangle-nan", "triangle-ragged", "triangle-scalar", "pointset-scalar-row",
+        "point-scalar", "subset-0.5", "subset-past-the-end", "subset-before-the-start"])
+def test_point_inputs_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_subset_keeps_negative_indices():
+    s = _plane(0.5)
+    assert s.subset([-1, 0, -5]) == s.subset([4, 0, 0])
 
 
 def test_sizes_are_refused_before_anything_is_built():

@@ -171,12 +171,15 @@ def test_jittered_lattice_matches_scalar_odometer(d, length, jitter, seed):
 
 
 def _assert_matches_reference(case):
-    """The kernel's flat list is the reference's after max_attempts, and so
-    are its attempts, unless it stops short of both its target and
-    max_attempts, having found the box full: then the reference cut at
-    that attempt holds the same points, and takes no more after it."""
+    """The kernel's flat array, as a list, is the reference's after
+    max_attempts, and so are its attempts, unless it stops short of both
+    its target and max_attempts, having found the box full: then the
+    reference cut at that attempt holds the same points, and takes no more
+    after it."""
     dim, length, delta, target, seed, max_attempts = case
     flat, attempts = _kernels.dart_throw(*case)
+    assert flat.dtype == np.float64 and flat.ndim == 1
+    flat = flat.tolist()
     ref_flat, ref_attempts = reference_dart_throw(*case)
     assert flat == ref_flat
     if len(flat) < target * dim and attempts < max_attempts:
@@ -232,8 +235,8 @@ def test_dart_throw_rejects_only_strictly_closer_points():
     # of side 1e-165: no candidate is strictly closer than delta, so each
     # is accepted, on both sides of the 3^1 ring cells.
     flat, attempts = _kernels.dart_throw(1, 1e-165, 1e-170, 40, 1, 10**6)
-    assert attempts == 40 and len(set(flat)) == 40
-    assert (flat, attempts) == reference_dart_throw(1, 1e-165, 1e-170, 40, 1, 10**6)
+    assert attempts == 40 and len(set(flat.tolist())) == 40
+    assert (flat.tolist(), attempts) == reference_dart_throw(1, 1e-165, 1e-170, 40, 1, 10**6)
     # A pair at exactly the threshold is not close; a nearer one is.
     q = np.asarray([[0.0], [3.0]])
     pts = np.asarray([[1.0], [2.5]])
@@ -304,7 +307,7 @@ def test_dart_throw_direct_scan_matches_grid():
         small, _ = _kernels.dart_throw(3, 12.0, 1.0, 100, seed, 10**6)
         large, _ = _kernels.dart_throw(3, 12.0, 1.0, 130, seed, 10**6)
         assert len(small) == 300 and len(large) == 390
-        assert large[:300] == small  # bit-identical floats
+        assert large[:300].tolist() == small.tolist()  # bit-identical floats
 
 
 def test_dart_throw_high_dimension():

@@ -547,6 +547,19 @@ class TestCli:
         s = parse_pointset(out)
         assert s.values() == (1.0, 0.125, 0.015625)
 
+    @pytest.mark.parametrize("dim", ["3", "2", "0", "-1"])
+    def test_generate_adversarial_refuses_a_dimension_other_than_1(self, dim, tmp_path, capsys):
+        # The sequence is 1-D: any other --dim exits 2 with one error line,
+        # and no file is written.
+        out_file = tmp_path / "adv.txt"
+        code, out = run_cli("generate", "--kind", "adversarial", "--dim", dim, "--count", "4",
+                            "--out", str(out_file))
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "") and not out_file.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        code, out = run_cli("generate", "--kind", "adversarial", "--dim", "1", "--count", "3")
+        assert code == 0 and parse_pointset(out).values() == (1.0, 0.125, 0.015625)
+
     @pytest.mark.parametrize("flags", [
         ("--dim", "3", "--k", "2", "--c", "1e-6", "--delta", "0.01", "--eps", "0.05"),
         ("--dim", "30", "--k", "3", "--c", "1", "--delta", "1e-20", "--eps", "0.3"),

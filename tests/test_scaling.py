@@ -3,7 +3,9 @@ every distance the package reports by exactly 2^k and changes no verdict.
 
 Coordinates are multiples of 1/8 of magnitude at most 8, so every
 coordinate and every difference stays a normal float at every scale
-drawn here, and every scaling is exact.
+drawn here, and every scaling is exact.  The collinear finder is checked
+up to the largest k that keeps every coordinate finite, where a
+difference of two coordinates can pass the float range.
 """
 
 import math
@@ -16,11 +18,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from apxpat import _kernels
+from apxpat.collinear import angle_bucket, bucket_count, find_collinear
 from apxpat.cli import main
 from apxpat.generators import _packs, gen_random_separated
 from apxpat.geometry import Pattern, PointSet, diameter, min_pairwise_distance
 from apxpat.pointio import emit_svg
-from apxpat.verifier import verify_homothetic
+from apxpat.verifier import verify_collinear, verify_homothetic
 
 from _reference import cylinder_radius
 
@@ -139,3 +142,49 @@ def test_svg_ignores_the_scale(drawn, k, picks, anchors):
     want = emit_svg(PointSet(dim, rows), valid, marks.tolist())
     got = emit_svg(PointSet(dim, np.ldexp(rows, k)), valid, np.ldexp(marks, k).tolist())
     assert got == want
+
+
+def _largest_finite_power(rows):
+    """The largest k with every coordinate of rows * 2^k finite."""
+    return 1024 - math.frexp(float(np.abs(rows).max()))[1]
+
+
+def _assert_collinear_ignores_the_scale(rows, k, eps, r, size):
+    s, t = PointSet(2, rows), PointSet(2, np.ldexp(rows, k))
+    assert find_collinear(t, size, eps) == find_collinear(s, size, eps)
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            want = angle_bucket(rows[i], rows[j], r)
+            assert angle_bucket(t.coords[i], t.coords[j], r) == want, (i, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vals=st.lists(st.tuples(st.integers(-64, 64), st.integers(-64, 64)), min_size=3,
+                     max_size=12, unique=True),
+       k=st.integers(min_value=-1000, max_value=1021), size=st.integers(min_value=3, max_value=5),
+       eps=st.sampled_from([0.05, 0.1, 0.3]))
+@example(vals=[(-64, 0), (64, 1), (0, 64)], k=1000, size=3, eps=0.1)
+def test_collinear_outcome_and_buckets_ignore_the_scale(vals, k, size, eps):
+    # At the drawn k, and at the largest k that keeps every coordinate
+    # finite, where differences of coordinates of both signs pass the
+    # float range.
+    rows = np.asarray(vals) / 8.0
+    top = _largest_finite_power(rows)
+    for power in (min(k, top), top):
+        _assert_collinear_ignores_the_scale(rows, power, eps, bucket_count(eps), size)
+
+
+def test_planted_line_is_found_up_to_the_float_limit():
+    # A 6-point line at 30 degrees among 6 uniform points, at unit scale
+    # and scaled by 2^k up to the float limit (about 1.7e308): the finder
+    # keeps finding the line, and the line's end points keep their bucket.
+    t = np.arange(6) / 5.0
+    line = np.c_[t * math.cos(math.pi / 6), t * math.sin(math.pi / 6)] * 2.0 - 1.0
+    rows = np.r_[line, np.random.default_rng(0).uniform(-1.0, 1.0, (6, 2))] * 1.9
+    want = find_collinear(PointSet(2, rows), 6, 0.05)
+    assert want.found and want.subset == tuple(range(6))
+    top = _largest_finite_power(rows)
+    assert np.abs(np.ldexp(rows, top)).max() > 1.7e308
+    for k in (1000, top - 1, top):
+        _assert_collinear_ignores_the_scale(rows, k, 0.05, bucket_count(0.05), 6)
+        assert verify_collinear(PointSet(2, np.ldexp(rows[:6], k)), 0.05)[0]
