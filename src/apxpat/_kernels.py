@@ -14,14 +14,26 @@ is seed + m*gamma mod 2^64, and each output is a fixed mix of one state.
 uint64 array, with the same bits as stepping it one word at a time; it is
 the only code that knows the stream.
 
-The separation audit and dart throwing share one grid hash: linear uint64
-keys of cell indices (``_cell_keys``), sorted once, with the points of a
-neighbouring cell found by ``searchsorted`` and every candidate pair
-confirmed by its own squared distance, summed axis by axis with each
-difference first scaled by the power of two that brings the threshold
-into [0.5, 1) (``_close_in_ranges``), so neither depends on the scale of
-the input.  Below 3^dim points, where a ring of cells would cost more
-than the points it holds, both compare every pair instead.
+The separation audit, dart throwing and its full-box test share one grid
+hash: linear uint64 keys of cell indices (``_cell_keys``), sorted once,
+and every candidate pair confirmed by its own squared distance, summed
+axis by axis with each difference first scaled by the power of two that
+brings the threshold into [0.5, 1) (``_close_in_ranges``), so none of
+them depends on the scale of the input.  The three cells of a ring row
+along the last axis have consecutive keys, so each row is one key
+interval [c - 1, c + 1], found by two ``searchsorted`` calls
+(``_close_in_keys``): 3^(dim-1) lookups per point in place of 3^dim
+cells.  Cell indices enter the keys plus one, so while keys do not wrap
+no interval crosses key 0; where they wrap (base^dim >= 2^64, or clipped
+cell indices), an interval whose lo > hi as uint64 is split into
+[lo, 2^64) and [0, hi].  Below 3^dim points, where a ring of cells would
+cost more than the points it holds, each compares every pair instead.
+
+numpy reduces an (n, d) array along an axis by walking its rows, at many
+times the cost of reducing each column as one contiguous run; per-axis
+minima and maxima of point rows (``per_axis``) and the row-wise AND and
+OR of a bool array's columns (``across_axes``) are taken one column at a
+time, with numpy's bits.
 
 Every pairwise squared distance is computed by one loop,
 ``_sq_dists_in_ranges``, over the pairs of one range expander,
@@ -54,9 +66,10 @@ _TO53 = 2.0**-53
 _BLOCK_ROWS = 4096
 # Candidate pairs whose distances one numpy pass computes.
 _PAIRS_PER_PASS = 65536
-# Ring cells looked up in one searchsorted: enough to amortise numpy's
-# per-call cost, few enough that the lookup stays in cache.
-_CELLS_PER_LOOKUP = 8192
+# Ring rows looked up in one pair of searchsorted calls: enough to
+# amortise numpy's per-call cost, few enough that the lookup stays in cache.
+_ROWS_PER_LOOKUP = 8192
+_ONE = np.uint64(1)
 
 
 def splitmix64_block(state, count):
@@ -77,6 +90,36 @@ def unit_from_bits(z):
     return (z >> 11) * _TO53
 
 
+def per_axis(ufunc, a):
+    """``ufunc.reduce(a, axis=0)`` of an (n, d) float array in C or Fortran
+    order, for ufunc np.minimum or np.maximum, bit for bit, one column at
+    a time.
+
+    numpy reduces a C-ordered array along axis 0 by combining whole rows
+    in turn, so at d > 1 a tie of 0.0 and -0.0 keeps the sign of the
+    later row, and it costs many times a reduction of each column as one
+    contiguous run, which is how numpy reduces a single column or a
+    Fortran-ordered array.  The columns of a transposed copy are reduced
+    so here; where numpy walks the rows, a column whose result is a zero
+    takes the sign of its last zero."""
+    cols = a.T.copy()
+    out = ufunc.reduce(cols, axis=1)
+    if len(cols) > 1 and a.flags.c_contiguous:
+        for j in np.flatnonzero(out == 0.0).tolist():
+            out[j] = cols[j, np.flatnonzero(cols[j] == 0.0)[-1]]
+    return out
+
+
+def across_axes(ufunc, b):
+    """``ufunc.reduce(b, axis=1)`` of an (n, d) bool array, for ufunc
+    np.logical_and or np.logical_or, one column at a time: numpy's own
+    reduction along axis 1 walks the rows and costs many times as much."""
+    out = b[:, 0].copy()
+    for a in range(1, b.shape[1]):
+        ufunc(out, b[:, a], out=out)
+    return out
+
+
 def dart_throw(dim, length, delta, target, seed, max_attempts):
     """Sequential dart throwing in [0, length)^dim with minimum distance delta.
 
@@ -94,13 +137,14 @@ def dart_throw(dim, length, delta, target, seed, max_attempts):
     by it.  The coordinates returned are the candidates' own.  Each block
     is therefore decided in numpy: the candidates near a point accepted in
     earlier blocks are rejected through the grid hash of the separation
-    audit (``_close_pairs``); the close pairs among the survivors are
-    found, each once, the way the audit finds them
-    (``_close_pairs_within``); only those pairs are walked in Python, in
-    stream order of their later candidate, which is rejected when the
-    earlier one still stands; and the block is cut at the target-th
-    acceptance, so ``attempts`` is the count a one-at-a-time thrower
-    reports.  Blocks hold at most _BLOCK_ROWS candidates, and
+    audit (``_close_pairs``: one key interval per row of each candidate's
+    ring, an interval that wraps past 2^64 - 1 split in two); the close
+    pairs among the survivors are found, each once, the way the audit
+    finds them (``_close_pairs_within``); only those pairs are walked in
+    Python, in stream order of their later candidate, which is rejected
+    when the earlier one still stands; and the block is cut at the
+    target-th acceptance, so ``attempts`` is the count a one-at-a-time
+    thrower reports.  Blocks hold at most _BLOCK_ROWS candidates, and
     about twice as many as the run's acceptance rate needs to reach the
     target, so a small target draws a small block.
 
@@ -194,10 +238,10 @@ def _box_is_full(pts, keys, base, cell, length, delta, budget):
     scale, thr = _binary_units(delta)
     side = delta / math.sqrt(dim)
     pad = (length + delta) * 2.0**-50
-    per_axis = int(length / side) + 1
-    if per_axis**dim > budget:
+    across = int(length / side) + 1
+    if across**dim > budget:
         return False
-    idx = np.indices((per_axis,) * dim).reshape(dim, -1).T
+    idx = np.indices((across,) * dim).reshape(dim, -1).T
     halves = np.indices((2,) * dim).reshape(dim, -1).T
     with np.errstate(over="ignore"):
         while len(idx):
@@ -220,7 +264,7 @@ def _box_is_full(pts, keys, base, cell, length, delta, budget):
             idx = (2 * idx[:, None, :] + halves).reshape(-1, dim)
             # A cell whose corner rounds to length or past it holds no
             # candidate: the largest candidate is below length by an ulp.
-            idx = idx[(idx * side < length).all(axis=1)]
+            idx = idx[across_axes(np.logical_and, idx * side < length)]
     return True
 
 
@@ -232,28 +276,33 @@ def _home_keys(x, cell, base):
 def _cell_keys(home, base):
     """Linear uint64 keys of cell indices (an (n, dim) float array of
     non-negative integers below 2^64): the base-`base` number with the
-    indices as digits, in wrapping arithmetic."""
+    indices plus one as digits, in wrapping arithmetic.  With base above
+    every index plus two, the digits of a cell's neighbours lie in
+    [0, base), so while base^dim <= 2^64 no key wraps and the keys of the
+    three cells of a row along the last axis are k - 1, k and k + 1, with
+    k - 1 >= 0."""
     home = home.astype(np.uint64)
     keys = np.zeros(len(home), dtype=np.uint64)
     ubase = np.uint64(base & _MASK64)
     for a in range(home.shape[1]):
-        keys = keys * ubase + home[:, a]
+        keys = keys * ubase + home[:, a] + _ONE
     return keys
 
 
-def _ring_keys(dim, base):
-    """Wrapping uint64 key offsets of the 3^dim cells of one ring, as an
-    array in lexicographic order of the offset vectors: the zero offset
-    sits in the middle, and the lexicographically positive half follows
-    it.  Keys are linear, so the key of a neighbour cell is always a cell's
-    key plus the offset's; a wrap or collision only adds candidate pairs,
-    which their distances then reject."""
+def _ring_rows(dim, base):
+    """Wrapping uint64 key offsets of the middle cells of the 3^(dim-1)
+    rows of one ring along the last axis, as an array in lexicographic
+    order of the offset vectors (last coordinate 0): the zero row sits in
+    the middle, and the lexicographically positive half follows it.  Keys
+    are linear, so the key of a neighbour cell is always a cell's key plus
+    the offset's; a wrap or collision only adds candidate pairs, which
+    their distances then reject."""
     keys = []
-    for off in itertools.product((-1, 0, 1), repeat=dim):
+    for off in itertools.product((-1, 0, 1), repeat=dim - 1):
         key = 0
         for v in off:
             key = key * base + v
-        keys.append(key & _MASK64)
+        keys.append(key * base & _MASK64)
     return np.asarray(keys, dtype=np.uint64)
 
 
@@ -267,50 +316,61 @@ def _close_pairs(q, qkeys, pts, keys, base, thr):
     if 3**dim > len(pts):
         return _joined(_close_in_ranges(q, pts, np.zeros(m, dtype=np.intp),
                                         np.full(m, len(pts)), thr))
-    return _joined(_close_in_cells(q, qkeys, _ring_keys(dim, base), pts, keys,
-                                   _run_ends(keys), thr))
+    return _joined(_close_in_rows(q, qkeys, _ring_rows(dim, base), pts, keys, thr))
 
 
 def _close_pairs_within(pts, keys, base, thr):
     """Yield each pair of pts strictly closer than thr, once, as
     index arrays (i, j), one numpy pass at a time, so a caller may stop at
     the first.  pts are sorted by their cell keys; each point is compared
-    with the later points of its own cell and with the points of the
-    positive half of its ring.  With fewer points than the 3^dim ring
-    cells, each point is compared with every later point instead."""
+    with the points after it up to the end of the next cell along the
+    last axis (the rest of its own cell, then that cell: one key interval)
+    and with the points of the lexicographically positive half of its
+    ring's rows.  With fewer points than the 3^dim ring cells, each point
+    is compared with every later point instead."""
     n, dim = pts.shape
     if 3**dim > n:
         yield from _close_in_ranges(pts, pts, np.arange(1, n + 1), np.full(n, n), thr)
         return
-    run_end = _run_ends(keys)
-    yield from _close_in_ranges(pts, pts, np.arange(1, n + 1), run_end, thr)
-    ring = _ring_keys(dim, base)
-    for i, j in _close_in_cells(pts, keys, ring[len(ring) // 2 + 1:], pts, keys, run_end, thr):
+    yield from _close_in_keys(pts, pts, keys, keys, keys + _ONE, thr, np.arange(1, n + 1))
+    rows = _ring_rows(dim, base)
+    for i, j in _close_in_rows(pts, keys, rows[len(rows) // 2 + 1:], pts, keys, thr):
         # A wrapped offset key can point back at the point itself.
         keep = i != j
         yield i[keep], j[keep]
 
 
-def _run_ends(keys):
-    """For each index of the sorted keys, the end of its run of equal keys."""
-    ends = np.append(np.flatnonzero(keys[1:] != keys[:-1]) + 1, len(keys))
-    return np.repeat(ends, np.diff(ends, prepend=0))
-
-
-def _close_in_cells(q, qkeys, offsets, pts, keys, run_end, thr):
+def _close_in_rows(q, qkeys, rows, pts, keys, thr):
     """Yield, a numpy pass at a time, the index pairs (i, j) with q[i]
-    strictly closer than thr to a point pts[j] whose key is
-    qkeys[i] plus one of offsets; pts are sorted by their keys, and
-    run_end is ``_run_ends(keys)``.  The cells of several offsets are
-    looked up at once, at most _CELLS_PER_LOOKUP cells (or one offset's)
-    per lookup."""
-    step = max(1, _CELLS_PER_LOOKUP // max(len(q), 1))
-    for c in range(0, len(offsets), step):
-        cells = (qkeys + offsets[c:c + step, None]).ravel()
-        first = np.searchsorted(keys, cells)
-        at = np.minimum(first, len(keys) - 1)
-        stop = np.where(keys[at] == cells, run_end[at], first)
-        yield from _close_in_ranges(q, pts, first, stop, thr)
+    strictly closer than thr to a point pts[j] in one of the three cells
+    of a ring row around q[i]: whose key lies in [c - 1, c + 1] for c
+    qkeys[i] plus one of rows (``_ring_rows``).  pts are sorted by their
+    keys.  The intervals of several rows are looked up at once, at most
+    _ROWS_PER_LOOKUP (or one row's) per lookup."""
+    step = max(1, _ROWS_PER_LOOKUP // max(len(q), 1))
+    for r in range(0, len(rows), step):
+        mid = (qkeys + rows[r:r + step, None]).ravel()
+        yield from _close_in_keys(q, pts, keys, mid - _ONE, mid + _ONE, thr)
+
+
+def _close_in_keys(q, pts, keys, lo, hi, thr, first=None):
+    """Yield the index pairs (i, j) with q[i] strictly closer than thr to
+    pts[j] for the j whose key lies in the interval [lo[r], hi[r]] of
+    uint64 keys, i = r mod len(q); pts are sorted by their keys.  An
+    interval with lo > hi wraps: it is [lo, 2^64) and [0, hi].  Given
+    first, j starts at first[r] instead, which must lie in the interval's
+    first part."""
+    if first is None:
+        first = np.searchsorted(keys, lo)
+    stop = np.searchsorted(keys, hi, "right")
+    wrap = np.flatnonzero(lo > hi)
+    if len(wrap):
+        rows = wrap % len(q)
+        for i, j in _close_in_ranges(q[rows], pts, np.zeros(len(wrap), dtype=np.intp),
+                                     stop[wrap], thr):
+            yield rows[i], j
+        stop[wrap] = len(keys)
+    yield from _close_in_ranges(q, pts, first, stop, thr)
 
 
 def _joined(hits):
@@ -329,12 +389,17 @@ def has_close_pair(flat, dim, threshold):
     differ by less than half a cell on every axis, so their home cells are
     neighbours in the one ring of 3^dim offsets, with half a cell to spare
     for rounding.  Each point gets a linear key of its home cell, the keys
-    are sorted once, and each point is compared with the later points of
-    its own cell and with the points of the lexicographically positive half
-    of its ring, found by ``searchsorted`` (``_close_pairs_within``, which
-    ``dart_throw`` shares).  The scan stops at the first numpy pass that
-    finds a pair, so a set that fails the audit fails fast however many of
-    its points crowd one cell.  Keys are formed in wrapping uint64
+    are sorted once, and each point is compared with the points of key
+    intervals found by ``searchsorted`` (``_close_pairs_within``, which
+    ``dart_throw`` shares): one from the point to the end of the next cell
+    along the last axis, which holds the later points of its own cell and
+    that cell, and one per lexicographically positive row of its ring, the
+    (3^(dim-1) - 1)/2 rows whose three cells have keys c - 1, c, c + 1.
+    Cell indices enter the keys plus one, so no interval crosses key 0
+    unless keys wrap; one that does is split into [lo, 2^64) and [0, hi].
+    The scan stops at the first numpy pass that finds a pair, so a set
+    that fails the audit fails fast however many of its points crowd one
+    cell.  Keys are formed in wrapping uint64
     arithmetic, which is linear, so the key of a neighbour cell is always
     the point's key plus the offset's key; a wrap or collision only adds
     candidate pairs, and every candidate is confirmed by its own distance,
@@ -354,7 +419,8 @@ def has_close_pair(flat, dim, threshold):
     # cells, never separate near ones.  Cells are measured in threshold's
     # binary units, where their side 2*thr is a normal float.
     with np.errstate(over="ignore"):
-        home = np.minimum(np.floor((pts - pts.min(axis=0)) * scale / (2.0 * thr)), 2.0**63)
+        home = np.minimum(np.floor((pts - per_axis(np.minimum, pts)) * scale / (2.0 * thr)),
+                          2.0**63)
     # An odd base keeps base**a from vanishing mod 2**64, which would drop
     # whole axes from the key.
     base = (int(home.max()) + 4) | 1

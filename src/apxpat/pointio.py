@@ -212,14 +212,14 @@ def emit_svg(
         raise InvalidArgument("SVG emission supports dim 1 and 2 only")
     n, d = s.coords.shape
     marked = [check_whole(i, 0, "highlight index", f"highlight index {i} is outside 0..{n - 1}",
-                          most=n - 1) for i in highlight] if highlight else []
-    anchor_pts = list(anchors) if anchors else []
+                          most=n - 1) for i in highlight] if highlight is not None else []
+    anchor_pts = list(anchors) if anchors is not None else []
     if any(_width(a) != d for a in anchor_pts):
         raise DimensionMismatch(f"anchors must have the set's dimension {d}")
     rows = np.array([[check_real(v, "(-inf, inf)", "anchors must be finite") for v in a]
                      for a in anchor_pts], dtype=np.float64).reshape(-1, d)
     unit, _ = _kernels._to_unit(np.concatenate([s.coords, rows]))
-    off, _ = _kernels._to_unit(unit - unit.min(axis=0))
+    off, _ = _kernels._to_unit(unit - _kernels.per_axis(np.minimum, unit))
     span = float(off.max()) or 1.0  # with no extent every offset is 0
     height = _SVG_W if d == 2 else 120
     scale = (_SVG_W - 2 * _SVG_MARGIN) / span

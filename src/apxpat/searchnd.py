@@ -123,7 +123,7 @@ def _lex_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort(rows.T[::-1])
     srt = rows[order]
     new = np.ones(len(order), dtype=bool)
-    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    new[1:] = _kernels.across_axes(np.logical_or, srt[1:] != srt[:-1])
     return order, np.flatnonzero(new)
 
 
@@ -175,9 +175,9 @@ def _subdivide(
     if len(s) >= 2 and _kernels.has_close_pair(coords.reshape(-1), d, delta * (1.0 - TAU)):
         raise InsufficientSeparation(f"input contains a pair closer than delta={delta}")
 
-    lo_vec = coords.min(axis=0) if lo is None else lo
+    lo_vec = _kernels.per_axis(np.minimum, coords) if lo is None else lo
     with np.errstate(over="ignore"):
-        tight = float((coords.max(axis=0) - lo_vec).max())
+        tight = float((_kernels.per_axis(np.maximum, coords) - lo_vec).max())
     box_len = max(tight, 0.0 if length is None else length)
     if not math.isfinite(box_len):
         raise InvalidArgument(f"the search {span} {box_len:g} is not a finite float")
@@ -198,7 +198,8 @@ def _subdivide(
         warnings.append(f"degenerate search {region}; nothing to subdivide")
         return outcome()
 
-    inside = np.all((coords >= lo_vec) & (coords <= lo_vec + box_len), axis=1)
+    inside = _kernels.across_axes(np.logical_and,
+                                  (coords >= lo_vec) & (coords <= lo_vec + box_len))
     active = np.flatnonzero(inside)
     stride, ks = schedule.s, k * schedule.s
     cur_lo = lo_vec
@@ -284,8 +285,8 @@ def search_grid(
 
 def _pattern_extent(p: Pattern) -> tuple[np.ndarray, float]:
     """Per-axis minima of the pattern and its largest per-axis span."""
-    p_lo = p.coords.min(axis=0)
-    return p_lo, float((p.coords.max(axis=0) - p_lo).max())
+    p_lo = _kernels.per_axis(np.minimum, p.coords)
+    return p_lo, float((_kernels.per_axis(np.maximum, p.coords) - p_lo).max())
 
 
 def pattern_grid_resolution(p: Pattern, eps: float) -> tuple[int, float]:

@@ -467,6 +467,215 @@ def test_close_in_ranges_matches_brute_force(monkeypatch, per_pass):
         assert list(zip(i.tolist(), j.tolist())) == want
 
 
+# Key intervals.  The three cells of a ring row along the last axis have
+# consecutive keys, so each row is one interval of keys, which wraps past
+# 2^64 - 1 where keys do.  Adding a constant to every key keeps keys
+# linear, so every kernel must keep its answers when the keys are shifted
+# to put one cell at key 0 and its neighbour at 2^64 - 1.
+
+
+def _naive_pairs(q, pts, thr):
+    """The set of (i, j) with q[i] strictly closer than thr to pts[j], each
+    difference scaled into thr's binary units and the squares summed axis
+    by axis: the O(n^2) scan."""
+    scale = math.ldexp(1.0, -max(math.frexp(thr)[1], -1023))
+    d2 = np.zeros((len(q), len(pts)))
+    with np.errstate(over="ignore"):
+        for a in range(q.shape[1]):
+            t = (pts[None, :, a] - q[:, None, a]) * scale
+            d2 += t * t
+    i, j = np.nonzero(d2 < (thr * scale) ** 2)
+    return set(zip(i.tolist(), j.tolist()))
+
+
+def _key_set(kind, dim):
+    """Points above the 3^dim ring cells and a threshold with close pairs
+    around it: a dense cloud, a cloud spanning +-1e300 (cell keys far past
+    2^64 at dim >= 2), and integer multiples of the least subnormal."""
+    rng = np.random.default_rng(dim)
+    n = 3**dim + 60
+    side = 1.3 * n ** (1 / dim)
+    if kind == "dense":
+        return rng.uniform(0.0, side, (n, dim)), 1.0
+    if kind == "wide":
+        pts = rng.uniform(-1e300, 1e300, (n, dim))
+        m = n // 4
+        pts[:m] = pts[m : 2 * m] + rng.uniform(-1e287, 1e287, (m, dim))
+        return pts, 1e287
+    return rng.integers(0, int(8 * side), (n, dim)) * 5e-324, 8 * 5e-324
+
+
+def _shift_keys(monkeypatch, pick):
+    """Add a constant to every key _cell_keys makes from now on: the
+    negated key pick chooses from the first keys made."""
+    keys_of = _kernels._cell_keys
+    shift = []
+
+    def shifted(home, base):
+        keys = keys_of(home, base)
+        if not shift:
+            shift.append(np.uint64((-pick(keys)) & _MASK64))
+        return keys + shift[0]
+
+    monkeypatch.setattr(_kernels, "_cell_keys", shifted)
+
+
+def _key_with_a_neighbour(keys):
+    """A key whose cell's predecessor along the last axis also holds a
+    point, or the middle key: shifted to 0, it puts that neighbour at
+    2^64 - 1."""
+    have = set(keys.tolist())
+    return next((k for k in sorted(have) if k - 1 in have), int(np.sort(keys)[len(keys) // 2]))
+
+
+@pytest.mark.parametrize("shift", [False, True])
+@pytest.mark.parametrize("kind", ["dense", "wide", "subnormal"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_has_close_pair_matches_the_naive_scan(dim, kind, shift, monkeypatch):
+    pts, thr = _key_set(kind, dim)
+    if shift:
+        _shift_keys(monkeypatch, _key_with_a_neighbour)
+    for t in (0.5 * thr, thr, 2.0 * thr):
+        want = any(i != j for i, j in _naive_pairs(pts, pts, t))
+        assert _kernels.has_close_pair(pts.ravel(), dim, t) == want, t
+    assert _kernels.has_close_pair(pts.ravel(), dim, 2.0 * thr)
+
+
+@pytest.mark.parametrize("kind", ["dense", "wide"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_has_close_pair_finds_a_lone_pair_across_key_zero(dim, kind, monkeypatch):
+    # Only the closest pair is close; shifted keys put each of its cells,
+    # and the cells beside them, at key 0 in turn, so some lookup of the
+    # pair runs past 2^64 - 1.
+    pts, _ = _key_set(kind, dim)
+    dist = {(i, j): math.dist(pts[i], pts[j])
+            for i in range(len(pts)) for j in range(i + 1, len(pts))}
+    (a, b), r = min(dist.items(), key=lambda kv: kv[1])
+    thr = r * (1.0 + 1e-9)
+    assert {(i, j) for i, j in _naive_pairs(pts, pts, thr) if i < j} == {(a, b)}
+    for point in (a, b):
+        for step in range(-2, 3):
+            _shift_keys(monkeypatch, lambda keys: int(keys[point]) + step)
+            assert _kernels.has_close_pair(pts.ravel(), dim, thr), (point, step)
+            monkeypatch.undo()
+
+
+def _grid_keys(x, thr):
+    """The cell side, base and keys dart_throw would use for the points x
+    >= 0 of a box as wide as their extent, at distance thr."""
+    length = float(x.max())
+    cell = (thr + length * 2.0**-48) * (1.0 + 2.0**-40)
+    base = (int(length / cell) + 4) | 1
+    return cell, base, _kernels._home_keys(x, cell, base)
+
+
+@pytest.mark.parametrize("shift", [False, True])
+@pytest.mark.parametrize("kind", ["dense", "wide", "subnormal"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_ring_lookups_match_the_naive_scan(dim, kind, shift, monkeypatch):
+    # The full ring (dart throwing against accepted points, and the
+    # full-box test) and the half ring (the audit, and a block's own
+    # pairs) find exactly the close pairs of the naive scan.
+    pts, thr = _key_set(kind, dim)
+    x = pts - pts.min(axis=0)
+    if shift:
+        _shift_keys(monkeypatch, _key_with_a_neighbour)
+    cell, base, keys = _grid_keys(x, thr)
+    if shift and kind == "dense":
+        assert {0, _MASK64} <= set(keys.tolist())
+    order = np.argsort(keys)
+    x, keys = x[order], keys[order]
+    want = _naive_pairs(x, x, thr)
+    q = x[::-1][: len(x) // 2]
+    i, j = _kernels._close_pairs(q, keys[::-1][: len(q)], x, keys, base, thr)
+    assert set(zip(i.tolist(), j.tolist())) == _naive_pairs(q, x, thr)
+    i, j = _kernels._joined(_kernels._close_pairs_within(x, keys, base, thr))
+    found = list(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+    assert set(found) == {(a, b) for a, b in want if a < b}
+    if base**dim < 2**64:
+        assert len(found) == len(set(found))
+
+
+def test_ring_lookups_split_intervals_that_wrap():
+    # Keys 2^64 - 1 and 0 are neighbours along the last axis: the interval
+    # of a row around either runs past 2^64 - 1.
+    x = np.asarray([[0.0], [7.0], [0.5]])
+    keys = np.asarray([0, 5, _MASK64], dtype=np.uint64)
+    i, j = _kernels._joined(_kernels._close_pairs_within(x, keys, 11, 1.0))
+    assert sorted(zip(i.tolist(), j.tolist())) == [(2, 0)]
+    q = np.asarray([[0.25], [6.5]])
+    qkeys = np.asarray([_MASK64, 6], dtype=np.uint64)
+    i, j = _kernels._close_pairs(q, qkeys, x, keys, 11, 1.0)
+    assert sorted(zip(i.tolist(), j.tolist())) == [(0, 0), (0, 2), (1, 1)]
+
+
+def _naive_dart_throw(dim, length, delta, target, seed, max_attempts):
+    """Dart throwing one candidate at a time against every accepted point,
+    in delta's binary units: the O(n^2) reference at any scale."""
+    scale = math.ldexp(1.0, -max(math.frexp(delta)[1], -1023))
+    limit = (delta * scale) ** 2
+    words, _ = _kernels.splitmix64_block(seed, max_attempts * dim)
+    acc = np.empty((0, dim))
+    with np.errstate(over="ignore"):
+        for t, c in enumerate((_kernels.unit_from_bits(words) * length).reshape(-1, dim)):
+            d2 = np.zeros(len(acc))
+            for a in range(dim):
+                v = (acc[:, a] - c[a]) * scale
+                d2 += v * v
+            if not (d2 < limit).any():
+                acc = np.vstack([acc, c])
+                if len(acc) == target:
+                    return acc.ravel().tolist(), t + 1
+    return acc.ravel().tolist(), max_attempts
+
+
+def _centre_key(keys):
+    return int(np.sort(keys)[len(keys) // 2])
+
+
+@pytest.mark.parametrize("case", [
+    (1, 400.0, 1.0, 120, 11, 4000),
+    (2, 40.0, 1.0, 700, 3, 4000),
+    (3, 9.0, 1.0, 100, 5, 4000),
+    (4, 6.0, 1.0, 90, 2, 4000),
+    (2, 3.0, 1.0, 14, 0, 20_000),              # the box fills
+    (4, 1.0, 1.0, 40, 0, 20_000),
+    (4, 1e300, 1e300 / 7e4, 100, 1, 200),      # keys past 2^64
+    (2, 1e-320, 2e-322, 200, 4, 4000),         # subnormal coordinates
+])
+@pytest.mark.parametrize("shift", [False, True])
+def test_dart_throw_matches_the_naive_thrower(case, shift, monkeypatch):
+    # Shifted, the first keys made (a block of candidates) put their middle
+    # cell at key 0.
+    if shift:
+        _shift_keys(monkeypatch, _centre_key)
+    flat, attempts = _kernels.dart_throw(*case)
+    ref, ref_attempts = _naive_dart_throw(*case)
+    if len(flat) < case[3] * case[0] and attempts < case[5]:
+        # Stopped on a full box: the reference cut there takes no more.
+        ref, ref_attempts = _naive_dart_throw(*case[:5], attempts)
+    assert (flat.tolist(), attempts) == (ref, ref_attempts)
+
+
+@pytest.mark.parametrize("dim,length,seed", [(1, 10.0, 2), (2, 3.0, 0), (3, 2.0, -7)])
+def test_box_is_full_with_keys_across_zero(dim, length, seed, monkeypatch):
+    # The dropped-point test with every key shifted so that a middle cell
+    # sits at key 0.
+    delta = 1.0
+    flat, attempts = _kernels.dart_throw(dim, length, delta, 10**3, seed, 20_000)
+    assert attempts < 20_000
+    _shift_keys(monkeypatch, _centre_key)
+    pts = np.reshape(flat, (-1, dim))
+    cell = (delta + length * 2.0**-48) * (1.0 + 2.0**-40)
+    base = (int(length / cell) + 4) | 1
+    for drop in [None, *range(len(pts))]:
+        kept = pts if drop is None else np.delete(pts, drop, axis=0)
+        keys = _kernels._home_keys(kept, cell, base)
+        order = np.argsort(keys)
+        assert _kernels._box_is_full(kept[order], keys[order], base, cell, length, delta,
+                                     10**6) == (drop is None)
+
+
 def test_has_close_pair_fails_fast_on_a_crowded_cell():
     # 20,000 points in one cell hold about 2*10^8 pairs; the audit stops at
     # the first numpy pass that finds a close one.

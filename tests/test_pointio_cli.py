@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -116,6 +117,15 @@ class TestSvg:
         svg = emit_svg(s, highlight=[0], anchors=[Point((0,)), Point((3,))]).decode()
         assert svg.count("<line") == 3  # axis + 2 anchor bars
         assert svg.count("<circle") == 3
+
+    def test_arrays_draw_what_lists_draw(self):
+        # numpy arrays of indices and anchors were tested for truth and
+        # raised numpy's ambiguous-truth ValueError.
+        s = PointSet(2, [(0, 0), (1, 0), (0, 1), (2, 2)])
+        assert emit_svg(s, np.array([0, 1])) == emit_svg(s, [0, 1])
+        assert (emit_svg(s, [0], np.array([[0.5, 0.5]]))
+                == emit_svg(s, [0], [Point((0.5, 0.5))]))
+        assert emit_svg(s, np.array([], dtype=int), np.empty((0, 2))) == emit_svg(s)
 
     def test_deterministic_bytes(self):
         s = PointSet(2, [(0.123456789, 1), (2, 3)])
@@ -511,6 +521,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err == "error: the search interval length inf is not a finite float\n"
+
+    def test_trace_keeps_the_sign_numpy_gives_a_zero_minimum(self, tmp_path):
+        # x is 0 or -0 on every row, -0 on the last: numpy's row-by-row
+        # min(axis=0) gives -0.0, where a contiguous min of the column
+        # gives 0.0.  The reply was recorded before the per-column
+        # reductions.
+        pts = tmp_path / "zeros.txt"
+        pts.write_text("2\n" + "".join(f"{'-0' if j % 4 == 0 else '0'} {j}\n"
+                                       for j in range(81)))
+        code, out = run_cli("search", "grid", "--input", str(pts), "--k", "3",
+                            "--eps", "0.3333333333333333", "--delta", "0.5", "--c", "1",
+                            "--json", "--trace")
+        assert code == 1 and '"box_low": [-0.0, 0.0]' in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "09be966ba89c97cc46ad266611cf8c6daa1bc14a5b9cea3c3e94a41962ab3269")
 
     def test_consecutive_calls_are_independent(self, tmp_path):
         # The parser is built once per process; no call may see another's flags.
