@@ -119,8 +119,8 @@ class TestSvg:
         assert svg.count("<circle") == 3
 
     def test_arrays_draw_what_lists_draw(self):
-        # numpy arrays of indices and anchors were tested for truth and
-        # raised numpy's ambiguous-truth ValueError.
+        # numpy arrays of indices and anchors draw the figure their lists
+        # draw; a truth test of an array raises numpy's bare ValueError.
         s = PointSet(2, [(0, 0), (1, 0), (0, 1), (2, 2)])
         assert emit_svg(s, np.array([0, 1])) == emit_svg(s, [0, 1])
         assert (emit_svg(s, [0], np.array([[0.5, 0.5]]))
@@ -525,8 +525,7 @@ class TestCli:
     def test_trace_keeps_the_sign_numpy_gives_a_zero_minimum(self, tmp_path):
         # x is 0 or -0 on every row, -0 on the last: numpy's row-by-row
         # min(axis=0) gives -0.0, where a contiguous min of the column
-        # gives 0.0.  The reply was recorded before the per-column
-        # reductions.
+        # gives 0.0.  The per-column reductions must keep numpy's sign.
         pts = tmp_path / "zeros.txt"
         pts.write_text("2\n" + "".join(f"{'-0' if j % 4 == 0 else '0'} {j}\n"
                                        for j in range(81)))
