@@ -24,11 +24,16 @@ per pair, in the narrowest that holds r - 1.  The pairs are colored a pass
 of whole rows at a time, so no float or wide index array over all
 n(n-1)/2 pairs is formed; the widest is the pair positions sorted by
 bucket, 8 bytes a pair.  The finder peaks at about 16 bytes a pair
-(n <= 65536, r <= 256).  A bucket's graph is peeled to its (k-1)-core in
-numpy and searched with Python-int bitsets over the core's vertices,
-pruned by a greedy coloring bound, in the style of bit-parallel
-maximum-clique solvers (San Segundo et al., "An improved bit-parallel
-exact maximum clique algorithm", 2011).
+(n <= 65536, r <= 256).  Each bucket is either ruled out by its path bound
+or searched exactly.  The bound orients every segment from its lower to
+its higher point in the order (x ascending, y descending), the direction
+the coloring gives it; a k-clique sorted by that order is a directed path
+through k points, so a bucket whose graph has no such path holds no
+k-clique.  The test is combinatorial, with no float tolerance.  A bucket
+that passes is peeled to its (k-1)-core in numpy and searched with
+Python-int bitsets over the core's vertices, pruned by a greedy coloring
+bound, in the style of bit-parallel maximum-clique solvers (San Segundo
+et al., "An improved bit-parallel exact maximum clique algorithm", 2011).
 """
 
 from __future__ import annotations
@@ -68,6 +73,9 @@ _MAX_BUCKETS = np.iinfo(np.intp).max - 1
 # Pairs build_coloring colors in one numpy pass: enough to amortise numpy's
 # per-call cost, few enough that a pass's float temporaries stay in cache.
 _PAIRS_PER_PASS = 8192
+# Bytes of dense adjacency rows _core fills at a time before packing them
+# into bitsets, so a large core costs memory in its edges, not its square.
+_CORE_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,11 +185,35 @@ def build_coloring(s: PointSet, eps: float) -> tuple[AngleColoring, np.ndarray]:
     return AngleColoring(r, i, j, assignments), np.argsort(assignments, kind="stable")
 
 
+def _has_path(tail: np.ndarray, head: np.ndarray, n: int, k: int) -> bool:
+    """Whether the digraph on n vertices with arcs tail -> head, every arc
+    ascending in one total order, holds a directed path through k >= 2
+    vertices.
+
+    S_1 is every vertex, and S_(t+1), the last vertices of the paths through
+    t + 1 vertices, is the heads of the arcs whose tail is in S_t.  The sets
+    shrink, so an arc whose tail leaves them is dropped for good; the arcs
+    left after round t are those whose tail is in S_(t+1), and a path
+    through k vertices exists when some arc is left after round k - 2.
+    """
+    for _ in range(k - 2):
+        if not len(tail):
+            return False
+        ends = np.zeros(n, dtype=bool)
+        ends[head] = True
+        # Gathering by positions is faster than by a mask, in numpy.
+        keep = np.flatnonzero(ends[tail])
+        tail, head = tail[keep], head[keep]
+    return len(tail) > 0
+
+
 def _core(i: np.ndarray, j: np.ndarray, n: int, m: int) -> tuple[list[int], list[int]]:
     """The m-core (m >= 1) of the graph on n vertices with edges (i, j).
 
     Returns the core's vertices ordered by (-core degree, index), and each
     one's neighbours as a bitset whose bit p stands for the p-th of them.
+    The bitsets are packed from dense rows, _CORE_BLOCK_BYTES of them (at
+    least one row) at a time.
     """
     while True:
         deg = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
@@ -192,11 +224,20 @@ def _core(i: np.ndarray, j: np.ndarray, n: int, m: int) -> tuple[list[int], list
         i, j = i[keep], j[keep]
     by_degree = np.argsort(-deg, kind="stable")
     size = np.count_nonzero(deg)
-    pos = np.argsort(by_degree)
-    adj = np.zeros((size, size), dtype=bool)
-    adj[pos[i], pos[j]] = adj[pos[j], pos[i]] = True
-    rows = np.packbits(adj, axis=1, bitorder="little")
-    return by_degree[:size].tolist(), [int.from_bytes(row.tobytes(), "little") for row in rows]
+    # Each edge's ends as places in the core, in the narrowest type.
+    pos = np.argsort(by_degree).astype(np.min_scalar_type(n - 1))
+    a, b = pos[i], pos[j]
+    del i, j  # the peeled edges, if any, are placed now
+    step = max(1, _CORE_BLOCK_BYTES // max(size, 1))
+    nbr: list[int] = []
+    for lo in range(0, size, step):
+        block = np.zeros((min(step, size - lo), size), dtype=bool)
+        for u, v in ((a, b), (b, a)):
+            sel = (u >= lo) & (u < lo + step)
+            block[u[sel] - lo, v[sel]] = True
+        rows = np.packbits(block, axis=1, bitorder="little")
+        nbr += [int.from_bytes(row.tobytes(), "little") for row in rows]
+    return by_degree[:size].tolist(), nbr
 
 
 def _colors_reach(cands: int, nbr: list[int], need: int) -> bool:
@@ -287,12 +328,16 @@ def find_collinear(
     like ``triangle_angles``, works in the unit range.  Scaling the
     input by a power of two leaves the outcome unchanged as long as its
     coordinates and their differences stay normal floats.
-    Each bucket with at least C(k, 2) pairs, richest first, gets an exact
-    k-clique search of at most ``node_budget`` nodes (default
+    Each bucket with at least C(k, 2) pairs, richest first, is either
+    ruled out by its path bound or searched exactly.  The bound points
+    each segment from its lower to its higher point in the order (x
+    ascending, y descending); a bucket whose graph has no directed path
+    through k points holds no k-clique.  A bucket that has one gets an
+    exact k-clique search of at most ``node_budget`` nodes (default
     ``DEFAULT_NODE_BUDGET``).  If that runs out, a greedy pass over the
     bucket's whole graph may still find a clique.  proven_absent is True
-    only when every bucket was searched exactly; a budget-exhausted run
-    reports found=False without that proof.
+    only when every bucket was ruled out or searched exactly; a
+    budget-exhausted run reports found=False without that proof.
     """
     if s.dim != 2:
         raise DimensionMismatch("the finder is restricted to the plane")
@@ -313,14 +358,24 @@ def find_collinear(
     del sorted_buckets  # a byte a pair, not needed by the searches
     counts = np.diff(starts, append=len(by_bucket))
 
+    # Each point's place in the order (x ascending, y descending), in
+    # which every segment points from its lower to its higher point.
+    x, y = s.coords.T
+    rank = np.empty(len(s), dtype=np.intp)
+    rank[np.lexsort((-y, x))] = np.arange(len(s))
+
     exhausted_any = False
     for g in np.argsort(-counts, kind="stable").tolist():
         if counts[g] < k * (k - 1) // 2:
             break
         b = buckets[g]
         pairs = by_bucket[starts[g]:starts[g] + counts[g]]
+        i, j = coloring.i[pairs], coloring.j[pairs]
+        ri, rj = rank[i], rank[j]
+        if not _has_path(np.minimum(ri, rj), np.maximum(ri, rj), len(s), k):
+            continue
         # Indices as intp: _core gathers and counts narrow ones more slowly.
-        i, j = coloring.i[pairs].astype(np.intp), coloring.j[pairs].astype(np.intp)
+        i, j = i.astype(np.intp), j.astype(np.intp)
         clique, exhausted = _k_clique(i, j, len(s), k, node_budget)
         if exhausted:
             exhausted_any = True

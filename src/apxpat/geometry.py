@@ -149,10 +149,8 @@ class PointSet:
         return map(_point, self.coords.tolist())
 
     def __getitem__(self, i: int) -> Point:
-        row = self.coords[i]
-        if row.ndim != 1:
-            raise TypeError("a point set is indexed by one integer")
-        return _point(row.tolist())
+        """The point at index i, checked as ``subset`` checks its indices."""
+        return _point(self.coords[self._indices((i,))[0]].tolist())
 
     def values(self) -> tuple[float, ...]:
         """1-D convenience: the raw coordinates."""
@@ -160,13 +158,17 @@ class PointSet:
             raise DimensionMismatch("values() is only defined for dim 1")
         return tuple(self.coords[:, 0].tolist())
 
+    def _indices(self, indices: Iterable[int]) -> list[int]:
+        """indices as ints in [-n, n - 1]; any other index raises
+        InvalidArgument."""
+        n = len(self)
+        message = f"an index of a {n}-point set is an integer in [{-n}, {n - 1}]"
+        return [check_whole(i, -n, "index", message, most=n - 1) for i in indices]
+
     def subset(self, indices: Iterable[int]) -> "PointSet":
         """The points at indices, in their order; negative indices count
         from the end, and any other index raises InvalidArgument."""
-        n = len(self)
-        message = f"an index of a {n}-point set is an integer in [{-n}, {n - 1}]"
-        return PointSet(self.dim, self.coords[
-            [check_whole(i, -n, "index", message, most=n - 1) for i in indices]])
+        return PointSet(self.dim, self.coords[self._indices(indices)])
 
 
 @dataclass(frozen=True, init=False, eq=False)

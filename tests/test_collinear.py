@@ -222,8 +222,10 @@ def test_determinism():
 # ---------------------------------------------------------------------------
 # The finder before the coloring became arrays and the bucket graphs
 # bitsets: a dict of pair tuples, per-bucket edge lists and dict-of-set
-# adjacency.  Kept as the reference the array-and-bitset finder must match
-# outcome for outcome, budget exhaustion included.
+# adjacency, with each bucket's path bound as a longest-path recurrence over
+# the points in (x ascending, y descending) order.  Kept as the reference
+# the array-and-bitset finder must match outcome for outcome, budget
+# exhaustion included.
 # ---------------------------------------------------------------------------
 
 def _ref_bucket(dx, dy, r):
@@ -312,18 +314,35 @@ def _ref_greedy_clique(adj, k):
     return None
 
 
+def _ref_longest_path(edges, pts):
+    """Points on a longest path of the graph, each edge pointed from the
+    lower to the higher point in the order (x ascending, y descending)."""
+    def key(v):
+        return pts[v][0], -pts[v][1]
+
+    into = {}
+    for i, j in edges:
+        lo, hi = sorted((i, j), key=key)
+        into.setdefault(hi, []).append(lo)
+    longest = {}
+    for v in sorted({v for edge in edges for v in edge}, key=key):
+        longest[v] = 1 + max((longest[u] for u in into.get(v, ())), default=0)
+    return max(longest.values(), default=0)
+
+
 def _ref_find_collinear(s, k, eps, budget):
     """(outcome, whether some bucket's exact search ran out of budget)."""
     if len(s) < k:
         return CollinearOutcome(False, (), None, False, None, None, True), False
-    assignments = _ref_coloring(s.coords.tolist(), eps)
+    pts = s.coords.tolist()
+    assignments = _ref_coloring(pts, eps)
     buckets = {}
     for pair, b in assignments.items():
         buckets.setdefault(b, []).append(pair)
     exhausted_any = False
     for b in sorted(buckets, key=lambda b: (-len(buckets[b]), b)):
         edges = buckets[b]
-        if len(edges) < k * (k - 1) // 2:
+        if len(edges) < k * (k - 1) // 2 or _ref_longest_path(edges, pts) < k:
             continue
         adj = {}
         for i, j in edges:
@@ -375,11 +394,58 @@ def _reference_instances(rng):
         s, _ = planted_tube_instance(seed, n_noise=120)
         yield s, 8, 0.1, None
         yield s, 8, 0.1, 5 + 20 * seed
+    # Wide buckets searched with a budget of 0 or 1 nodes: the exact search
+    # runs out at once, unless the path bound rules the bucket out first.
+    for t in range(60):
+        n, eps, k = rng.randint(20, 60), rng.choice((0.3, 0.5, 0.7, 0.9)), rng.randint(5, 9)
+        pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(n)]
+        yield PointSet(2, pts), k, eps, t % 2
+
+
+def _finder_without_path_bound(s, k, eps, budget=None):
+    """``find_collinear`` before buckets were ruled out by their path
+    bound: every bucket with C(k, 2) pairs, richest first, gets the exact
+    search, and the greedy pass if that runs out."""
+    budget = collinear.DEFAULT_NODE_BUDGET if budget is None else budget
+    if len(s) < k:
+        return CollinearOutcome(False, (), None, False, None, None, True)
+    coloring, by_bucket = build_coloring(s, eps)
+    sorted_buckets = coloring.assignments[by_bucket]
+    starts = np.append(0, np.flatnonzero(sorted_buckets[1:] != sorted_buckets[:-1]) + 1)
+    counts = np.diff(starts, append=len(by_bucket))
+    exhausted_any = False
+    for g in np.argsort(-counts, kind="stable").tolist():
+        if counts[g] < k * (k - 1) // 2:
+            break
+        pairs = by_bucket[starts[g]:starts[g] + counts[g]]
+        i, j = coloring.i[pairs].astype(np.intp), coloring.j[pairs].astype(np.intp)
+        clique, exhausted = collinear._k_clique(i, j, len(s), k, budget)
+        if exhausted:
+            exhausted_any = True
+            if clique is None:
+                clique = collinear._greedy_clique(*collinear._core(i, j, len(s), 1), k)
+        if clique is None:
+            continue
+        subset = tuple(sorted(clique))
+        _, worst_local = verify_collinear(s.subset(subset), eps)
+        worst = tuple(subset[t] for t in worst_local)
+        angles = triangle_angles(*s.coords[list(worst)].tolist())
+        return CollinearOutcome(True, subset, int(sorted_buckets[starts[g]]), True, worst,
+                                angles, False)
+    return CollinearOutcome(False, (), None, False, None, None, not exhausted_any)
+
+
+def _assert_only_proven_absent_moves(new, old):
+    """new equals old, except that proven_absent may turn from False to
+    True; returns whether it did."""
+    assert vars(new) | {"proven_absent": None} == vars(old) | {"proven_absent": None}
+    assert new.proven_absent >= old.proven_absent
+    return new.proven_absent != old.proven_absent
 
 
 def test_matches_dict_reference():
     rng = random.Random(2011)
-    seen = exhausted = found = absent = repeated_x = 0
+    seen = exhausted = found = absent = repeated_x = moved = 0
     for s, k, eps, budget in _reference_instances(rng):
         new = find_collinear(s, k, eps, node_budget=budget)
         ref, ran_out = _ref_find_collinear(
@@ -390,8 +456,28 @@ def test_matches_dict_reference():
         found += new.found
         absent += new.proven_absent
         repeated_x += len(np.unique(s.coords[:, 0])) < len(s)
+        moved += _assert_only_proven_absent_moves(
+            new, _finder_without_path_bound(s, k, eps, budget))
     assert seen >= 200
     assert exhausted >= 20 and found >= 50 and absent >= 50 and repeated_x >= 30
+    # Instances the bound proves absent where the exact search ran out.
+    assert moved >= 3
+
+
+def test_path_bound_changes_only_proven_absent():
+    # On clouds, bucket-edge lines, vertical lines, planted tubes and
+    # budgets from 0 nodes up, the finder gives the subset, bucket and worst
+    # triangle the finder without the bound gives; only proven_absent may
+    # turn from False to True, where a bucket the bound rules out ran out
+    # of budget before.
+    seen = found = moved = 0
+    for s, k, eps, budget in _reference_instances(random.Random(25)):
+        for b in {budget, 0}:
+            new = find_collinear(s, k, eps, node_budget=b)
+            moved += _assert_only_proven_absent_moves(new, _finder_without_path_bound(s, k, eps, b))
+            seen += 1
+            found += new.found
+    assert seen >= 500 and found >= 100 and moved >= 10
 
 
 def test_reference_instances_keep_their_outcome_under_power_of_two_scaling():
@@ -614,3 +700,102 @@ def test_core_matches_the_previous_core_on_workload_bucket_graphs(tmp_path, monk
                 assert collinear._core(i, j, len(s), m) == _previous_core(i, j, len(s), m)
             graphs += 1
     assert graphs >= 24 * 30
+
+
+def test_core_in_row_blocks_matches_the_previous_core(monkeypatch):
+    # Adjacency rows packed a few at a time, down to one row a block, give
+    # the bitsets the whole dense matrix gives.
+    rng = np.random.default_rng(11)
+    graphs = [(np.array([0]), np.array([1]), 2), (np.array([], dtype=np.intp),) * 2 + (5,)]
+    for n, m in ((30, 40), (90, 600), (300, 3000)):
+        i, j = rng.integers(0, n, (2, m))
+        i, j = np.unique(np.sort([i[i != j], j[i != j]], axis=0), axis=1)
+        graphs.append((i, j, n))
+    for block in (1, 7, 64, 1000, collinear._CORE_BLOCK_BYTES):
+        monkeypatch.setattr(collinear, "_CORE_BLOCK_BYTES", block)
+        for i, j, n in graphs:
+            for m in (1, 3, 9):
+                assert collinear._core(i, j, n, m) == _previous_core(i, j, n, m), (block, n, m)
+
+
+def test_core_memory_follows_the_edges():
+    # A graph shaped like the richest bucket of 4,000 uniform points at
+    # eps = 0.1: 258,505 edges (4.1 MB of intp ends) whose 6-core holds
+    # nearly every vertex.  A dense core x core matrix would take 15 MB.
+    rng = np.random.default_rng(4000)
+    n, m = 4000, 258_505
+    keys = np.unique(rng.integers(0, n * n, 3 * m))
+    keys = rng.permutation(keys[keys // n < keys % n])[:m]
+    i, j = keys // n, keys % n
+    assert len(i) == m
+    tracemalloc.start()
+    try:
+        order, nbr = collinear._core(i, j, n, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(order) > 3900 and sum(b.bit_count() for b in nbr) == 2 * m
+    assert peak < 10 * 2**20
+
+
+def _longest_path_by_search(arcs, n):
+    """The most vertices on a directed path, by following every path."""
+    out = {v: [h for t, h in arcs if t == v] for v in range(n)}
+
+    def through(v):
+        return 1 + max((through(h) for h in out[v]), default=0)
+
+    return max((through(v) for v in range(n)), default=0)
+
+
+def _random_dags(rng):
+    """(tail, head, n): arcs ascending in a random order of the vertices,
+    with no arcs, one path, and random arc sets."""
+    yield np.array([], dtype=np.intp), np.array([], dtype=np.intp), 0
+    yield np.array([], dtype=np.intp), np.array([], dtype=np.intp), 4
+    for length in (2, 3, 5, 8):
+        order = rng.permutation(9)[:length]
+        yield order[:-1], order[1:], 9
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        order = rng.permutation(n)
+        lo, hi = np.triu_indices(n, 1)
+        pick = rng.random(len(lo)) < rng.uniform(0, 1)
+        yield order[lo[pick]], order[hi[pick]], n
+
+
+def test_path_bound_matches_the_longest_path():
+    # The bound answers whether some path runs through k vertices, for every
+    # k from 2 past n, on DAGs with no arcs, a single path of exactly k
+    # vertices and random arc sets.
+    rng = np.random.default_rng(25)
+    kinds = set()
+    for tail, head, n in _random_dags(rng):
+        longest = _longest_path_by_search(list(zip(tail.tolist(), head.tolist())), n)
+        for k in range(2, n + 3):
+            assert collinear._has_path(tail.astype(np.intp), head.astype(np.intp), n, k) == (
+                longest >= k), (tail.tolist(), head.tolist(), n, k)
+            kinds.add((longest == k, k == 3, k > n))
+    assert kinds == {(a, b, c) for a in (False, True) for b in (False, True)
+                     for c in (False, True)} - {(True, False, True), (True, True, True)}
+
+
+def test_uniform_workload_clouds_never_reach_the_core(monkeypatch):
+    # On 400 separated uniform points, the cloud the collinear-tube
+    # benchmark searches at k = 13, every bucket's longest path is shorter
+    # than 13 points, so no bucket is peeled or searched.
+    calls = []
+
+    def counting_core(*args):
+        calls.append(1)
+        return core(*args)
+
+    core = collinear._core
+    monkeypatch.setattr(collinear, "_core", counting_core)
+    for seed in range(3):
+        s = gen_random_separated(2, 1.0, 0.01, 400, seed)
+        res = find_collinear(s, 13, 0.1)
+        assert not res.found and res.proven_absent
+    assert not calls
+    res = find_collinear(s, 8, 0.1)
+    assert calls

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apxpat.errors import DimensionMismatch
+from apxpat.errors import DimensionMismatch, InvalidArgument
 from apxpat.geometry import (
     Homothety,
     Pattern,
@@ -100,10 +100,19 @@ def test_points_of_a_set_equal_checked_points():
         assert all(type(p.coords) is tuple and all(type(c) is float for c in p.coords) for p in got)
         assert [repr(p) for p in got] == [repr(p) for p in checked]
     assert s[-4] == checked[0]
-    with pytest.raises(IndexError):
-        s[4]
-    with pytest.raises(TypeError):
-        s[0:2]
+    assert s[np.int64(-1)] == s[3] == checked[3]
+
+
+def test_pointset_index_is_checked_as_subset_checks_it():
+    # An index outside -n..n-1, a fraction, a slice or a non-number raises
+    # InvalidArgument, the error subset gives for the same index.
+    s = PointSet(2, [(0.0, 1.0), (2.0, 3.0)])
+    for bad in (2, 5, -3, 0.5, math.nan, slice(0, 2), "0", None):
+        with pytest.raises(InvalidArgument, match="integer in \\[-2, 1\\]"):
+            s[bad]
+        with pytest.raises(InvalidArgument, match="integer in \\[-2, 1\\]"):
+            s.subset([bad])
+    assert [s[i] for i in (-2, -1, 0, 1, np.int64(0), 1.0)] == [Point((0, 1)), Point((2, 3))] * 3
 
 
 def test_min_pairwise_examples():
