@@ -212,7 +212,7 @@ def _core(i: np.ndarray, j: np.ndarray, n: int, m: int) -> tuple[list[int], list
 
     Returns the core's vertices ordered by (-core degree, index), and each
     one's neighbours as a bitset whose bit p stands for the p-th of them.
-    The bitsets are packed from dense rows, _CORE_BLOCK_BYTES of them (at
+    The bitsets are packed from dense rows, filled _CORE_BLOCK_BYTES (at
     least one row) at a time.
     """
     while True:
@@ -227,7 +227,7 @@ def _core(i: np.ndarray, j: np.ndarray, n: int, m: int) -> tuple[list[int], list
     # Each edge's ends as places in the core, in the narrowest type.
     pos = np.argsort(by_degree).astype(np.min_scalar_type(n - 1))
     a, b = pos[i], pos[j]
-    del i, j  # the peeled edges, if any, are placed now
+    del i, j  # frees the peeled copies; a and b hold the edges now
     step = max(1, _CORE_BLOCK_BYTES // max(size, 1))
     nbr: list[int] = []
     for lo in range(0, size, step):
