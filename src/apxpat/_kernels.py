@@ -24,10 +24,28 @@ along the last axis have consecutive keys, so each row is one key
 interval [c - 1, c + 1], found by two ``searchsorted`` calls
 (``_close_in_keys``): 3^(dim-1) lookups per point in place of 3^dim
 cells.  Cell indices enter the keys plus one, so while keys do not wrap
-no interval crosses key 0; where they wrap (base^dim >= 2^64, or clipped
-cell indices), an interval whose lo > hi as uint64 is split into
-[lo, 2^64) and [0, hi].  Below 3^dim points, where a ring of cells would
-cost more than the points it holds, each compares every pair instead.
+no interval crosses key 0; where they wrap (base^dim >= 2^64), an
+interval whose lo > hi as uint64 is split into [lo, 2^64) and [0, hi].
+Below 3^dim points, where a ring of cells would cost more than the points
+it holds, each compares every pair instead.
+
+All three bin by one cell rule (``_grid``).  For a distance thr and an
+extent E bounding every |x| (the box length for dart throwing, the
+largest |coordinate| for the audit), coordinates are scaled by the power
+of two s that brings E into [0.5, 1) (s stops at 2^1023 for a subnormal
+E), and the cell side is c = (thr*s + E*s*2^-48) * (1 + 2^-40).  The
+scaling is exact but for an absolute 2^-1075 where x*s underflows, and
+|x*s| <= E*s, so the quotient x*s/c errs by at most E*s*2^-53/c plus that.
+Two points the distance test calls closer than thr differ by less than
+thr*(1 + 2^-50) on every axis, so their quotients differ by at most
+(thr*s*(1 + 2^-50) + E*s*2^-52)/c < 1 and their cell indices by at most
+one: they are neighbours at any offset and any scale, subnormal
+thresholds included.  Since E*s >= 2^-51 whenever E > 0, c is a normal
+float, and every index lies in (-2^48, 2^48).  Dart throwing's points lie
+in [0, E], so its indices are non-negative and its base depends on E and
+thr alone; the audit shifts its indices by their per-axis minimum.
+Wherever the numbers are normal floats the scaling changes no quotient,
+so the keys are those of binning in the input's units.
 
 numpy reduces an (n, d) array along an axis by walking its rows, at many
 times the cost of reducing each column as one contiguous run; per-axis
@@ -154,23 +172,18 @@ def dart_throw(dim, length, delta, target, seed, max_attempts):
     """
     if not math.isfinite(length / delta):
         raise InvalidArgument(f"length {length:g} spans too many cells of delta {delta:g}")
-    # Wider than delta by more than x/cell can round across the box, so two
-    # points the test rejects lie at most one cell index apart on each axis.
-    cell = (delta + length * 2.0**-48) * (1.0 + 2.0**-40)
-    base = (int(length / cell) + 4) | 1
     pts = np.empty((0, dim))  # accepted points, sorted by cell key
     keys = np.empty(0, dtype=np.uint64)
     won_rows = []
     state = seed
-    n = 0
-    attempts = 0
+    n = attempts = 0
     tested = (0, 0)  # accepted count and attempts at the last test for a full box
     while n < target and attempts < max_attempts:
         rows = min(_BLOCK_ROWS, max_attempts - attempts,
                    2 * (target - n) * (attempts + 1) // (n + 1) + 8)
         words, state = splitmix64_block(state, rows * dim)
         block = (unit_from_bits(words) * length).reshape(rows, dim)
-        bkeys = _home_keys(block, cell, base)
+        bkeys, base = _grid(block, length, delta)
         # Candidates in key order: sorted queries search faster.
         by_key = np.argsort(bkeys)
         cand, ckeys = block[by_key], bkeys[by_key]
@@ -203,7 +216,7 @@ def dart_throw(dim, length, delta, target, seed, max_attempts):
         elif n > tested[0] or attempts >= 2 * tested[1]:
             # The test looks at no more cells than darts were thrown, and
             # runs again once the set grows or the attempts double.
-            if _box_is_full(pts, keys, base, cell, length, delta, attempts):
+            if _box_is_full(pts, keys, length, delta, attempts):
                 break
             tested = (n, attempts)
     if not won_rows:
@@ -211,9 +224,10 @@ def dart_throw(dim, length, delta, target, seed, max_attempts):
     return np.concatenate(won_rows).ravel(), attempts
 
 
-def _box_is_full(pts, keys, base, cell, length, delta, budget):
+def _box_is_full(pts, keys, length, delta, budget):
     """True when every candidate dart_throw can draw is rejected by the
-    accepted points pts (sorted by their keys), by cell coverage.
+    accepted points pts (sorted by their keys, ``_grid`` at length and
+    delta), by cell coverage.
 
     This is the test of maximal Poisson-disk sampling (Ebeida et al., "A
     simple algorithm for maximal Poisson-disk sampling in high
@@ -249,8 +263,8 @@ def _box_is_full(pts, keys, base, cell, length, delta, budget):
             lo = idx * side
             hi = np.minimum((idx + 1) * side, length)
             mid = (lo + hi) * 0.5
-            cells, near = _close_pairs(mid, _home_keys(mid, cell, base), pts, keys, base,
-                                       delta)
+            mkeys, base = _grid(mid, length, delta)
+            cells, near = _close_pairs(mid, mkeys, pts, keys, base, delta)
             if len(np.unique(cells)) < len(idx):
                 return False
             far = (np.maximum(pts[near] - lo[cells], hi[cells] - pts[near]) + pad) * scale
@@ -268,9 +282,25 @@ def _box_is_full(pts, keys, base, cell, length, delta, budget):
     return True
 
 
-def _home_keys(x, cell, base):
-    """Keys of the cells of side cell holding the rows of x >= 0."""
-    return _cell_keys(np.floor(x / cell), base)
+def _grid(x, extent, thr, shift=False):
+    """(keys, base): the cell keys (``_cell_keys``) of the rows of x, of
+    magnitude at most extent, and their base, by the one cell rule of the
+    module docstring at distance thr > 0.  Without shift the rows lie in
+    [0, extent] and the base depends on extent and thr alone, so the keys
+    of separate calls agree; with shift the indices are first shifted by
+    their per-axis minimum, and the base fits them."""
+    scale, unit = _binary_units(extent)
+    cell = (thr * scale + unit * 2.0**-48) * (1.0 + 2.0**-40)
+    home = np.floor(x * scale / cell)
+    if shift:
+        home -= per_axis(np.minimum, home)
+        top = home.max()
+    else:
+        top = unit / cell
+    # An odd base keeps base**a from vanishing mod 2**64, which would drop
+    # whole axes from the key.
+    base = (int(top) + 4) | 1
+    return _cell_keys(home, base), base
 
 
 def _cell_keys(home, base):
@@ -308,7 +338,7 @@ def _ring_rows(dim, base):
 
 def _close_pairs(q, qkeys, pts, keys, base, thr):
     """Index pairs (i, j), as two arrays, with q[i] strictly closer than
-    thr to pts[j].  pts are sorted by their cell keys (``_home_keys``);
+    thr to pts[j].  pts are sorted by their cell keys (``_grid``);
     a pair is looked for only in the one ring of cells around q[i], which
     holds every point closer than the cell side.  With fewer points than
     the 3^dim ring cells, every point is compared instead."""
@@ -385,46 +415,22 @@ def has_close_pair(flat, dim, threshold):
     """True iff some pair of points lies strictly closer than threshold.
 
     ``flat`` holds the points row-major, as a list or a 1-D float array.
-    Grid hash with cell side 2*threshold: two points closer than threshold
-    differ by less than half a cell on every axis, so their home cells are
-    neighbours in the one ring of 3^dim offsets, with half a cell to spare
-    for rounding.  Each point gets a linear key of its home cell, the keys
-    are sorted once, and each point is compared with the points of key
-    intervals found by ``searchsorted`` (``_close_pairs_within``, which
-    ``dart_throw`` shares): one from the point to the end of the next cell
-    along the last axis, which holds the later points of its own cell and
-    that cell, and one per lexicographically positive row of its ring, the
-    (3^(dim-1) - 1)/2 rows whose three cells have keys c - 1, c, c + 1.
-    Cell indices enter the keys plus one, so no interval crosses key 0
-    unless keys wrap; one that does is split into [lo, 2^64) and [0, hi].
-    The scan stops at the first numpy pass that finds a pair, so a set
-    that fails the audit fails fast however many of its points crowd one
-    cell.  Keys are formed in wrapping uint64
-    arithmetic, which is linear, so the key of a neighbour cell is always
-    the point's key plus the offset's key; a wrap or collision only adds
-    candidate pairs, and every candidate is confirmed by its own distance,
-    so no pair is ever missed.  With fewer points than the 3^dim offsets,
-    each point is compared with all later points instead.  Both give the
-    same answer as the naive scan, in threshold's binary units
-    (``_close_in_ranges``), so at any scale of the points and threshold.
+    The points are binned by the module's cell rule with the largest
+    |coordinate| as the extent, their indices shifted by the per-axis
+    minimum (``_grid``), and each is compared with the later points of its
+    own cell and the next along the last axis, and with the points of the
+    lexicographically positive half of its ring (``_close_pairs_within``,
+    which ``dart_throw`` shares).  The scan stops at the first numpy pass
+    that finds a pair, so a set that fails the audit fails fast however
+    many of its points crowd one cell.  Every candidate is confirmed by its
+    own distance in threshold's binary units, so the answer is the naive
+    scan's at any offset and any scale of the points and threshold.
     """
     n = len(flat) // dim
-    if n < 2:
-        return False
-    if threshold <= 0.0:
+    if n < 2 or threshold <= 0.0:
         return False
     pts = np.asarray(flat, dtype=float)[: n * dim].reshape(n, dim)
-    scale, thr = _binary_units(threshold)
-    # Clipping keeps the cast to uint64 defined; it can only merge far
-    # cells, never separate near ones.  Cells are measured in threshold's
-    # binary units, where their side 2*thr is a normal float.
-    with np.errstate(over="ignore"):
-        home = np.minimum(np.floor((pts - per_axis(np.minimum, pts)) * scale / (2.0 * thr)),
-                          2.0**63)
-    # An odd base keeps base**a from vanishing mod 2**64, which would drop
-    # whole axes from the key.
-    base = (int(home.max()) + 4) | 1
-    keys = _cell_keys(home, base)
+    keys, base = _grid(pts, max(-float(pts.min()), float(pts.max())), threshold, shift=True)
     order = np.argsort(keys)
     return any(len(i) for i, _ in _close_pairs_within(pts[order], keys[order], base, threshold))
 
@@ -432,7 +438,7 @@ def has_close_pair(flat, dim, threshold):
 def _binary_units(thr):
     """The power of two s that brings the distance thr > 0 into [0.5, 1),
     and thr*s.  For a subnormal thr, s stops at 2^1023 and thr*s at 2^-51
-    or above.  Differences are multiplied by s before they are squared, so
+    or above; for thr = 0, s is 1.  Differences are multiplied by s before they are squared, so
     squares near thr^2 stay normal floats at any scale of thr; wherever
     thr^2 is a normal float, every comparison with it is decided as in the
     input's units, since the scaling is exact."""

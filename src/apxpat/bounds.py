@@ -9,13 +9,15 @@ The module also holds the argument checks every entry point shares:
 whole numbers (``check_whole``, ``check_dim``), real values
 in an interval (``check_real``, ``check_eps``) and pairwise-distinct
 points (``check_distinct``).  Each raises ``InvalidArgument`` or returns
-the converted value.
+the converted value.  ``fits_in_memory`` compares a working set's bytes
+with the one physical-memory figure, ``_MEMORY``, before it is allocated.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -26,6 +28,11 @@ from .errors import InvalidArgument
 __all__ = ["Schedule", "schedule_nd", "kappa", "ball_volume"]
 
 _MAX_DIM = 30
+
+# Physical memory, in bytes.  Where the platform does not report it,
+# numpy's largest array size.
+_MEMORY = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+           if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ()) else np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,11 @@ def check_distinct(rows: np.ndarray, message: str) -> None:
     are pairwise distinct (-0.0 equals 0.0)."""
     if len(set(map(tuple, rows.tolist()))) < len(rows):
         raise InvalidArgument(message)
+
+
+def fits_in_memory(nbytes: int) -> bool:
+    """Whether a working set of nbytes fits in physical memory (_MEMORY)."""
+    return nbytes <= _MEMORY
 
 
 def check_dim(d) -> int:

@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .bounds import check_distinct, check_eps, check_whole
+from .bounds import check_distinct, check_eps, check_whole, fits_in_memory
 from .errors import BudgetExceeded, DimensionMismatch, InternalError, InvalidArgument
 from .geometry import PointSet, _as_rows
 from .verifier import triangle_angles, verify_collinear
@@ -338,6 +338,13 @@ def find_collinear(
     bucket's whole graph may still find a clique.  proven_absent is True
     only when every bucket was ruled out or searched exactly; a
     budget-exhausted run reports found=False without that proof.
+
+    The colouring holds all n(n - 1)/2 pairs at once: per pair, its two
+    ends and its bucket in the narrowest unsigned types that hold n - 1
+    and r - 1 (w_n and w_r bytes), its position in the sort by bucket
+    (an intp) and its sorted bucket, 2*w_n + 2*w_r + 8 bytes on a 64-bit
+    platform.  A set whose pairs would need more than physical memory
+    raises BudgetExceeded before anything is built for it.
     """
     if s.dim != 2:
         raise DimensionMismatch("the finder is restricted to the plane")
@@ -347,8 +354,13 @@ def find_collinear(
     node_budget = (DEFAULT_NODE_BUDGET if node_budget is None
                    else check_whole(node_budget, 0, "node_budget"))
 
-    if len(s) < k:
+    n = len(s)
+    if n < k:
         return _absent(proven=True)
+    pairs = n * (n - 1) // 2
+    width = sum(np.min_scalar_type(v).itemsize for v in (n - 1, bucket_count(eps) - 1))
+    if not fits_in_memory(pairs * (2 * width + np.dtype(np.intp).itemsize)):
+        raise BudgetExceeded(f"the {pairs} pairs of {n} points do not fit in memory")
 
     coloring, by_bucket = build_coloring(s, eps)
     # The buckets that occur, ascending, and where each one's pairs start.

@@ -14,12 +14,10 @@ the output is that of throwing one candidate at a time.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from . import _kernels
-from .bounds import ball_volume, check_dim, check_real, check_whole
+from .bounds import ball_volume, check_dim, check_real, check_whole, fits_in_memory
 from .errors import InfeasibleGeneration, InvalidArgument
 from .geometry import PointSet
 
@@ -29,12 +27,6 @@ _ATTEMPT_FACTOR = 1_000_000
 # base**i is 0.0 from i = 679 on for every base <= 1/3 (3**-679 < 2**-1076),
 # so no adversarial sequence has more distinct positive terms than this.
 _MAX_TERMS = 680
-
-# Physical memory, in bytes: a set whose float64 coordinates would not fit
-# is refused before anything is built for it.  Where the platform does not
-# report it, numpy's largest array size.
-_MEMORY = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-           if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ()) else np.iinfo(np.intp).max)
 
 
 def gen_random_separated(
@@ -58,7 +50,7 @@ def gen_random_separated(
             f"{target_count} balls of radius {delta / 2:g} cannot pack into "
             f"side {length:g} plus slack"
         )
-    if 8 * d * target_count > _MEMORY:
+    if not fits_in_memory(8 * d * target_count):
         raise InfeasibleGeneration(f"{target_count} points of dimension {d} do not fit in memory")
     flat, attempts = _kernels.dart_throw(
         d, length, delta, target_count, seed, _ATTEMPT_FACTOR * target_count
@@ -96,7 +88,7 @@ def gen_jittered_lattice(d: int, length: float, jitter: float, seed: int) -> Poi
     seed = check_whole(seed, -np.inf, "seed", "seed must be an integer")
     side = int(length)
     too_big = f"a lattice of {side}^{d} points does not fit in memory"
-    if 8 * d * side**d > _MEMORY:
+    if not fits_in_memory(8 * d * side**d):
         raise InfeasibleGeneration(too_big)
     # Cells in lexicographic order, axis order within a cell: the stream's
     # fixed layout.  Each statement below allocates n*d values.

@@ -13,14 +13,13 @@ built from a set's rows only on demand.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from . import _kernels
-from .bounds import as_float, check_real, check_whole
+from .bounds import check_real, check_whole
 from .errors import DimensionMismatch, InvalidArgument
 
 __all__ = [
@@ -42,27 +41,21 @@ def _width(row) -> int | None:
         return None
 
 
-def _as_floats(coords: Iterable[float]) -> tuple[float, ...]:
-    try:
-        out = tuple(map(as_float, coords))
-    except TypeError:  # not iterable
-        raise DimensionMismatch(f"a point needs a sequence of coordinates, not {coords!r}") from None
-    if not out:
-        raise InvalidArgument("a point needs at least one coordinate")
-    for c in out:
-        if not math.isfinite(c):
-            raise InvalidArgument(f"non-finite coordinate {c!r}")
-    return out
-
-
 @dataclass(frozen=True, init=False)
 class Point:
-    """A point in R^d; coordinates validated finite at construction."""
+    """A point in R^d: a row of its own length, checked as a point set's
+    rows are (``_as_rows``).  A point with no coordinates raises
+    InvalidArgument, and one with no length DimensionMismatch."""
 
     coords: tuple[float, ...]
 
     def __init__(self, coords: Iterable[float]):
-        object.__setattr__(self, "coords", _as_floats(coords))
+        width = _width(coords)
+        if width is None:
+            raise DimensionMismatch(f"a point needs a sequence of coordinates, not {coords!r}")
+        if width == 0:
+            raise InvalidArgument("a point needs at least one coordinate")
+        object.__setattr__(self, "coords", tuple(_as_rows([coords], width)[0].tolist()))
 
     @property
     def dim(self) -> int:

@@ -17,7 +17,7 @@ from . import _kernels
 from .bounds import check_distinct, check_eps, check_whole
 from .errors import BudgetExceeded, DimensionMismatch
 from .geometry import Pattern, PointSet
-from .verifier import TAU, triangle_angles, verify_ap, verify_homothetic
+from .verifier import TAU, _collinear_accepts, triangle_angles, verify_ap, verify_homothetic
 
 __all__ = [
     "enumerate_aps",
@@ -119,7 +119,7 @@ def exists_collinear(
     s: PointSet, k: int, eps: float, *, budget: int | None = None
 ) -> bool:
     """True iff some k-subset has every triangle's two smallest angles at
-    most eps, with verify_collinear's 1e-12 tolerance.
+    most eps, by verify_collinear's rule (``verifier._collinear_accepts``).
 
     Each triangle is scaled by a power of two into the unit range on its
     own (``triangle_angles``), while verify_collinear scales a whole
@@ -142,7 +142,7 @@ def exists_collinear(
 
     @functools.cache
     def passes(i: int, j: int, m: int) -> bool:
-        return sorted(triangle_angles(pts[i], pts[j], pts[m]))[1] <= eps + 1e-12
+        return _collinear_accepts(sorted(triangle_angles(pts[i], pts[j], pts[m]))[1], eps)
 
     def grow(chosen: list[int]) -> bool:
         if len(chosen) == k:

@@ -42,7 +42,7 @@ from . import _kernels
 from .bounds import Schedule, check_eps, check_real, check_whole, schedule_nd
 from .errors import (DimensionMismatch, InsufficientSeparation, InternalError, InvalidArgument,
                      ResolutionOverflow)
-from .geometry import Homothety, Pattern, Point, PointSet, apply_homothety
+from .geometry import Homothety, Pattern, Point, PointSet, _as_rows, _point, apply_homothety
 from .verifier import TAU, VerifyResult, verify_homothetic
 
 __all__ = [
@@ -243,7 +243,7 @@ def _subdivide(
                 members = members[np.argsort(rank[members])[-needed:]]
             t = residue[r_order[r_starts[g]]]
             chosen = tuple(int(i) for i in active[first[members]])
-            anchors = tuple(Point(cur_lo + cells[m] * x) for m in members)
+            anchors = tuple(map(_point, _as_rows(cur_lo + cells[members] * x, d).tolist()))
             hit = tuple(int(v) for v in t)
             steps.append(SearchStep(low, cur_len, len(active), StepSuccess(hit, anchors, chosen)))
             return outcome(chosen, anchors, Homothety(cur_lo + t * x, stride * x))

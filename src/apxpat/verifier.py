@@ -578,8 +578,16 @@ def triangle_angles(
     return _angles(*_to_unit(_as_rows([a, b, c], _width(a) or 1))[0].tolist())
 
 
+def _collinear_accepts(second: float, eps: float) -> bool:
+    """The one collinear acceptance rule: a triangle passes when its
+    second-smallest interior angle is at most eps, with 1e-12 to spare for
+    rounding."""
+    return second <= eps + 1e-12
+
+
 def verify_collinear(q: PointSet, eps: float) -> tuple[bool, tuple[int, int, int]]:
-    """Accept iff every triangle has its two smallest interior angles <= eps.
+    """Accept iff every triangle has its two smallest interior angles <= eps
+    (``_collinear_accepts``).
 
     Returns (accepted, worst_triangle) where the worst triangle maximizes
     the second-smallest angle.  Works in every dimension, on the points
@@ -599,4 +607,4 @@ def verify_collinear(q: PointSet, eps: float) -> tuple[bool, tuple[int, int, int
         if second > worst:
             worst = second
             worst_triple = (i, j, l)
-    return worst <= eps + 1e-12, worst_triple
+    return _collinear_accepts(worst, eps), worst_triple

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apxpat import collinear
+from apxpat import bounds, collinear
 from apxpat.collinear import (
     CollinearOutcome,
     angle_bucket,
@@ -15,7 +15,7 @@ from apxpat.collinear import (
     build_coloring,
     find_collinear,
 )
-from apxpat.errors import DimensionMismatch
+from apxpat.errors import BudgetExceeded, DimensionMismatch
 from apxpat.generators import gen_random_separated
 from apxpat.geometry import Point, PointSet, diameter
 from apxpat.oracle import exists_collinear
@@ -662,6 +662,24 @@ def test_finder_memory_per_pair(n):
     finally:
         tracemalloc.stop()
     assert peak <= 20 * n * (n - 1) // 2
+
+
+def test_finder_refuses_pairs_past_memory_before_it_allocates(monkeypatch):
+    # 100 points and 33 buckets (eps 0.1): 4,950 pairs of 2*1 + 2*1 + 8 =
+    # 12 bytes, 59,400 bytes in all.  One byte less of memory is refused
+    # with no more than the refusal allocated; exactly that much runs.
+    s = PointSet(2, np.random.default_rng(0).random((100, 2)))
+    monkeypatch.setattr(bounds, "_MEMORY", 59_399)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="4950 pairs of 100 points do not fit"):
+            find_collinear(s, 8, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    monkeypatch.setattr(bounds, "_MEMORY", 59_400)
+    assert find_collinear(s, 8, 0.1).proven_absent
 
 
 def _previous_core(i, j, n, m):

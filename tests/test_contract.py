@@ -407,14 +407,64 @@ def test_values_once_accepted_silently_are_refused(call):
     (lambda: triangle_angles(1.0, (1, 2), (2, 0)), DimensionMismatch),
     (lambda: PointSet(2, [1.0, (1, 2)]), DimensionMismatch),
     (lambda: Point(1.0), DimensionMismatch),
+    (lambda: Point([]), InvalidArgument),
+    (lambda: Point("12"), DimensionMismatch),
+    (lambda: Point(b"\x01\x02"), InvalidArgument),
+    (lambda: Homothety("12", 1.0), DimensionMismatch),
     (lambda: _plane(0.5).subset([0.5]), InvalidArgument),
     (lambda: _plane(0.5).subset([5]), InvalidArgument),
     (lambda: _plane(0.5).subset([-6]), InvalidArgument),
 ], ids=["triangle-nan", "triangle-ragged", "triangle-scalar", "pointset-scalar-row",
-        "point-scalar", "subset-0.5", "subset-past-the-end", "subset-before-the-start"])
+        "point-scalar", "point-empty", "point-str", "point-bytes", "homothety-str",
+        "subset-0.5", "subset-past-the-end", "subset-before-the-start"])
 def test_point_inputs_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("row", ["12", b"\x01\x02", "ab", (1.0, NAN), (10**400, 0.0),
+                                 [1.0, (2.0,)], ((1.0, 2.0), (3.0, 4.0)), np.array([1.0, 2.0])],
+                         ids=repr)
+def test_a_point_is_checked_as_a_row_of_its_own_length(row):
+    # A string or bytes object is not read as a sequence of digits.
+    try:
+        want = PointSet(len(row), [row]).coords[0].tolist()
+    except ApxpatError as exc:
+        with pytest.raises(type(exc)):
+            Point(row)
+    else:
+        assert list(Point(row)) == want
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: search_grid(_plane(0.5), 2, 0.25, 0.5, 0.5, lo=(0.0,)), DimensionMismatch),
+    (lambda: search_pattern(_line(6.0), _TRI, 0.25, 0.5, 0.5), DimensionMismatch),
+    (lambda: search_ap(_plane(0.5), 3, 0.25, 0.5, 0.5), DimensionMismatch),
+    (lambda: verify_homothetic(_plane(0.5).subset([0, 1]), _TRI, [0, 1], 0.25),
+     InvalidArgument),
+    (lambda: verify_homothetic(PointSet(3, np.eye(3)), _TRI, [0, 1, 2], 0.25),
+     DimensionMismatch),
+    (lambda: verify_collinear(_plane(0.5).subset([0, 1]), 0.25), InvalidArgument),
+    (lambda: enumerate_aps(_plane(0.5), 3, 0.25), DimensionMismatch),
+    (lambda: enumerate_homothetic(_line(6.0), _TRI, 0.25), DimensionMismatch),
+    (lambda: Pattern(2, [(0.0, 0.0)]), InvalidArgument),
+    (lambda: _plane(0.5).values(), DimensionMismatch),
+    (lambda: build_coloring(_line(6.0), 0.25), DimensionMismatch),
+    (lambda: find_collinear(_line(6.0), 3, 0.25), DimensionMismatch),
+], ids=["grid-lo-of-one-axis", "pattern-off-its-dimension", "ap-in-the-plane",
+        "homothety-sizes-differ", "homothety-dimensions-differ", "collinear-two-points",
+        "aps-in-the-plane", "enumerate-homothetic-off-its-dimension", "pattern-of-one-point",
+        "values-in-the-plane", "coloring-on-a-line", "collinear-on-a-line"])
+def test_refusals_of_each_entry_point(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_search_stops_where_the_cell_width_underflows():
+    # A box two subnormal steps long in k*s = 6 cells: the first width is 0.
+    out = search_grid(PointSet(1, [[0.0], [1e-323]]), 2, 1 / 3, 5e-324, 1.0)
+    assert not out.found and out.trace.steps == ()
+    assert out.warnings[-1] == "cell width underflowed; stopping early"
 
 
 def test_subset_keeps_negative_indices():

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from apxpat import bounds
 from apxpat.bounds import ball_volume
 from apxpat.errors import InfeasibleGeneration
 from apxpat.generators import (
@@ -114,6 +115,17 @@ class TestJitteredLattice:
 
     def test_deterministic(self):
         assert gen_jittered_lattice(2, 7.0, 0.3, 5) == gen_jittered_lattice(2, 7.0, 0.3, 5)
+
+    def test_sets_past_the_memory_figure_are_infeasible(self, monkeypatch):
+        # 50 points of dimension 2 take 800 bytes; the generators read the
+        # one figure in bounds.
+        monkeypatch.setattr(bounds, "_MEMORY", 799)
+        with pytest.raises(InfeasibleGeneration, match="50 points of dimension 2 do not fit"):
+            gen_random_separated(2, 20.0, 1.0, 50, 0)
+        with pytest.raises(InfeasibleGeneration, match="a lattice of 10\\^2 points does not fit"):
+            gen_jittered_lattice(2, 10.5, 0.0, 0)
+        monkeypatch.setattr(bounds, "_MEMORY", 800)
+        assert len(gen_random_separated(2, 20.0, 1.0, 50, 0)) == 50
 
     def test_lattice_past_memory_is_infeasible(self):
         # 10^15 and 3^30 cells: each allocation fails at once.

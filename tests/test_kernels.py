@@ -261,15 +261,13 @@ def test_box_is_full_needs_every_cell_covered():
     # them.  Drop one, and the midpoint of its neighbours is exactly 1 from
     # both: not strictly closer, so the box is not full.
     length, delta = 10.0, 1.0
-    cell = (delta + length * 2.0**-48) * (1.0 + 2.0**-40)
-    base = (int(length / cell) + 4) | 1
     pts = np.arange(0.5, 10.0, 1.0)[:, None]
     gap = np.delete(pts, 4, axis=0)
-    full, holed = (_kernels._home_keys(p, cell, base) for p in (pts, gap))
-    assert _kernels._box_is_full(pts, full, base, cell, length, delta, 10**6)
-    assert not _kernels._box_is_full(gap, holed, base, cell, length, delta, 10**6)
+    full, holed = (_kernels._grid(p, length, delta)[0] for p in (pts, gap))
+    assert _kernels._box_is_full(pts, full, length, delta, 10**6)
+    assert not _kernels._box_is_full(gap, holed, length, delta, 10**6)
     # A budget below the cell count proves nothing.
-    assert not _kernels._box_is_full(pts, full, base, cell, length, delta, 10)
+    assert not _kernels._box_is_full(pts, full, length, delta, 10)
 
 
 @pytest.mark.parametrize("dim,length,seed", [(2, 3.0, 0), (2, 5.0, 3), (3, 2.0, -7), (4, 1.0, 0)])
@@ -280,14 +278,12 @@ def test_box_is_full_finds_the_hole_of_a_dropped_point(dim, length, seed):
     delta = 1.0
     flat, attempts = _kernels.dart_throw(dim, length, delta, 10**3, seed, 20_000)
     assert attempts < 20_000
-    cell = (delta + length * 2.0**-48) * (1.0 + 2.0**-40)
-    base = (int(length / cell) + 4) | 1
     pts = np.reshape(flat, (-1, dim))
     for drop in [None, *range(len(pts))]:
         kept = pts if drop is None else np.delete(pts, drop, axis=0)
-        keys = _kernels._home_keys(kept, cell, base)
+        keys = _kernels._grid(kept, length, delta)[0]
         order = np.argsort(keys)
-        assert _kernels._box_is_full(kept[order], keys[order], base, cell, length, delta,
+        assert _kernels._box_is_full(kept[order], keys[order], length, delta,
                                      10**6) == (drop is None)
 
 
@@ -560,15 +556,6 @@ def test_has_close_pair_finds_a_lone_pair_across_key_zero(dim, kind, monkeypatch
             monkeypatch.undo()
 
 
-def _grid_keys(x, thr):
-    """The cell side, base and keys dart_throw would use for the points x
-    >= 0 of a box as wide as their extent, at distance thr."""
-    length = float(x.max())
-    cell = (thr + length * 2.0**-48) * (1.0 + 2.0**-40)
-    base = (int(length / cell) + 4) | 1
-    return cell, base, _kernels._home_keys(x, cell, base)
-
-
 @pytest.mark.parametrize("shift", [False, True])
 @pytest.mark.parametrize("kind", ["dense", "wide", "subnormal"])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -580,7 +567,8 @@ def test_ring_lookups_match_the_naive_scan(dim, kind, shift, monkeypatch):
     x = pts - pts.min(axis=0)
     if shift:
         _shift_keys(monkeypatch, _key_with_a_neighbour)
-    cell, base, keys = _grid_keys(x, thr)
+    # The keys and base dart_throw would use in a box as wide as x's extent.
+    keys, base = _kernels._grid(x, float(x.max()), thr)
     if shift and kind == "dense":
         assert {0, _MASK64} <= set(keys.tolist())
     order = np.argsort(keys)
@@ -666,14 +654,57 @@ def test_box_is_full_with_keys_across_zero(dim, length, seed, monkeypatch):
     assert attempts < 20_000
     _shift_keys(monkeypatch, _centre_key)
     pts = np.reshape(flat, (-1, dim))
-    cell = (delta + length * 2.0**-48) * (1.0 + 2.0**-40)
-    base = (int(length / cell) + 4) | 1
     for drop in [None, *range(len(pts))]:
         kept = pts if drop is None else np.delete(pts, drop, axis=0)
-        keys = _kernels._home_keys(kept, cell, base)
+        keys = _kernels._grid(kept, length, delta)[0]
         order = np.argsort(keys)
-        assert _kernels._box_is_full(kept[order], keys[order], base, cell, length, delta,
+        assert _kernels._box_is_full(kept[order], keys[order], length, delta,
                                      10**6) == (drop is None)
+
+
+def _pair_far_from_the_minimum(dim, k, thr, gap):
+    """A point at -2^k on every axis, a pair gap apart straddling, on every
+    axis, the midpoint between the floats 2^k and 2^k + u (u = 2^(k-52)),
+    and a lattice of 3^dim points 3*thr apart beyond it, so the grid hash
+    runs.  Shifted by the minimum and rounded, the pair's coordinates would
+    lie u apart."""
+    half = 2.0 ** (k - 53)
+    step = gap / (2 * math.sqrt(dim))
+    pair = np.full((2, dim), half) + np.asarray([[-step], [step]])
+    lattice = half + 5 * thr + 3 * thr * np.asarray(list(product(range(3), repeat=dim)))
+    return np.vstack([np.full((1, dim), -2.0**k), pair, lattice])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_has_close_pair_finds_pairs_far_from_the_minimum(dim):
+    # Offsets 2^50 to 2^69, at thresholds from a quarter of the float
+    # spacing there to 1, with the pair at 10% to 90% of the threshold.
+    rng = np.random.default_rng(dim)
+    for k in range(50, 70):
+        for thr in (1.0, 2.0 ** (k - 54), 2.0 ** (k - 58)):
+            gap = thr * rng.uniform(0.1, 0.9)
+            pts = _pair_far_from_the_minimum(dim, k, thr, gap)
+            assert _kernels.has_close_pair(pts.ravel(), dim, thr), (k, thr)
+            for t in (0.5 * gap, gap, math.nextafter(gap, math.inf), thr):
+                want = any(i != j for i, j in _naive_pairs(pts, pts, t))
+                assert _kernels.has_close_pair(pts.ravel(), dim, t) == want, (k, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 3), k=st.integers(0, 80), m=st.integers(0, 8),
+       frac=st.floats(0.05, 1.5), scale=st.integers(-1000, 900), seed=st.integers(0, 2**32 - 1))
+def test_has_close_pair_matches_brute_force_at_any_offset_and_scale(dim, k, m, frac, scale, seed):
+    # The set of the test above, at threshold 2^-m of the float spacing
+    # near 2^k, its lattice jittered, scaled by 2^scale; the audit
+    # agrees with the naive scan on the scaled floats.
+    thr = 2.0 ** (k - 52 - m)
+    rng = np.random.default_rng(seed)
+    pts = _pair_far_from_the_minimum(dim, k, thr, thr * frac)
+    pts[3:] += rng.uniform(-thr, thr, pts[3:].shape)
+    pts, thr = np.ldexp(pts, scale), math.ldexp(thr, scale)
+    for t in (0.5 * thr, thr, 2.0 * thr):
+        want = any(i != j for i, j in _naive_pairs(pts, pts, t))
+        assert _kernels.has_close_pair(pts.ravel(), dim, t) == want, t
 
 
 def test_has_close_pair_fails_fast_on_a_crowded_cell():

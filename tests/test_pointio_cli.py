@@ -501,6 +501,18 @@ class TestCli:
         assert code == 2 and out == ""
         assert err == "error: input contains a pair closer than delta=1e-180\n"
 
+    @pytest.mark.parametrize("far", ["-1000", "-1152921504606846976"])
+    def test_search_ap_audit_far_from_the_minimum_exit_2(self, tmp_path, capsys, far):
+        # The pair 127.9, 128.1 is refused whether the minimum is -1000 or
+        # -2^60, where shifting by it and rounding would part the pair.
+        pts = tmp_path / "far.txt"
+        pts.write_text(f"1\n{far}\n127.9\n128.1\n")
+        code, out = run_cli("search", "ap", "--input", str(pts), "--k", "3",
+                            "--eps", "0.3333333333333333", "--delta", "1", "--c", "0.4")
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == "error: input contains a pair closer than delta=1.0\n"
+
     @pytest.mark.parametrize("eps", ["1e-300", "5e-324"])
     def test_search_collinear_eps_too_small_to_bucket_exit_2(self, tmp_path, capsys, eps):
         pts = tmp_path / "c3.txt"
