@@ -170,8 +170,6 @@ def dart_throw(dim, length, delta, target, seed, max_attempts):
     maximality (``_box_is_full``): a full box accepts no later candidate,
     so stopping there changes no output that reaches the target.
     """
-    if not math.isfinite(length / delta):
-        raise InvalidArgument(f"length {length:g} spans too many cells of delta {delta:g}")
     pts = np.empty((0, dim))  # accepted points, sorted by cell key
     keys = np.empty(0, dtype=np.uint64)
     won_rows = []
@@ -249,6 +247,8 @@ def _box_is_full(pts, keys, length, delta, budget):
                  + dim * math.log(delta))
     if log_balls < dim * math.log(length):
         return False
+    # Past the volume test n*V_d*delta^d >= length^d, so length/delta is at
+    # most (n*V_d)^(1/d) and ``across`` is a finite int at any length/delta.
     scale, thr = _binary_units(delta)
     side = delta / math.sqrt(dim)
     pad = (length + delta) * 2.0**-50

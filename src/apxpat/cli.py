@@ -52,7 +52,10 @@ def _verify_dict(v: VerifyResult) -> dict:
     }
 
 
-def _trace_dict(outcome: SearchOutcome) -> list[dict]:
+def _trace_dict(outcome: SearchOutcome, scalar: bool) -> list[dict]:
+    """The trace as JSON-ready steps; with ``scalar`` (``search ap``) each
+    1-tuple offset and cell is written as its one number."""
+    index = (lambda v: v[0]) if scalar else list
     steps = []
     for st in outcome.trace.steps:
         entry = {
@@ -63,21 +66,17 @@ def _trace_dict(outcome: SearchOutcome) -> list[dict]:
         if isinstance(st.action, StepSuccess):
             entry["action"] = {
                 "kind": "success",
-                "t": st.action.t if isinstance(st.action.t, int) else list(st.action.t),
+                "t": index(st.action.t),
                 "anchors": [list(a.coords) for a in st.action.anchors],
                 "chosen": list(st.action.chosen),
             }
         elif isinstance(st.action, StepDescend):
-            cell = st.action.cell
-            entry["action"] = {
-                "kind": "descend",
-                "cell": cell if isinstance(cell, int) else list(cell),
-            }
+            entry["action"] = {"kind": "descend", "cell": index(st.action.cell)}
         steps.append(entry)
     return steps
 
 
-def _outcome_dict(outcome: SearchOutcome, with_trace: bool) -> dict:
+def _outcome_dict(outcome: SearchOutcome, with_trace: bool, scalar: bool) -> dict:
     out = {
         "found": outcome.found,
         "below_threshold": outcome.below_threshold,
@@ -102,7 +101,7 @@ def _outcome_dict(outcome: SearchOutcome, with_trace: bool) -> dict:
             "nodes": [list(n) for n in outcome.reduction.nodes],
         }
     if with_trace:
-        out["trace"] = _trace_dict(outcome)
+        out["trace"] = _trace_dict(outcome, scalar)
     return out
 
 
@@ -188,7 +187,8 @@ def _cmd_search(args) -> tuple[dict, bool]:
                                      length=args.length)
         for w in outcome.warnings:
             print(f"warning: {w}", file=sys.stderr)
-        reply, anchors = _outcome_dict(outcome, args.trace), outcome.anchors
+        reply = _outcome_dict(outcome, args.trace, scalar=args.mode == "ap")
+        anchors = outcome.anchors
     if args.svg:
         Path(args.svg).write_bytes(emit_svg(s, outcome.subset, anchors))
     return reply, outcome.found

@@ -6,8 +6,8 @@ half-closed cells of equal length, takes the smallest t whose cells t,
 t+s, ..., t+(k-1)s are all occupied, and otherwise descends into the cell
 holding the most points.  Success yields an exact anchor progression plus
 one input point per anchor cell; the depth is capped by the schedule's j.
-This module adds the 1-D rules: k >= 3, the 1-D schedule, plain ints for
-the trace's offsets and cells, and the AP certificate.
+This module adds the 1-D rules: k >= 3, the 1-D schedule and the AP
+certificate; the trace is the grid search's, with 1-tuple offsets and cells.
 """
 
 from __future__ import annotations
@@ -17,16 +17,10 @@ from dataclasses import replace
 from .bounds import check_whole, schedule_nd
 from .errors import DimensionMismatch, InternalError
 from .geometry import PointSet
-from .searchnd import SearchOutcome, SearchTrace, StepDescend, StepSuccess, _subdivide
+from .searchnd import SearchOutcome, _subdivide
 from .verifier import verify_ap
 
 __all__ = ["search_ap"]
-
-
-def _scalar_action(action: StepSuccess | StepDescend) -> StepSuccess | StepDescend:
-    if isinstance(action, StepSuccess):
-        return replace(action, t=action.t[0])
-    return StepDescend(action.cell[0])
 
 
 def search_ap(
@@ -51,8 +45,6 @@ def search_ap(
     k = check_whole(k, 3, "k")
     schedule = schedule_nd(1, k, c, delta, eps)
     out = _subdivide(s, k, schedule, None if lo is None else (lo,), length)
-    steps = tuple(replace(st, action=_scalar_action(st.action)) for st in out.trace.steps)
-    out = replace(out, trace=SearchTrace(steps))
     if not out.found:
         return out
     result = verify_ap(s.coords[list(out.subset), 0].tolist(), eps)

@@ -26,8 +26,9 @@ the trace, schedule, ``below_threshold`` and warnings.
 The grid searcher certifies its success with ``verify_homothetic`` against
 the unit k-grid.  The pattern searcher rounds the target pattern onto the
 nodes of a fine K-grid, searches for those |P| node cells, and certifies
-the selected points against the original pattern.  Its trace keeps tuple
-offsets and cells at d = 1 too; only ``search_ap`` turns them into ints.
+the selected points against the original pattern.  Every trace, that of
+``search_ap`` included, holds offsets and cells as tuples of ints, 1-tuples
+at d = 1.
 """
 
 from __future__ import annotations
@@ -66,17 +67,16 @@ class StepSuccess:
     each node cell, in node order (all k^d cells for a grid, one per point
     for a pattern)."""
 
-    t: object  # int from search_ap, else a tuple of ints (1-D patterns too)
+    t: tuple[int, ...]
     anchors: tuple[Point, ...]
     chosen: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class StepDescend:
-    """Recursion into the max-count cell (int from search_ap, else a
-    multi-index)."""
+    """Recursion into the max-count cell, by its multi-index."""
 
-    cell: object
+    cell: tuple[int, ...]
 
 
 @dataclass(frozen=True)

@@ -97,9 +97,8 @@ def _check_trace(out, dim: int) -> None:
         assert isinstance(prev.action, StepDescend)
         x = prev.side / ks
         assert nxt.side == x  # side ratio exactly ks
-        cell = prev.action.cell if dim > 1 else (prev.action.cell,)
         for a in range(dim):
-            assert nxt.low.coords[a] == prev.low.coords[a] + cell[a] * x
+            assert nxt.low.coords[a] == prev.low.coords[a] + prev.action.cell[a] * x
         assert nxt.count * shrink >= prev.count  # pigeonhole
 
 

@@ -69,3 +69,33 @@ def test_traced_searches_record_their_layers(tmp_path, monkeypatch):
         root = t.root_time(phase)
         assert [s[0] for s in t.spans if s[4] == phase and s[3] < 0] == ["cli.main"]
         assert math.isclose(sum(selfs[phase].values()), root, rel_tol=1e-9), phase
+
+
+def test_traced_ap_search_counts(tmp_path, monkeypatch):
+    # search.steps and search.systems_scanned of two traced ``search ap
+    # --json --trace`` requests: one that succeeds at step 0 in system
+    # t = 1, and one that descends twice and succeeds in system t = 3
+    # (5 + 5 + 4 systems at s = 5).
+    monkeypatch.syspath_prepend(str(APXBENCH))
+    tracer = importlib.import_module("tracer")
+    dense, sparse = tmp_path / "dense.txt", tmp_path / "sparse.txt"
+    for path, count, seed in ((dense, "120", "0"), (sparse, "40", "3")):
+        assert _run("generate", "--kind", "random", "--dim", "1", "--length", "400",
+                    "--delta", "1", "--count", count, "--seed", seed, "--out", str(path)) == 0
+    requests = {
+        "step 0": ("--input", str(dense), "--lo", "-60", "--length", "600"),
+        "descents": ("--input", str(sparse), "--lo", "0", "--length", "20000"),
+    }
+    counts = {}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for phase, (name, box) in enumerate(requests.items()):
+            t.phase = phase
+            assert _run("search", "ap", *box, "--k", "3", "--eps", "0.2", "--delta", "1",
+                        "--c", repr(1 / 3), "--json", "--trace") == 0, name
+            counts[name] = (t.counts[phase]["search.steps"],
+                            t.counts[phase]["search.systems_scanned"])
+    finally:
+        t.uninstall()
+    assert counts == {"step 0": (1, 2), "descents": (3, 14)}

@@ -314,9 +314,19 @@ def test_dart_throw_high_dimension():
     assert not _kernels.has_close_pair(flat, 10, 1.0)
 
 
-def test_dart_throw_rejects_overflowing_cell_index():
-    with pytest.raises(ValueError):
-        _kernels.dart_throw(2, 1e200, 1e-200, 10, 0, 10**6)
+@pytest.mark.parametrize("case", [(2, 1e200, 1e-200, 10), (1, 1e300, 1e-300, 1000)])
+def test_dart_throw_accepts_any_length_over_delta(case):
+    # length/delta overflows to inf, yet the cells of the one cell rule
+    # scale with the box, so every index stays below 2^48.
+    dim, length, delta, target = case
+    flat, attempts = _kernels.dart_throw(dim, length, delta, target, 0, 10**6)
+    assert (len(flat), attempts) == (target * dim, target)  # every dart accepted
+    rows = flat.reshape(-1, dim)
+    # Chebyshev gaps of at least delta imply Euclidean ones.
+    gaps = np.abs(rows[:, None, :] - rows[None, :, :]).max(axis=2)
+    assert (gaps[~np.eye(target, dtype=bool)] >= delta).all()
+    again = _kernels.dart_throw(dim, length, delta, target, 0, 10**6)
+    assert again[0].tolist() == flat.tolist() and again[1] == attempts
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 10])

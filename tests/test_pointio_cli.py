@@ -369,12 +369,20 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ("--kind", "lattice", "--length", "inf"),
         ("--kind", "random", "--length", "inf"),
-        ("--kind", "random", "--dim", "2", "--length", "1e200", "--delta", "1e-200"),
     ])
     def test_generate_out_of_range_length_exit_2(self, flags, capsys):
         code, out = run_cli("generate", *flags)
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_generate_any_length_over_delta(self):
+        # length/delta overflows to inf; dart throwing's cells scale with
+        # the box, so the set is thrown as at any other ratio.
+        code, out = run_cli("generate", "--kind", "random", "--dim", "2", "--length", "1e200",
+                            "--delta", "1e-200", "--count", "10", "--seed", "0")
+        s = parse_pointset(out.encode())
+        assert code == 0 and len(s) == 10
+        assert min_pairwise_distance(s) >= 1e-200
 
     @pytest.mark.parametrize("flags", [
         ("--kind", "lattice", "--dim", "3", "--length", "1e5"),

@@ -20,7 +20,7 @@ def test_hand_traced_success():
     assert out.homothety.scale == 3.0
     step = out.trace.steps[-1]
     assert isinstance(step.action, StepSuccess)
-    assert step.action.t == 0
+    assert step.action.t == (0,)
     assert out.verify.accepted
     assert out.verify.max_relative_deviation <= 1 / 3
     assert out.below_threshold  # 9 << z0
@@ -83,7 +83,7 @@ def test_trace_invariants_fuzz():
             # exact subdivision geometry
             x = prev.side / ks
             assert nxt.side == x
-            assert nxt.low.coords[0] == prev.low.coords[0] + prev.action.cell * x
+            assert nxt.low.coords[0] == prev.low.coords[0] + prev.action.cell[0] * x
             # pigeonhole: the child holds at least parent/((k-1)s) points
             assert nxt.count * (sch.k - 1) * sch.s >= prev.count
         if out.found:

@@ -56,14 +56,25 @@ def test_success_points_within_cell_diagonal_of_anchors():
 
 
 def test_grid_dim1_matches_search_ap_semantics():
-    s = gen_random_separated(1, 150.0, 1.0, 50, 17)
-    g = search_grid(s, 3, 0.2, 1.0, 1 / 3)
-    a = search_ap(s, 3, 0.2, 1.0, 1 / 3)
-    # Same s (ceil(sqrt(1)/eps) == ceil(1/eps)) hence identical subdivision.
-    assert g.schedule.s == a.schedule.s
-    assert g.found == a.found
-    if g.found:
-        assert g.subset == a.subset
+    # A k-term AP is a 1-D k-grid: the same s (ceil(sqrt(1)/eps) ==
+    # ceil(1/eps)), hence the same subdivision and one trace of 1-tuple
+    # offsets and cells.  Dense sets succeed at step 0, sparse ones descend
+    # or stop early, and the long interval from lo=0 descends before it
+    # succeeds.
+    cases = [(gen_random_separated(1, 150.0, 1.0, 50, seed), {}) for seed in (17, 18)]
+    cases += [(gen_random_separated(1, 400.0, 1.0, 15, seed), {}) for seed in range(3)]
+    cases.append((gen_random_separated(1, 60.0, 1.0, 40, 0), {"lo": 0.0, "length": 20000.0}))
+    descended = 0
+    for s, box in cases:
+        for k in (3, 4, 5):
+            g = search_grid(s, k, 0.2, 1.0, 1 / 3, **box)
+            a = search_ap(s, k, 0.2, 1.0, 1 / 3, **box)
+            assert g.schedule.s == a.schedule.s
+            assert (g.trace, g.found, g.subset, g.anchors, g.homothety, g.warnings,
+                    g.below_threshold) == (a.trace, a.found, a.subset, a.anchors,
+                                           a.homothety, a.warnings, a.below_threshold)
+            descended += len(a.trace.steps) > 1
+    assert descended >= 4
 
 
 def test_soundness_fuzz_2d():
@@ -260,13 +271,8 @@ def test_residue_scan_matches_dense_reference():
         k = rng.choice([3, 4]) if d == 1 else rng.choice([2, 3])
         eps = rng.uniform(0.15, 1 / 3)
         c = rng.uniform(0.05, 0.5)
-        if d == 1:
-            out = search_ap(s, k, eps, delta, c)
-            ref = [(lo, side, n_, h[0], ch) for lo, side, n_, h, ch
-                   in _dense_reference(s, k, schedule_nd(1, k, c, delta, eps))]
-        else:
-            out = search_grid(s, k, eps, delta, c)
-            ref = _dense_reference(s, k, schedule_nd(d, k, c, delta, eps))
+        out = (search_ap if d == 1 else search_grid)(s, k, eps, delta, c)
+        ref = _dense_reference(s, k, schedule_nd(d, k, c, delta, eps))
         assert _steps(out) == ref, trial
         assert out.found == (bool(ref) and ref[-1][4] is not None)
         found += out.found
