@@ -222,7 +222,9 @@ def _subdivide(
         first = order[starts]
         cells = idx[first]
         counts = np.diff(starts, append=len(order))
-        low = Point(cur_lo)
+        # cur_lo and cur_lo + t * x are finite rows (lo is checked and the
+        # box length finite), so their Points are built unchecked.
+        low = _point(cur_lo.tolist())
         # Occupied cells grouped by system t (the residue); the stable sort
         # keeps each group in lexicographic order of its cells.
         residue = cells % stride
@@ -246,7 +248,8 @@ def _subdivide(
             anchors = tuple(map(_point, _as_rows(cur_lo + cells[members] * x, d).tolist()))
             hit = tuple(int(v) for v in t)
             steps.append(SearchStep(low, cur_len, len(active), StepSuccess(hit, anchors, chosen)))
-            return outcome(chosen, anchors, Homothety(cur_lo + t * x, stride * x))
+            anchor = _point((cur_lo + t * x).tolist())
+            return outcome(chosen, anchors, Homothety(anchor, stride * x))
         best = int(counts.argmax())
         steps.append(SearchStep(low, cur_len, len(active),
                                 StepDescend(tuple(int(v) for v in cells[best]))))

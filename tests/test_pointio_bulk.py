@@ -353,13 +353,40 @@ def test_written_files_take_the_bulk_path(dim, monkeypatch):
     rng = np.random.default_rng(dim)
     special = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
                1.7976931348623157e308, 0.1, 1 / 3, -7.0, 123456789.0]
-    for n in (1, 2, 7, 500):
+    # 20,000 rows span several of the reader's blocks.
+    for n in (1, 2, 7, 500, 20_000):
         rows = rng.choice(special, (n, dim)) * rng.choice([1.0, -1.0, 0.5], (n, dim))
         rows[::3] = rng.uniform(-1e3, 1e3, rows[::3].shape)
         s = PointSet(dim, rows)
         again = parse_pointset(write_pointset(s))
         assert again.dim == dim
         assert again.coords.tobytes() == s.coords.tobytes()
+
+
+@pytest.mark.parametrize("ending", ["no final newline", "CRLF"])
+def test_block_edges_take_the_bulk_path(ending, monkeypatch):
+    """A written file read in blocks: with its last line unended, or with
+    CRLF line ends, one of which ends a block."""
+    s = PointSet(2, np.random.default_rng(4).uniform(-1e3, 1e3, (12_000, 2)))
+    data = write_pointset(s)
+    if ending == "CRLF":
+        # Two blocks, cut after the line end at the middle of the body;
+        # indent the first row until that middle byte is a CR.
+        head, body = data.replace(b"\n", b"\r\n").split(b"\n", 1)
+        start = len(head) + 1
+        for pad in range(64):
+            data = head + b"\n" + b" " * pad + body
+            middle = start + (len(data) - start) // 2
+            if data[middle : middle + 2] == b"\r\n":
+                break
+        monkeypatch.setattr(pointio, "_BLOCK", (len(data) - start) // 2)
+        assert pointio._block_cuts(data, start) == [start, middle + 2, len(data)]
+    else:
+        data = data[:-1]
+    want = outcome(reference_parse, data)
+    refuse_the_loop(monkeypatch)
+    assert outcome(parse_pointset, data) == want
+    assert want[2] == s.coords.tobytes()
 
 
 @pytest.mark.parametrize("data", [
