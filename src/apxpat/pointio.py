@@ -185,10 +185,10 @@ def _frame(block: memoryview) -> bytes:
 
 
 def _block_cuts(raw: bytes, lo: int) -> list[int]:
-    """Cuts at line ends that split raw[lo:] into blocks of about _BLOCK
-    bytes each, and never leave a short last block."""
+    """Cuts at line ends that split raw[lo:] into the fewest blocks of at
+    most about _BLOCK bytes, all of about the same size."""
     size = len(raw) - lo
-    count = max(1, round(size / _BLOCK))
+    count = max(1, -(-size // _BLOCK))
     cuts = [lo]
     for k in range(1, count):
         cut = raw.find(b"\n", lo + k * size // count) + 1
@@ -265,7 +265,7 @@ def _plain_tokens(b: np.ndarray, dim: int):
     nl = kind[2::2] == 10
     if np.count_nonzero(nl) != nt // dim or not nl[dim - 1 :: dim].all():
         return None
-    ends = pos[2::2]
+    ends = pos[2::2].copy()  # so that pos is freed
     return pos[:-1:2] + 1, ends, ends, ends - pos[1::2] - 1, None
 
 
@@ -334,34 +334,42 @@ def _read_block(buf: bytes, dim: int) -> np.ndarray | None:
         if found is None:
             return None
     starts, ends, eend, fi, expo = found
-    frac = np.where(fi == _NO_DOT, 0, fi)
+    # Names are dropped once used, so that few per-token arrays are alive
+    # at a time.
+    del found
     first = b.take(starts)
     neg = first == 45
     s0 = starts + (neg | (first == 43))
+    del starts, first
     length = eend - s0
     if len(length) and (length - (fi < _NO_DOT)).min() < 1:
         return None  # a significand with no digit
-    # The significand, its dot read as a 0 digit, from three windows.
     fits = length <= 24
+    scale = np.where(fi == _NO_DOT, 0, fi)
+    if expo is not None:
+        scale -= expo
+    # The significand, its dot read as a 0 digit, from three windows.
     np.minimum(fi, _NO_DOT, out=fi)
     w = _windows(np.frombuffer(buf, "<u8"), eend, 3)
-    key = np.minimum(length, 24)
+    del eend
+    key = np.minimum(length, 24, out=length)
     key *= 25
     key += fi
     w &= _KEEP.take(key, axis=1)
+    del key, length
     if _not_digits(w):
         return None
     _digits(w)
     fits &= w[0] <= 921  # then V < 9.22e18 < 2**63
-    w[0] *= _U64(10**16)
+    sig = w[0] * _U64(10**16)
     w[1] *= _U64(10**8)
-    sig = w[0]
     sig += w[1]
     sig += w[2]
-    whole = sig // _DIV.take(fi)
+    del w
+    whole = np.floor_divide(sig, _DIV.take(fi))
     whole *= _NINE.take(fi)
     sig -= whole
-    scale = frac if expo is None else frac - expo
+    del whole, fi
     p = _P10.take(np.minimum(np.abs(scale), 22))
     fits &= scale <= 22
     if expo is not None:
@@ -373,9 +381,11 @@ def _read_block(buf: bytes, dim: int) -> np.ndarray | None:
     else:
         x = np.where(scale < 0, x * p, x / p)
         fits &= ~big | (scale >= 0)  # a large significand times 10**k goes to float()
-    near = np.flatnonzero(fits & big)
+    big &= fits
+    near = np.flatnonzero(big)
+    del big
     if len(near):
-        x[near] = _dekker(sig.take(near), x.take(near), p.take(near), scale.take(near))
+        x[near] = _dekker(sig, x, p, scale, near)
     # nan marks a token decided by float().
     x[~fits] = np.nan
     for k in np.flatnonzero(np.isnan(x)).tolist():
@@ -387,38 +397,50 @@ def _read_block(buf: bytes, dim: int) -> np.ndarray | None:
     return x
 
 
-def _dekker(sig: np.ndarray, x: np.ndarray, p: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The correctly rounded sig / p, p = 10**f, for 2**53 < sig < 2**63
-    and f <= 22, from x = fl(fl(sig) / p); nan where it is not proven."""
+def _dekker(sig: np.ndarray, x: np.ndarray, p: np.ndarray, f: np.ndarray,
+            near: np.ndarray) -> np.ndarray:
+    """The correctly rounded sig / p, p = 10**f, at the indices near, where
+    2**53 < sig < 2**63 and f <= 22, from x = fl(fl(sig) / p); nan where it
+    is not proven."""
+    x, p, f = x.take(near), p.take(near), f.take(near)
     hi = x * p
     xh = x * _SPLIT
     xh -= xh - x
     xl = x - xh
-    ph = _P10_HI.take(f)
+    ph, pl = _P10_HI.take(f), _P10_LO.take(f)
+    del f
     lo = xh * ph
     lo -= hi
-    pl = _P10_LO.take(f)
     xh *= pl
     lo += xh
+    del xh
     ph *= xl
     lo += ph
+    del ph
     xl *= pl
     lo += xl
+    del xl, pl
     # hi + lo = x * p exactly, and hi is an integer, so the residual
     # sig - x * p is r = (sig - hi) - lo, rounded once.
-    r = (sig.view(np.int64) - hi.astype(np.int64)).astype(np.float64)
+    r = sig.take(near).view(np.int64)
+    r -= hi.astype(np.int64)
+    del hi
+    r = r.astype(np.float64)
     r -= lo
+    del lo
     x1 = r / p
     x1 += x
     x -= x1
     x *= p
     r += x
+    del x
     # Accept x1 when |r| is below half its gap to the next float below,
     # the smaller of its two gaps, with a margin for the roundings of r.
     gap = x1 - (x1.view(np.int64) - 1).view(np.float64)
     gap *= p
     gap *= _HALF
-    x1[np.abs(r) >= gap] = np.nan
+    np.abs(r, out=r)
+    x1[r >= gap] = np.nan
     return x1
 
 

@@ -379,7 +379,7 @@ def test_block_edges_take_the_bulk_path(ending, monkeypatch):
             middle = start + (len(data) - start) // 2
             if data[middle : middle + 2] == b"\r\n":
                 break
-        monkeypatch.setattr(pointio, "_BLOCK", (len(data) - start) // 2)
+        monkeypatch.setattr(pointio, "_BLOCK", (len(data) - start + 1) // 2)
         assert pointio._block_cuts(data, start) == [start, middle + 2, len(data)]
     else:
         data = data[:-1]
