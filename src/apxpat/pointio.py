@@ -13,11 +13,11 @@ non-finite one).  Both give the bits ``float`` gives.  Writing prints each
 coordinate's shortest round-trip ``repr``, so parse(write(S)) reproduces
 the coordinates exactly; one ``%r`` template formats the whole file.
 
-The exact reader works on blocks of about _BLOCK bytes of whole lines,
-so that its temporaries stay small.  A token is a sign, a significand of
-digits with at most one point, and an exponent; M is the significand's
-digits read as an integer and F the digits after the point less the
-exponent, so the token's value is M / 10**F.
+The exact reader works on blocks of whole lines, of at most about
+_BLOCK bytes each, so that its temporaries stay small.  A token is a
+sign, a significand of digits with at most one point, and an exponent;
+M is the significand's digits read as an integer and F the digits after
+the point less the exponent, so the token's value is M / 10**F.
 - If M <= 2**53 and |F| <= 22, M and 10**|F| are exact doubles, and one
   division (a product when F < 0) rounds M / 10**F correctly: Clinger's
   fast path.  It gives the double nearest the value, as ``float`` does.
@@ -82,7 +82,7 @@ __all__ = ["parse_pointset", "write_pointset", "emit_svg"]
 _TOKEN_BYTES = b"0123456789+-.eE"
 _BULK_BYTES = _TOKEN_BYTES + b" \t\r\n"
 _BLANKS = re.compile(rb"[ \t\r\n]*")
-# The body is read in blocks of about _BLOCK bytes of whole lines.  A body
+# The body is read in blocks of at most about _BLOCK bytes.  A body
 # of fewer than _SMALL bytes in single-spaced lines is read by float() over
 # bytes.split().  On 2-D sets of 17-digit coordinates, each parse timed
 # right after the benchmark's reference work (caches cold, as in a CLI
