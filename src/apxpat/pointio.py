@@ -9,9 +9,10 @@ wrong length, a token that is not a decimal) or reads to a non-finite
 value, goes through the row loop: it skips comments and blank lines,
 takes every token ``float`` takes, and reports the first bad row with its
 line (an arity error before a bad token, a malformed token before a
-non-finite one).  Both give the bits ``float`` gives.  Writing prints each
-coordinate's shortest round-trip ``repr``, so parse(write(S)) reproduces
-the coordinates exactly; one ``%r`` template formats the whole file.
+non-finite one).  Both give the bits ``float`` gives.  Writing gives
+each coordinate's ``repr``, the shortest decimal that reads back to it,
+so parse(write(S)) has S's bits; the writer below finds ``repr``'s bytes
+in numpy.
 
 The exact reader works on blocks of whole lines, of at most about
 _BLOCK bytes each, so that its temporaries stay small.  A token is a
@@ -45,6 +46,40 @@ each d tokens parted by single spaces is read by ``float`` instead, token
 by token (numpy calls it on each bytes token), which costs less there
 than the reader's fixed numpy work.
 
+The writer works on blocks of rows, of at most _WRITE_BLOCK bytes of
+layout.  For x with 1e-4 <= |x| < 1e16, not a power of two, ``repr``
+writes the digits of the shortest decimal within h = ulp(x) / 2 of |x|
+(x's round-trip interval), the one nearest |x| of those, in fixed point
+with exponent E = floor(log10 |x|) in [-4, 15].  Let p = 10**(16 - E),
+with E from ``log10``.
+- Dekker's product splits |x| * p exactly into hi + lo, hi an integer,
+  so |x| * p = c + f exactly with c = hi + rint(lo), the nearest integer,
+  and f = lo - rint(lo).  E is right when c >= 10**16 and m, below, is
+  under 10**17.
+- H = h * p is exact (a power of two times p), and 0.55 < H < 11.2.  So
+  c is within H, and at most one multiple of 100 is, which is then the
+  only one of any higher power of ten that can be.  The digits are
+  those of m, less its trailing zeros: the multiple of 100 nearest
+  c + f if it is within H, else the multiple of 10 nearest c + f if that
+  is, else c.
+- Each distance to c + f is an exact integer step (c mod 100 or mod 10)
+  plus f, rounded once; it is inside when below H * (1 - 2**-20) and
+  outside when above H * (1 + 2**-20).  The margins are far above that
+  rounding; whether an end of the interval reads back to x depends on
+  x's last bit, and a value between the margins goes to ``repr``.
+- Also to ``repr``: a tie between the two nearest multiples, a wrong E,
+  zero, powers of two (whose lower gap is half the upper), |x| outside
+  [1e-4, 1e16) (``repr``'s exponent form), and every value where
+  ``sys.float_repr_style`` is not "short".  A row with one such
+  coordinate is written by ``repr``.
+m's first digit and two words of eight are turned into bytes by three
+multiply-shift steps, the reader's undone.  Each coordinate is laid out
+in a field of _WIDTH bytes: a sign, a 0, m's digits, the point, three
+0s, m's digits again and a separator; a table, by E and the number of
+digits, gives the mask of the bytes that make its text: the first
+E + 1 digits, the point and the rest (E >= 0), or the 0, the point,
+-E - 1 zeros and the digits (E < 0).  One mask compresses the block.
+
 SVG dots are written in blocks of rows through a numpy fixed-point
 formatter that gives the bytes of Python's ``'%.3f'``.  That format rounds
 the exact value 1000*v of the double v to an integer, ties to even.  The
@@ -52,7 +87,8 @@ float product t = v*1000 is 1000*v rounded, and rounding is monotonic:
 as every half-integer below 2**52 is a float, t lies on the same side of
 each of them as 1000*v, or on it.  So where t is not a half-integer,
 m = rint(t) is the integer nearest to 1000*v, and its digits with a point
-before the last three are the text; t - m is exact, so the test is
+before the last three are the text (its last eight by the writer's
+multiply-shift steps); t - m is exact, so the test is
 |t - m| < 0.5.  Every other value (t a half-integer, negatives and -0.0,
 values that round to 1e6 or more, nan and inf) is formatted by Python's
 ``'%.3f'`` itself.
@@ -66,6 +102,7 @@ from __future__ import annotations
 import contextlib
 import math
 import re
+import sys
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -100,6 +137,12 @@ _PAIR, _QUAD = _U64(0x00FF00FF00FF00FF), _U64(0x0000FFFF0000FFFF)
 _TIMES = (_U64(2561), _U64(6553601), _U64(42949672960001))
 _SHIFT = (_U64(8), _U64(16), _U64(32))
 _SIX, _SIXTEEN = _U64(0x0606060606060606), _U64(0x1010101010101010)
+# Their inverse, from halves of four digits: (multiplier, shift, mask) for
+# x // 100 in each 32-bit lane, then x // 10 in each 16-bit lane (exact
+# below 10**4 and 100), the divisor, and the shift that puts the quotient
+# in the low half of its lane.
+_SPLITS = ((_U64(10486), _U64(20), _U64(0x0000007F0000007F), _U64(100), _SHIFT[1]),
+           (_U64(103), _U64(10), _U64(0x000F000F000F000F), _U64(10), _SHIFT[0]))
 _NO_DOT = 24
 
 
@@ -242,6 +285,24 @@ def _digits(w: np.ndarray) -> np.ndarray:
         w *= _TIMES[k]
         w >>= _SHIFT[k]
     return w
+
+
+def _digit_words(y: np.ndarray) -> np.ndarray:
+    """Each y < 10**8 (in place) as its eight decimal digits, one a byte of
+    a little-endian word, first digit lowest: _digits undone, from halves
+    of four digits to quarters of two to single digits."""
+    high = y // _U64(10**4)
+    y -= high * _U64(10**4)
+    y <<= _SHIFT[2]
+    y |= high
+    for times, shift, keep, divisor, lane in _SPLITS:
+        high = y * times
+        high >>= shift
+        high &= keep
+        y -= high * divisor
+        y <<= lane
+        y += high
+    return y
 
 
 def _not_digits(w: np.ndarray) -> bool:
@@ -480,9 +541,186 @@ def _parse_rows(text: str) -> PointSet:
 
 
 def write_pointset(s: PointSet) -> bytes:
+    """The point file of s: its dimension, then a line a point of its
+    coordinates' ``repr`` parted by single spaces, so that
+    parse_pointset(write_pointset(s)) has s's bits.
+
+    Rows are laid out in blocks of at most _WRITE_BLOCK bytes (see the
+    module docstring).  The tracemalloc peak is the larger of twice the
+    file (its pieces and their join) and the file plus one block's
+    temporaries, about 3 * _WRITE_BLOCK: 1.4 MB for the 720 KB file of a
+    19,600-row lattice, 0.42 MB for a 96 KB file of 5,249 rows.
+    """
     n, d = s.coords.shape
-    rows = (b"%r " * (d - 1) + b"%r\n") * n
-    return b"%d\n" % d + rows % tuple(s.coords.ravel().tolist())
+    head = b"%d\n" % d
+    if sys.float_repr_style != "short":
+        return head + _repr_rows(s.coords)
+    step = max(1, _WRITE_BLOCK // (d * _WIDTH))
+    pieces = [head]
+    for i in range(0, n, step):
+        pieces += _write_block(s.coords[i : i + step])
+    return b"".join(pieces)
+
+
+def _repr_rows(rows: np.ndarray) -> bytes:
+    return "".join(" ".join([repr(x) for x in row]) + "\n"
+                   for row in rows.tolist()).encode("ascii")
+
+
+# Blocks of 128 KB write a 5,249-row file of 1-D points in 1.06 ms, those
+# of 64 KB in 1.32 ms; the file's peak is 425 and 271 KB.
+_WRITE_BLOCK = 128 << 10
+# The writer lays each coordinate out in _WIDTH bytes: a sign, the 0 of a
+# whole part below 1, m's 17 digits, the point, three 0s, m's 17 digits
+# again and a separator.
+_COORD = np.frombuffer(b"-0" + b"0" * 17 + b".000" + b"0" * 17 + b" ", np.uint8)
+_WIDTH = len(_COORD)
+_WHOLE, _POINT_AT, _FRAC = 2, 19, 23
+
+
+def _layout() -> np.ndarray:
+    """_LAYOUT[(e + 4) * 18 + n]: the bytes kept of the field of a value of
+    n digits and exponent e, as one item; the sign's byte is set apart."""
+    e = np.arange(-4, 16)[:, None, None]
+    n = np.arange(18)[None, :, None]
+    at = np.arange(_WIDTH)[None, None, :]
+    whole = (at >= _WHOLE) & (at <= _WHOLE + e)  # the first e + 1 digits
+    zero = (at == _WHOLE - 1) & (e < 0)
+    point = (at == _POINT_AT) | (at == _WIDTH - 1)  # and the separator
+    zeros = (at >= _FRAC + e + 1) & (at < _FRAC)  # the -e - 1 zeros after the point
+    frac = (at >= _FRAC + np.maximum(e + 1, 0)) & (at < _FRAC + np.maximum(n, e + 2))
+    keep = whole | zero | point | zeros | frac
+    return keep.reshape(-1, _WIDTH).view(f"V{_WIDTH}")[:, 0]
+
+
+_LAYOUT = _layout()
+_MANTISSA, _EXPONENT = np.int64(2**52 - 1), np.int64(0x7FF << 52)
+_HALF_ULP = np.int64(53 << 52)  # ulp(x) / 2 is x's power of two over 2**53
+# The margins, for the roundings of a distance, by which it must be inside
+# or outside of the half width of the round-trip interval.
+_INSIDE, _OUTSIDE = 1 - 2.0**-20, 1 + 2.0**-20
+_ASCII = _U64(0x3030303030303030)
+
+
+def _write_block(rows: np.ndarray) -> list:
+    """The lines of rows, as bytes-like pieces to join: the digits of each
+    coordinate from _shortest, and each row with a coordinate it leaves
+    from _repr_rows."""
+    r, d = rows.shape
+    v = rows.ravel()
+    m, e, ok = _shortest(np.abs(v))
+    # m's digits: the first, then two words of eight.
+    top = m // _U64(10**8)
+    words = np.empty((2, len(m)), np.uint64)
+    np.subtract(m, top * _U64(10**8), out=words[1])
+    m //= _U64(10**16)
+    np.subtract(top, m * _U64(10**8), out=words[0])
+    del top
+    _digit_words(words)
+    # The number of digits less the trailing zeros, which are the zero
+    # bytes atop a word; a float has the word's bit length, as no byte
+    # exceeds 9.
+    zeros = np.frexp(words.astype(np.float64))[1]
+    np.subtract(64, zeros, out=zeros)
+    zeros >>= 3
+    e += 4
+    e *= 18
+    e += np.where(zeros[1] == 8, 9 - zeros[0], 17 - zeros[1])
+    del zeros
+    words |= _ASCII
+    m |= 48  # the first digit's byte
+    text = np.empty((len(v), _WIDTH), np.uint8)
+    text[:] = _COORD
+    text[d - 1 :: d, -1] = 10
+    for at in (_WHOLE, _FRAC):
+        text[:, at] = m
+        text[:, at + 1 : at + 9].view("<u8")[:, 0] = words[0]
+        text[:, at + 9 : at + 17].view("<u8")[:, 0] = words[1]
+    del m, words
+    keep = np.empty(text.shape, bool)
+    # A value left to repr may have a key past the table; its row is dropped.
+    keep.view(_LAYOUT.dtype)[:, 0] = _LAYOUT.take(e, mode="clip")
+    keep[:, 0] = np.signbit(v)
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        bad = np.unique(bad // d)
+    return _join_rows(text.reshape(r, -1), keep.reshape(r, -1), bad,
+                      lambda i: _repr_rows(rows[i : i + 1]))
+
+
+def _shortest(a: np.ndarray):
+    """(m, e, ok) for each |x| in a, which is overwritten: where ok,
+    repr(x) is the digits of m, 10**16 <= m < 10**17, less its trailing
+    zeros, with exponent e (see the module docstring)."""
+    bits = a.view(np.int64)
+    ok = (bits & _MANTISSA) != 0
+    ok &= a >= 1e-4
+    ok &= a < 1e16
+    np.copyto(a, 3.0, where=~ok)
+    e = np.log10(a)
+    np.floor(e, out=e)
+    e = e.astype(np.intp)
+    k = 16 - e
+    p = _P10.take(k)
+    h = bits & _EXPONENT
+    h -= _HALF_ULP
+    h = h.view(np.float64)
+    h *= p
+    # Dekker's product: hi + lo = a * p exactly.
+    hi = a * p
+    ah = a * _SPLIT
+    ah -= ah - a
+    a -= ah
+    ph, pl = _P10_HI.take(k), _P10_LO.take(k)
+    del k, p
+    lo = ah * ph
+    lo -= hi
+    ah *= pl
+    lo += ah
+    ph *= a
+    lo += ph
+    a *= pl
+    lo += a
+    del ah, ph, pl
+    f = np.rint(lo)
+    c = hi.astype(np.int64)
+    c += f.astype(np.int64)
+    lo -= f
+    f = lo
+    del hi, lo
+    ok &= c >= 10**16  # else E is one too large
+    # The multiples of 100 and of 10 nearest c + f, and their distances
+    # from it (negative where c + f lies just below c, a multiple).
+    hundreds = c // 100
+    rem = c - hundreds * 100
+    y = rem + f
+    hundreds += y > 50
+    hundreds *= 100
+    d2 = np.abs(y - 50)
+    np.subtract(50, d2, out=d2)
+    rem -= rem // 10 * 10
+    np.add(rem, f, out=y)
+    tens = c - rem
+    tens += (y > 5) * 10
+    del rem
+    d1 = np.abs(y - 5)
+    np.subtract(5, d1, out=d1)
+    inside = h * _INSIDE
+    h *= _OUTSIDE
+    in2, in1 = d2 < inside, d1 < inside
+    ok &= in2 | (d2 > h)
+    ok &= in1 | (d1 > h)
+    del d1, d2, inside, h
+    # A tie between two multiples of 10, or of 1, where no shorter one is
+    # inside.
+    ok &= in2 | ~in1 | (y != 5)
+    np.abs(f, out=f)
+    ok &= in1 | (f != 0.5)
+    del y, f
+    np.copyto(c, tens, where=in1)
+    np.copyto(c, hundreds, where=in2)
+    ok &= c < 10**17  # else E is one too small, or m is 10**17
+    return c.view(np.uint64), e, ok
 
 
 _SVG_W = 640
@@ -501,12 +739,12 @@ _T = _Y + _FIELD
 _BLOCK_ROWS = 4096
 # Below 1e9 thousandths a whole part has at most 6 digits.
 _T_MAX = 1e9
-# "000" .. "999" as 3-byte items; item k of _LEAD keeps the last k + 5
-# bytes of a field: a whole part of k + 1 digits, the point and three
-# decimals.  Fields take them through views as one item per row.
-_GROUPS = np.frombuffer(b"".join(b"%03d" % i for i in range(1000)), dtype="V3")
-_LEAD = (np.arange(_FIELD) >= _FIELD - 5 - np.arange(6)[:, None]).view(f"V{_FIELD}")[:, 0]
-_TENS = 10 ** np.arange(1, 6)
+# The field's first five bytes are kept from the place where m, in
+# thousandths, has its first digit.
+_PLACES = _P10[8:3:-1]
+# The point, as byte 5 of the word that holds a field's bytes 1 to 8.
+_POINT = _U64(ord(".") << 40)
+_LOW5 = _U64(2**40 - 1)
 
 
 def _fmt(v: float) -> str:
@@ -515,8 +753,9 @@ def _fmt(v: float) -> str:
 
 def _fixed3(v: np.ndarray, text: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Write the '%.3f' text of each value of v into the rows of text, an
-    (n, _FIELD) uint8 array, right-aligned; set keep, of the same shape,
-    to the bytes in use.  Return the mask of the values written.
+    (n, _FIELD) uint8 array, right-aligned; clear the bytes of keep, of
+    the same shape and all set, that it does not use.  Return the mask of
+    the values written.
 
     Written are the values with no sign bit whose product t = v*1000 rounds
     to below 1e9 and is not a half-integer (see the module docstring).  The
@@ -527,13 +766,24 @@ def _fixed3(v: np.ndarray, text: np.ndarray, keep: np.ndarray) -> np.ndarray:
     m = np.rint(t)
     with np.errstate(invalid="ignore"):
         ok = ~np.signbit(v) & (m < _T_MAX) & (np.abs(t - m) < 0.5)
-    whole, frac = np.divmod(np.where(ok, m, 0.0).astype(np.int64), 1000)
-    high, low = np.divmod(whole, 1000)
-    text[:, 0:3].view("V3")[:, 0] = _GROUPS.take(high)
-    text[:, 3:6].view("V3")[:, 0] = _GROUPS.take(low)
-    text[:, 6] = ord(".")
-    text[:, 7:].view("V3")[:, 0] = _GROUPS.take(frac)
-    keep.view(_LEAD.dtype)[:, 0] = _LEAD.take(np.searchsorted(_TENS, whole, side="right"))
+    np.copyto(m, 0.0, where=~ok)
+    np.greater_equal(m[:, None], _PLACES, out=keep[:, :5])
+    # m's nine digits: its first, then a word of eight, with the point
+    # put before the last three.
+    w = m.astype(np.uint64)
+    first = w // _U64(10**8)
+    w -= first * _U64(10**8)
+    first |= 48
+    text[:, 0] = first
+    _digit_words(w)
+    w |= _ASCII
+    text[:, 9] = w >> _U64(56)
+    high = w >> _U64(40)
+    high <<= _U64(48)
+    w &= _LOW5
+    w |= high
+    w |= _POINT
+    text[:, 1:9].view("<u8")[:, 0] = w
     return ok
 
 
@@ -549,7 +799,13 @@ def _dot_rows(cxs: np.ndarray, cys: np.ndarray, big: np.ndarray) -> list:
     ok &= _fixed3(cys, text[:, _Y:_T], keep[:, _Y:_T])
     text[big, _T : _T + len(_BIG_TAIL)] = _BIG_TAIL
     keep[big, _T + len(_BIG_TAIL) :] = False
-    fallback = np.flatnonzero(~ok)
+    return _join_rows(text, keep, np.flatnonzero(~ok), lambda r: (
+        _DOT[int(big[r])] % (float(cxs[r]), float(cys[r]))).encode("ascii"))
+
+
+def _join_rows(text: np.ndarray, keep: np.ndarray, fallback: np.ndarray, line) -> list:
+    """The kept bytes of text's rows, as bytes-like pieces to join, with
+    line(r) in place of each row r of fallback."""
     keep[fallback] = False
     blob = text[keep]
     if not fallback.size:
@@ -559,8 +815,7 @@ def _dot_rows(cxs: np.ndarray, cys: np.ndarray, big: np.ndarray) -> list:
     at = np.cumsum(keep.sum(axis=1)).tolist()
     pieces, prev = [], 0
     for r in fallback.tolist():
-        pieces += [blob[prev : at[r]],
-                   (_DOT[int(big[r])] % (float(cxs[r]), float(cys[r]))).encode("ascii")]
+        pieces += [blob[prev : at[r]], line(r)]
         prev = at[r]
     pieces.append(blob[prev:])
     return pieces

@@ -176,7 +176,8 @@ def test_write_pointset_matches_the_loop(dim):
     rng = np.random.default_rng(dim)
     special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e-300, 1e308, -1e308,
                1.7976931348623157e308, 0.1, 1 / 3, -7.0, 123456789.0]
-    for n in (1, 2, 7, 500):
+    # 20,000 rows span several of the writer's blocks.
+    for n in (1, 2, 7, 500, 20_000):
         rows = rng.choice(special, (n, dim)) * rng.choice([1.0, 1.0, 0.5], (n, dim))
         rows[::3] = rng.uniform(-1e3, 1e3, rows[::3].shape)
         s = PointSet(dim, rows)
