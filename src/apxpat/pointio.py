@@ -641,9 +641,7 @@ def _write_block(rows: np.ndarray) -> list:
     # A value left to repr may have a key past the table; its row is dropped.
     keep.view(_LAYOUT.dtype)[:, 0] = _LAYOUT.take(e, mode="clip")
     keep[:, 0] = np.signbit(v)
-    bad = np.flatnonzero(~ok)
-    if len(bad):
-        bad = np.unique(bad // d)
+    bad = np.flatnonzero(~_kernels.across_axes(np.logical_and, ok.reshape(r, d)))
     return _join_rows(text.reshape(r, -1), keep.reshape(r, -1), bad,
                       lambda i: _repr_rows(rows[i : i + 1]))
 
