@@ -563,6 +563,7 @@ def write_pointset(s: PointSet) -> bytes:
 
 
 def _repr_rows(rows: np.ndarray) -> bytes:
+    """The lines of rows, each coordinate by ``repr``."""
     return "".join(" ".join([repr(x) for x in row]) + "\n"
                    for row in rows.tolist()).encode("ascii")
 
